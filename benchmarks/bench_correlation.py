@@ -54,8 +54,15 @@ def worker(sizes: list[int], repeats: int, seed: int) -> None:
     print(json.dumps({"jit_enabled": JIT_ENABLED, "seconds": results, "tau": taus}))
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_backend(pure_numpy: bool, args) -> dict:
     env = dict(os.environ)
+    # the worker imports chainlens from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (SRC, env.get("PYTHONPATH")) if part
+    )
     if pure_numpy:
         env["CHAINLENS_PURE_NUMPY"] = "1"
     else:

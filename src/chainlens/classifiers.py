@@ -6,6 +6,13 @@ every random choice flows from an explicit seed, prediction ties break
 toward the smaller label, and KNN breaks distance ties toward the
 smaller training index.
 
+The trees are CART with Gini impurity and midpoint thresholds. Among
+equally good splits of a node the smaller feature index wins, then the
+smaller threshold. Trees grow one level at a time. Each random-forest
+tree takes its bootstrap sample and, once per level, one feature subset
+for every node of that level from its own generator, seeded by
+``[seed, tree]``.
+
 The discriminative kinds (logistic regression, linear SVM, decision
 tree, random forest) refuse single-class training sets; Gaussian NB
 and KNN degenerate gracefully to constant / majority behavior.
@@ -48,7 +55,7 @@ KIND_DEFAULTS: dict[str, dict] = {
 def _validate_xy(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:
         raise ChainlensError("training features must be a nonempty 2-d matrix")
     if y.shape != (X.shape[0],):
         raise ChainlensError(
@@ -173,111 +180,189 @@ def _gini_pair(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X, y, feature_indices):
-    """Lowest weighted child Gini over midpoint thresholds.
+def _best_splits(XT, R, node, counts, w, wy, tot, pos, allowed):
+    """Best midpoint split of every frontier node, scored in one pass.
 
-    Ties break toward the earlier feature, then the smaller threshold.
-    Returns (feature, threshold) or None when no split separates rows.
+    ``R`` holds one row list per feature, each grouped by frontier node
+    (``counts`` entries per node; ``node`` names the node of each list
+    position) and sorted by that feature within the node. A node scores
+    only the features ``allowed`` marks for it. The lowest weighted
+    child Gini wins; ties break toward the smaller feature index, then
+    the smaller threshold. Returns per-node (score, feature, threshold),
+    with score inf where no feature separates the node's rows.
     """
-    n = y.shape[0]
-    best = None
-    for f in feature_indices:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        boundary = np.flatnonzero(sv[1:] != sv[:-1])
-        if boundary.size == 0:
-            continue
-        pos_prefix = np.cumsum(sy)
-        left_n = (boundary + 1).astype(np.float64)
-        right_n = n - left_n
-        left_pos = pos_prefix[boundary].astype(np.float64)
-        right_pos = float(pos_prefix[-1]) - left_pos
-        weighted = (
-            left_n * _gini_pair(left_pos, left_n)
-            + right_n * _gini_pair(right_pos, right_n)
-        ) / n
-        j = int(np.argmin(weighted))
-        score = float(weighted[j])
-        if best is None or score < best[0]:
-            cut = boundary[j]
-            best = (score, f, (sv[cut] + sv[cut + 1]) / 2.0)
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
+    m = counts.shape[0]
+    pair_f, pair_s = np.nonzero(allowed.T)  # (feature, node), by feature
+    pair_n = counts[pair_s]
+    rows = R[allowed.T[:, node]]
+    values = XT[np.repeat(pair_f, pair_n), rows]
+    pair_start = np.cumsum(pair_n) - pair_n
+    cw = np.cumsum(w[rows])
+    cy = np.cumsum(wy[rows])
+    base_w = cw[pair_start] - w[rows[pair_start]]
+    base_y = cy[pair_start] - wy[rows[pair_start]]
+    differ = values[1:] != values[:-1]
+    differ[(pair_start + pair_n - 1)[:-1]] = False  # never across nodes
+    cut = np.flatnonzero(differ)
+    pair = np.repeat(np.arange(pair_f.shape[0]), pair_n)[cut]
+    cut_node = pair_s[pair]
+    n = tot[cut_node]
+    left_n = (cw[cut] - base_w[pair]).astype(np.float64)
+    right_n = n - left_n
+    left_pos = (cy[cut] - base_y[pair]).astype(np.float64)
+    right_pos = pos[cut_node].astype(np.float64) - left_pos
+    weighted = (
+        left_n * _gini_pair(left_pos, left_n)
+        + right_n * _gini_pair(right_pos, right_n)
+    ) / n
+    score = np.full(m, np.inf)
+    np.minimum.at(score, cut_node, weighted)
+    # cuts run by feature, then position: the first minimum is the tie winner
+    tied = np.flatnonzero(weighted == score[cut_node])
+    first = np.full(m, cut.shape[0])
+    np.minimum.at(first, cut_node[tied], tied)
+    found = first < cut.shape[0]
+    feature = np.zeros(m, dtype=np.int64)
+    threshold = np.zeros(m, dtype=np.float64)
+    j = first[found]
+    feature[found] = pair_f[pair[j]]
+    below, above = values[cut[j]], values[cut[j] + 1]
+    middle = (below + above) / 2.0
+    # between adjacent floats the midpoint can round up to ``above``,
+    # which would send every row left; cut at ``below`` then
+    threshold[found] = np.where(middle < above, middle, below)
+    return score, feature, threshold
 
 
-def _majority_label(y: np.ndarray) -> int:
-    counts = np.bincount(y, minlength=2)
-    # argmax on a tie returns the first index, i.e. the smaller label
-    return int(np.argmax(counts))
+def _partition(R, counts, split, goes_left):
+    """Drop leaf nodes' rows and split the rest stably into children.
+
+    ``R`` holds one row list per feature, grouped by node (``counts``
+    rows each); ``goes_left`` is a per-row mask. The children of a split
+    node take over its span: left rows first, then right rows, each
+    side in the list's previous order. Returns the new lists and the
+    children's row counts, left and right alternating.
+    """
+    kept = np.repeat(split, counts)
+    R = R[:, kept]
+    sizes = counts[split]
+    node = np.repeat(np.arange(sizes.shape[0]), sizes)
+    left = goes_left[R]
+    n_left = np.bincount(node[left[0]], minlength=sizes.shape[0])
+    left_before = np.cumsum(n_left) - n_left
+    right_before = np.cumsum(sizes - n_left) - (sizes - n_left)
+    # a node keeps its span [start, start + size): a left row moves to
+    # start + (lefts before it in the node), a right row to
+    # start + n_left + (rights before it in the node)
+    seen = np.cumsum(left, axis=1)
+    dest = np.where(
+        left,
+        seen + (right_before - 1)[node],
+        np.arange(R.shape[1]) - seen + (n_left + left_before)[node],
+    )
+    out = np.empty_like(R)
+    np.put_along_axis(out, dest, R, axis=1)
+    return out, np.column_stack([n_left, sizes - n_left]).ravel()
 
 
-def _build_tree(X, y, min_samples_split, max_depth, max_features, rng):
-    """CART with Gini impurity, grown iteratively (no recursion cap).
+def _build_tree(X, y, weights, min_samples_split, max_depth, max_features, rng):
+    """CART with Gini impurity, grown one level at a time.
 
-    Nodes are parallel arrays: feature == -1 marks a leaf. A node with
-    ``max_features`` below the dimensionality draws a fresh feature
-    subset per split, which is what the forest passes in.
+    Nodes are parallel arrays: feature == -1 marks a leaf. ``weights``
+    are integer row multiplicities (the forest's bootstrap counts); a
+    row of weight 0 takes no part. Each feature is sorted once; its row
+    list stays grouped by frontier node and is partitioned stably into
+    the children at each split, so every level scores the whole frontier
+    in one vectorized pass. With ``max_features`` below the
+    dimensionality, each level draws one feature subset per open node
+    from ``rng``. Node ids follow depth-first creation order (see
+    ``_depth_first_ids``).
     """
     n, d = X.shape
-    feature, threshold = [], []
-    left, right, label = [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        label.append(0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(np.arange(n), root, 0)]
-    while stack:
-        idx, node, depth = stack.pop()
-        ys = y[idx]
-        counts = np.bincount(ys, minlength=2)
-        pure = counts[0] == 0 or counts[1] == 0
-        stop = (
-            pure
-            or idx.shape[0] < min_samples_split
-            or (max_depth is not None and depth >= max_depth)
+    XT = np.ascontiguousarray(X.T)
+    w = np.asarray(weights, dtype=np.int64)
+    wy = w * y
+    present = np.flatnonzero(w)
+    R = present[np.argsort(XT[:, present], axis=1, kind="stable")]
+    counts = np.array([present.shape[0]])
+    goes_left = np.zeros(n, dtype=bool)
+    levels = []  # per level: feature, threshold, label of its nodes
+    depth = 0
+    while counts.shape[0]:
+        m = counts.shape[0]
+        starts = np.cumsum(counts) - counts
+        tot = np.add.reduceat(w[R[0]], starts)
+        pos = np.add.reduceat(wy[R[0]], starts)
+        is_open = (pos > 0) & (pos < tot) & (tot >= min_samples_split)
+        if max_depth is not None and depth >= max_depth:
+            is_open[:] = False
+        allowed = np.zeros((m, d), dtype=bool)
+        if max_features is None or max_features >= d:
+            allowed[is_open] = True
+        else:
+            keys = rng.random((int(is_open.sum()), d))
+            picks = np.argsort(keys, axis=1)[:, :max_features]
+            drawn = np.zeros(keys.shape, dtype=bool)
+            np.put_along_axis(drawn, picks, True, axis=1)
+            allowed[is_open] = drawn
+        node = np.repeat(np.arange(m), counts)
+        score, feature, threshold = _best_splits(
+            XT, R, node, counts, w, wy, tot, pos, allowed
         )
-        split = None
-        if not stop:
-            if max_features is None or max_features >= d:
-                candidates = range(d)
-            else:
-                candidates = rng.choice(d, size=max_features, replace=False)
-            split = _best_split(X[idx], ys, candidates)
-            if split is not None:
-                p = counts[1] / idx.shape[0]
-                parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-                # demand a real impurity decrease, not float noise
-                if split[2] > parent_gini - 1e-12:
-                    split = None
-        if split is None:
-            label[node] = _majority_label(ys)
-            continue
-        f, thr, _ = split
-        mask = X[idx, f] <= thr
-        left_id = new_node()
-        right_id = new_node()
-        feature[node] = int(f)
-        threshold[node] = float(thr)
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((idx[mask], left_id, depth + 1))
-        stack.append((idx[~mask], right_id, depth + 1))
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "label": np.array(label, dtype=np.int64),
+        # demand a real impurity decrease, not float noise
+        split = is_open & ~(score > _gini_pair(pos, tot) - 1e-12)
+        levels.append(
+            (
+                np.where(split, feature, -1),
+                np.where(split, threshold, 0.0),
+                np.where(split, 0, (2 * pos > tot).astype(np.int64)),
+            )
+        )
+        rows = R[0]
+        goes_left[rows] = XT[feature[node], rows] <= threshold[node]
+        R, counts = _partition(R, counts, split, goes_left)
+        depth += 1
+    feature, threshold, label = (np.concatenate(a) for a in zip(*levels))
+    return _depth_first_ids(feature, threshold, label)
+
+
+def _depth_first_ids(feature, threshold, label):
+    """Renumber a level-order tree into depth-first creation order.
+
+    In level order the k-th split node's children are 2k + 1 and
+    2k + 2. Depth-first creation gives a node's two children the next
+    two ids when the node is split, and visits right subtrees first.
+    """
+    internal = feature >= 0
+    left = np.full(feature.shape[0], -1, dtype=np.int64)
+    left[internal] = 1 + 2 * np.arange(int(internal.sum()))
+    children = left.tolist()
+    new_id = [0] * feature.shape[0]
+    next_id = 1
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        first = children[node]
+        if first >= 0:
+            new_id[first] = next_id
+            new_id[first + 1] = next_id + 1
+            next_id += 2
+            stack.append(first)
+            stack.append(first + 1)
+    new_id = np.array(new_id, dtype=np.int64)
+    tree = {
+        "feature": np.empty_like(feature),
+        "threshold": np.empty_like(threshold),
+        "left": np.full_like(left, -1),
+        "right": np.full_like(left, -1),
+        "label": np.empty_like(label),
     }
+    tree["feature"][new_id] = feature
+    tree["threshold"][new_id] = threshold
+    tree["label"][new_id] = label
+    tree["left"][new_id[internal]] = new_id[left[internal]]
+    tree["right"][new_id[internal]] = new_id[left[internal] + 1]
+    return tree
 
 
 def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -330,6 +415,7 @@ def fit_decision_tree(X, y, hyperparameters) -> DecisionTreeModel:
     tree = _build_tree(
         X,
         y,
+        np.ones(X.shape[0], dtype=np.int64),
         min_samples_split=hp["min_samples_split"],
         max_depth=hp["max_depth"],
         max_features=None,
@@ -381,13 +467,14 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
         rng = np.random.default_rng([seed, t])
         if hp["bootstrap"]:
             idx = rng.integers(0, X.shape[0], size=X.shape[0])
-            Xt, yt = X[idx], y[idx]
+            weights = np.bincount(idx, minlength=X.shape[0])
         else:
-            Xt, yt = X, y
+            weights = np.ones(X.shape[0], dtype=np.int64)
         trees.append(
             _build_tree(
-                Xt,
-                yt,
+                X,
+                y,
+                weights,
                 min_samples_split=hp["min_samples_split"],
                 max_depth=hp["max_depth"],
                 max_features=max_features,
@@ -471,6 +558,7 @@ class KNNModel:
         out = np.empty(X.shape[0], dtype=np.int64)
         # chunked to bound the n_test x n_train distance block
         chunk = max(1, int(2_000_000 // max(1, self.train_X.shape[0])))
+        positive = self.train_y == 1
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk]
             d2 = (
@@ -478,9 +566,19 @@ class KNNModel:
                 - 2.0 * block @ self.train_X.T
                 + (self.train_X * self.train_X).sum(axis=1)[None, :]
             )
-            # stable sort: equal distances keep training-index order
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            votes = self.train_y[nearest].sum(axis=1)
+            # the k nearest: all strictly inside the k-th distance, then
+            # the earliest training indices among those tied at it
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            inside = d2 < kth
+            tied = d2 == kth
+            room = k - np.count_nonzero(inside, axis=1)
+            nearest = inside | tied
+            crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+            ties = tied[crowded]
+            nearest[crowded] = inside[crowded] | (
+                ties & (np.cumsum(ties, axis=1) <= room[crowded, None])
+            )
+            votes = np.count_nonzero(nearest & positive, axis=1)
             # majority of k; exact tie goes to the smaller label
             out[start : start + chunk] = (votes * 2 > k).astype(np.int64)
         return out
@@ -494,6 +592,8 @@ class KNNModel:
 
 def fit_knn(X, y, hyperparameters) -> KNNModel:
     X, y = _validate_xy(X, y)
+    if hyperparameters["k"] < 1:
+        raise ChainlensError(f"knn needs k >= 1, got {hyperparameters['k']}")
     return KNNModel(train_X=X, train_y=y, hyperparameters=dict(hyperparameters))
 
 

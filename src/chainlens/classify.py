@@ -401,7 +401,9 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         "normalizer": trained.normalizer.as_doc(),
         "parameters": trained.model.parameters_doc(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    # compact separators: a forest file holds millions of numbers
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -229,7 +229,8 @@ def mean_normalize(column: np.ndarray) -> np.ndarray:
     if np.isnan(col).any():
         raise ChainlensError("mean_normalize requires a fully present column")
     std = col.std()  # population (divide by n)
-    if std == 0:
+    # a constant column's std can round above 0, so test equality too
+    if std == 0 or np.all(col == col[0]):
         raise ChainlensError("cannot mean-normalize a constant column")
     out = (col - col.mean()) / std
     # one polish pass: an exact-arithmetic no-op that mops up float

@@ -349,9 +349,12 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
         ]
         writer.write_text("metrics.svg", metrics_chart(rows))
     best_kind, best = max(named, key=lambda kv: kv[1].f1)
+    degenerate = [kind for kind, m in named if m.zero_division_hit]
     return (
         f"classify: {len(named)} classifier(s) on {test.n_rows} test rows,"
-        f" best f1 {best.f1:.3f} ({best_kind}) -> metrics.csv"
+        f" best f1 {best.f1:.3f} ({best_kind})"
+        + (f", zero division: {', '.join(degenerate)}" if degenerate else "")
+        + " -> metrics.csv"
     )
 
 

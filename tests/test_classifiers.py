@@ -5,6 +5,7 @@ import pytest
 
 from chainlens.classifiers import (
     KIND_DEFAULTS,
+    _build_tree,
     fit_classifier,
     fit_decision_tree,
     fit_gaussian_nb,
@@ -14,6 +15,7 @@ from chainlens.classifiers import (
     resolve_hyperparameters,
 )
 from chainlens.errors import ChainlensError
+from oracles import oracle_build_tree, oracle_knn_predict
 
 
 def two_blobs(rng, n_per=60, separation=6.0, d=4):
@@ -133,11 +135,73 @@ class TestDecisionTree:
         with pytest.raises(ChainlensError):
             fit_decision_tree(np.zeros((4, 2)), np.ones(4, dtype=int), KIND_DEFAULTS["decision_tree"])
 
+    def test_adjacent_float_values_split_apart(self):
+        # the midpoint of these two rounds up to the larger one
+        low = np.nextafter(1.0, 2.0)
+        X = np.array([[low], [np.nextafter(low, 2.0)]])
+        y = np.array([0, 1])
+        hp = dict(KIND_DEFAULTS["decision_tree"], max_depth=1)
+        model = fit_decision_tree(X, y, hp)
+        assert np.array_equal(model.predict(X), y)
+
     def test_duplicate_feature_rows_fall_back_to_majority(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([0, 1, 1])
         model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
         assert np.array_equal(model.predict(X), np.array([1, 1, 1]))
+
+
+def tied_matrix(rng):
+    """Small-integer features (heavy value ties), often with duplicate rows."""
+    n = int(rng.integers(2, 60))
+    d = int(rng.integers(1, 5))
+    X = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)).astype(np.float64)
+    if rng.random() < 0.5:
+        X = X[rng.integers(0, n, size=n)]
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    return X, y
+
+
+def assert_same_tree(tree, expected):
+    for name, arr in expected.items():
+        assert np.array_equal(tree[name], arr), name
+
+
+class TestCartAgainstOracle:
+    """The level-wise builder reproduces the depth-first one exactly."""
+
+    def test_decision_tree_arrays_match(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            X, y = tied_matrix(rng)
+            hp = dict(
+                KIND_DEFAULTS["decision_tree"],
+                min_samples_split=int(rng.integers(2, 6)),
+                max_depth=None if rng.random() < 0.5 else int(rng.integers(0, 5)),
+            )
+            model = fit_decision_tree(X, y, hp)
+            assert_same_tree(
+                model.tree,
+                oracle_build_tree(X, y, hp["min_samples_split"], hp["max_depth"]),
+            )
+
+    def test_continuous_features_match(self):
+        rng = np.random.default_rng(22)
+        X, y = two_blobs(rng, n_per=150, separation=1.0, d=3)
+        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        assert_same_tree(model.tree, oracle_build_tree(X, y))
+
+    def test_weighted_build_matches_duplicated_rows(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            X, y = tied_matrix(rng)
+            weights = rng.integers(0, 4, size=X.shape[0])
+            weights[:2] = 1  # keep both classes present
+            min_split = int(rng.integers(2, 6))
+            tree = _build_tree(X, y, weights, min_split, None, None, None)
+            rows = np.repeat(np.arange(X.shape[0]), weights)
+            assert_same_tree(tree, oracle_build_tree(X[rows], y[rows], min_split))
 
 
 class TestRandomForest:
@@ -233,10 +297,32 @@ class TestKNN:
         probe = rng.normal(size=(20, 2))
         assert np.array_equal(model.predict(probe), np.ones(20, dtype=int))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ChainlensError):
+            fit_knn(np.zeros((4, 2)), np.array([0, 1, 0, 1]), {"k": 0})
+
     def test_single_class_degrades_gracefully(self):
         X = np.zeros((4, 2))
         model = fit_knn(X, np.zeros(4, dtype=int), {"k": 5})
         assert np.array_equal(model.predict(np.ones((2, 2))), np.zeros(2, dtype=int))
+
+
+class TestKNNAgainstOracle:
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_labels_match_full_sort(self, k):
+        # integer grids put many training rows at the k-th distance
+        rng = np.random.default_rng(24 + k)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            d = int(rng.integers(1, 4))
+            X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            y = rng.integers(0, 2, size=n)
+            probe = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d))
+            probe = probe.astype(np.float64)
+            model = fit_knn(X, y, {"k": k})
+            assert np.array_equal(
+                model.predict(probe), oracle_knn_predict(X, y, k, probe)
+            )
 
 
 class TestCommonBehavior:
@@ -273,6 +359,10 @@ class TestCommonBehavior:
     def test_bad_labels_rejected(self):
         with pytest.raises(ChainlensError):
             fit_classifier("knn", np.zeros((3, 1)), np.array([0, 1, 2]))
+
+    def test_featureless_matrix_rejected(self):
+        with pytest.raises(ChainlensError):
+            fit_classifier("decision_tree", np.zeros((3, 0)), np.array([0, 1, 0]))
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ChainlensError):

@@ -412,6 +412,24 @@ class TestModelPersistence:
         assert loaded.feature_names == trained.feature_names
         assert loaded.seed == 4
 
+    def test_file_is_compact_canonical_json(self, tmp_path):
+        trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+    def test_indented_file_of_the_previous_writer_loads(self, tmp_path):
+        trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        loaded = load_model(path)
+        probe = np.random.default_rng(11).normal(2.5, 3.0, size=(40, 3))
+        assert np.array_equal(predict(loaded, probe), predict(trained, probe))
+
     def test_unsupported_version_rejected(self, tmp_path):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         path = tmp_path / "model.json"

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chainlens.classify import FLAG_NAMES
@@ -329,6 +330,25 @@ class TestFlagsAndOverrides:
         with (tmp_path / "metrics.csv").open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert [row[0] for row in rows] == ["classifier", "knn"]
+
+
+class TestClassifySummary:
+    def test_summary_line_names_zero_division_classifiers(
+        self, pipeline_dir, tmp_path, capsys, monkeypatch
+    ):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        assert run_stage("classify", "--out", str(tmp_path), "--seed", "7") == 0
+        assert "zero division" not in capsys.readouterr().out
+        # all-zero predictions leave precision undefined for every kind
+        monkeypatch.setattr(
+            "chainlens.cli.predict", lambda trained, rows: np.zeros_like(rows.y)
+        )
+        assert run_stage("classify", "--out", str(tmp_path), "--seed", "7") == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        doc = json.loads((tmp_path / "classify_summary.json").read_text("utf-8"))
+        assert all(m["zero_division_hit"] for m in doc["classifiers"].values())
+        named = line.split("zero division: ")[1].split(" -> ")[0].split(", ")
+        assert sorted(named) == sorted(doc["classifiers"])
 
 
 class TestPlot:

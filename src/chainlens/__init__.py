@@ -29,7 +29,6 @@ from .classifiers import CLASSIFIER_KINDS, fit_classifier
 from .cleaning import (
     FeatureTable,
     aggregate_stats,
-    derive_market_cap,
     derive_ptsc,
     impute_max_supply,
     impute_mean,
@@ -53,7 +52,6 @@ from .dataset import (
     load_csv,
     parse_day,
     save_csv,
-    snapshot_at,
 )
 from .errors import (
     ApiError,
@@ -96,7 +94,6 @@ __all__ = [
     "coin_key",
     "correlate",
     "correlation_matrix",
-    "derive_market_cap",
     "derive_ptsc",
     "elbow",
     "evaluate",
@@ -121,7 +118,6 @@ __all__ = [
     "row_feature_table",
     "save_csv",
     "save_model",
-    "snapshot_at",
     "survival_summary",
     "train_test_split",
     "wcss",

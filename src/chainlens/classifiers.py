@@ -606,15 +606,6 @@ _FITTERS = {
     "knn": lambda X, y, hp, seed: fit_knn(X, y, hp),
 }
 
-_MODEL_CLASSES = {
-    "logistic_regression": LogisticRegressionModel,
-    "linear_svm": LinearSVMModel,
-    "decision_tree": DecisionTreeModel,
-    "random_forest": RandomForestModel,
-    "gaussian_nb": GaussianNBModel,
-    "knn": KNNModel,
-}
-
 
 def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:
     if kind not in KIND_DEFAULTS:

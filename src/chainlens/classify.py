@@ -7,10 +7,13 @@ mirrors the source methodology but lets rows of one coin straddle the
 split; pass ``group_by_coin=True`` for the honest variant that keeps
 each coin entirely on one side.
 
-Feature preparation: the seven columns {price, max_supply,
-total_supply, circulating_supply, volume_24h, market_cap, ptsc} are
-imputed at labeling time (max-supply thousandfold rule first, then
-column means), while mean/std normalization statistics are computed
+Feature preparation: ``prepare_features`` is the one path from a
+dataset to the seven columns {price, max_supply, total_supply,
+circulating_supply, volume_24h, market_cap, ptsc} that both the clean
+stage (``features.csv``) and ``label_risky`` use. It tabulates the six
+market columns per snapshot row, derives ptsc, then imputes (max-supply
+thousandfold rule first, then column means) and reports the missing
+cells at each step. Mean/std normalization statistics are computed
 from the training split only and merely applied to the test split.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,14 +36,15 @@ from .classifiers import (
     resolve_hyperparameters,
 )
 from .cleaning import (
-    _ptsc_values,
     AggregateFeatures,
+    FeatureTable,
+    derive_ptsc,
     impute_max_supply,
     impute_mean,
     row_feature_table,
 )
 from .dataset import CoinSnapshot, Dataset
-from .errors import ChainlensError
+from .errors import ChainlensError, DataQualityWarning
 from .survival import lifetimes
 
 CLASSIFY_FEATURES = (
@@ -53,6 +58,49 @@ CLASSIFY_FEATURES = (
 )
 
 MODEL_FORMAT_VERSION = 1
+
+
+def _missing_counts(table: FeatureTable) -> dict[str, int]:
+    return {
+        name: int(np.isnan(table.column(name)).sum()) for name in CLASSIFY_FEATURES
+    }
+
+
+def prepare_features(
+    dataset: Dataset,
+    date_range: tuple[dt.date | None, dt.date | None] | None = None,
+) -> tuple[FeatureTable, tuple[dict[str, int], dict[str, int], dict[str, int]]]:
+    """The CLASSIFY_FEATURES of every snapshot row in range, imputed.
+
+    Returns the fully imputed table and the per-feature missing-cell
+    counts at three points: before imputation, after the max-supply
+    rule, and after the column-mean fill. Rows whose circulating
+    supply is present but whose total supply is absent or zero get an
+    absent ptsc (later mean-filled), with one data-quality warning.
+    """
+    base = row_feature_table(
+        dataset,
+        columns=tuple(c for c in CLASSIFY_FEATURES if c != "ptsc"),
+        date_range=date_range,
+    )
+    if base.n_rows == 0:
+        raise ChainlensError("no rows in the requested date range")
+    circulating = base.column("circulating_supply")
+    total = base.column("total_supply")
+    bad_total = int(np.sum(~(total > 0) & ~np.isnan(circulating)))
+    if bad_total:
+        warnings.warn(
+            f"{bad_total} value(s) have absent or zero total_supply; "
+            "ratio left absent",
+            DataQualityWarning,
+            stacklevel=2,
+        )
+    table = base.with_columns(ptsc=derive_ptsc(circulating, total))
+    before = _missing_counts(table)
+    table = impute_max_supply(table)
+    after_rule = _missing_counts(table)
+    table = impute_mean(table, CLASSIFY_FEATURES)
+    return table, (before, after_rule, _missing_counts(table))
 
 
 @dataclass(frozen=True)
@@ -111,27 +159,7 @@ def label_risky(
     """
     records = lifetimes(dataset, cutoff)
     risky = {r.key: int(r.disappeared) for r in records}
-    base = row_feature_table(
-        dataset,
-        columns=(
-            "price",
-            "max_supply",
-            "total_supply",
-            "circulating_supply",
-            "volume_24h",
-            "market_cap",
-        ),
-        date_range=date_range,
-    )
-    if base.n_rows == 0:
-        raise ChainlensError("no rows to label in the requested range")
-    table = base.with_columns(
-        ptsc=_ptsc_values(
-            base.column("circulating_supply"), base.column("total_supply")
-        )
-    )
-    table = impute_max_supply(table)
-    table = impute_mean(table, CLASSIFY_FEATURES)
+    table, _ = prepare_features(dataset, date_range)
     keys = tuple(row_id.split("@", 1)[0] for row_id in table.row_ids)
     return LabeledTable(
         feature_names=CLASSIFY_FEATURES,

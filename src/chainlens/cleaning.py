@@ -17,14 +17,13 @@ Conventions used throughout this module (and everywhere downstream):
 from __future__ import annotations
 
 import datetime as dt
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import EXTENDED_COLUMNS, NUMERIC_COLUMNS, Dataset
-from .errors import ChainlensError, DataQualityWarning
+from .dataset import EXTENDED_COLUMNS, NUMERIC_COLUMNS, Dataset, day_filter
+from .errors import ChainlensError
 
 AGGREGATE_COLUMNS = ("price", "max_supply", "total_supply", "volume_24h", "ptsc")
 
@@ -114,67 +113,18 @@ class FeatureTable:
         )
 
 
-def _lift(value):
-    # scalar absent -> nan so the arithmetic below is uniform
-    if value is None:
-        return np.nan
-    return value
-
-
-def derive_market_cap(price, circulating_supply):
-    """Market capitalization: price times circulating supply.
-
-    Accepts scalars or arrays; an absent input yields an absent output.
-    """
-    scalar = np.isscalar(price) or price is None
-    p = np.asarray(_lift(price), dtype=np.float64)
-    c = np.asarray(_lift(circulating_supply), dtype=np.float64)
-    out = p * c
-    if scalar:
-        value = float(out)
-        return None if np.isnan(value) else value
-    return out
-
-
-def _ptsc_values(circulating, total) -> np.ndarray:
-    circ = np.asarray(circulating, dtype=np.float64)
-    tot = np.asarray(total, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(tot > 0, circ / tot, np.nan)
-    return out
-
-
-def derive_ptsc(circulating_supply, total_supply):
+def derive_ptsc(circulating_supply, total_supply) -> np.ndarray:
     """Public token supply coverage: circulating over total supply.
 
-    Rows where total supply is absent or zero come back absent, with a
-    data-quality warning. Ratios above 1 (dirty data) are kept but
-    flagged with a warning as well; dropping them would bias any
-    downstream survival statistic.
+    Absent (NaN) wherever total supply is absent or not positive.
+    Ratios above 1 (dirty data, which ``Dataset.build`` already flags)
+    are kept; dropping them would bias any downstream survival
+    statistic.
     """
-    scalar = np.isscalar(circulating_supply) or circulating_supply is None
-    circ = np.atleast_1d(np.asarray(_lift(circulating_supply), dtype=np.float64))
-    tot = np.atleast_1d(np.asarray(_lift(total_supply), dtype=np.float64))
-    out = _ptsc_values(circ, tot)
-    bad_total = int(np.sum(~(tot > 0) & ~np.isnan(circ)))
-    if bad_total:
-        warnings.warn(
-            f"{bad_total} value(s) have absent or zero total_supply; "
-            "ratio left absent",
-            DataQualityWarning,
-            stacklevel=2,
-        )
-    above_one = int(np.sum(out > 1))
-    if above_one:
-        warnings.warn(
-            f"{above_one} ratio value(s) exceed 1 (circulating above total); kept",
-            DataQualityWarning,
-            stacklevel=2,
-        )
-    if scalar:
-        value = float(out[0])
-        return None if np.isnan(value) else value
-    return out
+    circ = np.asarray(circulating_supply, dtype=np.float64)
+    tot = np.asarray(total_supply, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tot > 0, circ / tot, np.nan)
 
 
 def impute_mean(table: FeatureTable, columns: Sequence[str]) -> FeatureTable:
@@ -250,7 +200,11 @@ def max_normalize(column: np.ndarray) -> np.ndarray:
     top = col.max()
     if top <= 0:
         raise ChainlensError(f"cannot max-normalize: column max is {top}")
-    return col / top
+    with np.errstate(over="ignore"):
+        out = col / top
+    if not np.isfinite(out).all():
+        raise ChainlensError(f"cannot max-normalize: dividing by max {top} overflows")
+    return out
 
 
 @dataclass(frozen=True)
@@ -292,16 +246,10 @@ def aggregate_stats(
     ``date_range`` is an inclusive (start, end) pair; either side may
     be None for open-ended. Statistics use present values only.
     """
-    lo, hi = date_range if date_range is not None else (None, None)
-    if lo is not None and hi is not None and lo > hi:
-        raise ChainlensError(f"empty date range: {lo} > {hi}")
+    in_range = day_filter(date_range)
     out: dict[str, AggregateFeatures] = {}
     for key in dataset.keys:
-        rows = [
-            s
-            for s in dataset.series(key)
-            if (lo is None or s.date >= lo) and (hi is None or s.date <= hi)
-        ]
+        rows = [s for s in dataset.series(key) if in_range(s.date)]
         grab = lambda col: np.array(
             [np.nan if getattr(s, col) is None else getattr(s, col) for s in rows],
             dtype=np.float64,
@@ -313,7 +261,7 @@ def aggregate_stats(
             max_supply=_column_stats(grab("max_supply")),
             total_supply=_column_stats(grab("total_supply")),
             volume_24h=_column_stats(grab("volume_24h")),
-            ptsc=_column_stats(_ptsc_values(circ, tot)),
+            ptsc=_column_stats(derive_ptsc(circ, tot)),
         )
     return out
 
@@ -323,18 +271,18 @@ def row_feature_table(
     columns: Sequence[str] | None = None,
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> FeatureTable:
-    """One table row per snapshot, row ids ``key@YYYY-MM-DD``."""
+    """One table row per snapshot, row ids ``key@YYYY-MM-DD``.
+
+    ``date_range`` keeps the rows inside an inclusive (start, end)
+    pair, as in :func:`aggregate_stats`.
+    """
     names = tuple(columns) if columns is not None else NUMERIC_COLUMNS
     valid = set(NUMERIC_COLUMNS) | set(EXTENDED_COLUMNS)
     unknown = [n for n in names if n not in valid]
     if unknown:
         raise KeyError(f"unknown column(s) {unknown}")
-    lo, hi = date_range if date_range is not None else (None, None)
-    rows = [
-        s
-        for s in dataset.snapshots
-        if (lo is None or s.date >= lo) and (hi is None or s.date <= hi)
-    ]
+    in_range = day_filter(date_range)
+    rows = [s for s in dataset.snapshots if in_range(s.date)]
     ids = [f"{s.key}@{s.date.isoformat()}" for s in rows]
     data = {
         name: [getattr(s, name) for s in rows]

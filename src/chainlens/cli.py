@@ -34,8 +34,6 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .api import ApiClientConfig, fetch_history
 from .classify import (
     CLASSIFY_FEATURES,
@@ -45,17 +43,14 @@ from .classify import (
     label_risky,
     manipulability_flags,
     predict,
+    prepare_features,
     save_metrics_csv,
     save_model,
     train_test_split,
 )
-from .cleaning import (
-    aggregate_stats,
-    derive_ptsc,
-    impute_max_supply,
-    impute_mean,
-    row_feature_table,
-)
+from .cleaning import aggregate_stats
+# not called here: perfbench/tracer.py patches these three bindings
+from .cleaning import impute_max_supply, impute_mean, row_feature_table  # noqa: F401
 from .clustering import cluster_report, save_assignments_csv, save_elbow_csv
 from .config import ConfigError, RunConfig, build_config
 from .correlation import METHODS, price_factor_report, save_correlations_csv
@@ -76,10 +71,6 @@ GENERATE_DEFAULTS: dict = {
     "snapshot_interval_days": 7,
     "missing_max_supply_rate": 0.1,
 }
-
-# Row-level market columns the cleaning stage tabulates; ptsc is
-# derived from the supply pair afterwards.
-_BASE_FEATURES = tuple(c for c in CLASSIFY_FEATURES if c != "ptsc")
 
 # What `report` composes. Present iff the owning stage ran with a rich
 # enough --format (json implies the csv artifacts too).
@@ -176,36 +167,15 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
     return f"ingest: {len(ds.keys)} coins, {len(ds.snapshots)} rows from {origin}"
 
 
-def _hole_counts(table) -> dict[str, int]:
-    return {
-        name: int(np.isnan(table.column(name)).sum()) for name in CLASSIFY_FEATURES
-    }
-
-
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    base = row_feature_table(ds, columns=_BASE_FEATURES, date_range=cfg.date_range)
-    if base.n_rows == 0:
-        raise ChainlensError("no rows in the requested date range")
-    table = base.with_columns(
-        ptsc=derive_ptsc(
-            base.column("circulating_supply"), base.column("total_supply")
-        )
-    )
-    before = _hole_counts(table)
-    table = impute_max_supply(table)
-    after_rule = _hole_counts(table)
-    table = impute_mean(table, CLASSIFY_FEATURES)
-    after_mean = _hole_counts(table)
-
+    table, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
     matrix = table.matrix(CLASSIFY_FEATURES)
     with writer.path("features.csv").open("w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         out.writerow(("row_id",) + CLASSIFY_FEATURES)
         for row_id, row in zip(table.row_ids, matrix):
-            out.writerow(
-                [row_id] + ["" if np.isnan(v) else repr(float(v)) for v in row]
-            )
+            out.writerow([row_id] + [repr(float(v)) for v in row])
     if cfg.wants_json:
         writer.write_json(
             "cleaning_summary.json",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cleaning import _ptsc_values, max_normalize
+from .cleaning import derive_ptsc, max_normalize
 from .dataset import Dataset
 from .errors import ChainlensError
 
@@ -255,30 +255,25 @@ def _daily_feature_matrix(
     rows = dataset.snapshot_at(date)
     if not rows:
         raise ChainlensError(f"no snapshots on {date.isoformat()}")
-    keys, vectors, excluded = [], [], []
-    for snap in rows:
-        values = []
-        for name in feature_columns:
-            if name == "ptsc":
-                value = float(
-                    _ptsc_values(
-                        np.array([_nan_if_none(snap.circulating_supply)]),
-                        np.array([_nan_if_none(snap.total_supply)]),
-                    )[0]
-                )
-            else:
-                value = _nan_if_none(getattr(snap, name))
-            values.append(value)
-        if np.isnan(values).any():
-            excluded.append(snap.key)
-        else:
-            keys.append(snap.key)
-            vectors.append(values)
-    return keys, np.asarray(vectors, dtype=np.float64), excluded
 
+    def column(name: str) -> np.ndarray:
+        values = [getattr(s, name) for s in rows]
+        return np.array(
+            [np.nan if v is None else v for v in values], dtype=np.float64
+        )
 
-def _nan_if_none(value) -> float:
-    return np.nan if value is None else float(value)
+    matrix = np.column_stack(
+        [
+            derive_ptsc(column("circulating_supply"), column("total_supply"))
+            if name == "ptsc"
+            else column(name)
+            for name in feature_columns
+        ]
+    )
+    complete = ~np.isnan(matrix).any(axis=1)
+    keys = [s.key for s, ok in zip(rows, complete) if ok]
+    excluded = [s.key for s, ok in zip(rows, complete) if not ok]
+    return keys, matrix[complete], excluded
 
 
 def cluster_report(

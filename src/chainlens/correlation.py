@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cleaning import FeatureTable, _ptsc_values, aggregate_stats, row_feature_table
+from .cleaning import FeatureTable, aggregate_stats, derive_ptsc, row_feature_table
 from .dataset import Dataset
 from .errors import ChainlensError, UndefinedCorrelationError
 from .kernels import count_inversions
@@ -337,12 +337,9 @@ def price_factor_report(
     dataset: Dataset,
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> PriceFactorReport:
-    lo, hi = date_range if date_range is not None else (None, None)
-    if lo is not None and hi is not None and lo > hi:
-        raise ChainlensError(f"empty date range: {lo} > {hi}")
     table = row_feature_table(dataset, date_range=date_range)
     table = table.with_columns(
-        ptsc=_ptsc_values(
+        ptsc=derive_ptsc(
             table.column("circulating_supply"), table.column("total_supply")
         )
     )

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -203,8 +203,18 @@ class Dataset:
         )
 
 
-def snapshot_at(dataset: Dataset, date: dt.date) -> list[CoinSnapshot]:
-    return dataset.snapshot_at(date)
+def day_filter(
+    date_range: tuple[dt.date | None, dt.date | None] | None,
+) -> Callable[[dt.date], bool]:
+    """Membership test for an inclusive (start, end) day range.
+
+    Either side (or the whole range) may be None for open-ended; a
+    range whose start is after its end is an error.
+    """
+    lo, hi = date_range if date_range is not None else (None, None)
+    if lo is not None and hi is not None and lo > hi:
+        raise ChainlensError(f"empty date range: {lo} > {hi}")
+    return lambda day: (lo is None or day >= lo) and (hi is None or day <= hi)
 
 
 def parse_day(text: str) -> dt.date:
@@ -328,13 +338,3 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
             row = [name, symbol, snap.date.isoformat()]
             row += [_format_cell(getattr(snap, c)) for c in columns]
             writer.writerow(row)
-
-
-def parse_date_range(
-    start: str | dt.date | None, end: str | dt.date | None
-) -> tuple[dt.date | None, dt.date | None]:
-    lo = parse_day(start) if isinstance(start, str) else start
-    hi = parse_day(end) if isinstance(end, str) else end
-    if lo is not None and hi is not None and lo > hi:
-        raise ChainlensError(f"empty date range: {lo} > {hi}")
-    return lo, hi

@@ -2,82 +2,20 @@
 
 The inversion counter below is the inner loop of the tau-b rank
 correlation and the reason it runs in O(n log n) instead of O(n^2).
-By default it is JIT-compiled with numba; setting the environment
-variable ``CHAINLENS_PURE_NUMPY=1`` (or running without numba
-installed) selects a vectorized pure-numpy fallback instead.
-``benchmarks/bench_correlation.py`` compares the two paths.
+It is vectorized numpy throughout; there is no compiled backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("CHAINLENS_PURE_NUMPY", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
-if _FORCE_NUMPY:
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-JIT_ENABLED = njit is not None
+# No JIT backend exists; perfbench/run.py still reads this flag in its
+# environment probe, so it stays defined.
+JIT_ENABLED = False
 
 
-def _count_inversions_merge(values):
-    # Bottom-up merge sort over a scratch buffer, counting pairs i < j
-    # with values[i] > values[j]. Equal values are not inversions, so
-    # the left run wins ties.
-    n = values.shape[0]
-    arr = values.copy()
-    buf = np.empty(n, dtype=values.dtype)
-    inversions = 0
-    width = 1
-    while width < n:
-        for start in range(0, n, 2 * width):
-            mid = min(start + width, n)
-            end = min(start + 2 * width, n)
-            i = start
-            j = mid
-            k = start
-            while i < mid and j < end:
-                if arr[j] < arr[i]:
-                    buf[k] = arr[j]
-                    j += 1
-                    # arr[i:mid] are all > arr[j], each forms an inversion
-                    inversions += mid - i
-                else:
-                    buf[k] = arr[i]
-                    i += 1
-                k += 1
-            while i < mid:
-                buf[k] = arr[i]
-                i += 1
-                k += 1
-            while j < end:
-                buf[k] = arr[j]
-                j += 1
-                k += 1
-        arr, buf = buf, arr
-        width *= 2
-    return inversions
-
-
-if JIT_ENABLED:
-    count_inversions_jit = njit(cache=True)(_count_inversions_merge)
-else:
-    count_inversions_jit = None
-
-
-def count_inversions_numpy(values: np.ndarray) -> int:
-    """Inversion count of ``values`` without numba.
+def count_inversions(values: np.ndarray) -> int:
+    """Number of pairs i < j with values[i] > values[j].
 
     Runs the merge-sort recurrence one scale at a time: at scale ``w``
     every window of ``2w`` original positions contributes the number of
@@ -85,6 +23,7 @@ def count_inversions_numpy(values: np.ndarray) -> int:
     over scales is the total inversion count. Each scale is a single
     integer sort plus O(n) bookkeeping.
     """
+    values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < 2:
         return 0
@@ -116,13 +55,3 @@ def count_inversions_numpy(values: np.ndarray) -> int:
         total += int(np.sum(left_sizes[right_block] - left_seen))
         width *= 2
     return total
-
-
-def count_inversions(values: np.ndarray) -> int:
-    """Number of pairs i < j with values[i] > values[j]."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape[0] < 2:
-        return 0
-    if count_inversions_jit is not None:
-        return int(count_inversions_jit(values))
-    return count_inversions_numpy(values)

@@ -19,6 +19,7 @@ from chainlens.classify import (
     manipulability_flags,
     metrics_from_counts,
     predict,
+    prepare_features,
     save_metrics_csv,
     save_model,
     train_test_split,
@@ -26,7 +27,7 @@ from chainlens.classify import (
 from chainlens.classifiers import CLASSIFIER_KINDS
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.dataset import CoinSnapshot, Dataset
-from chainlens.errors import ChainlensError
+from chainlens.errors import ChainlensError, DataQualityWarning
 
 
 def d(text):
@@ -128,6 +129,37 @@ class TestLabelRisky:
                 labeled_fixture_dataset(),
                 date_range=(d("2025-01-01"), d("2025-12-31")),
             )
+
+
+class TestPrepareFeatures:
+    def test_missing_counts_at_each_step(self):
+        table, (before, after_rule, after) = prepare_features(
+            labeled_fixture_dataset()
+        )
+        assert table.column_names == CLASSIFY_FEATURES
+        assert before["price"] == 1 and before["max_supply"] == 3
+        assert after_rule["price"] == 1 and after_rule["max_supply"] == 0
+        assert set(after.values()) == {0}
+
+    def test_absent_or_zero_total_warns_once(self):
+        full = dict(price=1.0, max_supply=9.0, volume_24h=1.0, market_cap=5.0)
+        rows = [
+            CoinSnapshot("AAA_alpha", d("2021-01-01"), circulating_supply=5.0,
+                         total_supply=0.0, **full),
+            CoinSnapshot("AAA_alpha", d("2021-01-02"), circulating_supply=5.0,
+                         **full),
+            CoinSnapshot("AAA_alpha", d("2021-01-03"), circulating_supply=5.0,
+                         total_supply=10.0, **full),
+        ]
+        # zero total with circulating present is also a supply violation
+        with pytest.warns(DataQualityWarning, match="circulating_supply > total"):
+            ds = Dataset.build(rows)
+        with pytest.warns(DataQualityWarning, match="absent or zero") as caught:
+            table, (before, _, _) = prepare_features(ds)
+        assert len(caught) == 1 and "2 value(s)" in str(caught[0].message)
+        assert before["ptsc"] == 2
+        # the two holes take the mean of the one defined ratio
+        assert table.column("ptsc").tolist() == [0.5, 0.5, 0.5]
 
 
 class TestLabeledTable:

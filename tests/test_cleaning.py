@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from chainlens.cleaning import (
     FeatureTable,
     aggregate_stats,
-    derive_market_cap,
     derive_ptsc,
     impute_max_supply,
     impute_mean,
@@ -21,7 +20,7 @@ from chainlens.cleaning import (
     row_feature_table,
 )
 from chainlens.dataset import CoinSnapshot, Dataset
-from chainlens.errors import ChainlensError, DataQualityWarning
+from chainlens.errors import ChainlensError
 
 
 def table(**columns):
@@ -29,55 +28,30 @@ def table(**columns):
     return FeatureTable.from_columns([f"r{i}" for i in range(n)], columns)
 
 
-class TestDeriveMarketCap:
-    @pytest.mark.parametrize(
-        "price,circ,expected",
-        [(2.0, 10.0, 20.0), (0.0, 1e9, 0.0), (0.5, 19e6, 9.5e6)],
-    )
-    def test_product(self, price, circ, expected):
-        assert derive_market_cap(price, circ) == expected
-
-    def test_absent_input_gives_absent_output(self):
-        assert derive_market_cap(None, 10.0) is None
-        assert derive_market_cap(2.0, None) is None
-
-    def test_vectorized_with_nan_propagation(self):
-        out = derive_market_cap(
-            np.array([2.0, np.nan, 3.0]), np.array([10.0, 5.0, np.nan])
-        )
-        assert out[0] == 20.0 and np.isnan(out[1]) and np.isnan(out[2])
-
-    def test_monotone_in_each_argument(self):
-        assert derive_market_cap(3.0, 10.0) > derive_market_cap(2.0, 10.0)
-        assert derive_market_cap(2.0, 11.0) > derive_market_cap(2.0, 10.0)
-
-
 class TestDerivePtsc:
     def test_mostly_circulating(self):
-        assert derive_ptsc(19e6, 20e6) == pytest.approx(0.95)
+        assert derive_ptsc([19e6], [20e6])[0] == pytest.approx(0.95)
 
     def test_identity_when_fully_circulating(self):
-        for x in (1.0, 7.5, 19e6):
-            assert derive_ptsc(x, x) == 1.0
+        x = np.array([1.0, 7.5, 19e6])
+        assert derive_ptsc(x, x).tolist() == [1.0, 1.0, 1.0]
 
     def test_low_circulation(self):
-        assert derive_ptsc(19e6, 100e6) == pytest.approx(0.19)
+        assert derive_ptsc([19e6], [100e6])[0] == pytest.approx(0.19)
 
-    def test_zero_total_warns_and_returns_absent(self):
-        with pytest.warns(DataQualityWarning):
-            assert derive_ptsc(5.0, 0.0) is None
+    def test_zero_total_returns_absent(self):
+        assert np.isnan(derive_ptsc([5.0], [0.0])[0])
 
-    def test_absent_total_warns_and_returns_absent(self):
-        with pytest.warns(DataQualityWarning):
-            assert derive_ptsc(5.0, None) is None
+    def test_absent_total_returns_absent(self):
+        assert np.isnan(derive_ptsc([5.0], [np.nan])[0])
 
-    def test_ratio_above_one_kept_but_flagged(self):
-        with pytest.warns(DataQualityWarning, match="exceed 1"):
-            assert derive_ptsc(30.0, 20.0) == pytest.approx(1.5)
+    def test_ratio_above_one_kept(self):
+        # circulating > total is flagged once, by Dataset.build
+        assert derive_ptsc([30.0], [20.0])[0] == pytest.approx(1.5)
 
     def test_vectorized(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DataQualityWarning)
+            warnings.simplefilter("error")
             out = derive_ptsc(
                 np.array([19e6, 5.0, 1.0]), np.array([20e6, 0.0, np.nan])
             )
@@ -211,14 +185,18 @@ class TestMaxNormalize:
     @example([5e-324, 0.0, 2.0])  # the subnormal underflows to 0 / 2
     @example([2.2250738585e-313, -1.0, -1.0])  # -1 / subnormal overflows
     def test_max_is_one_and_order_preserved(self, values):
-        # float64 division can merge neighbours (underflow, or overflow to
-        # -inf), so order is preserved weakly: sorted by the input, the
-        # output never falls. Compared pairwise, as -inf - -inf is nan.
         arr = np.array(values)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(arr / arr.max()).all()
+        if not finite:
+            with pytest.raises(ChainlensError, match="overflows"):
+                max_normalize(arr)
+            return
+        # float64 division can merge neighbours by underflow, so order
+        # is preserved weakly: sorted by the input, the output never falls
         out = max_normalize(arr)
         assert out.max() == 1.0
-        ranked = out[np.argsort(arr, kind="stable")]
-        assert np.all(ranked[1:] >= ranked[:-1])
+        assert np.all(np.diff(out[np.argsort(arr, kind="stable")]) >= 0)
 
 
 def day(i):
@@ -285,6 +263,15 @@ class TestRowFeatureTable:
         ds = Dataset.build([CoinSnapshot("A_A", day(0))])
         with pytest.raises(KeyError):
             row_feature_table(ds, ["bogus"])
+
+    def test_date_range_filters_and_reversed_range_errors(self):
+        ds = Dataset.build(
+            [CoinSnapshot("A_A", day(i), price=float(i)) for i in range(3)]
+        )
+        t = row_feature_table(ds, ["price"], (day(1), None))
+        assert t.row_ids == ("A_A@2021-01-02", "A_A@2021-01-03")
+        with pytest.raises(ChainlensError, match="empty date range"):
+            row_feature_table(ds, ["price"], (day(2), day(1)))
 
 
 class TestFeatureTable:

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainlens.classify import FLAG_NAMES
+from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
 from chainlens.cli import GENERATE_DEFAULTS, ArtifactWriter, main, run
 from chainlens.config import ConfigError, RunConfig
+from chainlens.dataset import load_csv
 from chainlens.errors import ChainlensError
 
 # Small planted panel: 20 coins over ~400 days keeps every stage under
@@ -137,6 +138,31 @@ class TestPipeline:
         assert (tmp_path / "dataset.csv").read_bytes() != (
             pipeline_dir / "dataset.csv"
         ).read_bytes()
+
+    def test_clean_and_classify_share_one_feature_table(self, pipeline_dir):
+        with (pipeline_dir / "features.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        table = label_risky(load_csv(pipeline_dir / "dataset.csv"))
+        assert tuple(header[1:]) == table.feature_names
+        assert tuple(row[0] for row in rows) == table.row_ids
+        written = np.array([[float(v) for v in row[1:]] for row in rows])
+        assert np.array_equal(written, table.X)
+
+    def test_cleaning_summary_counts_match_prepare_features(self, pipeline_dir):
+        doc = json.loads((pipeline_dir / "cleaning_summary.json").read_text("utf-8"))
+        _, (before, after_rule, after) = prepare_features(
+            load_csv(pipeline_dir / "dataset.csv")
+        )
+        assert doc["missing_before"] == before
+        assert doc["filled_by_supply_rule"] == (
+            before["max_supply"] - after_rule["max_supply"]
+        )
+        assert doc["filled_by_column_mean"] == {
+            name: after_rule[name] - after[name]
+            for name in after
+            if after_rule[name] != after[name]
+        }
+        assert doc["missing_after"] == after
 
     def test_report_composes_without_regenerating(self, pipeline_dir):
         page = (pipeline_dir / "report.html").read_text("utf-8")

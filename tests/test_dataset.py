@@ -14,7 +14,6 @@ from chainlens.dataset import (
     load_csv,
     parse_day,
     save_csv,
-    snapshot_at,
     split_coin_key,
 )
 from chainlens.errors import (
@@ -128,7 +127,7 @@ class TestDatasetBuild:
                 snap("Bitcoin_BTC", "2021-01-02"),
             ]
         )
-        day = snapshot_at(ds, dt.date(2021, 1, 1))
+        day = ds.snapshot_at(dt.date(2021, 1, 1))
         assert [s.key for s in day] == ["Bitcoin_BTC", "Ether_ETH"]
 
     def test_column_uses_nan_for_absent(self):

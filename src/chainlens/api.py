@@ -20,12 +20,19 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from urllib.parse import urlencode
 
 import requests
 
-from .dataset import Dataset, NUMERIC_COLUMNS, snapshot_from_mapping
+from .dataset import (
+    EXTENDED_COLUMNS,
+    NUMERIC_COLUMNS,
+    ColumnParser,
+    Dataset,
+    snapshot_from_mapping,
+)
 from .errors import (
     ApiError,
     AuthenticationError,
@@ -38,6 +45,8 @@ API_KEY_ENV = "CHAINLENS_API_KEY"
 CACHE_DIR_ENV = "CHAINLENS_CACHE_DIR"
 
 _ROW_FIELDS = ("name", "symbol", "date") + NUMERIC_COLUMNS
+_REQUIRED = frozenset(_ROW_FIELDS)
+_VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
 _ENVELOPE_FIELDS = ("data", "page", "total_pages")
 
 
@@ -153,17 +162,39 @@ def _parse_page(body: str) -> dict:
     return payload
 
 
-def _rows_to_snapshots(rows, page: int):
-    snapshots = []
+def _check_row(row, page: int) -> None:
+    """Raise the error the row-by-row parser gives for one flagged row."""
+    for field in _ROW_FIELDS:
+        if field not in row:
+            raise SchemaDriftError(field, f"page {page} row")
+    try:
+        snapshot_from_mapping(row)
+    except (ValueError, KeyError) as exc:
+        raise ApiError(f"bad value in page {page} row: {exc}") from exc
+
+
+def _add_page(parser: ColumnParser, rows, page: int) -> None:
+    """Append one page's rows to the parser as columns.
+
+    Raises for the page's first row that lacks a field or holds a bad
+    value, with the row-by-row parser's error.
+    """
+    rows = list(rows)
+    complete = 0  # leading rows that are objects carrying every row field
     for row in rows:
-        for field in _ROW_FIELDS:
-            if field not in row:
-                raise SchemaDriftError(field, f"page {page} row")
-        try:
-            snapshots.append(snapshot_from_mapping(row))
-        except (ValueError, KeyError) as exc:
-            raise ApiError(f"bad value in page {page} row: {exc}") from exc
-    return snapshots
+        if type(row) is not dict or not row.keys() >= _REQUIRED:
+            break
+        complete += 1
+    head = rows[:complete]
+    cells = {
+        column: list(map(dict.get, head, repeat(column)))
+        for column in ("name", "symbol", "date") + _VALUE_COLUMNS
+    }
+    bad = parser.add(cells.pop("name"), cells.pop("symbol"), cells.pop("date"), cells)
+    if bad is not None:
+        _check_row(head[bad], page)
+    if complete < len(rows):
+        _check_row(rows[complete], page)
 
 
 def fetch_history(config: ApiClientConfig) -> Dataset:
@@ -187,7 +218,7 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
             base_params["end"] = end.isoformat()
 
     throttle = _Throttle(config.rate_limit)
-    snapshots = []
+    parser = ColumnParser()
     page = 1
     total_pages = 1
     with requests.Session() as session:
@@ -202,6 +233,6 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                 cache_file.write_text(body, encoding="utf-8")
             payload = _parse_page(body)
             total_pages = int(payload["total_pages"])
-            snapshots.extend(_rows_to_snapshots(payload["data"], page))
+            _add_page(parser, payload["data"], page)
             page += 1
-    return Dataset.build(snapshots)
+    return parser.dataset()

@@ -22,7 +22,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import EXTENDED_COLUMNS, NUMERIC_COLUMNS, Dataset, day_filter
+from .dataset import (
+    EXTENDED_COLUMNS,
+    NUMERIC_COLUMNS,
+    Dataset,
+    day_filter,
+    isoformat_days,
+)
 from .errors import ChainlensError
 
 AGGREGATE_COLUMNS = ("price", "max_supply", "total_supply", "volume_24h", "ptsc")
@@ -246,22 +252,22 @@ def aggregate_stats(
     ``date_range`` is an inclusive (start, end) pair; either side may
     be None for open-ended. Statistics use present values only.
     """
-    in_range = day_filter(date_range)
+    in_range = day_filter(date_range)(dataset.days)
+    offsets = dataset.offsets
     out: dict[str, AggregateFeatures] = {}
-    for key in dataset.keys:
-        rows = [s for s in dataset.series(key) if in_range(s.date)]
-        grab = lambda col: np.array(
-            [np.nan if getattr(s, col) is None else getattr(s, col) for s in rows],
-            dtype=np.float64,
-        )
-        circ, tot = grab("circulating_supply"), grab("total_supply")
+    for index, key in enumerate(dataset.keys):
+        rows = slice(offsets[index], offsets[index + 1])
+        keep = in_range[rows]
+        grab = lambda col: dataset.column(col)[rows][keep]
         out[key] = AggregateFeatures(
             key=key,
             price=_column_stats(grab("price")),
             max_supply=_column_stats(grab("max_supply")),
             total_supply=_column_stats(grab("total_supply")),
             volume_24h=_column_stats(grab("volume_24h")),
-            ptsc=_column_stats(derive_ptsc(circ, tot)),
+            ptsc=_column_stats(
+                derive_ptsc(grab("circulating_supply"), grab("total_supply"))
+            ),
         )
     return out
 
@@ -281,11 +287,10 @@ def row_feature_table(
     unknown = [n for n in names if n not in valid]
     if unknown:
         raise KeyError(f"unknown column(s) {unknown}")
-    in_range = day_filter(date_range)
-    rows = [s for s in dataset.snapshots if in_range(s.date)]
-    ids = [f"{s.key}@{s.date.isoformat()}" for s in rows]
-    data = {
-        name: [getattr(s, name) for s in rows]
-        for name in names
-    }
+    rows = np.flatnonzero(day_filter(date_range)(dataset.days))
+    ids = [
+        f"{key}@{day}"
+        for key, day in zip(dataset.row_keys(rows), isoformat_days(dataset.days[rows]))
+    ]
+    data = {name: dataset.column(name)[rows] for name in names}
     return FeatureTable.from_columns(ids, data)

@@ -19,7 +19,7 @@ stages already wrote, never recomputing them, so a stale report is
 impossible to mistake for a fresh analysis.
 
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
-partial outputs removed), 2 usage or configuration error.
+earlier artifacts left untouched), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -85,18 +85,23 @@ REPORT_INPUTS = (
 
 
 class ArtifactWriter:
-    """Tracks every file a stage writes so a mid-stage failure can
-    remove partial outputs instead of leaving a half-written run."""
+    """Stages each file a stage writes as a temporary sibling of its
+    target; ``commit`` moves them all into place once the stage has
+    succeeded, and ``discard_written`` removes them after a failure, so
+    a failed or interrupted stage leaves the previous run's files as
+    they were."""
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
-        self.written: list[Path] = []
+        self.written: list[tuple[Path, Path]] = []  # (temporary, target)
 
     def path(self, relative: str) -> Path:
+        """Where to write the artifact ``relative`` until the commit."""
         target = self.out_dir / relative
         target.parent.mkdir(parents=True, exist_ok=True)
-        self.written.append(target)
-        return target
+        temporary = target.with_name(f".{target.name}.tmp")
+        self.written.append((temporary, target))
+        return temporary
 
     def write_text(self, relative: str, text: str) -> None:
         self.path(relative).write_text(text, encoding="utf-8")
@@ -106,9 +111,14 @@ class ArtifactWriter:
             relative, json.dumps(document, indent=2, sort_keys=True) + "\n"
         )
 
+    def commit(self) -> None:
+        for temporary, target in self.written:
+            temporary.replace(target)
+        self.written = []
+
     def discard_written(self) -> None:
-        for target in self.written:
-            target.unlink(missing_ok=True)
+        for temporary, _ in self.written:
+            temporary.unlink(missing_ok=True)
 
 
 def _load_dataset(cfg: RunConfig):
@@ -124,7 +134,7 @@ def _dataset_summary(ds) -> dict:
     first, last = ds.date_range
     return {
         "coins": len(ds.keys),
-        "rows": len(ds.snapshots),
+        "rows": len(ds),
         "first_day": first.isoformat(),
         "last_day": last.isoformat(),
     }
@@ -144,7 +154,7 @@ def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
         doc["seed"] = spec.seed
         writer.write_json("dataset_summary.json", doc)
     return (
-        f"generate: {len(ds.keys)} coins, {len(ds.snapshots)} rows"
+        f"generate: {len(ds.keys)} coins, {len(ds)} rows"
         f" (seed {spec.seed}) -> dataset.csv"
     )
 
@@ -164,7 +174,7 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
     save_csv(ds, writer.path("dataset.csv"))
     if cfg.wants_json:
         writer.write_json("dataset_summary.json", _dataset_summary(ds))
-    return f"ingest: {len(ds.keys)} coins, {len(ds.snapshots)} rows from {origin}"
+    return f"ingest: {len(ds.keys)} coins, {len(ds)} rows from {origin}"
 
 
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
@@ -333,17 +343,13 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
     stats = aggregate_stats(ds, cfg.date_range)
     counts: Counter = Counter()
     rows = []
-    skipped = 0
-    for key in ds.keys:
-        series = ds.series(key)
-        if cfg.cutoff_date is not None:
-            series = tuple(s for s in series if s.date <= cfg.cutoff_date)
-        if not series:
-            skipped += 1
-            continue
-        flags = sorted(manipulability_flags(series[-1], stats.get(key)))
+    # each coin's last row on or before the cutoff; -1 for none
+    last = ds.last_rows(cfg.cutoff_date)
+    skipped = int((last < 0).sum())
+    for snap in ds.snapshots_of(last[last >= 0]):
+        flags = sorted(manipulability_flags(snap, stats.get(snap.key)))
         counts.update(flags)
-        rows.append((key, " ".join(flags)))
+        rows.append((snap.key, " ".join(flags)))
     with writer.path("flags.csv").open("w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         out.writerow(["coin_key", "flags"])
@@ -455,7 +461,7 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
         "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
         f"<title>chainlens report</title><style>{style}</style></head><body>"
         "<h1>chainlens report</h1>"
-        f"<p>Composed from artifacts in <code>{_esc(out)}</code>."
+        "<p>Composed from the stage artifacts next to this file."
         " Rerun the analysis stages to refresh the numbers.</p>"
         + "".join(sections)
         + "</body></html>\n"
@@ -498,18 +504,21 @@ COMMANDS = {
 def run(command: str, config: RunConfig) -> str:
     """Execute one subcommand; returns its one-line summary.
 
-    Raises ChainlensError (or a subclass) on failure after removing
-    any partially written artifacts.
+    The stage's artifacts replace earlier ones only when it succeeds.
+    On failure (ChainlensError or a subclass, or an interrupt) its
+    temporary files are removed and earlier artifacts stay untouched.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     writer = ArtifactWriter(config.out)
     handler = COMMANDS[command][0]
     try:
-        return handler(config, writer)
-    except Exception:
+        summary = handler(config, writer)
+        writer.commit()
+    except BaseException:
         writer.discard_written()
         raise
+    return summary
 
 
 def _k_flag(text: str):

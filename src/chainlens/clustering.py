@@ -252,16 +252,10 @@ class ClusterReport:
 def _daily_feature_matrix(
     dataset: Dataset, date: dt.date, feature_columns: Sequence[str]
 ):
-    rows = dataset.snapshot_at(date)
-    if not rows:
+    rows = dataset.rows_on(date)
+    if not rows.size:
         raise ChainlensError(f"no snapshots on {date.isoformat()}")
-
-    def column(name: str) -> np.ndarray:
-        values = [getattr(s, name) for s in rows]
-        return np.array(
-            [np.nan if v is None else v for v in values], dtype=np.float64
-        )
-
+    column = lambda name: dataset.column(name)[rows]
     matrix = np.column_stack(
         [
             derive_ptsc(column("circulating_supply"), column("total_supply"))
@@ -271,9 +265,10 @@ def _daily_feature_matrix(
         ]
     )
     complete = ~np.isnan(matrix).any(axis=1)
-    keys = [s.key for s, ok in zip(rows, complete) if ok]
-    excluded = [s.key for s, ok in zip(rows, complete) if not ok]
-    return keys, matrix[complete], excluded
+    keys = dataset.row_keys(rows)
+    included = [key for key, ok in zip(keys, complete) if ok]
+    excluded = [key for key, ok in zip(keys, complete) if not ok]
+    return included, matrix[complete], excluded
 
 
 def cluster_report(

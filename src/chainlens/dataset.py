@@ -1,4 +1,4 @@
-"""Per-day coin snapshots: loading, persisting, and indexing.
+"""Per-day coin snapshots as columns: loading, persisting, and indexing.
 
 The CSV layout is fixed: header
 ``name,symbol,date,price,max_supply,total_supply,circulating_supply,volume_24h,market_cap,num_market_pairs``
@@ -6,18 +6,43 @@ with dates as ``YYYY-MM-DD``, an empty cell meaning "absent", UTF-8
 text and ``.`` as the decimal separator. Four optional extended
 columns (``total_value_locked,staking_reward,total_staking_percentage,whales_percentage``)
 may follow for clustering features.
+
+A :class:`Dataset` holds its rows as columns sorted by (coin key, day):
+
+* ``keys``: the sorted coin keys (``name_symbol``), one per coin;
+* ``codes``: per row, the position of its coin in ``keys``;
+* ``days``: per row, the day as a proleptic Gregorian ordinal
+  (``date.toordinal()``);
+* one float64 array per numeric column (:meth:`Dataset.column`), NaN
+  where the value is absent. The four extended columns are always
+  there, all NaN when the source has none.
+
+``offsets`` cuts the rows into one slice per coin. The loaders parse
+and validate whole columns at once: numbers with vectorized finite and
+``>= 0`` masks, keys and days once per distinct raw value. The
+row-by-row parser (:func:`snapshot_from_mapping`) runs only on the
+first bad row, to raise its exact error and line number.
+
+:class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
+takes snapshots, and ``series``, ``snapshot_at`` and ``snapshots``
+materialize them from the checked columns, without validating them
+again, for callers that want one object per row
+(``manipulability_flags``, tests). The pipeline stages read columns.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +71,13 @@ EXTENDED_COLUMNS = (
 )
 
 CSV_HEADER = ("name", "symbol", "date") + NUMERIC_COLUMNS
+
+_VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
+_SNAPSHOT_FIELDS = ("key", "date") + _VALUE_COLUMNS
+# a parsed cell that failed validation; absent cells are NaN
+_INVALID = -math.inf
+# rows parsed or formatted per pass, which bounds the memory held by cell text
+_CHUNK_ROWS = 1 << 14
 
 
 def coin_key(name: str, symbol: str) -> str:
@@ -105,108 +137,199 @@ class CoinSnapshot:
                 )
 
 
-def _supply_violation(snap: CoinSnapshot) -> bool:
-    return (
-        snap.circulating_supply is not None
-        and snap.total_supply is not None
-        and snap.circulating_supply > snap.total_supply
+def isoformat_days(days: np.ndarray) -> list[str]:
+    """``YYYY-MM-DD`` text of each day ordinal, formatting each distinct day once."""
+    distinct, inverse = np.unique(days, return_inverse=True)
+    texts = np.array(
+        [dt.date.fromordinal(d).isoformat() for d in distinct.tolist()], dtype=object
     )
+    return texts[inverse].tolist()
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of snapshots, one sorted series per coin.
+    """Immutable coin-day panel stored as columns sorted by (key, day).
 
-    Build through :meth:`build` (or the loaders), which sorts rows,
-    rejects duplicate coin-days, and flags supply inconsistencies.
+    Build through :meth:`build` (from snapshots) or the loaders. The
+    constructor is the one place that sorts rows, rejects duplicate
+    coin-days, and flags supply inconsistencies.
     """
 
-    snapshots: tuple[CoinSnapshot, ...]
-    quality_notes: tuple[str, ...] = ()
+    def __init__(
+        self,
+        keys: Sequence[str],
+        codes: np.ndarray,
+        days: np.ndarray,
+        columns: Mapping[str, np.ndarray],
+    ):
+        """Take ownership of validated, possibly unsorted columns.
 
-    @classmethod
-    def build(cls, snapshots: Iterable[CoinSnapshot]) -> "Dataset":
-        rows = sorted(snapshots, key=lambda s: (s.key, s.date))
-        duplicates = [
-            (rows[i].key, rows[i].date.isoformat())
-            for i in range(1, len(rows))
-            if rows[i].key == rows[i - 1].key and rows[i].date == rows[i - 1].date
-        ]
-        if duplicates:
-            raise DuplicateCoinDayError(duplicates)
-        notes = [
-            f"{s.key} {s.date.isoformat()}: circulating_supply "
-            f"{s.circulating_supply} exceeds total_supply {s.total_supply}"
-            for s in rows
-            if _supply_violation(s)
-        ]
-        if notes:
+        ``keys`` are distinct coin keys and ``codes`` index into them;
+        ``columns`` maps value-column names to float64 arrays (NaN for
+        absent); a column left out is all absent.
+        """
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[order] = np.arange(len(keys))
+        codes = rank[np.asarray(codes, dtype=np.int64)]
+        days = np.asarray(days, dtype=np.int64)
+        n = days.shape[0]
+        values = {
+            name: np.asarray(columns[name], dtype=np.float64)
+            if name in columns
+            else np.full(n, np.nan)
+            for name in _VALUE_COLUMNS
+        }
+        same_key = codes[1:] == codes[:-1]
+        if np.any((codes[1:] < codes[:-1]) | (same_key & (days[1:] < days[:-1]))):
+            perm = np.lexsort((days, codes))
+            codes, days = codes[perm], days[perm]
+            values = {name: column[perm] for name, column in values.items()}
+            same_key = codes[1:] == codes[:-1]
+        self.keys: tuple[str, ...] = tuple(keys[i] for i in order)
+        for array in (codes, days, *values.values()):
+            array.flags.writeable = False
+        self.codes = codes
+        self.days = days
+        self._columns = values
+
+        repeated = np.flatnonzero(same_key & (days[1:] == days[:-1])) + 1
+        if repeated.size:
+            raise DuplicateCoinDayError(
+                zip(self.row_keys(repeated), isoformat_days(days[repeated]))
+            )
+        circulating = values["circulating_supply"]
+        total = values["total_supply"]
+        over = np.flatnonzero(circulating > total)
+        self.quality_notes: tuple[str, ...] = tuple(
+            f"{key} {day}: circulating_supply {circ} exceeds total_supply {tot}"
+            for key, day, circ, tot in zip(
+                self.row_keys(over),
+                isoformat_days(days[over]),
+                circulating[over].tolist(),
+                total[over].tolist(),
+            )
+        )
+        if self.quality_notes:
             warnings.warn(
-                f"{len(notes)} row(s) have circulating_supply > total_supply",
+                f"{len(self.quality_notes)} row(s) have circulating_supply > total_supply",
                 DataQualityWarning,
                 stacklevel=2,
             )
-        return cls(snapshots=tuple(rows), quality_notes=tuple(notes))
+
+    @classmethod
+    def build(cls, snapshots: Iterable[CoinSnapshot]) -> "Dataset":
+        rows = list(snapshots)
+        table: dict[str, int] = {}
+        codes = [table.setdefault(s.key, len(table)) for s in rows]
+        days = [s.date.toordinal() for s in rows]
+        columns = {
+            name: np.array([getattr(s, name) for s in rows], dtype=np.float64)
+            for name in _VALUE_COLUMNS
+        }
+        return cls(list(table), np.array(codes, dtype=np.int64), days, columns)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return self.days.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.keys == other.keys
+            and self.quality_notes == other.quality_notes
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.days, other.days)
+            and all(
+                np.array_equal(self._columns[n], other._columns[n], equal_nan=True)
+                for n in _VALUE_COLUMNS
+            )
+        )
+
+    __hash__ = None
 
     @cached_property
-    def keys(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(s.key for s in self.snapshots)
-        return tuple(seen)
+    def offsets(self) -> np.ndarray:
+        """Row offsets per coin: coin i owns rows ``offsets[i]:offsets[i+1]``."""
+        return np.searchsorted(self.codes, np.arange(len(self.keys) + 1))
 
     @cached_property
-    def _series_index(self) -> dict[str, tuple[int, int]]:
-        index: dict[str, tuple[int, int]] = {}
-        start = 0
-        for i, snap in enumerate(self.snapshots):
-            if snap.key != self.snapshots[start].key:
-                index[self.snapshots[start].key] = (start, i)
-                start = i
-        if self.snapshots:
-            index[self.snapshots[start].key] = (start, len(self.snapshots))
-        return index
+    def _key_index(self) -> dict[str, int]:
+        return {key: i for i, key in enumerate(self.keys)}
+
+    def row_keys(self, rows) -> list[str]:
+        """The coin key of each given row."""
+        return np.array(self.keys, dtype=object)[self.codes[rows]].tolist()
+
+    def snapshots_of(self, rows) -> list[CoinSnapshot]:
+        """Snapshots of the given rows (positions or a slice), built from
+        the already-checked columns without validating them again."""
+        day_list = self.days[rows].tolist()
+        dates = {d: dt.date.fromordinal(d) for d in set(day_list)}
+        cells = []
+        for name in _VALUE_COLUMNS:
+            column = self._columns[name][rows]
+            boxed = column.astype(object)
+            boxed[np.isnan(column)] = None
+            cells.append(boxed.tolist())
+        new = object.__new__
+        out = []
+        for record in zip(self.row_keys(rows), map(dates.__getitem__, day_list), *cells):
+            snap = new(CoinSnapshot)
+            snap.__dict__.update(zip(_SNAPSHOT_FIELDS, record))
+            out.append(snap)
+        return out
+
+    @cached_property
+    def snapshots(self) -> tuple[CoinSnapshot, ...]:
+        """Every row as a CoinSnapshot, in (key, day) order."""
+        return tuple(self.snapshots_of(slice(None)))
 
     def series(self, key: str) -> tuple[CoinSnapshot, ...]:
         """All snapshots of one coin, in date order."""
-        start, stop = self._series_index[key]
-        return self.snapshots[start:stop]
+        index = self._key_index[key]
+        return tuple(self.snapshots_of(slice(*self.offsets[index : index + 2])))
 
     @property
     def date_range(self) -> tuple[dt.date, dt.date] | None:
-        if not self.snapshots:
+        if not len(self):
             return None
-        dates = [s.date for s in self.snapshots]
-        return min(dates), max(dates)
+        return (
+            dt.date.fromordinal(int(self.days.min())),
+            dt.date.fromordinal(int(self.days.max())),
+        )
+
+    def rows_on(self, date: dt.date) -> np.ndarray:
+        """Positions of the rows on the given day, in coin-key order."""
+        return np.flatnonzero(self.days == date.toordinal())
 
     def snapshot_at(self, date: dt.date) -> list[CoinSnapshot]:
         """All snapshots on the given day, ordered by coin key."""
-        return sorted(
-            (s for s in self.snapshots if s.date == date), key=lambda s: s.key
-        )
+        return self.snapshots_of(self.rows_on(date))
+
+    def last_rows(self, cutoff: dt.date | None = None) -> np.ndarray:
+        """Per coin, the position of its last row on or before ``cutoff``
+        (its last row when None), or -1 when it has none."""
+        starts = self.offsets[:-1]
+        if cutoff is None or not len(self):
+            return self.offsets[1:] - 1
+        # a coin's days ascend, so its rows up to the cutoff are a prefix
+        kept = np.add.reduceat(self.days <= cutoff.toordinal(), starts, dtype=np.int64)
+        return np.where(kept > 0, starts + kept - 1, -1)
 
     def column(self, name: str) -> np.ndarray:
-        """One numeric column over all snapshots, NaN where absent."""
-        if name not in NUMERIC_COLUMNS + EXTENDED_COLUMNS:
+        """One numeric column over all rows (read-only), NaN where absent."""
+        if name not in _VALUE_COLUMNS:
             raise KeyError(f"unknown column {name!r}")
-        values = [getattr(s, name) for s in self.snapshots]
-        return np.array(
-            [np.nan if v is None else v for v in values], dtype=np.float64
-        )
+        return self._columns[name]
 
     def has_extended_columns(self) -> bool:
-        return any(
-            getattr(s, name) is not None
-            for s in self.snapshots
-            for name in EXTENDED_COLUMNS
-        )
+        return any(not np.isnan(self._columns[n]).all() for n in EXTENDED_COLUMNS)
 
 
 def day_filter(
     date_range: tuple[dt.date | None, dt.date | None] | None,
-) -> Callable[[dt.date], bool]:
-    """Membership test for an inclusive (start, end) day range.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Row mask over day ordinals for an inclusive (start, end) day range.
 
     Either side (or the whole range) may be None for open-ended; a
     range whose start is after its end is an error.
@@ -214,7 +337,16 @@ def day_filter(
     lo, hi = date_range if date_range is not None else (None, None)
     if lo is not None and hi is not None and lo > hi:
         raise ChainlensError(f"empty date range: {lo} > {hi}")
-    return lambda day: (lo is None or day >= lo) and (hi is None or day <= hi)
+
+    def mask(days: np.ndarray) -> np.ndarray:
+        keep = np.ones(days.shape, dtype=bool)
+        if lo is not None:
+            keep &= days >= lo.toordinal()
+        if hi is not None:
+            keep &= days <= hi.toordinal()
+        return keep
+
+    return mask
 
 
 def parse_day(text: str) -> dt.date:
@@ -251,6 +383,8 @@ def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
 
     Values may be strings (CSV) or already-typed (JSON); missing keys
     and empty strings / None are treated as absent numeric fields.
+    This is the row-by-row reference parser: the loaders run it on the
+    first row their column checks reject, to raise its exact error.
     """
     name = str(record["name"])
     symbol = str(record["symbol"])
@@ -258,7 +392,7 @@ def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
     if not isinstance(date, dt.date):
         date = parse_day(str(date))
     numbers: dict[str, float | None] = {}
-    for column in NUMERIC_COLUMNS + EXTENDED_COLUMNS:
+    for column in _VALUE_COLUMNS:
         if column not in record:
             continue
         raw = record[column]
@@ -274,13 +408,139 @@ def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
     return CoinSnapshot(key=coin_key(name, symbol), date=date, **numbers)
 
 
+def _cell_value(raw) -> float:
+    """One raw cell as a float: NaN when absent, _INVALID when bad."""
+    if raw is None:
+        return math.nan
+    if isinstance(raw, str):
+        raw = raw.strip()
+        if not raw:
+            return math.nan
+    try:
+        value = float(raw)
+    except (ValueError, TypeError, OverflowError):
+        return _INVALID
+    return value if math.isfinite(value) and value >= 0 else _INVALID
+
+
+def _column_values(cells: Sequence) -> np.ndarray:
+    """Parse one column of raw cells; NaN marks absent, _INVALID bad."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except (ValueError, TypeError, OverflowError):
+        # absent cells (or bad ones) need the per-cell rules, applied
+        # once per distinct cell unless a JSON cell is unhashable
+        try:
+            parsed = {raw: _cell_value(raw) for raw in set(cells)}
+        except TypeError:
+            parsed = None
+        get = _cell_value if parsed is None else parsed.__getitem__
+        return np.fromiter(map(get, cells), np.float64, len(cells))
+    # nothing was absent, so NaN (like inf or a negative) came from the input
+    values[~(np.isfinite(values) & (values >= 0))] = _INVALID
+    return values
+
+
+class ColumnParser:
+    """Validated columns from chunks of raw cells (CSV text or JSON values).
+
+    Coin keys and days are parsed once per distinct raw value across
+    all chunks; :meth:`dataset` joins the chunks.
+    """
+
+    def __init__(self):
+        self._pairs: dict[tuple[str, str], int] = {}
+        self._pair_keys: list[str | None] = []  # coin key per pair, None if bad
+        self._days: dict[str, int] = {}  # raw date -> ordinal, -1 if bad
+        self._chunks: list[tuple[np.ndarray, np.ndarray, dict]] = []
+
+    def add(self, names, symbols, dates, cells: Mapping[str, Sequence]) -> int | None:
+        """Parse one chunk; return the position of its first bad row, if any."""
+        n = len(dates)
+        pairs = self._pairs
+        raw_pairs = list(zip(map(str, names), map(str, symbols)))
+        for pair in dict.fromkeys(raw_pairs):
+            if pair in pairs:
+                continue
+            pairs[pair] = len(self._pair_keys)
+            try:
+                self._pair_keys.append(coin_key(*pair))
+            except ValueError:
+                self._pair_keys.append(None)
+        codes = np.fromiter(map(pairs.__getitem__, raw_pairs), np.int64, n)
+        bad = np.array([key is None for key in self._pair_keys], dtype=bool)[codes]
+
+        texts = list(map(str, dates))
+        day_of = self._days
+        for text in set(texts).difference(day_of):
+            try:
+                day_of[text] = parse_day(text).toordinal()
+            except (ValueError, OverflowError):
+                day_of[text] = -1
+        days = np.fromiter(map(day_of.__getitem__, texts), np.int64, n)
+        bad |= days < 0
+
+        values = {}
+        for name, raw in cells.items():
+            values[name] = _column_values(raw)
+            bad |= values[name] == _INVALID
+        self._chunks.append((codes, days, values))
+        first = np.flatnonzero(bad)
+        return int(first[0]) if first.size else None
+
+    def dataset(self) -> Dataset:
+        table: dict[str, int] = {}
+        remap = np.array(
+            [table.setdefault(key, len(table)) for key in self._pair_keys],
+            dtype=np.int64,
+        )
+        if not self._chunks:
+            return Dataset([], np.zeros(0, np.int64), np.zeros(0, np.int64), {})
+        names = self._chunks[0][2].keys()
+        return Dataset(
+            list(table),
+            remap[np.concatenate([codes for codes, _, _ in self._chunks])],
+            np.concatenate([days for _, days, _ in self._chunks]),
+            {
+                name: np.concatenate([values[name] for _, _, values in self._chunks])
+                for name in names
+            },
+        )
+
+
+def _records(rows: list[list[str]], width: int, name_at: int):
+    """Split one chunk of CSV records into the rows to parse, their
+    positions in the chunk, and the position of the first record of
+    the wrong width (None if there is none), which ends the chunk.
+
+    Blank records are skipped. A blank record has a blank name cell,
+    so the per-record scan runs only when some name is blank or some
+    width is off.
+    """
+    if set(map(len, rows)) == {width} and all(
+        name.strip() for name in set(map(itemgetter(name_at), rows))
+    ):
+        return rows, range(len(rows)), None
+    kept, positions = [], []
+    for i, row in enumerate(rows):
+        if len(row) != width or not row[name_at].strip():
+            if not "".join(row).strip():  # blank record
+                continue
+            if len(row) != width:
+                return kept, positions, i
+        kept.append(row)
+        positions.append(i)
+    return kept, positions, None
+
+
 def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Dataset:
     """Read a snapshot CSV into a Dataset.
 
     ``schema`` optionally maps canonical column names to the header
     names actually used in the file. The header must cover every
     canonical column; the four extended columns are optional; unknown
-    columns are an error.
+    columns are an error. Blank records are skipped; a bad record
+    raises MalformedRowError naming its line (the first bad one).
     """
     path = Path(path)
     if not path.exists():
@@ -300,28 +560,62 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Datas
         missing = [c for c in CSV_HEADER if c not in columns]
         if missing:
             raise MalformedRowError(f"{path}: missing column(s) {missing}")
-        snapshots = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise MalformedRowError(
-                    f"{path}: line {line_no}: expected {len(columns)} cells, got {len(row)}"
-                )
-            record = dict(zip(columns, row))
+        # a repeated header name takes its last cell, as a dict of the row would
+        position = {name: i for i, name in enumerate(columns)}
+        width = len(columns)
+        name_at = position["name"]
+        parser = ColumnParser()
+        line_no = 2
+        while True:
+            rows: list[list[str]] = []
+            failure = None
             try:
-                snapshots.append(snapshot_from_mapping(record))
-            except (ValueError, KeyError) as exc:
-                raise MalformedRowError(f"{path}: line {line_no}: {exc}") from exc
-    return Dataset.build(snapshots)
+                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+            except (csv.Error, ValueError) as exc:
+                failure = exc  # raised once the rows read before it pass
+            if not rows and failure is None:
+                break
+            kept, positions, ragged = _records(rows, width, name_at)
+            if kept:
+                cells = list(zip(*kept))
+                bad = parser.add(
+                    cells[name_at],
+                    cells[position["symbol"]],
+                    cells[position["date"]],
+                    {n: cells[position[n]] for n in _VALUE_COLUMNS if n in position},
+                )
+                if bad is not None:
+                    try:
+                        snapshot_from_mapping(dict(zip(columns, kept[bad])))
+                    except (ValueError, KeyError) as exc:
+                        raise MalformedRowError(
+                            f"{path}: line {line_no + positions[bad]}: {exc}"
+                        ) from exc
+            if ragged is not None:
+                raise MalformedRowError(
+                    f"{path}: line {line_no + ragged}: expected {width} cells,"
+                    f" got {len(rows[ragged])}"
+                )
+            if failure is not None:
+                raise failure
+            line_no += len(rows)
+    return parser.dataset()
 
 
-def _format_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _format_column(values: np.ndarray) -> list[str]:
+    """CSV text of one column: empty when absent, integral values as
+    integers, others as ``repr``; each distinct value is formatted once."""
+    present = ~np.isnan(values)
+    distinct, inverse = np.unique(values[present], return_inverse=True)
+    integral = distinct == np.floor(distinct)
+    texts = np.empty(distinct.shape[0], dtype=object)
+    texts[integral] = [str(int(v)) for v in distinct[integral].tolist()]
+    texts[~integral] = list(map(repr, distinct[~integral].tolist()))
+    if present.all():
+        return texts[inverse].tolist()
+    out = np.full(values.shape[0], "", dtype=object)
+    out[present] = texts[inverse]
+    return out.tolist()
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
@@ -330,11 +624,24 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     columns = list(NUMERIC_COLUMNS)
     if dataset.has_extended_columns():
         columns += list(EXTENDED_COLUMNS)
+    # name and symbol are quoted by csv.writer itself, once per coin;
+    # days and numbers never need quoting
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    prefixes = []
+    for key in dataset.keys:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(split_coin_key(key))
+        prefixes.append(buffer.getvalue()[:-2])
+    prefixes = np.array(prefixes, dtype=object)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "symbol", "date"] + columns)
-        for snap in dataset.snapshots:
-            name, symbol = split_coin_key(snap.key)
-            row = [name, symbol, snap.date.isoformat()]
-            row += [_format_cell(getattr(snap, c)) for c in columns]
-            writer.writerow(row)
+        csv.writer(handle).writerow(["name", "symbol", "date"] + columns)
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            fields = [
+                prefixes[dataset.codes[rows]].tolist(),
+                isoformat_days(dataset.days[rows]),
+            ]
+            fields += [_format_column(dataset.column(c)[rows]) for c in columns]
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

@@ -80,17 +80,18 @@ def lifetimes(dataset: Dataset, cutoff: dt.date | None = None) -> list[LifetimeR
         raise ChainlensError(
             f"cutoff {cutoff} precedes the dataset's first day {span[0]}"
         )
+    firsts = dataset.days[dataset.offsets[:-1]].tolist()
+    lasts = dataset.days[dataset.last_rows()].tolist()
     records = []
-    for key in dataset.keys:
-        series = dataset.series(key)
-        first, last = series[0].date, series[-1].date
+    for key, first, last in zip(dataset.keys, firsts, lasts):
+        last_day = dt.date.fromordinal(last)
         records.append(
             LifetimeRecord(
                 key=key,
-                first_day=first,
-                last_day=last,
-                lifetime_days=(last - first).days,
-                disappeared=last < cutoff,
+                first_day=dt.date.fromordinal(first),
+                last_day=last_day,
+                lifetime_days=last - first,
+                disappeared=last_day < cutoff,
             )
         )
     return records

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CoinSnapshot, Dataset
+from .dataset import Dataset
 from .errors import InfeasibleSpecError
 
 
@@ -218,7 +218,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         long_survivors = {int(c) for c in surviving_ids[:gt1000]}
 
     disappeared_set = {int(c) for c in disappeared_ids}
-    snapshots = []
+    codes, days = [], []
+    columns: dict[str, list[np.ndarray]] = {}
     for i in range(n):
         blob = i % k
         if i in disappeared_set:
@@ -235,7 +236,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         else:
             first_off = int(rng.integers(max(0, horizon - 1000), horizon + 1))
             lifetime = horizon - first_off
-        first_day = spec.start_day + dt.timedelta(days=first_off)
 
         offsets = np.arange(0, lifetime + 1, spec.snapshot_interval_days)
         if offsets[-1] != lifetime:
@@ -264,7 +264,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         )
         market_cap = price * circulating
         has_cap = float(rng.random()) >= spec.missing_max_supply_rate
-        max_supply = total_center * 1.5 if has_cap else None
+        max_supply = total_center * 1.5 if has_cap else np.nan
 
         if spec.include_extended_columns:
             tvl = _blob_center(1e5, 1e7, blob, k) * np.exp(
@@ -284,28 +284,29 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 0.0,
                 1.0,
             )
-        key = f"S{i:05d}_coin{i:05d}"
-        for j, off in enumerate(offsets):
-            extended = {}
-            if spec.include_extended_columns:
-                extended = {
-                    "total_value_locked": float(tvl[j]),
-                    "staking_reward": float(reward[j]),
-                    "total_staking_percentage": float(staking_pct[j]),
-                    "whales_percentage": float(whales[j]),
-                }
-            snapshots.append(
-                CoinSnapshot(
-                    key,
-                    first_day + dt.timedelta(days=int(off)),
-                    price=float(price[j]),
-                    max_supply=max_supply,
-                    total_supply=float(total[j]),
-                    circulating_supply=float(circulating[j]),
-                    volume_24h=float(volume[j]),
-                    market_cap=float(market_cap[j]),
-                    num_market_pairs=float(pairs[j]),
-                    **extended,
-                )
+        coin = {
+            "price": price,
+            "max_supply": np.full(t, max_supply),
+            "total_supply": total,
+            "circulating_supply": circulating,
+            "volume_24h": volume,
+            "market_cap": market_cap,
+            "num_market_pairs": pairs,
+        }
+        if spec.include_extended_columns:
+            coin.update(
+                total_value_locked=tvl,
+                staking_reward=reward,
+                total_staking_percentage=staking_pct,
+                whales_percentage=whales,
             )
-    return Dataset.build(snapshots)
+        for name, values in coin.items():
+            columns.setdefault(name, []).append(values)
+        codes.append(np.full(t, i, dtype=np.int64))
+        days.append(spec.start_day.toordinal() + first_off + offsets)
+    return Dataset(
+        [f"S{i:05d}_coin{i:05d}" for i in range(n)],
+        np.concatenate(codes),
+        np.concatenate(days),
+        {name: np.concatenate(parts) for name, parts in columns.items()},
+    )

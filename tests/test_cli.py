@@ -176,6 +176,15 @@ class TestPipeline:
         for marker in ("<img", "<script", "<link", "href=", "src="):
             assert marker not in page
 
+    def test_report_bytes_do_not_depend_on_out_dir(self, pipeline_dir, tmp_path):
+        elsewhere = tmp_path / "some" / "other dir"
+        shutil.copytree(pipeline_dir, elsewhere)
+        (elsewhere / "report.html").unlink()
+        assert run_stage("report", "--out", str(elsewhere)) == 0
+        assert (elsewhere / "report.html").read_bytes() == (
+            pipeline_dir / "report.html"
+        ).read_bytes()
+
     def test_flags_rows_use_known_flag_names(self, pipeline_dir):
         with (pipeline_dir / "flags.csv").open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -284,6 +293,46 @@ class TestRuntimeErrors:
             (tmp_path / "models").iterdir()
         )
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_failed_rerun_keeps_earlier_artifacts(
+        self, pipeline_dir, tmp_path, monkeypatch
+    ):
+        import chainlens.cli as cli_module
+
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        assert run_stage("clean", "--out", str(tmp_path)) == 0
+        before = snapshot_tree(tmp_path)
+
+        # the rerun writes a different features.csv, then fails
+        def boom(self, relative, document):
+            raise ChainlensError("disk full")
+
+        monkeypatch.setattr(cli_module.ArtifactWriter, "write_json", boom)
+        rc = run_stage("clean", "--out", str(tmp_path), "--start", "2018-01-01")
+        assert rc == 1
+        assert snapshot_tree(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cleaning_summary.json",
+            "dataset.csv",
+            "features.csv",
+        ]
+
+    def test_interrupted_rerun_keeps_earlier_artifacts(
+        self, pipeline_dir, tmp_path, monkeypatch
+    ):
+        import chainlens.cli as cli_module
+
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        assert run_stage("clean", "--out", str(tmp_path)) == 0
+        before = snapshot_tree(tmp_path)
+
+        def interrupt(self, relative, document):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module.ArtifactWriter, "write_json", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_stage("clean", "--out", str(tmp_path), "--start", "2018-01-01")
+        assert snapshot_tree(tmp_path) == before
 
     def test_report_on_missing_artifacts_exits_1(self, pipeline_dir, tmp_path, capsys):
         shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
@@ -421,6 +470,15 @@ class TestProgrammaticRun:
         writer.discard_written()
         writer.discard_written()
         assert not (tmp_path / "a.txt").exists()
+        assert not list(tmp_path.iterdir())
+
+    def test_artifact_writer_commit_moves_files_into_place(self, tmp_path):
+        writer = ArtifactWriter(tmp_path)
+        writer.write_text("models/a.txt", "x")
+        assert not (tmp_path / "models" / "a.txt").exists()
+        writer.commit()
+        assert (tmp_path / "models" / "a.txt").read_text(encoding="utf-8") == "x"
+        assert [p.name for p in (tmp_path / "models").iterdir()] == ["a.txt"]
 
     def test_generate_defaults_are_feasible(self, tmp_path):
         # the out-of-the-box demo spec must not trip integrality checks

@@ -1,13 +1,23 @@
 """Names the benchmark tracer (perfbench/tracer.py) relies on.
 
-The tracer replaces functions by ``(module, attribute)`` and the
-benchmark's environment probe reads ``chainlens.kernels.JIT_ENABLED``;
-a refactor that drops one of these bindings breaks every traced run.
+The tracer replaces functions by ``(module, attribute)``, rewraps
+``Dataset.build.__func__`` as a classmethod, and records the ``len()``
+of what ``load_csv`` and ``fetch_history`` return; the benchmark's
+environment probe reads ``chainlens.kernels.JIT_ENABLED``. A refactor
+that breaks one of these breaks every traced run.
 """
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
+
+from chainlens.api import ApiClientConfig, fetch_history
+from chainlens.dataset import Dataset, load_csv
+from mock_server import MockHistoryServer
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +44,18 @@ def test_every_tracer_target_resolves():
 def test_environment_probe_flag_exists():
     kernels = importlib.import_module("chainlens.kernels")
     assert kernels.JIT_ENABLED is False
+
+
+def test_dataset_build_is_a_classmethod():
+    assert isinstance(inspect.getattr_static(Dataset, "build"), classmethod)
+    assert callable(Dataset.build.__func__)
+
+
+def test_loader_results_support_len(tmp_path):
+    rows = json.loads((FIXTURES / "api_payload_format.json").read_text())["example_rows"]
+    with MockHistoryServer(rows, page_size=4) as server:
+        config = ApiClientConfig(
+            base_url=server.base_url, api_key="test-key", cache_dir=tmp_path
+        )
+        fetched = fetch_history(config)
+    assert len(fetched) == len(load_csv(FIXTURES / "api_equivalent.csv")) == len(rows)

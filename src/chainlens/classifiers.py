@@ -21,36 +21,12 @@ and KNN degenerate gracefully to constant / majority behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ChainlensError
-
-CLASSIFIER_KINDS = (
-    "logistic_regression",
-    "linear_svm",
-    "decision_tree",
-    "random_forest",
-    "gaussian_nb",
-    "knn",
-)
-
-KIND_DEFAULTS: dict[str, dict] = {
-    "logistic_regression": {"learning_rate": 0.1, "iterations": 1000, "l2": 1e-4},
-    "linear_svm": {"learning_rate": 0.1, "iterations": 1000, "l2": 1e-4},
-    "decision_tree": {"min_samples_split": 2, "max_depth": None},
-    "random_forest": {
-        "n_trees": 100,
-        "min_samples_split": 2,
-        "max_depth": None,
-        "bootstrap": True,
-        "max_features": "sqrt",
-    },
-    "gaussian_nb": {"var_smoothing": 1e-9},
-    "knn": {"k": 5},
-}
-
 
 def _validate_xy(X, y):
     X = np.asarray(X, dtype=np.float64)
@@ -115,7 +91,9 @@ def logistic_loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticRegressionModel:
+class LinearModel:
+    """A separating hyperplane: logistic regression or linear SVM."""
+
     weights: np.ndarray
     bias: float
     hyperparameters: dict
@@ -124,11 +102,8 @@ class LogisticRegressionModel:
         X = _validate_matrix(X, self.weights.shape[0])
         return (X @ self.weights + self.bias >= 0.0).astype(np.int64)
 
-    def parameters_doc(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
 
-
-def fit_logistic_regression(X, y, hyperparameters) -> LogisticRegressionModel:
+def fit_logistic_regression(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "logistic_regression")
     hp = hyperparameters
@@ -136,26 +111,12 @@ def fit_logistic_regression(X, y, hyperparameters) -> LogisticRegressionModel:
     for _ in range(hp["iterations"]):
         _, grad = logistic_loss_and_gradient(params, X, y, hp["l2"])
         params -= hp["learning_rate"] * grad
-    return LogisticRegressionModel(
+    return LinearModel(
         weights=params[:-1], bias=float(params[-1]), hyperparameters=dict(hp)
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSVMModel:
-    weights: np.ndarray
-    bias: float
-    hyperparameters: dict
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = _validate_matrix(X, self.weights.shape[0])
-        return (X @ self.weights + self.bias >= 0.0).astype(np.int64)
-
-    def parameters_doc(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
-
-
-def fit_linear_svm(X, y, hyperparameters) -> LinearSVMModel:
+def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     # full-batch subgradient descent on mean hinge loss + L2
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "linear_svm")
@@ -171,7 +132,7 @@ def fit_linear_svm(X, y, hyperparameters) -> LinearSVMModel:
         grad_b = -float(signs[violating].sum()) / n
         w -= hp["learning_rate"] * grad_w
         b -= hp["learning_rate"] * grad_b
-    return LinearSVMModel(weights=w, bias=float(b), hyperparameters=dict(hp))
+    return LinearModel(weights=w, bias=float(b), hyperparameters=dict(hp))
 
 
 def _gini_pair(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -378,20 +339,6 @@ def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
     return tree["label"][node]
 
 
-def _tree_doc(tree: dict) -> dict:
-    return {name: arr.tolist() for name, arr in tree.items()}
-
-
-def _tree_from_doc(doc: dict) -> dict:
-    return {
-        "feature": np.array(doc["feature"], dtype=np.int64),
-        "threshold": np.array(doc["threshold"], dtype=np.float64),
-        "left": np.array(doc["left"], dtype=np.int64),
-        "right": np.array(doc["right"], dtype=np.int64),
-        "label": np.array(doc["label"], dtype=np.int64),
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTreeModel:
     tree: dict
@@ -400,15 +347,10 @@ class DecisionTreeModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
         return _tree_predict(self.tree, X)
 
-    def parameters_doc(self) -> dict:
-        return {"n_features": self.n_features, "tree": _tree_doc(self.tree)}
 
-
-def fit_decision_tree(X, y, hyperparameters) -> DecisionTreeModel:
+def fit_decision_tree(X, y, hyperparameters, seed: int = 0) -> DecisionTreeModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "decision_tree")
     hp = hyperparameters
@@ -434,19 +376,11 @@ class RandomForestModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
         votes = np.zeros(X.shape[0], dtype=np.int64)
         for tree in self.trees:
             votes += _tree_predict(tree, X)
         # strict majority; an exact tie goes to label 0
         return (votes * 2 > len(self.trees)).astype(np.int64)
-
-    def parameters_doc(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "trees": [_tree_doc(t) for t in self.trees],
-        }
 
 
 def _forest_max_features(setting, d: int) -> int | None:
@@ -454,6 +388,8 @@ def _forest_max_features(setting, d: int) -> int | None:
         return max(1, int(math.isqrt(d)))
     if setting == "all" or setting is None:
         return None
+    if int(setting) < 1:
+        raise ChainlensError(f"random_forest needs max_features >= 1, got {setting}")
     return int(setting)
 
 
@@ -461,6 +397,8 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "random_forest")
     hp = hyperparameters
+    if hp["n_trees"] < 1:
+        raise ChainlensError(f"random_forest needs n_trees >= 1, got {hp['n_trees']}")
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
     trees = []
     for t in range(hp["n_trees"]):
@@ -496,7 +434,7 @@ class GaussianNBModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.means.shape[1])
-        if X.shape[0] == 0:
+        if X.shape[0] == 0:  # of any width, which would not broadcast
             return np.empty(0, dtype=np.int64)
         scores = np.empty((X.shape[0], self.classes.shape[0]), dtype=np.float64)
         for c in range(self.classes.shape[0]):
@@ -509,16 +447,8 @@ class GaussianNBModel:
         # argmax ties resolve to the first (smaller) class label
         return self.classes[np.argmax(scores, axis=1)]
 
-    def parameters_doc(self) -> dict:
-        return {
-            "classes": self.classes.tolist(),
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
 
-
-def fit_gaussian_nb(X, y, hyperparameters) -> GaussianNBModel:
+def fit_gaussian_nb(X, y, hyperparameters, seed: int = 0) -> GaussianNBModel:
     X, y = _validate_xy(X, y)
     hp = hyperparameters
     classes = np.unique(y)
@@ -552,8 +482,6 @@ class KNNModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.train_X.shape[1])
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
         k = min(self.hyperparameters["k"], self.train_X.shape[0])
         out = np.empty(X.shape[0], dtype=np.int64)
         # chunked to bound the n_test x n_train distance block
@@ -583,36 +511,43 @@ class KNNModel:
             out[start : start + chunk] = (votes * 2 > k).astype(np.int64)
         return out
 
-    def parameters_doc(self) -> dict:
-        return {
-            "train_X": self.train_X.tolist(),
-            "train_y": self.train_y.tolist(),
-        }
 
-
-def fit_knn(X, y, hyperparameters) -> KNNModel:
+def fit_knn(X, y, hyperparameters, seed: int = 0) -> KNNModel:
     X, y = _validate_xy(X, y)
     if hyperparameters["k"] < 1:
         raise ChainlensError(f"knn needs k >= 1, got {hyperparameters['k']}")
     return KNNModel(train_X=X, train_y=y, hyperparameters=dict(hyperparameters))
 
 
-_FITTERS = {
-    "logistic_regression": lambda X, y, hp, seed: fit_logistic_regression(X, y, hp),
-    "linear_svm": lambda X, y, hp, seed: fit_linear_svm(X, y, hp),
-    "decision_tree": lambda X, y, hp, seed: fit_decision_tree(X, y, hp),
-    "random_forest": fit_random_forest,
-    "gaussian_nb": lambda X, y, hp, seed: fit_gaussian_nb(X, y, hp),
-    "knn": lambda X, y, hp, seed: fit_knn(X, y, hp),
+class Kind(NamedTuple):
+    fit: Callable  # (X, y, hyperparameters, seed) -> model
+    model: type
+    defaults: dict
+
+
+_LINEAR = {"learning_rate": 0.1, "iterations": 1000, "l2": 1e-4}
+_CART = {"min_samples_split": 2, "max_depth": None}
+_FOREST = {"n_trees": 100, **_CART, "bootstrap": True, "max_features": "sqrt"}
+
+# kind -> fitter, model class and default hyperparameters
+KINDS: dict[str, Kind] = {
+    "logistic_regression": Kind(fit_logistic_regression, LinearModel, _LINEAR),
+    "linear_svm": Kind(fit_linear_svm, LinearModel, _LINEAR),
+    "decision_tree": Kind(fit_decision_tree, DecisionTreeModel, _CART),
+    "random_forest": Kind(fit_random_forest, RandomForestModel, _FOREST),
+    "gaussian_nb": Kind(fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}),
+    "knn": Kind(fit_knn, KNNModel, {"k": 5}),
 }
+CLASSIFIER_KINDS = tuple(KINDS)
+KIND_DEFAULTS = {kind: entry.defaults for kind, entry in KINDS.items()}
 
 
 def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:
-    if kind not in KIND_DEFAULTS:
+    if kind not in KINDS:
         raise ChainlensError(
             f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}"
         )
-    hp = dict(KIND_DEFAULTS[kind])
+    hp = dict(KINDS[kind].defaults)
     for name, value in (overrides or {}).items():
         if name not in hp:
             raise ChainlensError(
@@ -624,47 +559,49 @@ def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:
 
 def fit_classifier(kind: str, X, y, hyperparameters: dict | None = None, seed: int = 0):
     hp = resolve_hyperparameters(kind, hyperparameters)
-    return _FITTERS[kind](X, y, hp, seed)
+    return KINDS[kind].fit(X, y, hp, seed)
 
 
-def model_parameters_from_doc(kind: str, doc: dict, hyperparameters: dict):
-    """Rebuild a model object from its JSON parameter document."""
-    if kind == "logistic_regression":
-        return LogisticRegressionModel(
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            hyperparameters=hyperparameters,
-        )
-    if kind == "linear_svm":
-        return LinearSVMModel(
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            hyperparameters=hyperparameters,
-        )
-    if kind == "decision_tree":
-        return DecisionTreeModel(
-            tree=_tree_from_doc(doc["tree"]),
-            n_features=int(doc["n_features"]),
-            hyperparameters=hyperparameters,
-        )
-    if kind == "random_forest":
-        return RandomForestModel(
-            trees=tuple(_tree_from_doc(t) for t in doc["trees"]),
-            n_features=int(doc["n_features"]),
-            hyperparameters=hyperparameters,
-        )
-    if kind == "gaussian_nb":
-        return GaussianNBModel(
-            classes=np.array(doc["classes"], dtype=np.int64),
-            priors=np.array(doc["priors"], dtype=np.float64),
-            means=np.array(doc["means"], dtype=np.float64),
-            variances=np.array(doc["variances"], dtype=np.float64),
-            hyperparameters=hyperparameters,
-        )
-    if kind == "knn":
-        return KNNModel(
-            train_X=np.array(doc["train_X"], dtype=np.float64),
-            train_y=np.array(doc["train_y"], dtype=np.int64),
-            hyperparameters=hyperparameters,
-        )
-    raise ChainlensError(f"unknown classifier kind {kind!r}")
+def to_doc(obj) -> dict:
+    """The JSON document of a model or normalizer: every field but
+    ``hyperparameters`` under its own name, arrays as (nested) lists,
+    a tuple of tree dicts as a list."""
+    return {
+        f.name: _to_json(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.name != "hyperparameters"
+    }
+
+
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {name: _to_json(v) for name, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def from_doc(cls, doc, **given):
+    """Rebuild ``cls`` from a ``to_doc`` document holding exactly its
+    fields but the ``given`` ones. Number lists become int64 or float64
+    arrays as their values are, a list of dicts a tuple."""
+    if not isinstance(doc, dict):
+        raise ChainlensError(f"{cls.__name__} document must be an object")
+    expected = {f.name for f in fields(cls)} - given.keys()
+    problems = [f"missing field {name!r}" for name in sorted(expected - doc.keys())]
+    problems += [f"unknown field {name!r}" for name in sorted(doc.keys() - expected)]
+    if problems:
+        raise ChainlensError(f"{cls.__name__} document: {', '.join(problems)}")
+    return cls(**{name: _from_json(doc[name]) for name in expected}, **given)
+
+
+def _from_json(value):
+    if isinstance(value, dict):
+        return {name: _from_json(v) for name, v in value.items()}
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return tuple(_from_json(v) for v in value)
+    if isinstance(value, list):
+        return np.array(value)
+    return value

@@ -31,9 +31,11 @@ import numpy as np
 
 from .classifiers import (
     CLASSIFIER_KINDS,
+    KINDS,
     fit_classifier,
-    model_parameters_from_doc,
+    from_doc,
     resolve_hyperparameters,
+    to_doc,
 )
 from .cleaning import (
     AggregateFeatures,
@@ -234,16 +236,6 @@ class Normalizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.means) / self.scales
 
-    def as_doc(self) -> dict:
-        return {"means": self.means.tolist(), "scales": self.scales.tolist()}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Normalizer":
-        return cls(
-            means=np.array(doc["means"], dtype=np.float64),
-            scales=np.array(doc["scales"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
@@ -426,21 +418,32 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         "hyperparameters": trained.spec.hyperparameters,
         "feature_names": list(trained.feature_names),
         "seed": trained.seed,
-        "normalizer": trained.normalizer.as_doc(),
-        "parameters": trained.model.parameters_doc(),
+        "normalizer": to_doc(trained.normalizer),
+        "parameters": to_doc(trained.model),
     }
     # compact separators: a forest file holds millions of numbers
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     Path(path).write_text(text, encoding="utf-8")
 
 
+_MODEL_KEYS = ("kind", "hyperparameters", "feature_names", "normalizer", "parameters")
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ChainlensError(f"model file {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ChainlensError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ChainlensError(
             f"unsupported model format version {version!r}; expected {MODEL_FORMAT_VERSION}"
         )
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ChainlensError(f"model file {path} lacks {', '.join(missing)}")
     kind = doc["kind"]
     if kind not in CLASSIFIER_KINDS:
         raise ChainlensError(f"unknown classifier kind {kind!r} in model file")
@@ -448,8 +451,10 @@ def load_model(path: str | Path) -> TrainedModel:
     return TrainedModel(
         spec=ClassifierSpec(kind=kind, hyperparameters=hyperparameters),
         feature_names=tuple(doc["feature_names"]),
-        normalizer=Normalizer.from_doc(doc["normalizer"]),
-        model=model_parameters_from_doc(kind, doc["parameters"], hyperparameters),
+        normalizer=from_doc(Normalizer, doc["normalizer"]),
+        model=from_doc(
+            KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters
+        ),
         seed=int(doc.get("seed", 0)),
     )
 

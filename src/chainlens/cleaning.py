@@ -31,8 +31,6 @@ from .dataset import (
 )
 from .errors import ChainlensError
 
-AGGREGATE_COLUMNS = ("price", "max_supply", "total_supply", "volume_24h", "ptsc")
-
 
 def _freeze(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)

@@ -127,7 +127,13 @@ def _load_dataset(cfg: RunConfig):
         raise ChainlensError(
             f"no dataset at {source}; pass --input or run generate/ingest first"
         )
-    return load_csv(source)
+    return _require_rows(load_csv(source), source)
+
+
+def _require_rows(ds, source):
+    if len(ds) == 0:
+        raise ChainlensError(f"no snapshot rows in {source}")
+    return ds
 
 
 def _dataset_summary(ds) -> dict:
@@ -171,6 +177,7 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
         raise ConfigError(
             "ingest needs --input FILE or an 'api' config block with base_url"
         )
+    _require_rows(ds, origin)
     save_csv(ds, writer.path("dataset.csv"))
     if cfg.wants_json:
         writer.write_json("dataset_summary.json", _dataset_summary(ds))
@@ -292,14 +299,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
         result = evaluate(predict(trained, test), test.y)
         named.append((kind, result))
         save_model(trained, writer.path(f"models/{kind}.json"))
-        detail[kind] = {
-            "precision": result.precision,
-            "recall": result.recall,
-            "f1": result.f1,
-            "accuracy": result.accuracy,
-            "zero_division_hit": result.zero_division_hit,
-            "counts": asdict(result.counts),
-        }
+        detail[kind] = asdict(result)
     save_metrics_csv(named, writer.path("metrics.csv"))
     if cfg.wants_json:
         writer.write_json(

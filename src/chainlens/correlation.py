@@ -85,8 +85,6 @@ def interpret(coefficient: float) -> Interpretation:
         if magnitude < upper:
             strength = name
             break
-    if magnitude >= 0.80:
-        strength = "very strong"
     sign = "positive" if c > 0 else "negative" if c < 0 else "none"
     return Interpretation(strength=strength, sign=sign)
 

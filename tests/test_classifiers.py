@@ -241,6 +241,21 @@ class TestRandomForest:
                 np.zeros((4, 2)), np.zeros(4, dtype=int), KIND_DEFAULTS["random_forest"]
             )
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"n_trees": 0}, "n_trees >= 1"),
+            ({"n_trees": -3}, "n_trees >= 1"),
+            ({"max_features": 0}, "max_features >= 1"),
+            ({"max_features": -1}, "max_features >= 1"),
+        ],
+    )
+    def test_empty_forest_settings_rejected(self, override, message):
+        X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
+        hp = dict(KIND_DEFAULTS["random_forest"], **override)
+        with pytest.raises(ChainlensError, match=message):
+            fit_random_forest(X, y, hp)
+
 
 class TestGaussianNB:
     def test_boundary_at_midpoint_of_symmetric_classes(self):

@@ -24,7 +24,7 @@ from chainlens.classify import (
     save_model,
     train_test_split,
 )
-from chainlens.classifiers import CLASSIFIER_KINDS
+from chainlens.classifiers import CLASSIFIER_KINDS, from_doc, to_doc
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.dataset import CoinSnapshot, Dataset
 from chainlens.errors import ChainlensError, DataQualityWarning
@@ -32,6 +32,21 @@ from chainlens.errors import ChainlensError, DataQualityWarning
 
 def d(text):
     return dt.date.fromisoformat(text)
+
+
+def assert_same_value(got, want):
+    """Equal values of the same type; arrays also of the same dtype."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    elif isinstance(want, (dict, tuple)):
+        items = want.items() if isinstance(want, dict) else enumerate(want)
+        assert len(got) == len(want)
+        for key, value in items:
+            assert_same_value(got[key], value)
+    else:
+        assert got == want
 
 
 def make_table(n=80, seed=0, n_coins=8, n_features=3, separation=5.0):
@@ -263,9 +278,12 @@ class TestNormalizer:
 
     def test_doc_round_trip(self):
         norm = Normalizer.fit(np.random.default_rng(0).normal(size=(10, 3)))
-        again = Normalizer.from_doc(json.loads(json.dumps(norm.as_doc())))
-        assert np.array_equal(norm.means, again.means)
-        assert np.array_equal(norm.scales, again.scales)
+        doc = to_doc(norm)
+        assert set(doc) == {"means", "scales"}
+        again = from_doc(Normalizer, json.loads(json.dumps(doc)))
+        for name in ("means", "scales"):
+            assert getattr(again, name).dtype == np.float64
+            assert np.array_equal(getattr(again, name), getattr(norm, name))
 
 
 class TestFitPredict:
@@ -443,6 +461,16 @@ class TestModelPersistence:
         assert loaded.spec.kind == kind
         assert loaded.feature_names == trained.feature_names
         assert loaded.seed == 4
+        assert type(loaded.model) is type(trained.model)
+        for name, value in vars(trained.model).items():
+            assert_same_value(getattr(loaded.model, name), value)
+        for name in ("means", "scales"):
+            assert_same_value(
+                getattr(loaded.normalizer, name), getattr(trained.normalizer, name)
+            )
+        again = tmp_path / f"{kind}.again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_file_is_compact_canonical_json(self, tmp_path):
         trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))
@@ -480,6 +508,36 @@ class TestModelPersistence:
         doc["kind"] = "oracle"
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "section, edit, message",
+        [
+            ("parameters", lambda d: d.pop("train_y"), "missing field 'train_y'"),
+            ("parameters", lambda d: d.update(bias=0.0), "unknown field 'bias'"),
+            ("normalizer", lambda d: d.pop("scales"), "missing field 'scales'"),
+            ("normalizer", lambda d: d.update(shift=[1.0]), "unknown field 'shift'"),
+            (None, lambda d: d.pop("parameters"), "lacks parameters"),
+            (None, lambda d: d.pop("feature_names"), "lacks feature_names"),
+        ],
+    )
+    def test_bad_field_set_in_file_rejected(self, tmp_path, section, edit, message):
+        trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        doc = json.loads(path.read_text())
+        edit(doc[section] if section else doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"", b"\xff\xfe{}", b"[1, 2]", b'"model"']
+    )
+    def test_non_json_or_non_object_file_rejected(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ChainlensError, match="model file"):
             load_model(path)
 
 

@@ -12,7 +12,7 @@ import pytest
 from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
 from chainlens.cli import GENERATE_DEFAULTS, ArtifactWriter, main, run
 from chainlens.config import ConfigError, RunConfig
-from chainlens.dataset import load_csv
+from chainlens.dataset import CSV_HEADER, load_csv
 from chainlens.errors import ChainlensError
 
 # Small planted panel: 20 coins over ~400 days keeps every stage under
@@ -264,6 +264,18 @@ class TestRuntimeErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ChainlensError"
         assert "generate" in err["message"]
+
+    @pytest.mark.parametrize("stage", ["ingest", "cluster"])
+    def test_header_only_panel_exits_1(self, stage, tmp_path, capsys):
+        panel = tmp_path / "header_only.csv"
+        panel.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_stage(stage, "--input", str(panel), "--out", str(out))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ChainlensError"
+        assert "no snapshot rows" in err["message"]
+        assert not out.exists() or not list(out.iterdir())
 
     def test_infeasible_generate_spec_exits_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"

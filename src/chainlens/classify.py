@@ -271,8 +271,6 @@ def predict(trained: TrainedModel, rows) -> np.ndarray:
     X = rows.X if isinstance(rows, LabeledTable) else np.asarray(rows, dtype=np.float64)
     if X.ndim != 2:
         raise ChainlensError("prediction input must be 2-d")
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     if X.shape[1] != len(trained.feature_names):
         raise ChainlensError(
             f"expected {len(trained.feature_names)} features, got {X.shape[1]}"
@@ -448,14 +446,30 @@ def load_model(path: str | Path) -> TrainedModel:
     if kind not in CLASSIFIER_KINDS:
         raise ChainlensError(f"unknown classifier kind {kind!r} in model file")
     hyperparameters = doc["hyperparameters"]
+    expected = KINDS[kind].defaults.keys()
+    if not isinstance(hyperparameters, dict) or hyperparameters.keys() != expected:
+        raise ChainlensError(
+            f"model file {path}: hyperparameters must be an object of {sorted(expected)}"
+        )
+    names = doc["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ChainlensError(f"model file {path}: feature_names must be a list of strings")
+    seed = doc.get("seed", 0)
+    if type(seed) is not int:
+        raise ChainlensError(f"model file {path}: seed must be an integer")
+    normalizer = from_doc(Normalizer, doc["normalizer"])
+    if normalizer.means.shape != (len(names),) or normalizer.scales.shape != (len(names),):
+        raise ChainlensError(
+            f"model file {path}: the normalizer must hold one mean and scale per feature"
+        )
     return TrainedModel(
         spec=ClassifierSpec(kind=kind, hyperparameters=hyperparameters),
-        feature_names=tuple(doc["feature_names"]),
-        normalizer=from_doc(Normalizer, doc["normalizer"]),
+        feature_names=tuple(names),
+        normalizer=normalizer,
         model=from_doc(
             KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters
         ),
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
     )
 
 

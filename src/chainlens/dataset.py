@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import gc
 import io
 import itertools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import itemgetter
@@ -533,6 +535,21 @@ def _records(rows: list[list[str]], width: int, name_at: int):
     return kept, positions, None
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore the caller's
+    setting, also when the body raises. Parsing a panel allocates
+    millions of row lists and strings but no reference cycles, so a
+    collection during it only costs time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Dataset:
     """Read a snapshot CSV into a Dataset.
 
@@ -546,7 +563,7 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Datas
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     rename = {v: k for k, v in (schema or {}).items()}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8") as handle, _gc_paused():
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -3,8 +3,13 @@
 ``oracle_build_tree`` is the original depth-first CART builder: it
 re-sorts every candidate feature at every node and numbers nodes in
 creation order (a node's two children get consecutive ids when it is
-split; the stack pops the right child first). ``oracle_knn_predict`` is
-the original full stable argsort of each distance block.
+split; the stack pops the right child first). ``oracle_level_tree`` is
+the first level-wise builder: a stable argsort of every feature per
+tree, float64 value comparisons for the cuts, two ``np.minimum.at``
+scatters for each level's winners and a cumsum + ``put_along_axis``
+partition of all feature lists; ``oracle_forest_trees`` grows a forest
+with it. ``oracle_knn_predict`` is the original full stable argsort of
+each distance block.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
@@ -20,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlens.api import _ROW_FIELDS
+from chainlens.classifiers import _depth_first_ids, _forest_max_features
 from chainlens.dataset import (
     CSV_HEADER,
     EXTENDED_COLUMNS,
@@ -131,6 +137,178 @@ def oracle_build_tree(X, y, min_samples_split=2, max_depth=None):
         "right": np.array(right, dtype=np.int64),
         "label": np.array(label, dtype=np.int64),
     }
+
+
+def _level_best_splits(XT, R, node, counts, w, wy, tot, pos, allowed):
+    """Best midpoint split of every frontier node, scored in one pass.
+
+    ``R`` holds one row list per feature, each grouped by frontier node
+    (``counts`` entries per node; ``node`` names the node of each list
+    position) and sorted by that feature within the node. A node scores
+    only the features ``allowed`` marks for it. The lowest weighted
+    child Gini wins; ties break toward the smaller feature index, then
+    the smaller threshold. Returns per-node (score, feature, threshold),
+    with score inf where no feature separates the node's rows.
+    """
+    m = counts.shape[0]
+    pair_f, pair_s = np.nonzero(allowed.T)  # (feature, node), by feature
+    pair_n = counts[pair_s]
+    rows = R[allowed.T[:, node]]
+    values = XT[np.repeat(pair_f, pair_n), rows]
+    pair_start = np.cumsum(pair_n) - pair_n
+    cw = np.cumsum(w[rows])
+    cy = np.cumsum(wy[rows])
+    base_w = cw[pair_start] - w[rows[pair_start]]
+    base_y = cy[pair_start] - wy[rows[pair_start]]
+    differ = values[1:] != values[:-1]
+    differ[(pair_start + pair_n - 1)[:-1]] = False  # never across nodes
+    cut = np.flatnonzero(differ)
+    pair = np.repeat(np.arange(pair_f.shape[0]), pair_n)[cut]
+    cut_node = pair_s[pair]
+    n = tot[cut_node]
+    left_n = (cw[cut] - base_w[pair]).astype(np.float64)
+    right_n = n - left_n
+    left_pos = (cy[cut] - base_y[pair]).astype(np.float64)
+    right_pos = pos[cut_node].astype(np.float64) - left_pos
+    weighted = (
+        left_n * _gini_pair(left_pos, left_n)
+        + right_n * _gini_pair(right_pos, right_n)
+    ) / n
+    score = np.full(m, np.inf)
+    np.minimum.at(score, cut_node, weighted)
+    # cuts run by feature, then position: the first minimum is the tie winner
+    tied = np.flatnonzero(weighted == score[cut_node])
+    first = np.full(m, cut.shape[0])
+    np.minimum.at(first, cut_node[tied], tied)
+    found = first < cut.shape[0]
+    feature = np.zeros(m, dtype=np.int64)
+    threshold = np.zeros(m, dtype=np.float64)
+    j = first[found]
+    feature[found] = pair_f[pair[j]]
+    below, above = values[cut[j]], values[cut[j] + 1]
+    middle = (below + above) / 2.0
+    # between adjacent floats the midpoint can round up to ``above``,
+    # which would send every row left; cut at ``below`` then
+    threshold[found] = np.where(middle < above, middle, below)
+    return score, feature, threshold
+
+
+def _level_partition(R, counts, split, goes_left):
+    """Drop leaf nodes' rows and split the rest stably into children.
+
+    ``R`` holds one row list per feature, grouped by node (``counts``
+    rows each); ``goes_left`` is a per-row mask. The children of a split
+    node take over its span: left rows first, then right rows, each
+    side in the list's previous order. Returns the new lists and the
+    children's row counts, left and right alternating.
+    """
+    kept = np.repeat(split, counts)
+    R = R[:, kept]
+    sizes = counts[split]
+    node = np.repeat(np.arange(sizes.shape[0]), sizes)
+    left = goes_left[R]
+    n_left = np.bincount(node[left[0]], minlength=sizes.shape[0])
+    left_before = np.cumsum(n_left) - n_left
+    right_before = np.cumsum(sizes - n_left) - (sizes - n_left)
+    # a node keeps its span [start, start + size): a left row moves to
+    # start + (lefts before it in the node), a right row to
+    # start + n_left + (rights before it in the node)
+    seen = np.cumsum(left, axis=1)
+    dest = np.where(
+        left,
+        seen + (right_before - 1)[node],
+        np.arange(R.shape[1]) - seen + (n_left + left_before)[node],
+    )
+    out = np.empty_like(R)
+    np.put_along_axis(out, dest, R, axis=1)
+    return out, np.column_stack([n_left, sizes - n_left]).ravel()
+
+
+def oracle_level_tree(X, y, weights, min_samples_split, max_depth, max_features, rng):
+    """CART with Gini impurity, grown one level at a time.
+
+    Nodes are parallel arrays: feature == -1 marks a leaf. ``weights``
+    are integer row multiplicities (the forest's bootstrap counts); a
+    row of weight 0 takes no part. Each feature is sorted once; its row
+    list stays grouped by frontier node and is partitioned stably into
+    the children at each split, so every level scores the whole frontier
+    in one vectorized pass. With ``max_features`` below the
+    dimensionality, each level draws one feature subset per open node
+    from ``rng``. Node ids follow depth-first creation order (see
+    ``_depth_first_ids``).
+    """
+    n, d = X.shape
+    XT = np.ascontiguousarray(X.T)
+    w = np.asarray(weights, dtype=np.int64)
+    wy = w * y
+    present = np.flatnonzero(w)
+    R = present[np.argsort(XT[:, present], axis=1, kind="stable")]
+    counts = np.array([present.shape[0]])
+    goes_left = np.zeros(n, dtype=bool)
+    levels = []  # per level: feature, threshold, label of its nodes
+    depth = 0
+    while counts.shape[0]:
+        m = counts.shape[0]
+        starts = np.cumsum(counts) - counts
+        tot = np.add.reduceat(w[R[0]], starts)
+        pos = np.add.reduceat(wy[R[0]], starts)
+        is_open = (pos > 0) & (pos < tot) & (tot >= min_samples_split)
+        if max_depth is not None and depth >= max_depth:
+            is_open[:] = False
+        allowed = np.zeros((m, d), dtype=bool)
+        if max_features is None or max_features >= d:
+            allowed[is_open] = True
+        else:
+            keys = rng.random((int(is_open.sum()), d))
+            picks = np.argsort(keys, axis=1)[:, :max_features]
+            drawn = np.zeros(keys.shape, dtype=bool)
+            np.put_along_axis(drawn, picks, True, axis=1)
+            allowed[is_open] = drawn
+        node = np.repeat(np.arange(m), counts)
+        score, feature, threshold = _level_best_splits(
+            XT, R, node, counts, w, wy, tot, pos, allowed
+        )
+        # demand a real impurity decrease, not float noise
+        split = is_open & ~(score > _gini_pair(pos, tot) - 1e-12)
+        levels.append(
+            (
+                np.where(split, feature, -1),
+                np.where(split, threshold, 0.0),
+                np.where(split, 0, (2 * pos > tot).astype(np.int64)),
+            )
+        )
+        rows = R[0]
+        goes_left[rows] = XT[feature[node], rows] <= threshold[node]
+        R, counts = _level_partition(R, counts, split, goes_left)
+        depth += 1
+    feature, threshold, label = (np.concatenate(a) for a in zip(*levels))
+    return _depth_first_ids(feature, threshold, label)
+
+
+def oracle_forest_trees(X, y, hyperparameters, seed=0):
+    """The trees ``fit_random_forest`` grew with ``oracle_level_tree``."""
+    hp = hyperparameters
+    max_features = _forest_max_features(hp["max_features"], X.shape[1])
+    trees = []
+    for t in range(hp["n_trees"]):
+        rng = np.random.default_rng([seed, t])
+        if hp["bootstrap"]:
+            idx = rng.integers(0, X.shape[0], size=X.shape[0])
+            weights = np.bincount(idx, minlength=X.shape[0])
+        else:
+            weights = np.ones(X.shape[0], dtype=np.int64)
+        trees.append(
+            oracle_level_tree(
+                X,
+                y,
+                weights,
+                min_samples_split=hp["min_samples_split"],
+                max_depth=hp["max_depth"],
+                max_features=max_features,
+                rng=rng,
+            )
+        )
+    return trees
 
 
 def oracle_knn_predict(train_X, train_y, k, X):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from chainlens import classifiers
 from chainlens.classifiers import (
     KIND_DEFAULTS,
-    _build_tree,
+    _build_trees,
+    _presort,
     fit_classifier,
     fit_decision_tree,
     fit_gaussian_nb,
@@ -15,7 +17,7 @@ from chainlens.classifiers import (
     resolve_hyperparameters,
 )
 from chainlens.errors import ChainlensError
-from oracles import oracle_build_tree, oracle_knn_predict
+from oracles import oracle_build_tree, oracle_forest_trees, oracle_knn_predict
 
 
 def two_blobs(rng, n_per=60, separation=6.0, d=4):
@@ -164,8 +166,10 @@ def tied_matrix(rng):
 
 
 def assert_same_tree(tree, expected):
+    assert tree.keys() == expected.keys()
     for name, arr in expected.items():
         assert np.array_equal(tree[name], arr), name
+        assert tree[name].dtype == arr.dtype, name
 
 
 class TestCartAgainstOracle:
@@ -199,9 +203,52 @@ class TestCartAgainstOracle:
             weights = rng.integers(0, 4, size=X.shape[0])
             weights[:2] = 1  # keep both classes present
             min_split = int(rng.integers(2, 6))
-            tree = _build_tree(X, y, weights, min_split, None, None, None)
+            (tree,) = _build_trees(_presort(X), y, weights[None], min_split, None, None, None)
             rows = np.repeat(np.arange(X.shape[0]), weights)
             assert_same_tree(tree, oracle_build_tree(X[rows], y[rows], min_split))
+
+
+def continuous_blobs(rng):
+    """Overlapping Gaussian blobs: distinct values, deep trees."""
+    d = int(rng.integers(1, 6))
+    return two_blobs(rng, n_per=int(rng.integers(5, 60)), separation=1.0, d=d)
+
+
+class TestForestAgainstOracle:
+    """Every forest tree equals the one the first level-wise builder grew."""
+
+    @pytest.mark.parametrize("make", [tied_matrix, continuous_blobs])
+    @pytest.mark.parametrize("max_features", [1, 2, "sqrt", "all"])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_tree_arrays_match(self, make, max_features, bootstrap):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            X, y = make(rng)
+            hp = dict(
+                KIND_DEFAULTS["random_forest"],
+                n_trees=3,
+                bootstrap=bootstrap,
+                max_features=max_features,
+                min_samples_split=int(rng.integers(2, 6)),
+                max_depth=None if rng.random() < 0.5 else int(rng.integers(0, 6)),
+            )
+            seed = int(rng.integers(0, 2**31))
+            forest = fit_random_forest(X, y, hp, seed=seed)
+            expected = oracle_forest_trees(X, y, hp, seed=seed)
+            assert len(forest.trees) == len(expected)
+            for tree, oracle_tree in zip(forest.trees, expected):
+                assert_same_tree(tree, oracle_tree)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_trees_do_not_depend_on_the_batch(self, monkeypatch, batch):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            X, y = continuous_blobs(rng)
+            monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
+            hp = dict(KIND_DEFAULTS["random_forest"], n_trees=5, max_features=1)
+            forest = fit_random_forest(X, y, hp, seed=7)
+            for tree, oracle_tree in zip(forest.trees, oracle_forest_trees(X, y, hp, 7)):
+                assert_same_tree(tree, oracle_tree)
 
 
 class TestRandomForest:
@@ -358,6 +405,8 @@ class TestCommonBehavior:
         model = fit_classifier(kind, X, y, hyperparameters=hp)
         with pytest.raises(ChainlensError):
             model.predict(np.zeros((2, 5)))
+        with pytest.raises(ChainlensError, match="expected 3 features, got 5"):
+            model.predict(np.empty((0, 5)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChainlensError):

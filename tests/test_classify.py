@@ -313,6 +313,8 @@ class TestFitPredict:
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         with pytest.raises(ChainlensError):
             predict(trained, np.zeros((2, 9)))
+        with pytest.raises(ChainlensError):
+            predict(trained, np.empty((0, 9)))
 
     def test_predict_rejects_1d(self):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
@@ -527,6 +529,61 @@ class TestModelPersistence:
         save_model(trained, path)
         doc = json.loads(path.read_text())
         edit(doc[section] if section else doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, where, value, message",
+        [
+            ("decision_tree", ("parameters", "tree", "left"), None, "exactly the arrays"),
+            ("decision_tree", ("parameters", "tree", "left", 0), 0, "out of range"),
+            ("decision_tree", ("parameters", "tree", "feature", 0), 3, "out of range"),
+            ("decision_tree", ("parameters", "tree", "label", 0), 0.5, "must be integers"),
+            ("decision_tree", ("parameters", "tree", "threshold"), "0.5",
+             "field 'tree' must be an object of number lists"),
+            ("decision_tree", ("parameters", "n_features"), 3.0,
+             "field 'n_features' must be an integer"),
+            ("random_forest", ("parameters", "trees"), [],
+             "field 'trees' must be a nonempty list"),
+            ("random_forest", ("parameters", "trees", 1, "right"), [-1],
+             "share one nonzero length"),
+            ("knn", ("parameters", "train_X", 0), [1.0, 2.0],
+             "field 'train_X' must be a 2-d list of numbers"),
+            ("knn", ("parameters", "train_y", 0), "1",
+             "field 'train_y' must be a 1-d list of numbers"),
+            ("gaussian_nb", ("parameters", "means"), [0.0, 1.0, 2.0],
+             "field 'means' must be a 2-d list of numbers"),
+            ("logistic_regression", ("parameters", "bias"), [0.0],
+             "field 'bias' must be a number"),
+            ("logistic_regression", ("normalizer", "means", 1), [0.0],
+             "field 'means' must be a 1-d list of numbers"),
+            ("logistic_regression", ("normalizer", "scales"), [1.0, 1.0],
+             "one mean and scale per feature"),
+            ("knn", ("feature_names",), "f0f1f2", "feature_names must be a list of strings"),
+            ("knn", ("hyperparameters",), [5], "hyperparameters must be an object"),
+            ("knn", ("hyperparameters", "k"), None, "hyperparameters must be an object"),
+            ("knn", ("hyperparameters", "k"), "5", "knn needs k >= 1"),
+            ("knn", ("parameters", "train_y", 0), None, "one label per training row"),
+            ("gaussian_nb", ("parameters", "priors", 0), None, "a prior, means and variances"),
+            ("knn", ("seed",), "4", "seed must be an integer"),
+        ],
+    )
+    def test_bad_field_value_in_file_rejected(self, tmp_path, kind, where, value, message):
+        # the value at ``where`` in the file is replaced (None: deleted)
+        overrides = {"n_trees": 3} if kind == "random_forest" else None
+        trained = fit(ClassifierSpec.make(kind, overrides), make_table(n=30))
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        doc = json.loads(path.read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError, match=message):
             load_model(path)

@@ -1,6 +1,7 @@
 """Dataset model: keys, CSV round-trip, day truncation, duplicates."""
 
 import datetime as dt
+import gc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from chainlens.dataset import (
     CoinSnapshot,
+    ColumnParser,
     Dataset,
     coin_key,
     load_csv,
@@ -208,6 +210,32 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_parse_pauses_gc_and_restores_it(self, tmp_path, monkeypatch, enabled):
+        seen = []
+        add = ColumnParser.add
+
+        def spy(self, *args):
+            seen.append(gc.isenabled())
+            return add(self, *args)
+
+        monkeypatch.setattr(ColumnParser, "add", spy)
+        good = tmp_path / "good.csv"
+        good.write_text(CSV_TEXT, encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_TEXT.replace("0.004681", "n/a"), encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert len(load_csv(good)) == 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedRowError):
+                load_csv(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
 
     def test_extended_columns_round_trip(self, tmp_path):
         ds = Dataset.build(

@@ -156,6 +156,8 @@ def _parse_page(body: str) -> dict:
         payload = json.loads(body)
     except json.JSONDecodeError as exc:
         raise ApiError(f"history API returned invalid JSON: {exc}") from exc
+    if type(payload) is not dict:
+        raise ApiError(f"history API page is not a JSON object: {payload!r:.80}")
     for field in _ENVELOPE_FIELDS:
         if field not in payload:
             raise SchemaDriftError(field, "response envelope")
@@ -164,6 +166,8 @@ def _parse_page(body: str) -> dict:
 
 def _check_row(row, page: int) -> None:
     """Raise the error the row-by-row parser gives for one flagged row."""
+    if type(row) is not dict:
+        raise ApiError(f"page {page} row is not a JSON object: {row!r:.80}")
     for field in _ROW_FIELDS:
         if field not in row:
             raise SchemaDriftError(field, f"page {page} row")
@@ -179,7 +183,8 @@ def _add_page(parser: ColumnParser, rows, page: int) -> None:
     Raises for the page's first row that lacks a field or holds a bad
     value, with the row-by-row parser's error.
     """
-    rows = list(rows)
+    if type(rows) is not list:
+        raise ApiError(f"page {page} data is not a JSON list: {rows!r:.80}")
     complete = 0  # leading rows that are objects carrying every row field
     for row in rows:
         if type(row) is not dict or not row.keys() >= _REQUIRED:
@@ -232,7 +237,10 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                 body = _request_page(session, url, params, headers, config, throttle)
                 cache_file.write_text(body, encoding="utf-8")
             payload = _parse_page(body)
-            total_pages = int(payload["total_pages"])
+            try:
+                total_pages = int(payload["total_pages"])
+            except (TypeError, ValueError, OverflowError):
+                raise ApiError(f"page {page} total_pages is not an integer") from None
             _add_page(parser, payload["data"], page)
             page += 1
     return parser.dataset()

@@ -19,13 +19,11 @@ from the training split only and merely applied to the test split.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -471,15 +469,3 @@ def load_model(path: str | Path) -> TrainedModel:
         ),
         seed=seed,
     )
-
-
-def save_metrics_csv(
-    named_metrics: Iterable[tuple[str, EvalMetrics]], path: str | Path
-) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["classifier", "precision", "recall", "f1", "accuracy"])
-        for name, m in named_metrics:
-            writer.writerow(
-                [name, repr(m.precision), repr(m.recall), repr(m.f1), repr(m.accuracy)]
-            )

@@ -13,10 +13,11 @@ and write their own artifacts next to it, so a full run is::
     chainlens flags --out run1
     chainlens report --out run1
 
-Artifacts carry no timestamps; the same config and seed produce
-byte-identical files. ``report`` only composes artifacts that earlier
-stages already wrote, never recomputing them, so a stale report is
-impossible to mistake for a fresh analysis.
+Every file a stage writes goes through ``ArtifactWriter``, and every
+stage CSV through its ``write_csv``. Artifacts carry no timestamps; the
+same config and seed produce byte-identical files. ``report`` only
+composes artifacts that earlier stages already wrote, never recomputing
+them, so a stale report is impossible to mistake for a fresh analysis.
 
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
 earlier artifacts left untouched), 2 usage or configuration error.
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import html
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from .api import ApiClientConfig, fetch_history
@@ -44,20 +44,26 @@ from .classify import (
     manipulability_flags,
     predict,
     prepare_features,
-    save_metrics_csv,
     save_model,
     train_test_split,
 )
 from .cleaning import aggregate_stats
 # not called here: perfbench/tracer.py patches these three bindings
 from .cleaning import impute_max_supply, impute_mean, row_feature_table  # noqa: F401
-from .clustering import cluster_report, save_assignments_csv, save_elbow_csv
+from .clustering import cluster_report
 from .config import ConfigError, RunConfig, build_config
-from .correlation import METHODS, price_factor_report, save_correlations_csv
+from .correlation import METHODS, price_factor_report
 from .dataset import load_csv, parse_day, save_csv
 from .errors import ChainlensError
-from .survival import lifetimes, pareto, save_lifetimes_csv, save_pareto_csv, survival_summary
-from .svgcharts import elbow_chart, emit_plot_data, metrics_chart, pareto_chart
+from .survival import lifetimes, pareto, survival_summary
+from .svgcharts import (
+    METRIC_SERIES,
+    elbow_chart,
+    emit_plot_data,
+    metrics_chart,
+    pareto_chart,
+    pareto_label,
+)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 # Demo-scale defaults for `generate` (only knobs that differ from the
@@ -110,6 +116,15 @@ class ArtifactWriter:
         self.write_text(
             relative, json.dumps(document, indent=2, sort_keys=True) + "\n"
         )
+
+    def write_csv(self, relative: str, header, rows) -> None:
+        """The one CSV format of every stage file: the default ``csv``
+        dialect (CRLF line ends), floats as ``repr``, None as an empty
+        cell."""
+        with self.path(relative).open("w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            out.writerows(rows)
 
     def commit(self) -> None:
         for temporary, target in self.written:
@@ -187,12 +202,14 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
     table, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
-    matrix = table.matrix(CLASSIFY_FEATURES)
-    with writer.path("features.csv").open("w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(("row_id",) + CLASSIFY_FEATURES)
-        for row_id, row in zip(table.row_ids, matrix):
-            out.writerow([row_id] + [repr(float(v)) for v in row])
+    writer.write_csv(
+        "features.csv",
+        ("row_id",) + CLASSIFY_FEATURES,
+        (
+            [row_id] + row.tolist()
+            for row_id, row in zip(table.row_ids, table.matrix(CLASSIFY_FEATURES))
+        ),
+    )
     if cfg.wants_json:
         writer.write_json(
             "cleaning_summary.json",
@@ -222,15 +239,27 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     records = lifetimes(ds, cfg.cutoff_date)
     summary = survival_summary(records)
     data = pareto(records)
-    save_lifetimes_csv(records, writer.path("lifetimes.csv"))
-    save_pareto_csv(data, writer.path("pareto.csv"))
+    writer.write_csv(
+        "lifetimes.csv",
+        ("key", "first_day", "last_day", "lifetime_days", "disappeared"),
+        (
+            (r.key, r.first_day, r.last_day, r.lifetime_days, str(r.disappeared).lower())
+            for r in records
+        ),
+    )
+    writer.write_csv(
+        "pareto.csv",
+        ("bucket_start", "bucket_end", "count", "cumulative_pct"),
+        map(astuple, data.buckets),
+    )
     if cfg.wants_json:
         doc = asdict(summary)
         doc["cutoff"] = (cfg.cutoff_date or ds.date_range[1]).isoformat()
         writer.write_json("survival_summary.json", doc)
     if cfg.wants_svg and data.buckets:
         rows = [
-            (f"{b.start}-{b.end}d", b.count, b.cumulative_pct) for b in data.buckets
+            (pareto_label(b.start, b.end), b.count, b.cumulative_pct)
+            for b in data.buckets
         ]
         writer.write_text("pareto.svg", pareto_chart(rows))
     return (
@@ -248,7 +277,11 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
     if "spearman" in cfg.methods:
         # the pairwise matrix is rank-based, so it rides with spearman
         chosen.extend(report.matrix.pairs())
-    save_correlations_csv(chosen, writer.path("correlations.csv"))
+    writer.write_csv(
+        "correlations.csv",
+        ("var_a", "var_b", "method", "coefficient", "n", "label"),
+        map(astuple, chosen),
+    )
     if cfg.wants_json:
         writer.write_json("correlation_report.json", report.as_dict())
     return (
@@ -261,11 +294,15 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
     day = cfg.cutoff_date or ds.date_range[1]
     report = cluster_report(ds, day, k=cfg.k_value, seed=cfg.seed)
-    save_assignments_csv(report, writer.path("assignments.csv"))
+    writer.write_csv(
+        "assignments.csv",
+        ("coin_key", "cluster_id"),
+        zip(report.keys, report.model.assignments.tolist()),
+    )
     if report.elbow_curve is not None:
-        save_elbow_csv(report.elbow_curve, writer.path("elbow.csv"))
+        points = list(zip(report.elbow_curve.ks, report.elbow_curve.wcss))
+        writer.write_csv("elbow.csv", ("k", "wcss"), points)
         if cfg.wants_svg:
-            points = list(zip(report.elbow_curve.ks, report.elbow_curve.wcss))
             writer.write_text("elbow.svg", elbow_chart(points))
     if cfg.wants_json:
         sizes = Counter(int(c) for c in report.model.assignments)
@@ -300,7 +337,11 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
         named.append((kind, result))
         save_model(trained, writer.path(f"models/{kind}.json"))
         detail[kind] = asdict(result)
-    save_metrics_csv(named, writer.path("metrics.csv"))
+    scores = [
+        (kind,) + tuple(getattr(m, series) for series in METRIC_SERIES)
+        for kind, m in named
+    ]
+    writer.write_csv("metrics.csv", ("classifier",) + METRIC_SERIES, scores)
     if cfg.wants_json:
         writer.write_json(
             "classify_summary.json",
@@ -315,19 +356,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
             },
         )
     if cfg.wants_svg:
-        rows = [
-            (
-                kind,
-                {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "accuracy": m.accuracy,
-                },
-            )
-            for kind, m in named
-        ]
-        writer.write_text("metrics.svg", metrics_chart(rows))
+        writer.write_text("metrics.svg", metrics_chart(scores))
     best_kind, best = max(named, key=lambda kv: kv[1].f1)
     degenerate = [kind for kind, m in named if m.zero_division_hit]
     return (
@@ -350,10 +379,7 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
         flags = sorted(manipulability_flags(snap, stats.get(snap.key)))
         counts.update(flags)
         rows.append((snap.key, " ".join(flags)))
-    with writer.path("flags.csv").open("w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(["coin_key", "flags"])
-        out.writerows(rows)
+    writer.write_csv("flags.csv", ("coin_key", "flags"), rows)
     flagged = sum(1 for _, joined in rows if joined)
     if cfg.wants_json:
         writer.write_json(
@@ -481,9 +507,9 @@ def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
     with source.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     kind = source.stem
-    svg_text, echo_csv = emit_plot_data(kind, rows)
+    svg_text, header, plotted = emit_plot_data(kind, rows)
     writer.write_text(f"{kind}.svg", svg_text)
-    writer.write_text(f"{kind}_plot.csv", echo_csv)
+    writer.write_csv(f"{kind}_plot.csv", header, plotted)
     return f"plot: {kind} -> {kind}.svg, {kind}_plot.csv"
 
 

@@ -9,10 +9,8 @@ lowest cluster id. Cluster ids carry no ordinal meaning.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -318,19 +316,3 @@ def cluster_report(
         model=model,
         elbow_curve=curve,
     )
-
-
-def save_assignments_csv(report: ClusterReport, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["coin_key", "cluster_id"])
-        for key in report.keys:
-            writer.writerow([key, report.assignments[key]])
-
-
-def save_elbow_csv(curve: ElbowCurve, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "wcss"])
-        for k, cost in zip(curve.ks, curve.wcss):
-            writer.writerow([k, repr(cost)])

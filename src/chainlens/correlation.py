@@ -16,12 +16,10 @@ Method conventions:
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -200,16 +198,6 @@ class PairCorrelation:
     n: int
     label: str | None
 
-    def as_dict(self) -> dict:
-        return {
-            "var_a": self.var_a,
-            "var_b": self.var_b,
-            "method": self.method,
-            "coefficient": self.coefficient,
-            "n": self.n,
-            "label": self.label,
-        }
-
 
 def _pair(var_a: str, var_b: str, method: str, x, y) -> PairCorrelation:
     x = np.asarray(x, dtype=np.float64)
@@ -325,8 +313,8 @@ class PriceFactorReport:
 
     def as_dict(self) -> dict:
         return {
-            "pooled": [p.as_dict() for p in self.pooled],
-            "aggregate": [p.as_dict() for p in self.aggregate],
+            "pooled": [asdict(p) for p in self.pooled],
+            "aggregate": [asdict(p) for p in self.aggregate],
             "matrix": self.matrix.as_dict(),
         }
 
@@ -372,24 +360,3 @@ def price_factor_report(
 
     matrix = correlation_matrix("spearman", table, MATRIX_VARIABLES)
     return PriceFactorReport(pooled=pooled, aggregate=aggregate, matrix=matrix)
-
-
-def save_correlations_csv(
-    pairs: Iterable[PairCorrelation], path: str | Path
-) -> None:
-    """CSV with header ``var_a,var_b,method,coefficient,n,label``;
-    undefined coefficients become empty cells."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["var_a", "var_b", "method", "coefficient", "n", "label"])
-        for p in pairs:
-            writer.writerow(
-                [
-                    p.var_a,
-                    p.var_b,
-                    p.method,
-                    "" if p.coefficient is None else repr(p.coefficient),
-                    p.n,
-                    "" if p.label is None else p.label,
-                ]
-            )

@@ -360,10 +360,10 @@ def parse_day(text: str) -> dt.date:
         pass
     try:
         stamp = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
+        if stamp.tzinfo is not None:
+            stamp = stamp.astimezone(dt.timezone.utc)
+    except (ValueError, OverflowError):  # the latter: UTC day off the calendar
         raise ValueError(f"invalid date {text!r}") from None
-    if stamp.tzinfo is not None:
-        stamp = stamp.astimezone(dt.timezone.utc)
     return stamp.date()
 
 
@@ -403,7 +403,12 @@ def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
         elif isinstance(raw, str):
             numbers[column] = _parse_cell(column, raw)
         else:
-            value = float(raw)
+            try:
+                value = float(raw)
+            except TypeError:  # a JSON list or object
+                raise ValueError(f"non-numeric {column}: {raw!r}") from None
+            except OverflowError:  # an integer beyond float range
+                value = math.inf
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{column} must be finite and >= 0: {raw!r}")
             numbers[column] = value
@@ -477,7 +482,7 @@ class ColumnParser:
         for text in set(texts).difference(day_of):
             try:
                 day_of[text] = parse_day(text).toordinal()
-            except (ValueError, OverflowError):
+            except ValueError:
                 day_of[text] = -1
         days = np.fromiter(map(day_of.__getitem__, texts), np.int64, n)
         bad |= days < 0

@@ -10,11 +10,9 @@ observation, so a single-day coin has lifetime 0.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .dataset import Dataset
 from .errors import ChainlensError
@@ -155,29 +153,3 @@ def pareto(
             )
         )
     return ParetoData(bucket_width_days=bucket_width_days, buckets=tuple(buckets))
-
-
-def save_pareto_csv(data: ParetoData, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bucket_start", "bucket_end", "count", "cumulative_pct"])
-        for b in data.buckets:
-            writer.writerow([b.start, b.end, b.count, repr(b.cumulative_pct)])
-
-
-def save_lifetimes_csv(records: Iterable[LifetimeRecord], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["key", "first_day", "last_day", "lifetime_days", "disappeared"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.key,
-                    r.first_day.isoformat(),
-                    r.last_day.isoformat(),
-                    r.lifetime_days,
-                    str(r.disappeared).lower(),
-                ]
-            )

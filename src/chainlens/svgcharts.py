@@ -8,20 +8,18 @@ cleanly, and can be checked by an XML parser in tests.
 
 ``emit_plot_data`` is the artifact-facing entry point: it takes rows as
 parsed from a prior subcommand's CSV artifact and returns the SVG plus
-a CSV echo of exactly the numbers that were plotted.
+exactly the numbers that were plotted, as a header and rows.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ChainlensError
 
 PLOT_KINDS = ("pareto", "elbow", "metrics")
 
-_METRIC_SERIES = ("precision", "recall", "f1", "accuracy")
+METRIC_SERIES = ("precision", "recall", "f1", "accuracy")
 _SERIES_COLORS = ("#4878a8", "#e49444", "#5aa469", "#d1605e")
 
 _WIDTH = 800
@@ -71,6 +69,11 @@ def _plot_geometry(n_slots: int):
         return _HEIGHT - _MARGIN_BOTTOM - plot_h * frac
 
     return slot, x_of, y_of
+
+
+def pareto_label(start, end) -> str:
+    """Axis label of the lifetime bucket [start, end) days."""
+    return f"{start}-{end}d"
 
 
 def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
@@ -155,17 +158,19 @@ def elbow_chart(points: Sequence[tuple[int, float]]) -> str:
     return "\n".join(parts)
 
 
-def metrics_chart(rows: Sequence[tuple[str, dict[str, float]]]) -> str:
-    """Grouped bars: precision, recall, f1, accuracy per classifier."""
+def metrics_chart(rows: Sequence[tuple]) -> str:
+    """Grouped bars: precision, recall, f1, accuracy per classifier.
+
+    ``rows`` are (classifier, precision, recall, f1, accuracy).
+    """
     if not rows:
         raise ChainlensError("cannot draw a metrics chart with no classifiers")
     parts = _svg_open("Classifier Scores")
     _axes(parts)
     slot, x_of, y_of = _plot_geometry(len(rows))
-    bar_w = slot * 0.8 / len(_METRIC_SERIES)
-    for i, (name, values) in enumerate(rows):
-        for j, series in enumerate(_METRIC_SERIES):
-            value = values[series]
+    bar_w = slot * 0.8 / len(METRIC_SERIES)
+    for i, (name, *values) in enumerate(rows):
+        for j, value in enumerate(values):
             x = x_of(i) + slot * 0.1 + j * bar_w
             y = y_of(value)
             h = (_HEIGHT - _MARGIN_BOTTOM) - y
@@ -177,7 +182,7 @@ def metrics_chart(rows: Sequence[tuple[str, dict[str, float]]]) -> str:
             f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
             f'text-anchor="middle" font-size="10">{name}</text>'
         )
-    for j, series in enumerate(_METRIC_SERIES):
+    for j, series in enumerate(METRIC_SERIES):
         lx = _MARGIN_LEFT + 10 + j * 110
         parts.append(
             f'<rect x="{lx}" y="{_MARGIN_TOP - 14}" width="10" height="10" '
@@ -194,58 +199,32 @@ def metrics_chart(rows: Sequence[tuple[str, dict[str, float]]]) -> str:
     return "\n".join(parts)
 
 
-def _csv_echo(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, str]:
-    """Chart + plotted-numbers CSV for one artifact's parsed rows.
+def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
+    """Chart plus the plotted numbers for one artifact's parsed rows.
 
     ``rows`` come straight from csv.DictReader over the artifact file.
-    Returns (svg_text, csv_text). Raises on an unknown artifact kind.
+    Returns (svg_text, header, plotted_rows). Raises on an unknown
+    artifact kind.
     """
     if kind == "pareto":
-        buckets = [
+        plotted = [
             (
-                f"{row['bucket_start']}-{row['bucket_end']}",
+                pareto_label(row["bucket_start"], row["bucket_end"]),
                 float(row["count"]),
                 float(row["cumulative_pct"]),
             )
             for row in rows
         ]
-        svg = pareto_chart(buckets)
-        echo = _csv_echo(
-            ["bucket", "count", "cumulative_pct"],
-            [(label, repr(count), repr(pct)) for label, count, pct in buckets],
-        )
-        return svg, echo
+        return pareto_chart(plotted), ("bucket", "count", "cumulative_pct"), plotted
     if kind == "elbow":
-        points = [(int(row["k"]), float(row["wcss"])) for row in rows]
-        svg = elbow_chart(points)
-        echo = _csv_echo(["k", "wcss"], [(k, repr(w)) for k, w in points])
-        return svg, echo
+        plotted = [(int(row["k"]), float(row["wcss"])) for row in rows]
+        return elbow_chart(plotted), ("k", "wcss"), plotted
     if kind == "metrics":
-        named = [
-            (
-                row["classifier"],
-                {series: float(row[series]) for series in _METRIC_SERIES},
-            )
+        plotted = [
+            (row["classifier"],) + tuple(float(row[series]) for series in METRIC_SERIES)
             for row in rows
         ]
-        svg = metrics_chart(named)
-        echo = _csv_echo(
-            ["classifier"] + list(_METRIC_SERIES),
-            [
-                [name] + [repr(values[series]) for series in _METRIC_SERIES]
-                for name, values in named
-            ],
-        )
-        return svg, echo
+        return metrics_chart(plotted), ("classifier",) + METRIC_SERIES, plotted
     raise ChainlensError(
         f"unknown plot artifact kind {kind!r}; expected one of {PLOT_KINDS}"
     )

@@ -2,7 +2,8 @@
 
 Serves the documented paginated JSON shape with knobs for the failure
 modes the client must survive: throttling (429), transient server
-errors (500), bad credentials (401), and payload schema drift.
+errors (500), bad credentials (401), payload schema drift, and a page
+body of the wrong JSON shape.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ class MockHistoryServer:
         fail_500=0,
         drop_field=None,
         drop_envelope_field=None,
+        body=None,
     ):
         self.rows = list(rows)
         self.api_key = api_key
@@ -32,6 +34,7 @@ class MockHistoryServer:
         self.fail_500 = fail_500
         self.drop_field = drop_field
         self.drop_envelope_field = drop_envelope_field
+        self.body = body  # when set, the JSON text served for every page
         self.request_count = 0
         self._lock = threading.Lock()
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
@@ -61,7 +64,10 @@ class MockHistoryServer:
                 pass
 
             def _send(self, status, payload):
-                body = json.dumps(payload).encode()
+                self._send_text(status, json.dumps(payload))
+
+            def _send_text(self, status, text):
+                body = text.encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
@@ -85,6 +91,9 @@ class MockHistoryServer:
                     return
                 if self.headers.get("X-API-Key") != server_self.api_key:
                     self._send(401, {"error": "unauthorized"})
+                    return
+                if server_self.body is not None:
+                    self._send_text(200, server_self.body)
                     return
                 query = parse_qs(parsed.query)
                 page = int(query.get("page", ["1"])[0])

@@ -400,6 +400,8 @@ def oracle_rows_to_snapshots(rows, page):
     """One API page's rows, checked and parsed one at a time."""
     snapshots = []
     for row in rows:
+        if type(row) is not dict:
+            raise ApiError(f"page {page} row is not a JSON object: {row!r:.80}")
         for field in _ROW_FIELDS:
             if field not in row:
                 raise SchemaDriftError(field, f"page {page} row")

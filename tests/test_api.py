@@ -121,6 +121,54 @@ class TestSchemaDrift:
         assert excinfo.value.field == "total_pages"
 
 
+def page_body(data, total_pages=1):
+    return json.dumps({"data": data, "page": 1, "total_pages": total_pages})
+
+
+def with_price(value):
+    return [dict(ROWS[0], price=value)]
+
+
+class TestWrongJsonTypes:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("5", "page is not a JSON object: 5"),
+            ("null", "page is not a JSON object: None"),
+            ('["data", "page", "total_pages"]', "page is not a JSON object"),
+            (page_body(5), "page 1 data is not a JSON list: 5"),
+            (page_body({"price": 1.0}), "page 1 data is not a JSON list"),
+            (page_body(ROWS, total_pages=None), "page 1 total_pages is not an integer"),
+            (page_body([5]), "page 1 row is not a JSON object: 5"),
+            (page_body([None]), "page 1 row is not a JSON object: None"),
+            (page_body(ROWS[:1] + [3.5]), "page 1 row is not a JSON object: 3.5"),
+            (page_body(with_price([1.0])), r"non-numeric price: \[1.0\]"),
+            (page_body(with_price({"usd": 1.0})), "non-numeric price: {'usd': 1.0}"),
+            (page_body(with_price(10**400)), "price must be finite and >= 0: 1000"),
+            (page_body(with_price(-(10**400))), "price must be finite and >= 0: -1000"),
+        ],
+        ids=[
+            "page-number",
+            "page-null",
+            "page-list",
+            "data-number",
+            "data-object",
+            "total-pages-null",
+            "row-number",
+            "row-null",
+            "second-row-number",
+            "value-list",
+            "value-object",
+            "value-beyond-float",
+            "value-below-float",
+        ],
+    )
+    def test_maps_to_api_error(self, tmp_path, body, message):
+        with MockHistoryServer(ROWS, body=body) as server:
+            with pytest.raises(ApiError, match=message):
+                fetch_history(config_for(server, tmp_path))
+
+
 class TestCache:
     def test_rerun_is_offline(self, tmp_path):
         server = MockHistoryServer(ROWS, page_size=2)

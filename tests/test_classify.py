@@ -20,14 +20,16 @@ from chainlens.classify import (
     metrics_from_counts,
     predict,
     prepare_features,
-    save_metrics_csv,
     save_model,
     train_test_split,
 )
 from chainlens.classifiers import CLASSIFIER_KINDS, from_doc, to_doc
 from chainlens.cleaning import AggregateFeatures, ColumnStats
-from chainlens.dataset import CoinSnapshot, Dataset
+from chainlens.cli import run
+from chainlens.config import RunConfig
+from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
+from chainlens.synthetic import SyntheticSpec, generate_synthetic
 
 
 def d(text):
@@ -599,12 +601,19 @@ class TestModelPersistence:
 
 
 class TestMetricsCsv:
-    def test_header_and_rows(self, tmp_path):
+    def test_header_and_rows(self, tmp_path, monkeypatch):
+        # the classify stage's metrics.csv, with every score fixed to m
         m = evaluate(np.array([1, 0, 1]), np.array([1, 0, 0]))
-        path = tmp_path / "metrics.csv"
-        save_metrics_csv([("knn", m), ("linear_svm", m)], path)
-        lines = path.read_text().splitlines()
+        monkeypatch.setattr("chainlens.cli.evaluate", lambda predicted, truth: m)
+        save_csv(
+            generate_synthetic(
+                SyntheticSpec(n_coins=20, disappeared_fraction=0.4, horizon_days=200)
+            ),
+            tmp_path / "dataset.csv",
+        )
+        run("classify", RunConfig(out=str(tmp_path), classifier="knn", format="csv"))
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "classifier,precision,recall,f1,accuracy"
-        assert len(lines) == 3
+        assert len(lines) == 2
         # predicted [1,0,1] vs truth [1,0,0]: precision 1/2, recall 1/1
         assert lines[1] == "knn,0.5,1.0,0.6666666666666666,0.6666666666666666"

@@ -256,6 +256,17 @@ class TestUsageErrors:
     def test_plot_without_input_exits_2(self, tmp_path):
         assert run_stage("plot", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flag", ["--cutoff", "--start", "--end"])
+    @pytest.mark.parametrize(
+        "stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_date_off_the_calendar_exits_2(self, tmp_path, capsys, flag, stamp):
+        rc = run_stage("lifetimes", "--out", str(tmp_path), flag, stamp)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "invalid date" in err["message"]
+
 
 class TestRuntimeErrors:
     def test_stage_without_dataset_exits_1(self, tmp_path, capsys):
@@ -292,12 +303,14 @@ class TestRuntimeErrors:
         self, pipeline_dir, tmp_path, monkeypatch
     ):
         # force a crash after the per-classifier model files are written
-        import chainlens.cli as cli_module
+        write_csv = ArtifactWriter.write_csv
 
-        def boom(named, path):
-            raise ChainlensError("disk full")
+        def boom(self, relative, header, rows):
+            if relative == "metrics.csv":
+                raise ChainlensError("disk full")
+            write_csv(self, relative, header, rows)
 
-        monkeypatch.setattr(cli_module, "save_metrics_csv", boom)
+        monkeypatch.setattr(ArtifactWriter, "write_csv", boom)
         shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
         rc = run_stage("classify", "--out", str(tmp_path), "--seed", "7")
         assert rc == 1
@@ -453,6 +466,13 @@ class TestPlot:
         assert svg.lstrip().startswith("<svg")
         assert (tmp_path / f"{artifact}_plot.csv").exists()
 
+    @pytest.mark.parametrize("artifact", ["pareto", "elbow", "metrics"])
+    def test_replot_equals_stage_figure(self, pipeline_dir, tmp_path, artifact):
+        source = pipeline_dir / f"{artifact}.csv"
+        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 0
+        replot = (tmp_path / f"{artifact}.svg").read_bytes()
+        assert replot == (pipeline_dir / f"{artifact}.svg").read_bytes()
+
     def test_unknown_artifact_kind_exits_1(self, pipeline_dir, tmp_path, capsys):
         rc = run_stage(
             "plot",
@@ -483,6 +503,25 @@ class TestProgrammaticRun:
         writer.discard_written()
         assert not (tmp_path / "a.txt").exists()
         assert not list(tmp_path.iterdir())
+
+    def test_artifact_writer_csv_format_and_discard(self, tmp_path):
+        writer = ArtifactWriter(tmp_path)
+        writer.write_csv("a.csv", ("name", "value", "absent"), [("x", 0.1 + 0.2, None)])
+        writer.commit()
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == b"name,value,absent\r\nx,0.30000000000000004,\r\n"
+        assert text.decode().splitlines()[1].split(",")[1] == repr(0.1 + 0.2)
+
+        def rows():
+            yield ("y", 1 / 3, None)
+            raise ChainlensError("disk full")
+
+        writer = ArtifactWriter(tmp_path)
+        with pytest.raises(ChainlensError):
+            writer.write_csv("a.csv", ("name", "value", "absent"), rows())
+        writer.discard_written()
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == text
 
     def test_artifact_writer_commit_moves_files_into_place(self, tmp_path):
         writer = ArtifactWriter(tmp_path)

@@ -5,17 +5,17 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from chainlens.cli import run
 from chainlens.clustering import (
     CLUSTER_FEATURES,
     ClusterModel,
     cluster_report,
     elbow,
     kmeans_fit,
-    save_assignments_csv,
-    save_elbow_csv,
     wcss,
 )
-from chainlens.dataset import CoinSnapshot, Dataset
+from chainlens.config import RunConfig
+from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError
 
 
@@ -297,22 +297,25 @@ class TestClusterReport:
         assert report.model.k == report.elbow_curve.chosen_k
 
     def test_csv_exports(self, tmp_path):
+        # the cluster stage's assignments.csv and elbow.csv
         snaps = [full_snapshot(f"Coin{i}_C{i}", seed=i) for i in range(6)]
-        report = cluster_report(Dataset.build(snaps), day_one(), k=2, restarts=3)
-        apath = tmp_path / "assignments.csv"
-        save_assignments_csv(report, apath)
-        lines = apath.read_text(encoding="utf-8").splitlines()
+        ds = Dataset.build(snaps)
+        save_csv(ds, tmp_path / "dataset.csv")
+        run("cluster", RunConfig(out=str(tmp_path), k=2, format="csv"))
+        report = cluster_report(ds, day_one(), k=2)
+        lines = (tmp_path / "assignments.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "coin_key,cluster_id"
         assert len(lines) == 7
+        assert lines[1:] == [
+            f"{key},{cluster}" for key, cluster in report.assignments.items()
+        ]
 
-        curve = elbow(
-            np.random.default_rng(0).normal(size=(20, 2)), (1, 5), restarts=2
-        )
-        epath = tmp_path / "elbow.csv"
-        save_elbow_csv(curve, epath)
-        lines = epath.read_text(encoding="utf-8").splitlines()
+        run("cluster", RunConfig(out=str(tmp_path), format="csv"))
+        curve = cluster_report(ds, day_one()).elbow_curve
+        lines = (tmp_path / "elbow.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "k,wcss"
-        assert len(lines) == 6
+        assert len(lines) == 7
+        assert lines[1:] == [f"{k},{cost!r}" for k, cost in zip(curve.ks, curve.wcss)]
 
     def test_default_features_are_the_daily_eight(self):
         assert CLUSTER_FEATURES == (

@@ -18,10 +18,11 @@ from chainlens.correlation import (
     correlation_matrix,
     interpret,
     price_factor_report,
-    save_correlations_csv,
 )
 from chainlens.cleaning import FeatureTable
-from chainlens.dataset import CoinSnapshot, Dataset
+from chainlens.cli import run
+from chainlens.config import RunConfig
+from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, UndefinedCorrelationError
 
 
@@ -394,13 +395,20 @@ class TestPriceFactorReport:
         assert all(p.coefficient is None and p.n == 0 for p in volume_cells)
 
     def test_csv_export(self, tmp_path):
-        report = price_factor_report(inverse_price_dataset())
-        path = tmp_path / "corr.csv"
-        save_correlations_csv(report.pooled, path)
+        # the correlate stage's correlations.csv: pooled, aggregate, matrix
+        ds = inverse_price_dataset()
+        save_csv(ds, tmp_path / "dataset.csv")
+        run("correlate", RunConfig(out=str(tmp_path), format="csv"))
+        report = price_factor_report(ds)
+        pairs = list(report.pooled + report.aggregate) + report.matrix.pairs()
+        path = tmp_path / "correlations.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "var_a,var_b,method,coefficient,n,label"
-        assert len(lines) == 1 + len(report.pooled)
+        assert len(lines) == 1 + len(pairs)
         assert any(",spearman," in line and "very strong negative" in line for line in lines)
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            [p.var_a, p.var_b, p.method] for p in pairs
+        ]
 
     def test_as_dict_round_trips_through_json(self):
         import json
@@ -408,3 +416,6 @@ class TestPriceFactorReport:
         report = price_factor_report(inverse_price_dataset())
         blob = json.dumps(report.as_dict(), sort_keys=True)
         assert json.loads(blob)["matrix"]["variables"] == list(MATRIX_VARIABLES)
+        assert list(json.loads(blob)["pooled"][0]) == [
+            "coefficient", "label", "method", "n", "var_a", "var_b"
+        ]

@@ -50,6 +50,10 @@ class TestCoinKey:
         assert split_coin_key(coin_key("USD Coin", "USDC")) == ("USD Coin", "USDC")
 
 
+# offset timestamps whose UTC day falls before year 1 or after year 9999
+CALENDAR_EDGE_STAMPS = ("0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00")
+
+
 class TestParseDay:
     def test_plain_date(self):
         assert parse_day("2021-03-05") == dt.date(2021, 3, 5)
@@ -67,6 +71,11 @@ class TestParseDay:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_day("not-a-date")
+
+    @pytest.mark.parametrize("text", CALENDAR_EDGE_STAMPS)
+    def test_rejects_utc_day_off_the_calendar(self, text):
+        with pytest.raises(ValueError, match="invalid date"):
+            parse_day(text)
 
 
 class TestSnapshotValidation:
@@ -200,6 +209,13 @@ class TestCsv:
         with pytest.raises(MalformedRowError) as err:
             load_csv(path)
         assert "line 4" in str(err.value)
+
+    @pytest.mark.parametrize("text", CALENDAR_EDGE_STAMPS)
+    def test_date_off_the_calendar_names_line(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_TEXT.replace("2021-01-01", text, 1), encoding="utf-8")
+        with pytest.raises(MalformedRowError, match="line 2: invalid date"):
+            load_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

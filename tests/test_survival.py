@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.dataset import CoinSnapshot, Dataset
+from chainlens.cli import run
+from chainlens.config import RunConfig
+from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError
 from chainlens.survival import (
     LifetimeRecord,
     lifetimes,
     pareto,
-    save_pareto_csv,
     survival_summary,
 )
 
@@ -164,12 +165,18 @@ class TestPareto:
             pareto([record()], filter="both")
 
     def test_csv_shape(self, tmp_path):
-        data = pareto([record(life=10), record(key="B_B", life=100)])
-        path = tmp_path / "pareto.csv"
-        save_pareto_csv(data, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # the lifetimes stage's pareto.csv: lifetimes 10 and 100 disappeared
+        snaps = (
+            span_dataset("A_A", "2021-01-01", "2021-01-11")
+            + span_dataset("B_B", "2021-01-01", "2021-04-11")
+            + span_dataset("C_C", "2021-01-01", "2021-12-31")
+        )
+        save_csv(Dataset.build(snaps), tmp_path / "dataset.csv")
+        run("lifetimes", RunConfig(out=str(tmp_path), format="csv"))
+        lines = (tmp_path / "pareto.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "bucket_start,bucket_end,count,cumulative_pct"
         assert len(lines) == 3
+        assert lines[1:] == ["0,80,1,50.0", "80,160,1,100.0"]
 
 
 @settings(deadline=None, max_examples=100)

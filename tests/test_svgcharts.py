@@ -1,7 +1,5 @@
 """Structure checks on emitted SVG figures."""
 
-import csv
-import io
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -65,9 +63,10 @@ class TestElbowChart:
 
 
 class TestMetricsChart:
+    # (classifier, precision, recall, f1, accuracy)
     ROWS = [
-        ("knn", {"precision": 0.9, "recall": 0.8, "f1": 0.85, "accuracy": 0.95}),
-        ("gaussian_nb", {"precision": 0.5, "recall": 0.4, "f1": 0.44, "accuracy": 0.7}),
+        ("knn", 0.9, 0.8, 0.85, 0.95),
+        ("gaussian_nb", 0.5, 0.4, 0.44, 0.7),
     ]
 
     def test_four_bars_per_classifier(self):
@@ -87,18 +86,19 @@ class TestEmitPlotData:
             {"bucket_start": "0", "bucket_end": "79", "count": "39", "cumulative_pct": "52.0"},
             {"bucket_start": "80", "bucket_end": "159", "count": "36", "cumulative_pct": "100.0"},
         ]
-        svg, echo = emit_plot_data("pareto", rows)
+        svg, header, plotted = emit_plot_data("pareto", rows)
         parse(svg)
-        parsed = list(csv.DictReader(io.StringIO(echo)))
-        assert [r["bucket"] for r in parsed] == ["0-79", "80-159"]
-        assert [r["count"] for r in parsed] == ["39.0", "36.0"]
+        assert header == ("bucket", "count", "cumulative_pct")
+        # the lifetimes stage's label rule, so a re-render matches pareto.svg
+        assert [r[0] for r in plotted] == ["0-79d", "80-159d"]
+        assert [r[1] for r in plotted] == [39.0, 36.0]
 
     def test_elbow_round_trip(self):
         rows = [{"k": "1", "wcss": "50.0"}, {"k": "2", "wcss": "10.0"}]
-        svg, echo = emit_plot_data("elbow", rows)
+        svg, header, plotted = emit_plot_data("elbow", rows)
         parse(svg)
-        assert echo.splitlines()[0] == "k,wcss"
-        assert echo.splitlines()[1] == "1,50.0"
+        assert header == ("k", "wcss")
+        assert plotted[0] == (1, 50.0)
 
     def test_metrics_round_trip(self):
         rows = [
@@ -110,9 +110,10 @@ class TestEmitPlotData:
                 "accuracy": "0.75",
             }
         ]
-        svg, echo = emit_plot_data("metrics", rows)
+        svg, header, plotted = emit_plot_data("metrics", rows)
         parse(svg)
-        assert "knn,1.0,0.5,0.6666666666666666,0.75" in echo
+        assert header == ("classifier", "precision", "recall", "f1", "accuracy")
+        assert plotted == [("knn", 1.0, 0.5, 0.6666666666666666, 0.75)]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChainlensError):

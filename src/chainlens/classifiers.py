@@ -23,7 +23,8 @@ lists into the children with two ``np.compress`` calls. A forest grows
 its trees a few at a time, one level of all of them per pass. The
 per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
 a plain CART, so the trees are those that re-sort at every node would
-grow.
+grow. A tree's node ids are its level order; prediction walks any
+numbering in which a node's children come after it.
 
 The discriminative kinds (logistic regression, linear SVM, decision
 tree, random forest) refuse single-class training sets; Gaussian NB
@@ -279,8 +280,9 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     children are 2k and 2k + 1 of the next level): with
     ``max_features`` below the dimensionality, each level draws one
     subset per open node of tree t from ``rngs[t]``, in that order, so
-    a tree does not depend on the trees grown with it. Node ids follow
-    depth-first creation order (see ``_depth_first_ids``).
+    a tree does not depend on the trees grown with it. Node ids are
+    that level order: node 0 is the root, and the k-th split node of a
+    tree, counted level by level, has children 2k + 1 and 2k + 2.
     """
     d, n = data.XT.shape
     n_trees = weights.shape[0]
@@ -354,46 +356,15 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
         np.argsort(tree_of, kind="stable"),
         np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1],
     )
-    return [_depth_first_ids(feature[i], threshold[i], label[i]) for i in nodes]
-
-
-def _depth_first_ids(feature, threshold, label):
-    """Renumber a level-order tree into depth-first creation order.
-
-    In level order the k-th split node's children are 2k + 1 and
-    2k + 2. Depth-first creation gives a node's two children the next
-    two ids when the node is split, and visits right subtrees first.
-    """
-    internal = feature >= 0
-    left = np.full(feature.shape[0], -1, dtype=np.int64)
-    left[internal] = 1 + 2 * np.arange(int(internal.sum()))
-    children = left.tolist()
-    new_id = [0] * feature.shape[0]
-    next_id = 1
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        first = children[node]
-        if first >= 0:
-            new_id[first] = next_id
-            new_id[first + 1] = next_id + 1
-            next_id += 2
-            stack.append(first)
-            stack.append(first + 1)
-    new_id = np.array(new_id, dtype=np.int64)
-    tree = {
-        "feature": np.empty_like(feature),
-        "threshold": np.empty_like(threshold),
-        "left": np.full_like(left, -1),
-        "right": np.full_like(left, -1),
-        "label": np.empty_like(label),
-    }
-    tree["feature"][new_id] = feature
-    tree["threshold"][new_id] = threshold
-    tree["label"][new_id] = label
-    tree["left"][new_id[internal]] = new_id[left[internal]]
-    tree["right"][new_id[internal]] = new_id[left[internal] + 1]
-    return tree
+    trees = []
+    for i in nodes:
+        split = feature[i] >= 0
+        left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+        right = np.where(split, left + 1, -1)
+        trees.append(
+            dict(feature=feature[i], threshold=threshold[i], left=left, right=right, label=label[i])
+        )
+    return trees
 
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "label")

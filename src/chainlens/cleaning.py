@@ -79,9 +79,6 @@ class FeatureTable:
     def column(self, name: str) -> np.ndarray:
         return self._data[name]
 
-    def present_mask(self, name: str) -> np.ndarray:
-        return ~np.isnan(self._data[name])
-
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
         names = list(columns) if columns is not None else list(self._data)
         return np.column_stack([self._data[n] for n in names])

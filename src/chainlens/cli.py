@@ -89,6 +89,10 @@ REPORT_INPUTS = (
     "metrics.csv",
 )
 
+# Headers of the stage CSVs whose columns ``report`` reads by position.
+_ASSIGNMENTS_HEADER = ("coin_key", "cluster_id")
+_FLAGS_HEADER = ("coin_key", "flags")
+
 
 class ArtifactWriter:
     """Stages each file a stage writes as a temporary sibling of its
@@ -164,7 +168,7 @@ def _dataset_summary(ds) -> dict:
 def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
     settings = dict(GENERATE_DEFAULTS)
     settings.update(cfg.generate)
-    if isinstance(settings.get("start_day"), str):
+    if "start_day" in settings:
         settings["start_day"] = parse_day(settings["start_day"])
     spec = SyntheticSpec(seed=cfg.seed, **settings)
     ds = generate_synthetic(spec)
@@ -296,7 +300,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     report = cluster_report(ds, day, k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
-        ("coin_key", "cluster_id"),
+        _ASSIGNMENTS_HEADER,
         zip(report.keys, report.model.assignments.tolist()),
     )
     if report.elbow_curve is not None:
@@ -379,7 +383,7 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
         flags = sorted(manipulability_flags(snap, stats.get(snap.key)))
         counts.update(flags)
         rows.append((snap.key, " ".join(flags)))
-    writer.write_csv("flags.csv", ("coin_key", "flags"), rows)
+    writer.write_csv("flags.csv", _FLAGS_HEADER, rows)
     flagged = sum(1 for _, joined in rows if joined)
     if cfg.wants_json:
         writer.write_json(
@@ -414,12 +418,35 @@ def _kv_table(document: dict) -> str:
     )
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
+def _read_csv(path: Path, expected: tuple | None = None) -> tuple[list[str], list[list[str]]]:
+    """An artifact CSV's header and rows, blank lines skipped. Raises
+    ChainlensError naming the file unless it is UTF-8 CSV whose rows all
+    have the header's width, and whose header is ``expected`` if given."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ChainlensError(f"artifact {path} is not UTF-8 CSV: {exc}") from None
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    if expected is not None and tuple(header) != expected:
+        raise ChainlensError(f"artifact {path}: header {header}, expected {list(expected)}")
+    for number, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise ChainlensError(
+                f"artifact {path}: row {number} has {len(row)} cells,"
+                f" the header {len(header)}"
+            )
+    return header, body
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ChainlensError(f"artifact {path} is not JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ChainlensError(f"artifact {path} must hold a JSON object")
+    return document
 
 
 def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
@@ -436,15 +463,18 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
         path = out / name
         if not path.exists():
             return ""
-        return f"<figure>{path.read_text(encoding='utf-8')}</figure>"
+        try:
+            return f"<figure>{path.read_text(encoding='utf-8')}</figure>"
+        except UnicodeDecodeError as exc:
+            raise ChainlensError(f"artifact {path} is not UTF-8 text: {exc}") from None
 
-    survival = json.loads((out / "survival_summary.json").read_text("utf-8"))
-    cluster = json.loads((out / "cluster_summary.json").read_text("utf-8"))
+    survival = _read_json_object(out / "survival_summary.json")
+    cluster = _read_json_object(out / "cluster_summary.json")
     pareto_head, pareto_rows = _read_csv(out / "pareto.csv")
     corr_head, corr_rows = _read_csv(out / "correlations.csv")
     metrics_head, metrics_rows = _read_csv(out / "metrics.csv")
-    _, assign_rows = _read_csv(out / "assignments.csv")
-    cluster_sizes = Counter(row[1] for row in assign_rows if len(row) > 1)
+    _, assign_rows = _read_csv(out / "assignments.csv", _ASSIGNMENTS_HEADER)
+    cluster_sizes = Counter(row[1] for row in assign_rows)
 
     sections = [
         "<h2>Survival</h2>",
@@ -466,7 +496,7 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ]
     flags_path = out / "flags.csv"
     if flags_path.exists():
-        _, flag_rows = _read_csv(flags_path)
+        _, flag_rows = _read_csv(flags_path, _FLAGS_HEADER)
         flagged = [(key, joined) for key, joined in flag_rows if joined]
         sections.append("<h2>Manipulability flags</h2>")
         sections.append(
@@ -504,10 +534,14 @@ def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
     source = Path(cfg.input)
     if not source.exists():
         raise ChainlensError(f"no artifact at {source}")
-    with source.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    columns, cells = _read_csv(source)
     kind = source.stem
-    svg_text, header, plotted = emit_plot_data(kind, rows)
+    try:
+        svg_text, header, plotted = emit_plot_data(
+            kind, [dict(zip(columns, row)) for row in cells]
+        )
+    except ChainlensError as exc:
+        raise ChainlensError(f"{source}: {exc}") from None
     writer.write_text(f"{kind}.svg", svg_text)
     writer.write_csv(f"{kind}_plot.csv", header, plotted)
     return f"plot: {kind} -> {kind}.svg, {kind}_plot.csv"

@@ -16,7 +16,9 @@ import datetime as dt
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
+from .api import ApiClientConfig
 from .classifiers import CLASSIFIER_KINDS
 from .correlation import METHODS
 from .dataset import parse_day
@@ -40,6 +42,33 @@ class ConfigError(ChainlensError):
     """Invalid configuration file or flag value; a usage error."""
 
 
+# How a config value of each annotated type is spelled in JSON: the
+# Python types ``json.loads`` gives for it, and a name for messages.
+_JSON_SPELLING = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    Path: ((str,), "a string"),
+    dt.date: ((str,), "a date string"),
+    dict: ((dict,), "an object"),
+    type(None): ((type(None),), "null"),
+}
+
+
+def _check_types(values: dict, cls, where: str = "") -> None:
+    """Raise ConfigError unless each value is spelled as the JSON of
+    the type ``cls`` annotates its field with."""
+    hints = get_type_hints(cls)
+    for name, value in values.items():
+        spellings = [_JSON_SPELLING[t] for t in get_args(hints[name]) or (hints[name],)]
+        types = tuple(t for accepted, _ in spellings for t in accepted)
+        # bool subclasses int, but true is no JSON number
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            expected = " or ".join(dict.fromkeys(what for _, what in spellings))
+            raise ConfigError(f"{where}{name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input: str | None = None
@@ -57,6 +86,7 @@ class RunConfig:
     generate: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_types(vars(self), RunConfig)
         if self.method not in METHODS + ("all",):
             raise ConfigError(
                 f"method must be one of {METHODS + ('all',)}, got {self.method!r}"
@@ -68,22 +98,12 @@ class RunConfig:
             )
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
-        if self.k != "auto":
-            if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-                raise ConfigError(f"k must be 'auto' or a positive integer, got {self.k!r}")
-        for name in ("cutoff", "start", "end"):
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    parse_day(value)
-                except ValueError as exc:
-                    raise ConfigError(f"bad {name} date: {exc}") from exc
-        if not isinstance(self.api, dict) or not isinstance(self.generate, dict):
-            raise ConfigError("'api' and 'generate' must be JSON objects")
+        if self.k != "auto" and (isinstance(self.k, str) or self.k < 1):
+            raise ConfigError(f"k must be 'auto' or a positive integer, got {self.k!r}")
         if "api_key" in self.api:
             raise ConfigError(
                 "api_key does not belong in a config file; set CHAINLENS_API_KEY"
@@ -93,6 +113,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown 'api' settings {sorted(bad_api)}; allowed: {sorted(API_KEYS)}"
             )
+        _check_types(self.api, ApiClientConfig, "'api' setting ")
         if "seed" in self.generate:
             raise ConfigError("set the seed at the top level, not inside 'generate'")
         bad_gen = set(self.generate) - GENERATE_KEYS
@@ -101,6 +122,15 @@ class RunConfig:
                 f"unknown 'generate' settings {sorted(bad_gen)}; "
                 f"allowed: {sorted(GENERATE_KEYS)}"
             )
+        _check_types(self.generate, SyntheticSpec, "'generate' setting ")
+        days = {name: getattr(self, name) for name in ("cutoff", "start", "end")}
+        days["'generate' start_day"] = self.generate.get("start_day")
+        for name, value in days.items():
+            if value is not None:
+                try:
+                    parse_day(value)
+                except ValueError as exc:
+                    raise ConfigError(f"bad {name} date: {exc}") from exc
 
     @property
     def methods(self) -> tuple[str, ...]:

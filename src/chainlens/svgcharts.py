@@ -202,29 +202,39 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
 def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
     """Chart plus the plotted numbers for one artifact's parsed rows.
 
-    ``rows`` come straight from csv.DictReader over the artifact file.
-    Returns (svg_text, header, plotted_rows). Raises on an unknown
-    artifact kind.
+    ``rows`` map the artifact's header to each row's cells. Returns
+    (svg_text, header, plotted_rows). Raises ChainlensError on an
+    unknown artifact kind, a missing column or a cell that is not a
+    number (an integer for elbow's ``k``).
     """
-    if kind == "pareto":
-        plotted = [
-            (
-                pareto_label(row["bucket_start"], row["bucket_end"]),
-                float(row["count"]),
-                float(row["cumulative_pct"]),
-            )
-            for row in rows
-        ]
-        return pareto_chart(plotted), ("bucket", "count", "cumulative_pct"), plotted
-    if kind == "elbow":
-        plotted = [(int(row["k"]), float(row["wcss"])) for row in rows]
-        return elbow_chart(plotted), ("k", "wcss"), plotted
-    if kind == "metrics":
-        plotted = [
-            (row["classifier"],) + tuple(float(row[series]) for series in METRIC_SERIES)
-            for row in rows
-        ]
-        return metrics_chart(plotted), ("classifier",) + METRIC_SERIES, plotted
-    raise ChainlensError(
-        f"unknown plot artifact kind {kind!r}; expected one of {PLOT_KINDS}"
-    )
+    if kind not in PLOT_KINDS:
+        raise ChainlensError(
+            f"unknown plot artifact kind {kind!r}; expected one of {PLOT_KINDS}"
+        )
+    try:
+        if kind == "pareto":
+            plotted = [
+                (
+                    pareto_label(row["bucket_start"], row["bucket_end"]),
+                    float(row["count"]),
+                    float(row["cumulative_pct"]),
+                )
+                for row in rows
+            ]
+        elif kind == "elbow":
+            plotted = [(int(row["k"]), float(row["wcss"])) for row in rows]
+        else:
+            plotted = [
+                (row["classifier"],) + tuple(float(row[series]) for series in METRIC_SERIES)
+                for row in rows
+            ]
+    except KeyError as exc:
+        raise ChainlensError(f"{kind} artifact lacks the column {exc}") from None
+    except (TypeError, ValueError) as exc:  # a cell missing or not a number
+        raise ChainlensError(f"{kind} artifact has a bad cell: {exc}") from None
+    chart, header = {
+        "pareto": (pareto_chart, ("bucket", "count", "cumulative_pct")),
+        "elbow": (elbow_chart, ("k", "wcss")),
+        "metrics": (metrics_chart, ("classifier",) + METRIC_SERIES),
+    }[kind]
+    return chart(plotted), header, plotted

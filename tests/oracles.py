@@ -3,12 +3,14 @@
 ``oracle_build_tree`` is the original depth-first CART builder: it
 re-sorts every candidate feature at every node and numbers nodes in
 creation order (a node's two children get consecutive ids when it is
-split; the stack pops the right child first). ``oracle_level_tree`` is
-the first level-wise builder: a stable argsort of every feature per
-tree, float64 value comparisons for the cuts, two ``np.minimum.at``
-scatters for each level's winners and a cumsum + ``put_along_axis``
-partition of all feature lists; ``oracle_forest_trees`` grows a forest
-with it. ``oracle_knn_predict`` is the original full stable argsort of
+split; the stack pops the right child first), as model files of
+earlier versions hold them; ``level_order`` renumbers such a tree
+breadth-first. ``oracle_level_tree`` is the first level-wise builder:
+a stable argsort of every feature per tree, float64 value comparisons
+for the cuts, two ``np.minimum.at`` scatters for each level's winners
+and a cumsum + ``put_along_axis`` partition of all feature lists, with
+node ids in level order; ``oracle_forest_trees`` grows a forest with
+it. ``oracle_knn_predict`` is the original full stable argsort of
 each distance block.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlens.api import _ROW_FIELDS
-from chainlens.classifiers import _depth_first_ids, _forest_max_features
+from chainlens.classifiers import _forest_max_features
 from chainlens.dataset import (
     CSV_HEADER,
     EXTENDED_COLUMNS,
@@ -139,6 +141,23 @@ def oracle_build_tree(X, y, min_samples_split=2, max_depth=None):
     }
 
 
+def level_order(tree):
+    """``tree`` with its nodes renumbered by a breadth-first walk from
+    the root that visits a node's left child before its right one."""
+    order = [0]
+    for node in order:  # the walk appends as it goes
+        if tree["feature"][node] >= 0:
+            order += [int(tree["left"][node]), int(tree["right"][node])]
+    order = np.array(order, dtype=np.int64)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.shape[0])
+    out = {name: values[order] for name, values in tree.items()}
+    split = out["feature"] >= 0
+    for child in ("left", "right"):
+        out[child] = np.where(split, new_id[out[child]], -1)
+    return out
+
+
 def _level_best_splits(XT, R, node, counts, w, wy, tot, pos, allowed):
     """Best midpoint split of every frontier node, scored in one pass.
 
@@ -234,8 +253,8 @@ def oracle_level_tree(X, y, weights, min_samples_split, max_depth, max_features,
     the children at each split, so every level scores the whole frontier
     in one vectorized pass. With ``max_features`` below the
     dimensionality, each level draws one feature subset per open node
-    from ``rng``. Node ids follow depth-first creation order (see
-    ``_depth_first_ids``).
+    from ``rng``. Node ids follow level order: node 0 is the root, and
+    the k-th split node's children are 2k + 1 and 2k + 2.
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
@@ -282,7 +301,17 @@ def oracle_level_tree(X, y, weights, min_samples_split, max_depth, max_features,
         R, counts = _level_partition(R, counts, split, goes_left)
         depth += 1
     feature, threshold, label = (np.concatenate(a) for a in zip(*levels))
-    return _depth_first_ids(feature, threshold, label)
+    split = feature >= 0
+    left = np.full(feature.shape[0], -1, dtype=np.int64)
+    left[split] = 1 + 2 * np.arange(int(split.sum()))
+    right = np.where(split, left + 1, -1)
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": left,
+        "right": right,
+        "label": label,
+    }
 
 
 def oracle_forest_trees(X, y, hyperparameters, seed=0):

@@ -17,7 +17,7 @@ from chainlens.classifiers import (
     resolve_hyperparameters,
 )
 from chainlens.errors import ChainlensError
-from oracles import oracle_build_tree, oracle_forest_trees, oracle_knn_predict
+from oracles import level_order, oracle_build_tree, oracle_forest_trees, oracle_knn_predict
 
 
 def two_blobs(rng, n_per=60, separation=6.0, d=4):
@@ -173,7 +173,8 @@ def assert_same_tree(tree, expected):
 
 
 class TestCartAgainstOracle:
-    """The level-wise builder reproduces the depth-first one exactly."""
+    """The level-wise builder grows the depth-first one's trees exactly,
+    numbered in level order."""
 
     def test_decision_tree_arrays_match(self):
         rng = np.random.default_rng(21)
@@ -187,14 +188,16 @@ class TestCartAgainstOracle:
             model = fit_decision_tree(X, y, hp)
             assert_same_tree(
                 model.tree,
-                oracle_build_tree(X, y, hp["min_samples_split"], hp["max_depth"]),
+                level_order(
+                    oracle_build_tree(X, y, hp["min_samples_split"], hp["max_depth"])
+                ),
             )
 
     def test_continuous_features_match(self):
         rng = np.random.default_rng(22)
         X, y = two_blobs(rng, n_per=150, separation=1.0, d=3)
         model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
-        assert_same_tree(model.tree, oracle_build_tree(X, y))
+        assert_same_tree(model.tree, level_order(oracle_build_tree(X, y)))
 
     def test_weighted_build_matches_duplicated_rows(self):
         rng = np.random.default_rng(23)
@@ -205,7 +208,9 @@ class TestCartAgainstOracle:
             min_split = int(rng.integers(2, 6))
             (tree,) = _build_trees(_presort(X), y, weights[None], min_split, None, None, None)
             rows = np.repeat(np.arange(X.shape[0]), weights)
-            assert_same_tree(tree, oracle_build_tree(X[rows], y[rows], min_split))
+            assert_same_tree(
+                tree, level_order(oracle_build_tree(X[rows], y[rows], min_split))
+            )
 
 
 def continuous_blobs(rng):

@@ -1,5 +1,6 @@
 """Labeling, splitting, training, evaluation, and flag heuristics."""
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -23,13 +24,20 @@ from chainlens.classify import (
     save_model,
     train_test_split,
 )
-from chainlens.classifiers import CLASSIFIER_KINDS, from_doc, to_doc
+from chainlens.classifiers import (
+    CLASSIFIER_KINDS,
+    DecisionTreeModel,
+    RandomForestModel,
+    from_doc,
+    to_doc,
+)
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.cli import run
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
+from oracles import oracle_build_tree
 
 
 def d(text):
@@ -493,6 +501,42 @@ class TestModelPersistence:
         loaded = load_model(path)
         probe = np.random.default_rng(11).normal(2.5, 3.0, size=(40, 3))
         assert np.array_equal(predict(loaded, probe), predict(trained, probe))
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    def test_depth_first_file_of_earlier_versions_loads(self, kind, tmp_path):
+        # earlier versions saved tree nodes in depth-first creation order
+        table = make_table(n=60, seed=12, separation=1.0)
+        overrides = {"n_trees": 4, "max_features": "all"} if kind == "random_forest" else None
+        trained = fit(ClassifierSpec.make(kind, overrides), table, seed=3)
+        X, y, n = trained.normalizer.transform(table.X), table.y, table.n_rows
+
+        def trees_of(model):
+            return tuple(getattr(model, "trees", None) or (model.tree,))
+
+        fitted = trees_of(trained.model)
+        for tree in fitted:
+            split = tree["feature"] >= 0
+            assert np.array_equal(tree["left"][split], 1 + 2 * np.arange(split.sum()))
+        if kind == "decision_tree":
+            depth_first = [oracle_build_tree(X, y)]
+            model = DecisionTreeModel(depth_first[0], 3, trained.model.hyperparameters)
+        else:
+            depth_first = []
+            for t in range(4):
+                rng = np.random.default_rng([3, t])
+                rows = np.repeat(np.arange(n), np.bincount(rng.integers(0, n, size=n), minlength=n))
+                depth_first.append(oracle_build_tree(X[rows], y[rows]))
+            model = RandomForestModel(tuple(depth_first), 3, trained.model.hyperparameters)
+        assert any(
+            not np.array_equal(old["left"], new["left"]) for old, new in zip(depth_first, fitted)
+        )
+        path = tmp_path / "model.json"
+        save_model(dataclasses.replace(trained, model=model), path)
+        loaded = load_model(path)
+        assert_same_value(trees_of(loaded.model), tuple(depth_first))
+        probe = np.random.default_rng(13).normal(0.5, 2.0, size=(200, 3))
+        assert np.array_equal(predict(loaded, probe), predict(trained, probe))
+        assert np.array_equal(predict(loaded, table.X), predict(trained, table.X))
 
     def test_unsupported_version_rejected(self, tmp_path):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))

@@ -267,6 +267,33 @@ class TestUsageErrors:
         assert err["error"] == "ConfigError"
         assert "invalid date" in err["message"]
 
+    @pytest.mark.parametrize(
+        "stage, config, name",
+        [
+            ("lifetimes", {"split": "0.8"}, "split"),
+            ("classify", {"cutoff": 5}, "cutoff"),
+            ("correlate", {"start": 5}, "start"),
+            ("cluster", {"end": 5}, "end"),
+            ("generate", {"generate": {"n_coins": "ten"}}, "n_coins"),
+            ("generate", {"generate": {"start_day": "2021-13-01"}}, "start_day"),
+            ("generate", {"generate": {"start_day": 20210101}}, "start_day"),
+            ("ingest", {"api": {"base_url": "http://x", "rate_limit": "fast"}}, "rate_limit"),
+            ("ingest", {"api": {"base_url": 5}}, "base_url"),
+            ("lifetimes", {"out": 5}, "out"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(
+        self, tmp_path, capsys, monkeypatch, stage, config, name
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # no --out: the default is relative
+        assert run_stage(stage, "--config", str(path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestRuntimeErrors:
     def test_stage_without_dataset_exits_1(self, tmp_path, capsys):
@@ -368,6 +395,28 @@ class TestRuntimeErrors:
         assert not (tmp_path / "report.html").exists()
         # and nothing got regenerated behind the user's back
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("survival_summary.json", b"{not json"),
+            ("cluster_summary.json", b"[1, 2]"),
+            ("metrics.csv", b"\xff\xfe"),
+            ("flags.csv", b"coin_key,flags\r\nAAA_alpha\r\n"),
+            ("pareto.svg", b"\xff\xfe"),
+        ],
+    )
+    def test_report_on_malformed_artifact_exits_1(
+        self, pipeline_dir, tmp_path, capsys, name, content
+    ):
+        for source in pipeline_dir.iterdir():
+            if source.is_file():
+                shutil.copy(source, tmp_path / source.name)
+        (tmp_path / name).write_bytes(content)
+        before = snapshot_tree(tmp_path)
+        assert run_stage("report", "--out", str(tmp_path)) == 1
+        assert name in json.loads(capsys.readouterr().err)["message"]
+        assert snapshot_tree(tmp_path) == before
 
 
 class TestIngest:
@@ -484,6 +533,25 @@ class TestPlot:
         assert rc == 1
         assert "correlations" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "correlations.svg").exists()
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("pareto.csv", b"bucket_end,count,cumulative_pct\r\n80,3,30.0\r\n", "bucket_start"),
+            ("elbow.csv", b"k,wcss\r\nx,1.5\r\n", "'x'"),
+            ("elbow.csv", b"k,wcss\r\n2\r\n", "row 1 has 1 cells"),
+            ("metrics.csv", b"\xff\xfe", "not UTF-8"),
+        ],
+    )
+    def test_malformed_artifact_exits_1(self, tmp_path, capsys, name, content, message):
+        source = tmp_path / name
+        source.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_stage("plot", "--input", str(source), "--out", str(out)) == 1
+        error = json.loads(capsys.readouterr().err)["message"]
+        assert str(source) in error
+        assert message in error
+        assert not out.exists()
 
 
 class TestProgrammaticRun:

@@ -24,8 +24,6 @@ from itertools import repeat
 from pathlib import Path
 from urllib.parse import urlencode
 
-import requests
-
 from .dataset import (
     EXTENDED_COLUMNS,
     NUMERIC_COLUMNS,
@@ -123,6 +121,8 @@ def _request_page(
     config: ApiClientConfig,
     throttle: _Throttle,
 ) -> str:
+    import requests  # imported on use: the stages that never fetch skip it
+
     last_status = None
     for attempt in range(1, config.max_attempts + 1):
         if attempt > 1:
@@ -221,6 +221,8 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
             base_params["start"] = start.isoformat()
         if end is not None:
             base_params["end"] = end.isoformat()
+
+    import requests
 
     throttle = _Throttle(config.rate_limit)
     parser = ColumnParser()

@@ -20,7 +20,11 @@ of nonzero bootstrap weight from it. Each feature's row list stays
 grouped by frontier node and sorted within it, so a level finds every
 node's cuts where the rank changes along its lists, and splits the
 lists into the children with two ``np.compress`` calls. A forest grows
-its trees a few at a time, one level of all of them per pass. The
+its trees in batches of a few, one level of a whole batch per pass, and
+grows a few batches at once on threads, one per CPU the process may run
+on up to a cap on the cells in flight: numpy releases the GIL in the
+builder's kernels, and a batch draws only from its own trees'
+generators, so the trees do not depend on the number of threads. The
 per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
 a plain CART, so the trees are those that re-sort at every node would
 grow. A tree's node ids are its level order; prediction walks any
@@ -33,8 +37,11 @@ and KNN degenerate gracefully to constant / majority behavior.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, fields
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
@@ -184,11 +191,22 @@ def _presort(X: np.ndarray) -> _Presorted:
 _LOW = 0xFFFFFFFF
 
 # Trees grown together by one call of ``_build_trees``: as many as fit
-# in this many cells (trees x rows x features), at least one. Two trees
-# a call on the README demo's 13,515 x 7 matrix fit the forest ~12%
-# faster than one, at the same peak memory; five were no faster on a
-# 2-core Xeon and kept ~7 MB more resident.
-_BATCH_CELLS = 1 << 18
+# in this many cells (trees x rows x features), at least one. On the
+# README demo's 13,515 x 7 matrix that is five trees a call. On two
+# threads of a 2-core Xeon that fit the forest ~35% faster than one
+# thread at two trees a call; two a call gained only ~10% from the
+# second thread, as more of their time is GIL-held Python between numpy
+# calls, and eight a call were no faster than five.
+_BATCH_CELLS = 1 << 19
+
+# Cells a forest grows at once over all its threads, at least one
+# batch: this caps the threads, as each batch's per-level arrays scale
+# with its cells. It is two demo batches: with one thread per batch and
+# no cap, the demo fit's peak RSS rose ~15 MB a thread (100 MB on two,
+# 191 on eight, 355 on twenty, the thread count set by hand on a 2-core
+# Xeon), while splitting the cells among more threads would leave each
+# smaller, more GIL-bound batches.
+_CELLS_IN_FLIGHT = 1 << 20
 
 
 def _best_splits(data, R, counts, tree_of, packed, tot, pos, allowed):
@@ -479,8 +497,9 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
     data = _presort(X)
     n = X.shape[0]
     batch = max(1, _BATCH_CELLS // X.size)
-    trees = []
-    for first in range(0, hp["n_trees"], batch):
+    workers = max(1, min(_usable_cpus(), _CELLS_IN_FLIGHT // (batch * X.size)))
+
+    def grow(first):
         rngs = [
             np.random.default_rng([seed, t])
             for t in range(first, min(first + batch, hp["n_trees"]))
@@ -491,7 +510,7 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
             )
         else:
             weights = np.ones((len(rngs), n), dtype=np.int64)
-        trees += _build_trees(
+        return _build_trees(
             data,
             y,
             weights,
@@ -500,9 +519,22 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
             max_features=max_features,
             rngs=rngs,
         )
+
+    with ThreadPoolExecutor(workers) as pool:
+        batches = list(pool.map(grow, range(0, hp["n_trees"], batch)))  # in order
     return RandomForestModel(
-        trees=tuple(trees), n_features=X.shape[1], hyperparameters=dict(hp)
+        trees=tuple(tree for trees in batches for tree in trees),
+        n_features=X.shape[1],
+        hyperparameters=dict(hp),
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,13 +612,14 @@ class KNNModel:
         # chunked to bound the n_test x n_train distance block
         chunk = max(1, int(2_000_000 // max(1, self.train_X.shape[0])))
         positive = self.train_y == 1
+        train_sq = (self.train_X * self.train_X).sum(axis=1)
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk]
-            d2 = (
-                (block * block).sum(axis=1)[:, None]
-                - 2.0 * block @ self.train_X.T
-                + (self.train_X * self.train_X).sum(axis=1)[None, :]
-            )
+            # |a|^2 - 2 a.b + |b|^2, in place in one distance block
+            d2 = block @ self.train_X.T
+            d2 *= 2.0
+            np.subtract((block * block).sum(axis=1)[:, None], d2, out=d2)
+            d2 += train_sq[None, :]
             # the k nearest: all strictly inside the k-th distance, then
             # the earliest training indices among those tied at it
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
@@ -653,30 +686,45 @@ def fit_classifier(kind: str, X, y, hyperparameters: dict | None = None, seed: i
     return KINDS[kind].fit(X, y, hp, seed)
 
 
-def to_doc(obj) -> dict:
-    """The JSON document of a model or normalizer: every field but
-    ``hyperparameters`` under its own name, arrays as (nested) lists,
-    a tuple of tree dicts as a list."""
-    return {
-        f.name: _to_json(getattr(obj, f.name))
-        for f in fields(obj)
-        if f.name != "hyperparameters"
-    }
+def write_doc(value, write: Callable[[str], object]) -> None:
+    """Pass ``write`` the compact, key-sorted JSON of ``value``, a piece
+    at a time.
 
-
-def _to_json(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    A model or normalizer is an object of its fields but
+    ``hyperparameters``; objects and tuples (a forest's trees) go
+    member by member, and only the other values, an array as a (nested)
+    list or a number, are turned into JSON whole, so a forest is never
+    held as one list of trees or one string. The text is that of
+    ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` for the
+    same document built whole.
+    """
+    if is_dataclass(value):
+        value = {
+            f.name: getattr(value, f.name)
+            for f in fields(value)
+            if f.name != "hyperparameters"
+        }
     if isinstance(value, dict):
-        return {name: _to_json(v) for name, v in value.items()}
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
+        write("{")
+        for i, name in enumerate(sorted(value)):
+            write(("," if i else "") + json.dumps(name) + ":")
+            write_doc(value[name], write)
+        write("}")
+    elif isinstance(value, tuple):
+        write("[")
+        for i, item in enumerate(value):
+            write("," if i else "")
+            write_doc(item, write)
+        write("]")
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        write(json.dumps(value, separators=(",", ":"), sort_keys=True))
 
 
 def from_doc(cls, doc, **given):
-    """Rebuild ``cls`` from a ``to_doc`` document holding exactly its
-    fields but the ``given`` ones.
+    """Rebuild ``cls`` from a decoded ``write_doc`` document holding
+    exactly its fields but the ``given`` ones.
 
     Each value must fit its field's type: an array field takes a
     rectangular list of numbers of the field's ``ndim`` (metadata,

@@ -33,7 +33,7 @@ from .classifiers import (
     fit_classifier,
     from_doc,
     resolve_hyperparameters,
-    to_doc,
+    write_doc,
 )
 from .cleaning import (
     AggregateFeatures,
@@ -414,12 +414,13 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         "hyperparameters": trained.spec.hyperparameters,
         "feature_names": list(trained.feature_names),
         "seed": trained.seed,
-        "normalizer": to_doc(trained.normalizer),
-        "parameters": to_doc(trained.model),
+        "normalizer": trained.normalizer,
+        "parameters": trained.model,
     }
-    # compact separators: a forest file holds millions of numbers
-    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    Path(path).write_text(text, encoding="utf-8")
+    # compact, and written a tree at a time: a forest file holds
+    # millions of numbers
+    with open(path, "w", encoding="utf-8") as handle:
+        write_doc(doc, handle.write)
 
 
 _MODEL_KEYS = ("kind", "hyperparameters", "feature_names", "normalizer", "parameters")

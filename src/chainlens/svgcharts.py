@@ -13,7 +13,9 @@ exactly the numbers that were plotted, as a header and rows.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from .errors import ChainlensError
 
@@ -100,7 +102,7 @@ def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
         parts.append(
             f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
             f'text-anchor="middle" font-size="9" transform="rotate(30 '
-            f'{_fmt(x_of(i) + slot / 2)} {_HEIGHT - _MARGIN_BOTTOM + 16})">{label}</text>'
+            f'{_fmt(x_of(i) + slot / 2)} {_HEIGHT - _MARGIN_BOTTOM + 16})">{escape(label)}</text>'
         )
     points = " ".join(
         f"{_fmt(x_of(i) + slot / 2)},{_fmt(y_of(pct / 100.0))}"
@@ -180,7 +182,7 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
             )
         parts.append(
             f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
-            f'text-anchor="middle" font-size="10">{name}</text>'
+            f'text-anchor="middle" font-size="10">{escape(name)}</text>'
         )
     for j, series in enumerate(METRIC_SERIES):
         lx = _MARGIN_LEFT + 10 + j * 110
@@ -205,7 +207,7 @@ def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
     ``rows`` map the artifact's header to each row's cells. Returns
     (svg_text, header, plotted_rows). Raises ChainlensError on an
     unknown artifact kind, a missing column or a cell that is not a
-    number (an integer for elbow's ``k``).
+    finite number (an integer for elbow's ``k``).
     """
     if kind not in PLOT_KINDS:
         raise ChainlensError(
@@ -232,6 +234,10 @@ def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
         raise ChainlensError(f"{kind} artifact lacks the column {exc}") from None
     except (TypeError, ValueError) as exc:  # a cell missing or not a number
         raise ChainlensError(f"{kind} artifact has a bad cell: {exc}") from None
+    for row in plotted:
+        for value in row:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ChainlensError(f"{kind} artifact has a non-finite cell: {value}")
     chart, header = {
         "pareto": (pareto_chart, ("bucket", "count", "cumulative_pct")),
         "elbow": (elbow_chart, ("k", "wcss")),

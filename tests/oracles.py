@@ -11,7 +11,8 @@ for the cuts, two ``np.minimum.at`` scatters for each level's winners
 and a cumsum + ``put_along_axis`` partition of all feature lists, with
 node ids in level order; ``oracle_forest_trees`` grows a forest with
 it. ``oracle_knn_predict`` is the original full stable argsort of
-each distance block.
+each distance block. ``oracle_save_model`` is the one-shot model
+writer: the whole document built by ``to_doc``, then one ``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
@@ -21,13 +22,16 @@ and circulating > total rows found by walking the sorted rows, and one
 """
 
 import csv
+import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from chainlens.api import _ROW_FIELDS
 from chainlens.classifiers import _forest_max_features
+from chainlens.classify import MODEL_FORMAT_VERSION
 from chainlens.dataset import (
     CSV_HEADER,
     EXTENDED_COLUMNS,
@@ -473,3 +477,40 @@ def oracle_save_csv(snapshots, path):
             row = [name, symbol, snap.date.isoformat()]
             row += [_format_cell(getattr(snap, c)) for c in columns]
             writer.writerow(row)
+
+
+def to_doc(obj) -> dict:
+    """The whole JSON document of a model or normalizer: every field
+    but ``hyperparameters`` under its own name, arrays as (nested)
+    lists, a tuple of tree dicts as a list."""
+    return {
+        f.name: _to_json(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.name != "hyperparameters"
+    }
+
+
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {name: _to_json(v) for name, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def oracle_save_model(trained, path):
+    """The model file as one compact, sorted ``json.dumps`` of the
+    whole document."""
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "kind": trained.spec.kind,
+        "hyperparameters": trained.spec.hyperparameters,
+        "feature_names": list(trained.feature_names),
+        "seed": trained.seed,
+        "normalizer": to_doc(trained.normalizer),
+        "parameters": to_doc(trained.model),
+    }
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    Path(path).write_text(text, encoding="utf-8")

@@ -2,10 +2,14 @@
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chainlens
 from chainlens.api import ApiClientConfig, fetch_history
 from chainlens.dataset import load_csv
 from chainlens.errors import (
@@ -213,3 +217,18 @@ class TestConfigValidation:
     def test_empty_base_url(self):
         with pytest.raises(ApiError):
             ApiClientConfig(base_url="  ")
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # only a fetch needs requests; every other stage starts without it
+    src = str(Path(chainlens.__file__).resolve().parents[1])
+    probe = "import sys, chainlens.cli; print('requests' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

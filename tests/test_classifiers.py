@@ -1,5 +1,7 @@
 """Algorithm-level checks for the six classifiers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from chainlens.classifiers import (
     fit_random_forest,
     logistic_loss_and_gradient,
     resolve_hyperparameters,
+    write_doc,
 )
 from chainlens.errors import ChainlensError
 from oracles import level_order, oracle_build_tree, oracle_forest_trees, oracle_knn_predict
@@ -256,6 +259,86 @@ class TestForestAgainstOracle:
                 assert_same_tree(tree, oracle_tree)
 
 
+def forest_text(forest):
+    pieces = []
+    write_doc(forest, pieces.append)
+    return "".join(pieces)
+
+
+class TestForestThreads:
+    """Batches grown on any number of threads give the same forest."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_same_forest_for_any_worker_count(self, monkeypatch, bootstrap):
+        rng = np.random.default_rng(33)
+        X, y = two_blobs(rng, n_per=80, separation=1.0, d=4)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
+        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 6 * X.size)  # 3 batches
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=9, bootstrap=bootstrap)
+        forests = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(classifiers, "_usable_cpus", lambda: workers)
+            forests.append(fit_random_forest(X, y, hp, seed=11))
+        one = forests[0]
+        assert len(one.trees) == 9
+        for other in forests[1:]:
+            assert len(other.trees) == len(one.trees)
+            for tree, want in zip(other.trees, one.trees):
+                assert_same_tree(tree, want)
+            assert forest_text(other) == forest_text(one)
+
+    @pytest.mark.parametrize("cpus, most", [(1, 1), (2, 2), (8, 3), (20, 3)])
+    def test_cells_in_flight_cap_the_threads(self, monkeypatch, cpus, most):
+        X, y = two_blobs(np.random.default_rng(35), n_per=30, d=3)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
+        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 7 * X.size)  # 3 batches
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: cpus)
+        build, lock = classifiers._build_trees, threading.Lock()
+        running, peak = [0], [0]
+        overlap = threading.Barrier(most, timeout=10)  # 6 batches: waves of `most`
+
+        def counting_build(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            overlap.wait()  # each wave's batches wait until `most` run
+            try:
+                return build(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(classifiers, "_build_trees", counting_build)
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=12)
+        forest = fit_random_forest(X, y, hp, seed=0)
+        assert len(forest.trees) == 12
+        assert peak[0] == most
+
+    def test_batch_error_surfaces_and_threads_end(self, monkeypatch):
+        X, y = two_blobs(np.random.default_rng(34), n_per=30, d=3)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", X.size)  # 1 tree a batch
+        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 3 * X.size)
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 3)
+        build, calls, lock = classifiers._build_trees, [], threading.Lock()
+        error = ChainlensError("batch 2 failed")
+
+        def failing_build(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                n_calls = len(calls)
+            if n_calls == 2:
+                raise error
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "_build_trees", failing_build)
+        before = threading.active_count()
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
+        with pytest.raises(ChainlensError) as raised:
+            fit_random_forest(X, y, hp, seed=0)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+
 class TestRandomForest:
     def test_degenerates_to_single_tree(self):
         rng = np.random.default_rng(6)
@@ -386,6 +469,26 @@ class TestKNNAgainstOracle:
             y = rng.integers(0, 2, size=n)
             probe = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d))
             probe = probe.astype(np.float64)
+            model = fit_knn(X, y, {"k": k})
+            assert np.array_equal(
+                model.predict(probe), oracle_knn_predict(X, y, k, probe)
+            )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_duplicated_rows_match_full_sort(self, k, offset):
+        # each training row repeated in shuffled order: continuous values
+        # whose distances tie exactly, probed also at the rows themselves.
+        # Far from the origin |a|^2 - 2 a.b + |b|^2 keeps few digits, so
+        # only the same float operations give the oracle's neighbours.
+        rng = np.random.default_rng(40 + k)
+        for _ in range(30):
+            d = int(rng.integers(1, 5))
+            base = offset + rng.normal(size=(int(rng.integers(1, 12)), d))
+            copies = rng.integers(1, 6, size=base.shape[0])
+            X = base[rng.permutation(np.repeat(np.arange(base.shape[0]), copies))]
+            y = rng.integers(0, 2, size=X.shape[0])
+            probe = np.vstack([offset + rng.normal(size=(20, d)), base])
             model = fit_knn(X, y, {"k": k})
             assert np.array_equal(
                 model.predict(probe), oracle_knn_predict(X, y, k, probe)

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from chainlens.classifiers import (
     DecisionTreeModel,
     RandomForestModel,
     from_doc,
-    to_doc,
 )
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.cli import run
@@ -37,7 +37,9 @@ from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
-from oracles import oracle_build_tree
+from oracles import oracle_build_tree, oracle_save_model, to_doc
+
+MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models"
 
 
 def d(text):
@@ -483,6 +485,24 @@ class TestModelPersistence:
         again = tmp_path / f"{kind}.again.json"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+    def test_streamed_file_equals_one_shot_dump(self, kind, tmp_path):
+        table = make_table(n=60, seed=13, separation=1.0)
+        overrides = {"n_trees": 7} if kind == "random_forest" else None
+        trained = fit(ClassifierSpec.make(kind, overrides), table, seed=2)
+        save_model(trained, tmp_path / "streamed.json")
+        oracle_save_model(trained, tmp_path / "one_shot.json")
+        streamed = (tmp_path / "streamed.json").read_bytes()
+        assert streamed == (tmp_path / "one_shot.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+    def test_file_of_the_one_shot_writer_saves_again_unchanged(self, kind, tmp_path):
+        # tests/fixtures/models holds files the one-shot writer wrote
+        source = MODEL_FIXTURES / f"{kind}.json"
+        path = tmp_path / f"{kind}.json"
+        save_model(load_model(source), path)
+        assert path.read_bytes() == source.read_bytes()
 
     def test_file_is_compact_canonical_json(self, tmp_path):
         trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))

@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 import subprocess
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,38 @@ class TestPlot:
         assert str(source) in error
         assert message in error
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize(
+        "name, template",
+        [
+            ("pareto.csv", "bucket_start,bucket_end,count,cumulative_pct\r\n0,80,{},100.0\r\n"),
+            ("pareto.csv", "bucket_start,bucket_end,count,cumulative_pct\r\n0,80,3,{}\r\n"),
+            ("elbow.csv", "k,wcss\r\n1,{}\r\n2,1.5\r\n"),
+            ("metrics.csv", "classifier,precision,recall,f1,accuracy\r\nknn,0.5,{},0.5,0.5\r\n"),
+        ],
+    )
+    def test_non_finite_cell_exits_1(self, tmp_path, capsys, name, template, value):
+        source = tmp_path / name
+        source.write_text(template.format(value))
+        out = tmp_path / "out"
+        assert run_stage("plot", "--input", str(source), "--out", str(out)) == 1
+        error = json.loads(capsys.readouterr().err)["message"]
+        assert str(source) in error
+        assert "non-finite" in error
+        assert not out.exists()
+
+    def test_markup_in_a_label_is_escaped(self, tmp_path):
+        source = tmp_path / "metrics.csv"
+        source.write_text(
+            "classifier,precision,recall,f1,accuracy\r\na<b&c,0.5,0.5,0.5,0.5\r\n"
+        )
+        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 0
+        svg = xml.dom.minidom.parse(str(tmp_path / "metrics.svg"))
+        labels = [
+            node.firstChild.data for node in svg.getElementsByTagName("text")
+        ]
+        assert "a<b&c" in labels
 
 
 class TestProgrammaticRun:

@@ -122,3 +122,34 @@ class TestEmitPlotData:
     def test_deterministic_output(self):
         rows = [{"k": "1", "wcss": "50.0"}, {"k": "2", "wcss": "10.0"}]
         assert emit_plot_data("elbow", rows) == emit_plot_data("elbow", rows)
+
+    @pytest.mark.parametrize(
+        "kind, row, label",
+        [
+            (
+                "pareto",
+                {"bucket_start": "<0", "bucket_end": "&1", "count": "3", "cumulative_pct": "100"},
+                "<0-&1d",
+            ),
+            (
+                "metrics",
+                {"classifier": "a<b&c", "precision": "1", "recall": "1", "f1": "1", "accuracy": "1"},
+                "a<b&c",
+            ),
+        ],
+    )
+    def test_markup_in_labels_is_escaped(self, kind, row, label):
+        svg, _, _ = emit_plot_data(kind, [row])
+        assert label in [node.text for node in tags(parse(svg), "text")]
+
+    @pytest.mark.parametrize(
+        "kind, row",
+        [
+            ("pareto", {"bucket_start": "0", "bucket_end": "1", "count": "nan", "cumulative_pct": "100"}),
+            ("elbow", {"k": "1", "wcss": "inf"}),
+            ("metrics", {"classifier": "knn", "precision": "1", "recall": "1", "f1": "-inf", "accuracy": "1"}),
+        ],
+    )
+    def test_non_finite_cell_rejected(self, kind, row):
+        with pytest.raises(ChainlensError, match="non-finite"):
+            emit_plot_data(kind, [row])

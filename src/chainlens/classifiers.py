@@ -609,8 +609,8 @@ class KNNModel:
         X = _validate_matrix(X, self.train_X.shape[1])
         k = min(self.hyperparameters["k"], self.train_X.shape[0])
         out = np.empty(X.shape[0], dtype=np.int64)
-        # chunked to bound the n_test x n_train distance block
-        chunk = max(1, int(2_000_000 // max(1, self.train_X.shape[0])))
+        # chunked to bound the n_test x n_train distance block to 2 MB
+        chunk = max(1, (1 << 18) // max(1, self.train_X.shape[0]))
         positive = self.train_y == 1
         train_sq = (self.train_X * self.train_X).sum(axis=1)
         for start in range(0, X.shape[0], chunk):

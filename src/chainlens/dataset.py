@@ -448,34 +448,51 @@ def _column_values(cells: Sequence) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class Chunk:
+    """One parsed chunk of rows: its distinct raw ``(name, symbol)``
+    pairs, and per row the position of its pair in ``pairs``, its day
+    ordinal and one float64 array per value column (NaN where absent)."""
+
+    pairs: tuple[tuple[str, str], ...]
+    codes: np.ndarray
+    days: np.ndarray
+    columns: Mapping[str, np.ndarray]
+
+
 class ColumnParser:
     """Validated columns from chunks of raw cells (CSV text or JSON values).
 
     Coin keys and days are parsed once per distinct raw value across
-    all chunks; :meth:`dataset` joins the chunks.
+    all chunks; :meth:`dataset` joins the appended chunks.
     """
 
     def __init__(self):
-        self._pairs: dict[tuple[str, str], int] = {}
-        self._pair_keys: list[str | None] = []  # coin key per pair, None if bad
+        self._keys: dict[tuple[str, str], str | None] = {}  # None if bad
         self._days: dict[str, int] = {}  # raw date -> ordinal, -1 if bad
-        self._chunks: list[tuple[np.ndarray, np.ndarray, dict]] = []
+        self._codes: dict[str, int] = {}  # coin key -> code in the dataset
+        self._chunks: list[tuple[np.ndarray, np.ndarray, Mapping]] = []
 
-    def add(self, names, symbols, dates, cells: Mapping[str, Sequence]) -> int | None:
-        """Parse one chunk; return the position of its first bad row, if any."""
-        n = len(dates)
-        pairs = self._pairs
-        raw_pairs = list(zip(map(str, names), map(str, symbols)))
-        for pair in dict.fromkeys(raw_pairs):
-            if pair in pairs:
-                continue
-            pairs[pair] = len(self._pair_keys)
+    def _key_of(self, pair: tuple[str, str]) -> str | None:
+        """The coin key of a raw ``(name, symbol)`` pair, None if it has none."""
+        keys = self._keys
+        if pair not in keys:
             try:
-                self._pair_keys.append(coin_key(*pair))
+                keys[pair] = coin_key(*pair)
             except ValueError:
-                self._pair_keys.append(None)
-        codes = np.fromiter(map(pairs.__getitem__, raw_pairs), np.int64, n)
-        bad = np.array([key is None for key in self._pair_keys], dtype=bool)[codes]
+                keys[pair] = None
+        return keys[pair]
+
+    def parse(
+        self, names, symbols, dates, cells: Mapping[str, Sequence]
+    ) -> tuple[Chunk, int | None]:
+        """Parse one chunk of raw cells without appending it; return the
+        :class:`Chunk` and the position of its first bad row, if any."""
+        n = len(dates)
+        raw_pairs = list(zip(map(str, names), map(str, symbols)))
+        local = {pair: i for i, pair in enumerate(dict.fromkeys(raw_pairs))}
+        codes = np.fromiter(map(local.__getitem__, raw_pairs), np.int64, n)
+        bad = np.array([self._key_of(pair) is None for pair in local], dtype=bool)[codes]
 
         texts = list(map(str, dates))
         day_of = self._days
@@ -491,22 +508,34 @@ class ColumnParser:
         for name, raw in cells.items():
             values[name] = _column_values(raw)
             bad |= values[name] == _INVALID
-        self._chunks.append((codes, days, values))
         first = np.flatnonzero(bad)
-        return int(first[0]) if first.size else None
+        return Chunk(tuple(local), codes, days, values), (
+            int(first[0]) if first.size else None
+        )
 
-    def dataset(self) -> Dataset:
-        table: dict[str, int] = {}
+    def append(self, chunk: Chunk) -> None:
+        """Add a parsed chunk's rows to the panel."""
+        codes = self._codes
         remap = np.array(
-            [table.setdefault(key, len(table)) for key in self._pair_keys],
+            [codes.setdefault(self._key_of(pair), len(codes)) for pair in chunk.pairs],
             dtype=np.int64,
         )
+        self._chunks.append((remap[chunk.codes], chunk.days, chunk.columns))
+
+    def add(self, names, symbols, dates, cells: Mapping[str, Sequence]) -> int | None:
+        """Parse one chunk and append it; return the position of its first
+        bad row, if any."""
+        chunk, bad = self.parse(names, symbols, dates, cells)
+        self.append(chunk)
+        return bad
+
+    def dataset(self) -> Dataset:
         if not self._chunks:
             return Dataset([], np.zeros(0, np.int64), np.zeros(0, np.int64), {})
         names = self._chunks[0][2].keys()
         return Dataset(
-            list(table),
-            remap[np.concatenate([codes for codes, _, _ in self._chunks])],
+            list(self._codes),
+            np.concatenate([codes for codes, _, _ in self._chunks]),
             np.concatenate([days for _, days, _ in self._chunks]),
             {
                 name: np.concatenate([values[name] for _, _, values in self._chunks])

@@ -14,8 +14,8 @@ exactly the numbers that were plotted, as a header and rows.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ChainlensError
 
@@ -102,7 +102,8 @@ def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
         parts.append(
             f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
             f'text-anchor="middle" font-size="9" transform="rotate(30 '
-            f'{_fmt(x_of(i) + slot / 2)} {_HEIGHT - _MARGIN_BOTTOM + 16})">{escape(label)}</text>'
+            f'{_fmt(x_of(i) + slot / 2)} {_HEIGHT - _MARGIN_BOTTOM + 16})">'
+            f"{escape(label, quote=False)}</text>"
         )
     points = " ".join(
         f"{_fmt(x_of(i) + slot / 2)},{_fmt(y_of(pct / 100.0))}"
@@ -182,7 +183,7 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
             )
         parts.append(
             f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
-            f'text-anchor="middle" font-size="10">{escape(name)}</text>'
+            f'text-anchor="middle" font-size="10">{escape(name, quote=False)}</text>'
         )
     for j, series in enumerate(METRIC_SERIES):
         lx = _MARGIN_LEFT + 10 + j * 110

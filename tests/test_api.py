@@ -1,5 +1,6 @@
 """History API client against the in-process mock server."""
 
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -7,10 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chainlens
-from chainlens.api import ApiClientConfig, fetch_history
+from chainlens.api import (
+    PAGE_SUFFIX,
+    ApiClientConfig,
+    _read_page,
+    _write_page,
+    fetch_history,
+)
+from chainlens.cli import main
 from chainlens.dataset import load_csv
 from chainlens.errors import (
     ApiError,
@@ -195,7 +204,182 @@ class TestCache:
         monkeypatch.setenv("CHAINLENS_CACHE_DIR", str(tmp_path / "envcache"))
         with MockHistoryServer(ROWS) as server:
             fetch_history(config_for(server, cache_dir=None))
-        assert list((tmp_path / "envcache").glob("*.json"))
+        assert list((tmp_path / "envcache").glob("*.page"))
+
+
+EXTENDED_ROWS = [
+    dict(row, total_value_locked=10.0 * i, whales_percentage=None if i % 3 else 0.25)
+    for i, row in enumerate(ROWS)
+]
+
+
+def page_files(cache_dir):
+    return sorted(cache_dir.glob(f"*{PAGE_SUFFIX}"))
+
+
+def edit_bytes(edit):
+    """A damage that rewrites a page file's bytes."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def edit_chunk(edit):
+    """A damage that saves a page again with some fields of its chunk
+    replaced, through the page writer."""
+
+    def damage(path):
+        total_pages, chunk = _read_page(path)
+        _write_page(path, total_pages, dataclasses.replace(chunk, **edit(chunk)))
+
+    return damage
+
+
+# each written to the first page file of ROWS at two rows a page
+DAMAGES = {
+    "truncated": edit_bytes(lambda data: data[:-5]),
+    "truncated-in-header": edit_bytes(lambda data: data[:40]),
+    "empty": edit_bytes(lambda data: b""),
+    "trailing-bytes": edit_bytes(lambda data: data + b"\0"),
+    "bad-header": edit_bytes(lambda data: b"not json" + data),
+    "unknown-format": edit_bytes(lambda data: data.replace(b'"format": 1', b'"format": 2')),
+    "header-length-disagrees": edit_bytes(
+        lambda data: data.replace(b'"rows": 2', b'"rows": 3')
+    ),
+    "row-count-beyond-file": edit_bytes(
+        lambda data: data.replace(b'"rows": 2', b'"rows": 2000000000000').replace(
+            b"(2,), }" + b" " * 12, b"(2000000000000,), }", 1
+        )
+    ),
+    "integer-column": edit_bytes(
+        lambda data: data.replace(b"'descr': '<f8'", b"'descr': '<i8'", 1)
+    ),
+    "column-missing": edit_chunk(
+        lambda chunk: {"columns": {n: v for n, v in chunk.columns.items() if n != "price"}}
+    ),
+    "code-out-of-range": edit_chunk(lambda chunk: {"codes": np.array([0, 5], np.int32)}),
+    "negative-code": edit_chunk(lambda chunk: {"codes": np.array([0, -1], np.int32)}),
+    "pair-without-rows": edit_chunk(
+        lambda chunk: {"pairs": chunk.pairs + (("Extra", "EXT"),)}
+    ),
+    "pair-without-coin-key": edit_chunk(
+        lambda chunk: {"pairs": (("Bit_coin", "BTC"),) + chunk.pairs[1:]}
+    ),
+    "day-off-calendar": edit_chunk(lambda chunk: {"days": np.array([0, 1], np.int32)}),
+    "negative-value": edit_chunk(
+        lambda chunk: {"columns": dict(chunk.columns, price=np.array([1.0, -2.0]))}
+    ),
+    "infinite-value": edit_chunk(
+        lambda chunk: {"columns": dict(chunk.columns, price=np.array([1.0, np.inf]))}
+    ),
+}
+
+
+class TestPageCache:
+    @pytest.mark.parametrize("rows", [ROWS, EXTENDED_ROWS], ids=["standard", "extended"])
+    def test_warm_fetch_equals_cold(self, tmp_path, rows):
+        with MockHistoryServer(rows, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            cold = fetch_history(config)
+            served = server.request_count
+            warm = fetch_history(config)
+            assert server.request_count == served
+        assert served == len(page_files(tmp_path)) == 3
+        assert warm == cold
+        assert warm.has_extended_columns() == (rows is EXTENDED_ROWS)
+        assert np.isnan(warm.column("price")).any()  # Aeon's null price
+
+    def test_warm_ingest_writes_identical_dataset_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHAINLENS_API_KEY", "test-key")
+        with MockHistoryServer(EXTENDED_ROWS, page_size=2) as server:
+            api = {"base_url": server.base_url, "cache_dir": str(tmp_path / "cache")}
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"api": api}), encoding="utf-8")
+            for out in ("cold", "warm"):
+                argv = ["ingest", "--config", str(config), "--out", str(tmp_path / out)]
+                assert main(argv) == 0
+            assert server.request_count == 3
+        cold = (tmp_path / "cold" / "dataset.csv").read_bytes()
+        assert (tmp_path / "warm" / "dataset.csv").read_bytes() == cold
+
+    def test_warm_fetch_sends_nothing_and_leaves_requests_unloaded(self, tmp_path):
+        src = str(Path(chainlens.__file__).resolve().parents[1])
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            cold = fetch_history(config_for(server, tmp_path))
+            served = server.request_count
+            probe = (
+                "import sys\n"
+                "from chainlens.api import ApiClientConfig, fetch_history\n"
+                f"ds = fetch_history(ApiClientConfig(base_url={server.base_url!r},"
+                f" api_key='test-key', cache_dir={str(tmp_path)!r}))\n"
+                "print(len(ds), 'requests' in sys.modules)"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert server.request_count == served
+        assert proc.stdout.split() == [str(len(cold)), "False"]
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES.keys())
+    def test_damaged_page_file_is_a_miss(self, tmp_path, damage):
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            cold = fetch_history(config)
+            path = page_files(tmp_path)[0]
+            intact = path.read_bytes()
+            damage(path)
+            assert _read_page(path) is None
+            served = server.request_count
+            assert fetch_history(config) == cold
+            assert server.request_count == served + 1
+        assert path.read_bytes() == intact
+        assert len(page_files(tmp_path)) == len(list(tmp_path.iterdir())) == 3
+
+    def test_cut_off_body_does_not_poison_the_cache(self, tmp_path):
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            server.body = '{"data": [{"name": "Bitc'
+            with pytest.raises(ApiError, match="invalid JSON"):
+                fetch_history(config)
+            assert list(tmp_path.iterdir()) == []
+            server.body = None
+            served = server.request_count
+            ds = fetch_history(config)
+            assert server.request_count == served + 3
+        assert ds == load_csv(FIXTURES / "api_equivalent.csv")
+
+    def test_page_failing_a_row_check_leaves_no_file(self, tmp_path):
+        rows = [ROWS[0], dict(ROWS[1], price=-1.0)]
+        with MockHistoryServer(rows, page_size=1) as server:
+            with pytest.raises(ApiError, match="price must be finite and >= 0"):
+                fetch_history(config_for(server, tmp_path))
+        # the first page passed and is kept; the second left nothing behind
+        assert list(tmp_path.iterdir()) == page_files(tmp_path)
+        assert len(page_files(tmp_path)) == 1
+
+    def test_failed_write_does_not_fail_the_fetch(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("chainlens.api.os.replace", refuse)
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            ds = fetch_history(config_for(server, tmp_path))
+        assert ds == load_csv(FIXTURES / "api_equivalent.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_old_json_bodies_are_not_read(self, tmp_path):
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            cold = fetch_history(config)
+            for path in page_files(tmp_path):
+                path.with_suffix(".json").write_text("{", encoding="utf-8")
+                path.unlink()
+            served = server.request_count
+            assert fetch_history(config) == cold
+            assert server.request_count == served + 3
 
 
 class TestConfigValidation:
@@ -220,9 +404,11 @@ class TestConfigValidation:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # only a fetch needs requests; every other stage starts without it
+    # only a fetch needs requests, or any HTTP or XML module; every other
+    # stage starts without them
     src = str(Path(chainlens.__file__).resolve().parents[1])
-    probe = "import sys, chainlens.cli; print('requests' in sys.modules)"
+    modules = ("requests", "urllib.request", "http.client", "xml.sax")
+    probe = f"import sys, chainlens.cli; print([m in sys.modules for m in {modules!r}])"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -231,4 +417,4 @@ def test_cli_import_leaves_requests_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == str([False] * len(modules))

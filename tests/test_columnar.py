@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 import chainlens.dataset as dataset_module
-from chainlens.api import _add_page
+from chainlens.api import _parse_rows
 from chainlens.dataset import CoinSnapshot, ColumnParser, Dataset, load_csv, save_csv
 from chainlens.errors import DataQualityWarning
 from oracles import (
@@ -90,7 +90,7 @@ def check_csv(tmp_path, text, schema=None):
 def columnar_pages(pages):
     parser = ColumnParser()
     for page, rows in enumerate(pages, start=1):
-        _add_page(parser, rows, page)
+        parser.append(_parse_rows(parser, rows, page))
     return parser.dataset()
 
 

@@ -37,8 +37,8 @@ from urllib.parse import urlencode
 import numpy as np
 
 from .dataset import (
-    EXTENDED_COLUMNS,
-    NUMERIC_COLUMNS,
+    CSV_HEADER,
+    VALUE_COLUMNS,
     Chunk,
     ColumnParser,
     Dataset,
@@ -56,9 +56,7 @@ HISTORY_PATH = "/v1/history"
 API_KEY_ENV = "CHAINLENS_API_KEY"
 CACHE_DIR_ENV = "CHAINLENS_CACHE_DIR"
 
-_ROW_FIELDS = ("name", "symbol", "date") + NUMERIC_COLUMNS
-_REQUIRED = frozenset(_ROW_FIELDS)
-_VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
+_REQUIRED = frozenset(CSV_HEADER)
 _ENVELOPE_FIELDS = ("data", "page", "total_pages")
 
 PAGE_SUFFIX = ".page"
@@ -174,7 +172,7 @@ def _load_page(handle, size: int) -> tuple[int, Chunk]:
     pairs = tuple(map(tuple, pairs))
     for pair in pairs:
         coin_key(*pair)  # raises ValueError for a pair with no coin key
-    if columns != list(_VALUE_COLUMNS):
+    if columns != list(VALUE_COLUMNS):
         raise ValueError("not the value columns")
     # bounds what the arrays can ask to read by what the file holds
     if rows * (2 * _CODE_TYPE.itemsize + len(columns) * _VALUE_TYPE.itemsize) > size:
@@ -275,7 +273,7 @@ def _check_row(row, page: int) -> None:
     """Raise the error the row-by-row parser gives for one flagged row."""
     if type(row) is not dict:
         raise ApiError(f"page {page} row is not a JSON object: {row!r:.80}")
-    for field in _ROW_FIELDS:
+    for field in CSV_HEADER:
         if field not in row:
             raise SchemaDriftError(field, f"page {page} row")
     try:
@@ -300,7 +298,7 @@ def _parse_rows(parser: ColumnParser, rows, page: int) -> Chunk:
     head = rows[:complete]
     cells = {
         column: list(map(dict.get, head, repeat(column)))
-        for column in ("name", "symbol", "date") + _VALUE_COLUMNS
+        for column in ("name", "symbol", "date") + VALUE_COLUMNS
     }
     chunk, bad = parser.parse(
         cells.pop("name"), cells.pop("symbol"), cells.pop("date"), cells

@@ -10,8 +10,9 @@ each coin entirely on one side.
 Feature preparation: ``prepare_features`` is the one path from a
 dataset to the seven columns {price, max_supply, total_supply,
 circulating_supply, volume_24h, market_cap, ptsc} that both the clean
-stage (``features.csv``) and ``label_risky`` use. It tabulates the six
-market columns per snapshot row, derives ptsc, then imputes (max-supply
+stage (``features.csv``) and ``label_risky`` use. It tabulates them per
+snapshot row, asking for ptsc by name like the other six (the ratio is
+derived in ``cleaning.feature_values``), then imputes (max-supply
 thousandfold rule first, then column means) and reports the missing
 cells at each step. Mean/std normalization statistics are computed
 from the training split only and merely applied to the test split.
@@ -78,15 +79,11 @@ def prepare_features(
     supply is present but whose total supply is absent or zero get an
     absent ptsc (later mean-filled), with one data-quality warning.
     """
-    base = row_feature_table(
-        dataset,
-        columns=tuple(c for c in CLASSIFY_FEATURES if c != "ptsc"),
-        date_range=date_range,
-    )
-    if base.n_rows == 0:
+    table = row_feature_table(dataset, CLASSIFY_FEATURES, date_range)
+    if table.n_rows == 0:
         raise ChainlensError("no rows in the requested date range")
-    circulating = base.column("circulating_supply")
-    total = base.column("total_supply")
+    circulating = table.column("circulating_supply")
+    total = table.column("total_supply")
     bad_total = int(np.sum(~(total > 0) & ~np.isnan(circulating)))
     if bad_total:
         warnings.warn(
@@ -95,7 +92,6 @@ def prepare_features(
             DataQualityWarning,
             stacklevel=2,
         )
-    table = base.with_columns(ptsc=derive_ptsc(circulating, total))
     before = _missing_counts(table)
     table = impute_max_supply(table)
     after_rule = _missing_counts(table)
@@ -384,15 +380,12 @@ def manipulability_flags(
     flags = set()
     if snapshot.max_supply is None:
         flags.add("unlimited_issuance")
-    if (
-        snapshot.circulating_supply is None
-        or snapshot.total_supply is None
-        or snapshot.total_supply <= 0
-    ):
+    # NaN when either supply is absent or the total is not positive
+    ptsc = float(derive_ptsc(snapshot.circulating_supply, snapshot.total_supply))
+    if np.isnan(ptsc):
         flags.add("insufficient_data_circulation")
-    else:
-        if snapshot.circulating_supply / snapshot.total_supply < ptsc_threshold:
-            flags.add("low_circulation")
+    elif ptsc < ptsc_threshold:
+        flags.add("low_circulation")
     volume = series_stats.volume_24h if series_stats is not None else None
     if (
         volume is None

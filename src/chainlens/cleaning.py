@@ -12,18 +12,19 @@ Conventions used throughout this module (and everywhere downstream):
   column mean.
 * Correlation analysis never sees imputed values; it deletes absent
   entries pairwise instead (see the correlation module).
+* ``ptsc`` (circulating over total supply) is read by name like a
+  panel column; :func:`feature_values` derives it for every stage.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import (
-    EXTENDED_COLUMNS,
     NUMERIC_COLUMNS,
     Dataset,
     day_filter,
@@ -128,6 +129,18 @@ def derive_ptsc(circulating_supply, total_supply) -> np.ndarray:
         return np.where(tot > 0, circ / tot, np.nan)
 
 
+def feature_values(dataset: Dataset, name: str, rows) -> np.ndarray:
+    """One feature over the given rows: a panel column, or ``ptsc``
+    derived from the two supply columns. Raises KeyError for any other
+    name."""
+    if name == "ptsc":
+        return derive_ptsc(
+            dataset.column("circulating_supply")[rows],
+            dataset.column("total_supply")[rows],
+        )
+    return dataset.column(name)[rows]
+
+
 def impute_mean(table: FeatureTable, columns: Sequence[str]) -> FeatureTable:
     """Replace absent cells with the pre-imputation column mean.
 
@@ -230,6 +243,9 @@ class AggregateFeatures:
     ptsc: ColumnStats
 
 
+_AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateFeatures))[1:]
+
+
 def _column_stats(values: np.ndarray) -> ColumnStats:
     present = values[~np.isnan(values)]
     n = present.shape[0]
@@ -253,15 +269,11 @@ def aggregate_stats(
     for index, key in enumerate(dataset.keys):
         rows = slice(offsets[index], offsets[index + 1])
         keep = in_range[rows]
-        grab = lambda col: dataset.column(col)[rows][keep]
         out[key] = AggregateFeatures(
-            key=key,
-            price=_column_stats(grab("price")),
-            max_supply=_column_stats(grab("max_supply")),
-            total_supply=_column_stats(grab("total_supply")),
-            volume_24h=_column_stats(grab("volume_24h")),
-            ptsc=_column_stats(
-                derive_ptsc(grab("circulating_supply"), grab("total_supply"))
+            key,
+            *(
+                _column_stats(feature_values(dataset, name, rows)[keep])
+                for name in _AGGREGATE_COLUMNS
             ),
         )
     return out
@@ -274,18 +286,15 @@ def row_feature_table(
 ) -> FeatureTable:
     """One table row per snapshot, row ids ``key@YYYY-MM-DD``.
 
+    ``columns`` are panel columns or ``ptsc`` (:func:`feature_values`).
     ``date_range`` keeps the rows inside an inclusive (start, end)
     pair, as in :func:`aggregate_stats`.
     """
     names = tuple(columns) if columns is not None else NUMERIC_COLUMNS
-    valid = set(NUMERIC_COLUMNS) | set(EXTENDED_COLUMNS)
-    unknown = [n for n in names if n not in valid]
-    if unknown:
-        raise KeyError(f"unknown column(s) {unknown}")
     rows = np.flatnonzero(day_filter(date_range)(dataset.days))
+    data = {name: feature_values(dataset, name, rows) for name in names}
     ids = [
         f"{key}@{day}"
         for key, day in zip(dataset.row_keys(rows), isoformat_days(dataset.days[rows]))
     ]
-    data = {name: dataset.column(name)[rows] for name in names}
     return FeatureTable.from_columns(ids, data)

@@ -141,12 +141,16 @@ class ArtifactWriter:
 
 
 def _load_dataset(cfg: RunConfig):
+    """The panel a stage reads: ``--input``, else ``dataset.csv`` in ``--out``."""
     source = Path(cfg.input) if cfg.input else Path(cfg.out) / "dataset.csv"
     if not source.exists():
-        raise ChainlensError(
-            f"no dataset at {source}; pass --input or run generate/ingest first"
-        )
-    return _require_rows(load_csv(source), source)
+        hint = "" if cfg.input else "; pass --input or run generate/ingest first"
+        raise ChainlensError(f"no dataset at {source}{hint}")
+    try:
+        ds = load_csv(source)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
+    return _require_rows(ds, source)
 
 
 def _require_rows(ds, source):
@@ -186,17 +190,16 @@ def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
     if cfg.input:
-        ds = load_csv(cfg.input)
+        ds = _load_dataset(cfg)
         origin = cfg.input
     elif cfg.api.get("base_url"):
         client = ApiClientConfig(date_range=cfg.date_range, **cfg.api)
-        ds = fetch_history(client)
         origin = client.base_url
+        ds = _require_rows(fetch_history(client), origin)
     else:
         raise ConfigError(
             "ingest needs --input FILE or an 'api' config block with base_url"
         )
-    _require_rows(ds, origin)
     save_csv(ds, writer.path("dataset.csv"))
     if cfg.wants_json:
         writer.write_json("dataset_summary.json", _dataset_summary(ds))
@@ -567,6 +570,8 @@ def run(command: str, config: RunConfig) -> str:
     The stage's artifacts replace earlier ones only when it succeeds.
     On failure (ChainlensError or a subclass, or an interrupt) its
     temporary files are removed and earlier artifacts stay untouched.
+    A file the stage cannot read or write (an OSError) is a
+    ChainlensError.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -575,8 +580,10 @@ def run(command: str, config: RunConfig) -> str:
     try:
         summary = handler(config, writer)
         writer.commit()
-    except BaseException:
+    except BaseException as exc:
         writer.discard_written()
+        if isinstance(exc, OSError):
+            raise ChainlensError(str(exc)) from exc
         raise
     return summary
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cleaning import derive_ptsc, max_normalize
+from .cleaning import feature_values, max_normalize
 from .dataset import Dataset
 from .errors import ChainlensError
 
@@ -253,14 +253,8 @@ def _daily_feature_matrix(
     rows = dataset.rows_on(date)
     if not rows.size:
         raise ChainlensError(f"no snapshots on {date.isoformat()}")
-    column = lambda name: dataset.column(name)[rows]
     matrix = np.column_stack(
-        [
-            derive_ptsc(column("circulating_supply"), column("total_supply"))
-            if name == "ptsc"
-            else column(name)
-            for name in feature_columns
-        ]
+        [feature_values(dataset, name, rows) for name in feature_columns]
     )
     complete = ~np.isnan(matrix).any(axis=1)
     keys = dataset.row_keys(rows)

@@ -179,6 +179,8 @@ def load_config_file(path: str | Path) -> dict:
         values = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(values) - _FIELD_NAMES)

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cleaning import FeatureTable, aggregate_stats, derive_ptsc, row_feature_table
-from .dataset import Dataset
+from .cleaning import FeatureTable, aggregate_stats, row_feature_table
+from .dataset import NUMERIC_COLUMNS, Dataset
 from .errors import ChainlensError, UndefinedCorrelationError
 from .kernels import count_inversions
 
@@ -323,12 +323,7 @@ def price_factor_report(
     dataset: Dataset,
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> PriceFactorReport:
-    table = row_feature_table(dataset, date_range=date_range)
-    table = table.with_columns(
-        ptsc=derive_ptsc(
-            table.column("circulating_supply"), table.column("total_supply")
-        )
-    )
+    table = row_feature_table(dataset, NUMERIC_COLUMNS + ("ptsc",), date_range)
     pooled = tuple(
         _pair("price", factor, method, table.column("price"), table.column(factor))
         for method in METHODS

@@ -21,7 +21,9 @@ A :class:`Dataset` holds its rows as columns sorted by (coin key, day):
 and validate whole columns at once: numbers with vectorized finite and
 ``>= 0`` masks, keys and days once per distinct raw value. The
 row-by-row parser (:func:`snapshot_from_mapping`) runs only on the
-first bad row, to raise its exact error and line number.
+first bad row, to raise its exact error and line number. A number cell
+the vectorized pass cannot take and every cell of the row-by-row parser
+go through one rule, ``_cell``.
 
 :class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
 takes snapshots, and ``series``, ``snapshot_at`` and ``snapshots``
@@ -74,8 +76,8 @@ EXTENDED_COLUMNS = (
 
 CSV_HEADER = ("name", "symbol", "date") + NUMERIC_COLUMNS
 
-_VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
-_SNAPSHOT_FIELDS = ("key", "date") + _VALUE_COLUMNS
+VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
+_SNAPSHOT_FIELDS = ("key", "date") + VALUE_COLUMNS
 # a parsed cell that failed validation; absent cells are NaN
 _INVALID = -math.inf
 # rows parsed or formatted per pass, which bounds the memory held by cell text
@@ -179,7 +181,7 @@ class Dataset:
             name: np.asarray(columns[name], dtype=np.float64)
             if name in columns
             else np.full(n, np.nan)
-            for name in _VALUE_COLUMNS
+            for name in VALUE_COLUMNS
         }
         same_key = codes[1:] == codes[:-1]
         if np.any((codes[1:] < codes[:-1]) | (same_key & (days[1:] < days[:-1]))):
@@ -226,7 +228,7 @@ class Dataset:
         days = [s.date.toordinal() for s in rows]
         columns = {
             name: np.array([getattr(s, name) for s in rows], dtype=np.float64)
-            for name in _VALUE_COLUMNS
+            for name in VALUE_COLUMNS
         }
         return cls(list(table), np.array(codes, dtype=np.int64), days, columns)
 
@@ -243,7 +245,7 @@ class Dataset:
             and np.array_equal(self.days, other.days)
             and all(
                 np.array_equal(self._columns[n], other._columns[n], equal_nan=True)
-                for n in _VALUE_COLUMNS
+                for n in VALUE_COLUMNS
             )
         )
 
@@ -268,7 +270,7 @@ class Dataset:
         day_list = self.days[rows].tolist()
         dates = {d: dt.date.fromordinal(d) for d in set(day_list)}
         cells = []
-        for name in _VALUE_COLUMNS:
+        for name in VALUE_COLUMNS:
             column = self._columns[name][rows]
             boxed = column.astype(object)
             boxed[np.isnan(column)] = None
@@ -320,7 +322,7 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         """One numeric column over all rows (read-only), NaN where absent."""
-        if name not in _VALUE_COLUMNS:
+        if name not in VALUE_COLUMNS:
             raise KeyError(f"unknown column {name!r}")
         return self._columns[name]
 
@@ -367,16 +369,26 @@ def parse_day(text: str) -> dt.date:
     return stamp.date()
 
 
-def _parse_cell(column: str, text: str) -> float | None:
-    text = text.strip()
-    if text == "":
+def _cell(column: str, raw) -> float | None:
+    """One raw cell (CSV text or a JSON value) as a number, None when absent.
+
+    Text is stripped first; None and blank text are absent. Raises
+    ValueError for a cell that is not a number or not finite and >= 0.
+    """
+    if isinstance(raw, str):
+        raw = raw.strip()
+        if not raw:
+            return None
+    if raw is None:
         return None
     try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"non-numeric {column}: {text!r}") from None
+        value = float(raw)
+    except (TypeError, ValueError):  # not a number, or a JSON list or object
+        raise ValueError(f"non-numeric {column}: {raw!r}") from None
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
     if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{column} must be finite and >= 0: {text!r}")
+        raise ValueError(f"{column} must be finite and >= 0: {raw!r}")
     return value
 
 
@@ -393,41 +405,17 @@ def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
     date = record["date"]
     if not isinstance(date, dt.date):
         date = parse_day(str(date))
-    numbers: dict[str, float | None] = {}
-    for column in _VALUE_COLUMNS:
-        if column not in record:
-            continue
-        raw = record[column]
-        if raw is None:
-            numbers[column] = None
-        elif isinstance(raw, str):
-            numbers[column] = _parse_cell(column, raw)
-        else:
-            try:
-                value = float(raw)
-            except TypeError:  # a JSON list or object
-                raise ValueError(f"non-numeric {column}: {raw!r}") from None
-            except OverflowError:  # an integer beyond float range
-                value = math.inf
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{column} must be finite and >= 0: {raw!r}")
-            numbers[column] = value
+    numbers = {c: _cell(c, record[c]) for c in VALUE_COLUMNS if c in record}
     return CoinSnapshot(key=coin_key(name, symbol), date=date, **numbers)
 
 
 def _cell_value(raw) -> float:
     """One raw cell as a float: NaN when absent, _INVALID when bad."""
-    if raw is None:
-        return math.nan
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if not raw:
-            return math.nan
     try:
-        value = float(raw)
-    except (ValueError, TypeError, OverflowError):
+        value = _cell("", raw)
+    except ValueError:
         return _INVALID
-    return value if math.isfinite(value) and value >= 0 else _INVALID
+    return math.nan if value is None else value
 
 
 def _column_values(cells: Sequence) -> np.ndarray:
@@ -633,7 +621,7 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Datas
                     cells[name_at],
                     cells[position["symbol"]],
                     cells[position["date"]],
-                    {n: cells[position[n]] for n in _VALUE_COLUMNS if n in position},
+                    {n: cells[position[n]] for n in VALUE_COLUMNS if n in position},
                 )
                 if bad is not None:
                     try:

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from chainlens.api import _ROW_FIELDS
 from chainlens.classifiers import _forest_max_features
 from chainlens.classify import MODEL_FORMAT_VERSION
 from chainlens.dataset import (
@@ -435,7 +434,7 @@ def oracle_rows_to_snapshots(rows, page):
     for row in rows:
         if type(row) is not dict:
             raise ApiError(f"page {page} row is not a JSON object: {row!r:.80}")
-        for field in _ROW_FIELDS:
+        for field in CSV_HEADER:
             if field not in row:
                 raise SchemaDriftError(field, f"page {page} row")
         try:

@@ -182,6 +182,29 @@ class TestWrongJsonTypes:
                 fetch_history(config_for(server, tmp_path))
 
 
+    # exact texts, written out here so that they do not follow the parser
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([1.0], "non-numeric price: [1.0]"),
+            ({"usd": 1.0}, "non-numeric price: {'usd': 1.0}"),
+            ("abc", "non-numeric price: 'abc'"),
+            (" abc ", "non-numeric price: 'abc'"),
+            (-2, "price must be finite and >= 0: -2"),
+            (-0.5, "price must be finite and >= 0: -0.5"),
+            (" -1 ", "price must be finite and >= 0: '-1'"),
+            ("nan", "price must be finite and >= 0: 'nan'"),
+            ("1e999", "price must be finite and >= 0: '1e999'"),
+            (10**400, "price must be finite and >= 0: 1" + "0" * 400),
+        ],
+    )
+    def test_bad_value_message(self, tmp_path, value, message):
+        with MockHistoryServer(ROWS, body=page_body(with_price(value))) as server:
+            with pytest.raises(ApiError) as caught:
+                fetch_history(config_for(server, tmp_path))
+        assert str(caught.value) == f"bad value in page 1 row: {message}"
+
+
 class TestCache:
     def test_rerun_is_offline(self, tmp_path):
         server = MockHistoryServer(ROWS, page_size=2)

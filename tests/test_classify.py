@@ -435,6 +435,16 @@ class TestManipulabilityFlags:
         flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
         assert flags == {"insufficient_data_circulation"}
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"total_supply": 0.0}, {"circulating_supply": None}],
+        ids=["total-zero", "circulating-absent"],
+    )
+    def test_no_supply_ratio(self, overrides):
+        snap = self.snapshot(**overrides)
+        flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
+        assert flags == {"insufficient_data_circulation"}
+
     def test_volatile_volume(self):
         flags = manipulability_flags(self.snapshot(), volume_stats(10.0, 15.0))
         assert flags == {"volatile_volume"}

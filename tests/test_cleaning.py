@@ -20,7 +20,7 @@ from chainlens.cleaning import (
     row_feature_table,
 )
 from chainlens.dataset import CoinSnapshot, Dataset
-from chainlens.errors import ChainlensError
+from chainlens.errors import ChainlensError, DataQualityWarning
 
 
 def table(**columns):
@@ -263,6 +263,23 @@ class TestRowFeatureTable:
         ds = Dataset.build([CoinSnapshot("A_A", day(0))])
         with pytest.raises(KeyError):
             row_feature_table(ds, ["bogus"])
+        with pytest.raises(KeyError):
+            row_feature_table(ds, ["price", "ptsc", "bogus"])
+
+    def test_ptsc_by_name_is_derive_ptsc_of_the_supplies(self):
+        supplies = [(95.0, 100.0), (5.0, None), (5.0, 0.0), (None, 10.0), (12.0, 8.0)]
+        with pytest.warns(DataQualityWarning):  # the last row: 12 > 8
+            ds = Dataset.build(
+                CoinSnapshot("A_A", day(i), circulating_supply=c, total_supply=t)
+                for i, (c, t) in enumerate(supplies)
+            )
+        ptsc = row_feature_table(ds, ("ptsc",)).column("ptsc")
+        expected = derive_ptsc(
+            ds.column("circulating_supply"), ds.column("total_supply")
+        )
+        assert np.array_equal(ptsc, expected, equal_nan=True)
+        assert ptsc[0] == 0.95 and ptsc[4] == 1.5
+        assert np.isnan(ptsc[1:4]).all()
 
     def test_date_range_filters_and_reversed_range_errors(self):
         ds = Dataset.build(

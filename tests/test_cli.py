@@ -1,6 +1,7 @@
 """Subcommand behavior: artifacts, exit codes, determinism, cleanup."""
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -27,6 +28,10 @@ SMALL_GENERATE = {
     "price_supply_coupling": 0.5,
     "horizon_days": 400,
 }
+
+# sha256 of every file the pipeline_dir run writes; an intended change
+# to an artifact updates this file too
+GOLDEN_DIGESTS = Path(__file__).parent / "fixtures" / "pipeline_sha256.json"
 
 PIPELINE = (
     "generate",
@@ -97,6 +102,14 @@ class TestPipeline:
         ]
         for name in expected:
             assert (pipeline_dir / name).exists(), name
+
+    def test_artifacts_match_golden_digests(self, pipeline_dir):
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in snapshot_tree(pipeline_dir).items()
+            if name != "config.json"
+        }
+        assert digests == json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
 
     def test_one_line_summary_per_stage(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -417,6 +430,93 @@ class TestRuntimeErrors:
         before = snapshot_tree(tmp_path)
         assert run_stage("report", "--out", str(tmp_path)) == 1
         assert name in json.loads(capsys.readouterr().err)["message"]
+        assert snapshot_tree(tmp_path) == before
+
+
+PANEL_NOT_UTF8 = (",".join(CSV_HEADER) + "\r\nCafé,CAF,2021-01-01,1,,,,,,\r\n").encode(
+    "latin-1"
+)
+# one cell longer than the csv module's default field size limit
+PANEL_FIELD_TOO_LONG = (
+    ",".join(CSV_HEADER) + "\r\nA,a,2021-01-01," + "1" * 200_000 + ",,,,,,\r\n"
+).encode()
+
+
+def _ingest_missing_input(tmp):
+    return ["ingest", "--input", str(tmp / "nope.csv"), "--out", str(tmp / "out")]
+
+
+def _ingest_not_utf8(tmp):
+    (tmp / "latin1.csv").write_bytes(PANEL_NOT_UTF8)
+    return ["ingest", "--input", str(tmp / "latin1.csv"), "--out", str(tmp / "out")]
+
+
+def _stage_panel_not_utf8(tmp):
+    (tmp / "dataset.csv").write_bytes(PANEL_NOT_UTF8)
+    return ["clean", "--out", str(tmp)]
+
+
+def _stage_panel_field_too_long(tmp):
+    (tmp / "dataset.csv").write_bytes(PANEL_FIELD_TOO_LONG)
+    return ["lifetimes", "--out", str(tmp)]
+
+
+def _stage_panel_is_a_directory(tmp):
+    (tmp / "dataset.csv").mkdir()
+    return ["lifetimes", "--out", str(tmp)]
+
+
+def _config_not_utf8(tmp):
+    (tmp / "config.json").write_bytes('{"out": "caf\u00e9"}'.encode("latin-1"))
+    return ["generate", "--config", str(tmp / "config.json"), "--out", str(tmp)]
+
+
+def _config_is_a_directory(tmp):
+    (tmp / "config.json").mkdir()
+    return ["generate", "--config", str(tmp / "config.json"), "--out", str(tmp)]
+
+
+def _plot_a_directory(tmp):
+    (tmp / "pareto.csv").mkdir()
+    return ["plot", "--input", str(tmp / "pareto.csv"), "--out", str(tmp / "out")]
+
+
+def _generate_under_a_file(tmp):
+    (tmp / "afile").write_text("a file, not a directory", encoding="utf-8")
+    config = write_config(tmp)
+    return ["generate", "--config", str(config), "--out", str(tmp / "afile" / "x")]
+
+
+class TestUnreadableFiles:
+    """A file the CLI cannot read or write is one JSON error line and an
+    exit code, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "setup, code, error, named",
+        [
+            (_ingest_missing_input, 1, "ChainlensError", "nope.csv"),
+            (_ingest_not_utf8, 1, "ChainlensError", "latin1.csv"),
+            (_stage_panel_not_utf8, 1, "ChainlensError", "dataset.csv"),
+            (_stage_panel_field_too_long, 1, "ChainlensError", "dataset.csv"),
+            (_stage_panel_is_a_directory, 1, "ChainlensError", "dataset.csv"),
+            (_config_not_utf8, 2, "ConfigError", "config.json"),
+            (_config_is_a_directory, 2, "ConfigError", "config.json"),
+            (_plot_a_directory, 1, "ChainlensError", "pareto.csv"),
+            (_generate_under_a_file, 1, "ChainlensError", "afile"),
+        ],
+        ids=lambda value: value.__name__.strip("_") if callable(value) else None,
+    )
+    def test_exits_with_one_json_line(
+        self, tmp_path, capsys, setup, code, error, named
+    ):
+        argv = setup(tmp_path)
+        before = snapshot_tree(tmp_path)
+        assert run_stage(*argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == error
+        assert named in doc["message"]
         assert snapshot_tree(tmp_path) == before
 
 

@@ -227,6 +227,35 @@ class TestCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
 
+    # exact texts, written out here so that they do not follow the parser
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("price", "abc", "non-numeric price: 'abc'"),
+            ("price", " abc ", "non-numeric price: 'abc'"),
+            ("volume_24h", "1.5.2", "non-numeric volume_24h: '1.5.2'"),
+            ("market_cap", "0x10", "non-numeric market_cap: '0x10'"),
+            ("price", "-1", "price must be finite and >= 0: '-1'"),
+            ("total_supply", " -1 ", "total_supply must be finite and >= 0: '-1'"),
+            ("price", "nan", "price must be finite and >= 0: 'nan'"),
+            ("price", "inf", "price must be finite and >= 0: 'inf'"),
+            ("price", "1e999", "price must be finite and >= 0: '1e999'"),
+        ],
+    )
+    def test_bad_cell_message(self, tmp_path, column, cell, message):
+        header = CSV_TEXT.splitlines()[0]
+        row = dict.fromkeys(header.split(","), "")
+        row.update(name="Dogecoin", symbol="DOGE", date="2021-01-01")
+        row[column] = cell
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "\n".join(CSV_TEXT.splitlines()[:2] + [",".join(row.values())]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRowError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: line 3: {message}"
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_parse_pauses_gc_and_restores_it(self, tmp_path, monkeypatch, enabled):
         seen = []

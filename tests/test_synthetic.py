@@ -1,15 +1,28 @@
 """Planted-structure guarantees of the synthetic generator."""
 
 import datetime as dt
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chainlens.cli import GENERATE_DEFAULTS
 from chainlens.clustering import cluster_report
 from chainlens.correlation import correlate
+from chainlens.dataset import parse_day, save_csv
 from chainlens.errors import InfeasibleSpecError
 from chainlens.survival import lifetimes, survival_summary
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
+
+# sha256 of save_csv(generate_synthetic(spec)) for small specs covering
+# every lifetime path; an intended change to the panels updates it too
+GOLDEN_PANELS = json.loads(
+    (Path(__file__).parent / "fixtures" / "synthetic_sha256.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 
 class TestSpecValidation:
@@ -74,6 +87,89 @@ class TestSpecValidation:
                 horizon_days=900,
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                dict(
+                    n_coins=100,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_80_fraction=0.8,
+                    disappeared_lt_365_fraction=0.5,
+                ),
+                "disappeared_lt_365_fraction is cumulative and cannot be below "
+                "disappeared_lt_80_fraction",
+            ),
+            (
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_80_fraction=0.4,
+                    horizon_days=80,
+                ),
+                "planting lifetimes of 80+ days needs horizon_days >= 81",
+            ),
+            (
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_365_fraction=0.2,
+                    horizon_days=300,
+                ),
+                "planting lifetimes of 365+ days needs horizon_days >= 366",
+            ),
+            (
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_80_fraction=0.2,
+                    disappeared_lt_365_fraction=0.2,
+                    horizon_days=365,
+                ),
+                "planting lifetimes of 365+ days needs horizon_days >= 366",
+            ),
+            (
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    surviving_gt_1000_fraction=0.2,
+                    horizon_days=1000,
+                ),
+                "planting survivor lifetimes over 1000 days needs horizon_days >= 1001",
+            ),
+            (
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_80_fraction=0.4,
+                    surviving_gt_1000_fraction=0.3,
+                ),
+                "surviving_gt_1000_fraction 0.3 of 5 is not a whole number of coins"
+                " (1.5)",
+            ),
+            (
+                # of two fractions that miss a whole count, the bucket
+                # fraction is named first
+                dict(
+                    n_coins=10,
+                    disappeared_fraction=0.5,
+                    disappeared_lt_80_fraction=0.5,
+                    surviving_gt_1000_fraction=0.3,
+                ),
+                "disappeared_lt_80_fraction 0.5 of 5 is not a whole number of coins"
+                " (2.5)",
+            ),
+            (
+                dict(n_coins=10, price_supply_coupling=-0.5),
+                "price_supply_coupling must be in [0, 1], got -0.5",
+            ),
+        ],
+    )
+    def test_rejection_messages(self, kwargs, message):
+        with pytest.raises(InfeasibleSpecError) as caught:
+            SyntheticSpec(**kwargs)
+        assert str(caught.value) == message
+
     def test_end_day(self):
         spec = SyntheticSpec(n_coins=1, start_day=dt.date(2020, 1, 1), horizon_days=10)
         assert spec.end_day == dt.date(2020, 1, 11)
@@ -113,6 +209,24 @@ class TestDisappearancePlanting:
         assert summary.disappeared_lt_80_days == 0.40
         assert summary.disappeared_lt_365_days == 0.75
         assert summary.surviving_gt_1000_days == 0.10
+
+
+class TestGoldenPanels:
+    def test_defaults_case_is_the_demo_spec(self):
+        assert GOLDEN_PANELS["generate_defaults_seed_7"]["spec"] == {
+            **GENERATE_DEFAULTS,
+            "seed": 7,
+        }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PANELS))
+    def test_panel_bytes_match_golden_digest(self, name, tmp_path):
+        settings = dict(GOLDEN_PANELS[name]["spec"])
+        if "start_day" in settings:
+            settings["start_day"] = parse_day(settings["start_day"])
+        path = tmp_path / "dataset.csv"
+        save_csv(generate_synthetic(SyntheticSpec(**settings)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_PANELS[name]["sha256"]
 
 
 class TestFeatureLaws:

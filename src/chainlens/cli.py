@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
 import html
 import json
 import sys
@@ -131,8 +132,31 @@ class ArtifactWriter:
             out.writerows(rows)
 
     def commit(self) -> None:
-        for temporary, target in self.written:
-            temporary.replace(target)
+        """Move every staged file into place. If a move fails, each target
+        already replaced gets its previous file back (one that was new is
+        removed) before the error propagates, so a failed commit leaves
+        no mix of new and old artifacts."""
+        done: list[tuple[Path, Path | None]] = []  # (target, its previous file)
+        try:
+            for temporary, target in self.written:
+                if target.is_file():
+                    previous = target.with_name(f".{target.name}.previous")
+                    target.replace(previous)
+                    done.append((target, previous))
+                    temporary.replace(target)
+                else:
+                    temporary.replace(target)
+                    done.append((target, None))
+        except BaseException:
+            for target, previous in reversed(done):
+                if previous is None:
+                    target.unlink()
+                else:
+                    previous.replace(target)
+            raise
+        for _, previous in done:
+            if previous is not None:
+                previous.unlink()
         self.written = []
 
     def discard_written(self) -> None:
@@ -157,6 +181,16 @@ def _require_rows(ds, source):
     if len(ds) == 0:
         raise ChainlensError(f"no snapshot rows in {source}")
     return ds
+
+
+def _cutoff(cfg: RunConfig, ds) -> dt.date:
+    """The stage's cutoff: ``--cutoff``, else the panel's last day. A
+    cutoff before the panel's first day is a stage failure."""
+    first, last = ds.date_range
+    cutoff = cfg.cutoff_date or last
+    if cutoff < first:
+        raise ChainlensError(f"cutoff {cutoff} precedes the dataset's first day {first}")
+    return cutoff
 
 
 def _dataset_summary(ds) -> dict:
@@ -243,7 +277,8 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    records = lifetimes(ds, cfg.cutoff_date)
+    cutoff = _cutoff(cfg, ds)
+    records = lifetimes(ds, cutoff)
     summary = survival_summary(records)
     data = pareto(records)
     writer.write_csv(
@@ -261,7 +296,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
     if cfg.wants_json:
         doc = asdict(summary)
-        doc["cutoff"] = (cfg.cutoff_date or ds.date_range[1]).isoformat()
+        doc["cutoff"] = cutoff.isoformat()
         writer.write_json("survival_summary.json", doc)
     if cfg.wants_svg and data.buckets:
         rows = [
@@ -299,8 +334,7 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    day = cfg.cutoff_date or ds.date_range[1]
-    report = cluster_report(ds, day, k=cfg.k_value, seed=cfg.seed)
+    report = cluster_report(ds, _cutoff(cfg, ds), k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
         _ASSIGNMENTS_HEADER,
@@ -334,7 +368,8 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    table = label_risky(ds, cfg.cutoff_date, cfg.date_range)
+    cutoff = _cutoff(cfg, ds)
+    table = label_risky(ds, cutoff, cfg.date_range)
     train, test = train_test_split(table, cfg.split, seed=cfg.seed)
     named = []
     detail = {}
@@ -353,7 +388,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
         writer.write_json(
             "classify_summary.json",
             {
-                "cutoff": (cfg.cutoff_date or ds.date_range[1]).isoformat(),
+                "cutoff": cutoff.isoformat(),
                 "split": cfg.split,
                 "seed": cfg.seed,
                 "train_rows": train.n_rows,
@@ -380,7 +415,7 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
     counts: Counter = Counter()
     rows = []
     # each coin's last row on or before the cutoff; -1 for none
-    last = ds.last_rows(cfg.cutoff_date)
+    last = ds.last_rows(_cutoff(cfg, ds))
     skipped = int((last < 0).sum())
     for snap in ds.snapshots_of(last[last >= 0]):
         flags = sorted(manipulability_flags(snap, stats.get(snap.key)))

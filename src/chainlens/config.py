@@ -128,9 +128,12 @@ class RunConfig:
         for name, value in days.items():
             if value is not None:
                 try:
-                    parse_day(value)
+                    days[name] = parse_day(value)
                 except ValueError as exc:
                     raise ConfigError(f"bad {name} date: {exc}") from exc
+        lo, hi = days["start"], days["end"]
+        if lo is not None and hi is not None and lo > hi:
+            raise ConfigError(f"empty date range: {lo} > {hi}")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -154,8 +157,6 @@ class RunConfig:
             return None
         lo = parse_day(self.start) if self.start is not None else None
         hi = parse_day(self.end) if self.end is not None else None
-        if lo is not None and hi is not None and lo > hi:
-            raise ConfigError(f"empty date range: {lo} > {hi}")
         return lo, hi
 
     @property

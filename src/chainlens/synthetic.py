@@ -15,6 +15,16 @@ structure exactly rather than sampling it:
 Every requested fraction must resolve to a whole number of coins;
 anything else raises InfeasibleSpecError rather than silently rounding.
 
+One lifetime plan turns the fractions into coins: a random permutation
+orders the coins, the first ``disappeared_count`` of them disappear,
+and the plan gives each of those, in that order, the ``[lo, hi)`` range
+its lifetime in days is drawn from: ``[0, 80)``, then ``[80, 365)``,
+then ``[365, horizon)`` for the bucket counts, or ``[0, horizon)`` for
+every one when no bucket is set (ranges are capped at the horizon). The
+next ``surviving_gt_1000`` coins of the order are the survivors that
+outlive 1000 days. Spec validation rejects a plan with an empty range,
+and the generator draws from the same plan.
+
 Surviving coins all hold their last row on the spec's end day, so the
 default cutoff (the dataset's maximum date) reproduces the planted
 disappearance split whenever at least one coin survives. A spec that
@@ -31,16 +41,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InfeasibleSpecError
-
-
-def _exact_count(fraction: float, base: int, what: str) -> int:
-    value = fraction * base
-    count = round(value)
-    if abs(value - count) > 1e-9:
-        raise InfeasibleSpecError(
-            f"{what} {fraction} of {base} is not a whole number of coins ({value})"
-        )
-    return int(count)
 
 
 @dataclass(frozen=True)
@@ -87,37 +87,18 @@ class SyntheticSpec:
             "disappeared_lt_365_fraction",
             "surviving_gt_1000_fraction",
             "missing_max_supply_rate",
+            "price_supply_coupling",
         ):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise InfeasibleSpecError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= self.price_supply_coupling <= 1.0:
-            raise InfeasibleSpecError(
-                f"price_supply_coupling must be in [0, 1], got {self.price_supply_coupling}"
-            )
-        # force every planted fraction to an exact coin count up front
-        disappeared = self.disappeared_count
-        lt80 = self.disappeared_lt_80_count
-        lt365 = self.disappeared_lt_365_count
-        gt1000 = self.surviving_gt_1000_count
-        if lt80 is not None and lt365 is not None and lt365 < lt80:
-            raise InfeasibleSpecError(
-                "disappeared_lt_365_fraction is cumulative and cannot be below "
-                "disappeared_lt_80_fraction"
-            )
-        # bucket lifetimes must fit strictly inside the horizon
-        if lt80 is not None or lt365 is not None:
-            cut80 = lt80 if lt80 is not None else 0
-            cut365 = lt365 if lt365 is not None else disappeared
-            if cut365 - cut80 > 0 and self.horizon_days < 81:
+        ranges, long_survivors = self._lifetime_plan()
+        for lo, hi in ranges:
+            if lo >= hi:
                 raise InfeasibleSpecError(
-                    "planting lifetimes of 80+ days needs horizon_days >= 81"
+                    f"planting lifetimes of {lo}+ days needs horizon_days >= {lo + 1}"
                 )
-            if disappeared - cut365 > 0 and self.horizon_days < 366:
-                raise InfeasibleSpecError(
-                    "planting lifetimes of 365+ days needs horizon_days >= 366"
-                )
-        if gt1000 is not None and gt1000 > 0 and self.horizon_days < 1001:
+        if long_survivors and self.horizon_days < 1001:
             raise InfeasibleSpecError(
                 "planting survivor lifetimes over 1000 days needs horizon_days >= 1001"
             )
@@ -128,59 +109,53 @@ class SyntheticSpec:
 
     @property
     def disappeared_count(self) -> int:
-        return _exact_count(
-            self.disappeared_fraction, self.n_coins, "disappeared_fraction"
-        )
+        return self._count("disappeared_fraction", self.n_coins)
 
-    @property
-    def surviving_count(self) -> int:
-        return self.n_coins - self.disappeared_count
-
-    @property
-    def disappeared_lt_80_count(self) -> int | None:
-        if self.disappeared_lt_80_fraction is None:
+    def _count(self, name: str, base: int) -> int | None:
+        """The fraction ``name`` of ``base`` coins, None when it is unset;
+        InfeasibleSpecError unless it is a whole number of coins."""
+        fraction = getattr(self, name)
+        if fraction is None:
             return None
-        return _exact_count(
-            self.disappeared_lt_80_fraction,
-            self.disappeared_count,
-            "disappeared_lt_80_fraction",
-        )
+        value = fraction * base
+        count = round(value)
+        if abs(value - count) > 1e-9:
+            raise InfeasibleSpecError(
+                f"{name} {fraction} of {base} is not a whole number of coins ({value})"
+            )
+        return int(count)
 
-    @property
-    def disappeared_lt_365_count(self) -> int | None:
-        if self.disappeared_lt_365_fraction is None:
-            return None
-        return _exact_count(
-            self.disappeared_lt_365_fraction,
-            self.disappeared_count,
-            "disappeared_lt_365_fraction",
-        )
-
-    @property
-    def surviving_gt_1000_count(self) -> int | None:
-        if self.surviving_gt_1000_fraction is None:
-            return None
-        return _exact_count(
-            self.surviving_gt_1000_fraction,
-            self.surviving_count,
-            "surviving_gt_1000_fraction",
-        )
+    def _lifetime_plan(self) -> tuple[list[tuple[int, int]], int | None]:
+        """For each disappeared coin in draw order, the ``[lo, hi)`` range
+        its lifetime is drawn from; and how many survivors outlive 1000
+        days, None when ``surviving_gt_1000_fraction`` is unset. Raises
+        InfeasibleSpecError when a fraction misses a whole number of
+        coins or the under-365 count is below the under-80 count."""
+        disappeared = self.disappeared_count
+        lt80 = self._count("disappeared_lt_80_fraction", disappeared)
+        lt365 = self._count("disappeared_lt_365_fraction", disappeared)
+        gt1000 = self._count("surviving_gt_1000_fraction", self.n_coins - disappeared)
+        horizon = self.horizon_days
+        if lt80 is None and lt365 is None:
+            return [(0, horizon)] * disappeared, gt1000
+        cut80 = lt80 or 0
+        cut365 = disappeared if lt365 is None else lt365
+        if cut365 < cut80:
+            raise InfeasibleSpecError(
+                "disappeared_lt_365_fraction is cumulative and cannot be below "
+                "disappeared_lt_80_fraction"
+            )
+        return (
+            [(0, min(80, horizon))] * cut80
+            + [(80, min(365, horizon))] * (cut365 - cut80)
+            + [(365, horizon)] * (disappeared - cut365)
+        ), gt1000
 
 
 def _blob_center(lo: float, hi: float, blob: int, k: int) -> float:
     if k == 1:
         return (lo + hi) / 2.0
     return lo + (hi - lo) * blob / (k - 1)
-
-
-def _lifetime_for(bucket: str | None, horizon: int, rng) -> int:
-    if bucket == "lt80":
-        return int(rng.integers(0, min(80, horizon)))
-    if bucket == "lt365":
-        return int(rng.integers(80, min(365, horizon)))
-    if bucket == "ge365":
-        return int(rng.integers(365, horizon))
-    return int(rng.integers(0, horizon))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -194,43 +169,23 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     horizon = spec.horizon_days
     coupling = spec.price_supply_coupling
 
-    order = rng.permutation(n)
-    n_disappeared = spec.disappeared_count
-    disappeared_ids = order[:n_disappeared]
-    surviving_ids = order[n_disappeared:]
-
-    bucket: dict[int, str | None] = {int(i): None for i in range(n)}
-    lt80 = spec.disappeared_lt_80_count
-    lt365 = spec.disappeared_lt_365_count
-    if lt80 is not None or lt365 is not None:
-        cut80 = lt80 if lt80 is not None else 0
-        cut365 = lt365 if lt365 is not None else n_disappeared
-        for pos, coin in enumerate(disappeared_ids):
-            if pos < cut80:
-                bucket[int(coin)] = "lt80"
-            elif pos < cut365:
-                bucket[int(coin)] = "lt365"
-            else:
-                bucket[int(coin)] = "ge365"
-    long_survivors = set()
-    gt1000 = spec.surviving_gt_1000_count
-    if gt1000 is not None:
-        long_survivors = {int(c) for c in surviving_ids[:gt1000]}
-
-    disappeared_set = {int(c) for c in disappeared_ids}
+    # each coin's place in the draw order the lifetime plan follows
+    place = np.argsort(rng.permutation(n))
+    ranges, long_survivors = spec._lifetime_plan()
     codes, days = [], []
     columns: dict[str, list[np.ndarray]] = {}
     for i in range(n):
         blob = i % k
-        if i in disappeared_set:
-            lifetime = _lifetime_for(bucket[i], horizon, rng)
+        rank = int(place[i])
+        if rank < len(ranges):
+            lifetime = int(rng.integers(*ranges[rank]))
             first_off = int(rng.integers(0, horizon - lifetime))
-        elif gt1000 is None:
+        elif long_survivors is None:
             # no survivor structure requested: full-span panel, which
             # keeps every calendar day fully populated
             lifetime = horizon
             first_off = 0
-        elif i in long_survivors:
+        elif rank < len(ranges) + long_survivors:
             first_off = int(rng.integers(0, horizon - 1000))
             lifetime = horizon - first_off
         else:
@@ -262,43 +217,33 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             np.round(_blob_center(2.0, 100.0, blob, k) + 2.0 * rng.standard_normal(t)),
             1.0,
         )
-        market_cap = price * circulating
         has_cap = float(rng.random()) >= spec.missing_max_supply_rate
-        max_supply = total_center * 1.5 if has_cap else np.nan
-
+        coin = {
+            "price": price,
+            "max_supply": np.full(t, total_center * 1.5 if has_cap else np.nan),
+            "total_supply": total,
+            "circulating_supply": circulating,
+            "volume_24h": volume,
+            "market_cap": price * circulating,
+            "num_market_pairs": pairs,
+        }
         if spec.include_extended_columns:
-            tvl = _blob_center(1e5, 1e7, blob, k) * np.exp(
+            coin["total_value_locked"] = _blob_center(1e5, 1e7, blob, k) * np.exp(
                 0.05 * rng.standard_normal(t)
             )
-            reward = np.maximum(
+            coin["staking_reward"] = np.maximum(
                 _blob_center(0.5, 20.0, blob, k) + 0.2 * rng.standard_normal(t),
                 0.01,
             )
-            staking_pct = np.clip(
+            coin["total_staking_percentage"] = np.clip(
                 _blob_center(0.05, 0.85, blob, k) + 0.01 * rng.standard_normal(t),
                 0.0,
                 1.0,
             )
-            whales = np.clip(
+            coin["whales_percentage"] = np.clip(
                 _blob_center(0.10, 0.80, blob, k) + 0.01 * rng.standard_normal(t),
                 0.0,
                 1.0,
-            )
-        coin = {
-            "price": price,
-            "max_supply": np.full(t, max_supply),
-            "total_supply": total,
-            "circulating_supply": circulating,
-            "volume_24h": volume,
-            "market_cap": market_cap,
-            "num_market_pairs": pairs,
-        }
-        if spec.include_extended_columns:
-            coin.update(
-                total_value_locked=tvl,
-                staking_reward=reward,
-                total_staking_percentage=staking_pct,
-                whales_percentage=whales,
             )
         for name, values in coin.items():
             columns.setdefault(name, []).append(values)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
-from chainlens.cli import GENERATE_DEFAULTS, ArtifactWriter, main, run
+from chainlens.cli import COMMANDS, GENERATE_DEFAULTS, ArtifactWriter, main, run
 from chainlens.config import ConfigError, RunConfig
 from chainlens.dataset import CSV_HEADER, load_csv
 from chainlens.errors import ChainlensError
@@ -309,6 +309,21 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == [path]
 
 
+    @pytest.mark.parametrize("stage", list(COMMANDS))
+    def test_reversed_date_range_exits_2(self, pipeline_dir, tmp_path, capsys, stage):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        before = snapshot_tree(tmp_path)
+        rc = run_stage(
+            stage, "--out", str(tmp_path), "--start", "2018-01-01", "--end", "2017-06-01"
+        )
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "empty date range: 2018-01-01 > 2017-06-01",
+        }
+        assert snapshot_tree(tmp_path) == before
+
+
 class TestRuntimeErrors:
     def test_stage_without_dataset_exits_1(self, tmp_path, capsys):
         rc = run_stage("lifetimes", "--out", str(tmp_path))
@@ -382,6 +397,37 @@ class TestRuntimeErrors:
             "dataset.csv",
             "features.csv",
         ]
+
+    def test_failed_commit_restores_replaced_artifacts(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        assert run_stage("clean", "--out", str(tmp_path), "--format", "csv") == 0
+        # features.csv moves into place first, then this target refuses
+        (tmp_path / "cleaning_summary.json").mkdir()
+        before = snapshot_tree(tmp_path)
+        rc = run_stage(
+            "clean", "--out", str(tmp_path), "--format", "json", "--start", "2017-06-01"
+        )
+        assert rc == 1
+        assert "cleaning_summary.json" in json.loads(capsys.readouterr().err)["message"]
+        assert snapshot_tree(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cleaning_summary.json",
+            "dataset.csv",
+            "features.csv",
+        ]
+
+    @pytest.mark.parametrize("stage", ["lifetimes", "cluster", "classify", "flags"])
+    def test_cutoff_before_the_panel_exits_1(self, pipeline_dir, tmp_path, capsys, stage):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        rc = run_stage(stage, "--out", str(tmp_path), "--cutoff", "2000-01-01")
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": "cutoff 2000-01-01 precedes the dataset's first day 2017-01-01",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
 
     def test_interrupted_rerun_keeps_earlier_artifacts(
         self, pipeline_dir, tmp_path, monkeypatch
@@ -559,6 +605,29 @@ class TestFlagsAndOverrides:
         assert doc["cutoff"] == "2019-01-01"
         assert doc["disappeared_count"] > baseline["disappeared_count"]
 
+    @pytest.mark.parametrize(
+        "stage, artifacts",
+        [
+            ("lifetimes", ["survival_summary.json", "lifetimes.csv"]),
+            ("cluster", ["cluster_summary.json", "assignments.csv"]),
+            ("classify", ["classify_summary.json", "metrics.csv"]),
+            ("flags", ["flags.csv"]),
+        ],
+    )
+    def test_cutoff_on_the_last_day_is_the_default(
+        self, pipeline_dir, tmp_path, stage, artifacts
+    ):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        last_day = json.loads(
+            (pipeline_dir / "survival_summary.json").read_text("utf-8")
+        )["cutoff"]
+        rc = run_stage(
+            stage, "--out", str(tmp_path), "--seed", "7", "--cutoff", last_day
+        )
+        assert rc == 0
+        for name in artifacts:
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
     def test_fixed_k_skips_elbow_artifacts(self, pipeline_dir, tmp_path):
         shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
         rc = run_stage("cluster", "--out", str(tmp_path), "--k", "3", "--seed", "7")
@@ -731,6 +800,16 @@ class TestProgrammaticRun:
         writer.commit()
         assert (tmp_path / "models" / "a.txt").read_text(encoding="utf-8") == "x"
         assert [p.name for p in (tmp_path / "models").iterdir()] == ["a.txt"]
+
+    def test_failed_commit_removes_new_targets(self, tmp_path):
+        writer = ArtifactWriter(tmp_path)
+        writer.write_text("a.txt", "x")
+        writer.write_text("b.txt", "y")
+        (tmp_path / "b.txt").mkdir()
+        with pytest.raises(OSError):
+            writer.commit()
+        writer.discard_written()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
 
     def test_generate_defaults_are_feasible(self, tmp_path):
         # the out-of-the-box demo spec must not trip integrality checks

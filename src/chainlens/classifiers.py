@@ -30,6 +30,12 @@ a plain CART, so the trees are those that re-sort at every node would
 grow. A tree's node ids are its level order; prediction walks any
 numbering in which a node's children come after it.
 
+A model is saved as a document of its fields (``write_doc``) and
+rebuilt from one (``from_doc``). Format 2 stores each array as the
+base64 of its exact little-endian bytes, and a tree as only what its
+children do not imply; format 1, arrays as lists of numbers and trees
+as all five node arrays, still loads.
+
 The discriminative kinds (logistic regression, linear SVM, decision
 tree, random forest) refuse single-class training sets; Gaussian NB
 and KNN degenerate gracefully to constant / majority behavior.
@@ -37,6 +43,7 @@ and KNN degenerate gracefully to constant / majority behavior.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -117,8 +124,12 @@ class LinearModel:
     bias: float
     hyperparameters: dict
 
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[0]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = _validate_matrix(X, self.weights.shape[0])
+        X = _validate_matrix(X, self.n_features)
         return (X @ self.weights + self.bias >= 0.0).astype(np.int64)
 
 
@@ -376,13 +387,19 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     )
     trees = []
     for i in nodes:
-        split = feature[i] >= 0
-        left = np.where(split, 2 * np.cumsum(split) - 1, -1)
-        right = np.where(split, left + 1, -1)
+        left, right = _children(feature[i] >= 0)
         trees.append(
             dict(feature=feature[i], threshold=threshold[i], left=left, right=right, label=label[i])
         )
     return trees
+
+
+def _children(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right child of each node of a level-order tree whose
+    split nodes ``split`` marks: 2k + 1 and 2k + 2 for the k-th split
+    node, -1 for a leaf."""
+    left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+    return left, np.where(split, left + 1, -1)
 
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "label")
@@ -392,8 +409,10 @@ def _check_tree(tree: dict, n_features: int) -> None:
     """Raise ChainlensError unless ``tree`` is a node-array tree over
     ``n_features`` features that ``_tree_predict`` can walk: the five
     1-d arrays, one entry per node, integer but for ``threshold``, each
-    feature below ``n_features`` (-1 for a leaf) and each split node's
-    two children after it, so every path ends at a leaf."""
+    feature below ``n_features`` (-1 for a leaf), each split node's two
+    children after it, so every path ends at a leaf, and each node but
+    the root the child of exactly one split node, so the nodes form one
+    tree."""
     if sorted(tree) != sorted(_TREE_ARRAYS):
         raise ChainlensError(f"a tree must hold exactly the arrays {list(_TREE_ARRAYS)}")
     n = tree["feature"].shape[0]
@@ -411,6 +430,9 @@ def _check_tree(tree: dict, n_features: int) -> None:
         or np.any((right[split] <= node[split]) | (right[split] >= n))
     ):
         raise ChainlensError("a tree names a feature or child node out of range")
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    if not np.array_equal(parents, node > 0):
+        raise ChainlensError("each node of a tree but the root must have exactly one parent")
 
 
 def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -465,6 +487,11 @@ class RandomForestModel:
     hyperparameters: dict
 
     def __post_init__(self):
+        n_trees = self.hyperparameters.get("n_trees")
+        if len(self.trees) != n_trees:
+            raise ChainlensError(
+                f"random_forest holds {len(self.trees)} trees, but n_trees is {n_trees!r}"
+            )
         for tree in self.trees:
             _check_tree(tree, self.n_features)
 
@@ -539,10 +566,11 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True, eq=False)
 class GaussianNBModel:
-    classes: np.ndarray
-    priors: np.ndarray
+    classes: np.ndarray = field(metadata={"integer": True})
+    priors: np.ndarray = field(metadata={"positive": True})
     means: np.ndarray = field(metadata={"ndim": 2})  # (n_classes, d)
-    variances: np.ndarray = field(metadata={"ndim": 2})  # (n_classes, d), smoothed
+    # (n_classes, d), smoothed
+    variances: np.ndarray = field(metadata={"ndim": 2, "positive": True})
     hyperparameters: dict
 
     def __post_init__(self):
@@ -552,8 +580,12 @@ class GaussianNBModel:
         ):
             raise ChainlensError("gaussian_nb needs a prior, means and variances per class")
 
+    @property
+    def n_features(self) -> int:
+        return self.means.shape[1]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = _validate_matrix(X, self.means.shape[1])
+        X = _validate_matrix(X, self.n_features)
         scores = np.empty((X.shape[0], self.classes.shape[0]), dtype=np.float64)
         for c in range(self.classes.shape[0]):
             diff = X - self.means[c]
@@ -595,7 +627,7 @@ def fit_gaussian_nb(X, y, hyperparameters, seed: int = 0) -> GaussianNBModel:
 @dataclass(frozen=True, eq=False)
 class KNNModel:
     train_X: np.ndarray = field(metadata={"ndim": 2})
-    train_y: np.ndarray
+    train_y: np.ndarray = field(metadata={"integer": True})
     hyperparameters: dict
 
     def __post_init__(self):
@@ -605,8 +637,12 @@ class KNNModel:
         if type(k) is not int or k < 1:
             raise ChainlensError(f"knn needs k >= 1, got {k!r}")
 
+    @property
+    def n_features(self) -> int:
+        return self.train_X.shape[1]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = _validate_matrix(X, self.train_X.shape[1])
+        X = _validate_matrix(X, self.n_features)
         k = min(self.hyperparameters["k"], self.train_X.shape[0])
         out = np.empty(X.shape[0], dtype=np.int64)
         # chunked to bound the n_test x n_train distance block to 2 MB
@@ -686,14 +722,24 @@ def fit_classifier(kind: str, X, y, hyperparameters: dict | None = None, seed: i
     return KINDS[kind].fit(X, y, hp, seed)
 
 
+MODEL_FORMAT_VERSION = 2  # format 1 still loads
+
+# the dtypes of a format-2 array: floats as <f8, integers as the
+# narrowest <iN that holds their range
+_FLOAT = "<f8"
+_INTS = ("<i1", "<i2", "<i4", "<i8")
+
+
 def write_doc(value, write: Callable[[str], object]) -> None:
-    """Pass ``write`` the compact, key-sorted JSON of ``value``, a piece
-    at a time.
+    """Pass ``write`` the compact, key-sorted JSON of ``value`` in format
+    2, a piece at a time.
 
     A model or normalizer is an object of its fields but
-    ``hyperparameters``; objects and tuples (a forest's trees) go
-    member by member, and only the other values, an array as a (nested)
-    list or a number, are turned into JSON whole, so a forest is never
+    ``hyperparameters``. An array is an object of ``dtype``, ``shape``
+    and ``data``, the base64 of its little-endian bytes (``_blob``), and
+    a tree the arrays its children do not imply (``_tree_doc``).
+    Objects and tuples (a forest's trees) go member by member, and only
+    the other values are turned into JSON whole, so a forest is never
     held as one list of trees or one string. The text is that of
     ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` for the
     same document built whole.
@@ -704,6 +750,8 @@ def write_doc(value, write: Callable[[str], object]) -> None:
             for f in fields(value)
             if f.name != "hyperparameters"
         }
+    if isinstance(value, dict) and value.keys() == set(_TREE_ARRAYS):
+        value = _tree_doc(value)
     if isinstance(value, dict):
         write("{")
         for i, name in enumerate(sorted(value)):
@@ -718,21 +766,65 @@ def write_doc(value, write: Callable[[str], object]) -> None:
         write("]")
     else:
         if isinstance(value, np.ndarray):
-            value = value.tolist()
+            value = _blob(value)
         write(json.dumps(value, separators=(",", ":"), sort_keys=True))
 
 
-def from_doc(cls, doc, **given):
-    """Rebuild ``cls`` from a decoded ``write_doc`` document holding
-    exactly its fields but the ``given`` ones.
+def _blob(array: np.ndarray) -> dict:
+    """``array`` as a format-2 array object; its bytes do not depend on
+    the machine."""
+    if array.dtype.kind == "f":
+        dtype = _FLOAT
+    else:
+        low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+        dtype = next(t for t in _INTS if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+    data = base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return {"data": data.decode("ascii"), "dtype": dtype, "shape": list(array.shape)}
 
-    Each value must fit its field's type: an array field takes a
-    rectangular list of numbers of the field's ``ndim`` (metadata,
-    default 1), which becomes an int64 or float64 array as its values
-    are; a ``dict`` field (a tree) an object of 1-d number lists; a
-    ``tuple`` field (trees) a nonempty list of such objects; an ``int``
-    field an integer and a ``float`` field a number. Anything else is a
-    ChainlensError naming the field, as is a missing or unknown field.
+
+def _tree_doc(tree: dict) -> dict:
+    """A tree as format 2 holds it: ``feature`` for every node in level
+    order, ``threshold`` for the split nodes only and ``label`` for the
+    leaves only, each in node order. ``_children`` implies the rest."""
+    split = tree["feature"] >= 0
+    left, right = _children(split)
+    order = np.arange(split.shape[0])
+    if not (np.array_equal(tree["left"], left) and np.array_equal(tree["right"], right)):
+        # numbered another way (depth-first, in files of earlier
+        # versions): walk it level by level, left child first
+        levels, level = [], np.zeros(1, dtype=np.int64)
+        while level.size:
+            levels.append(level)
+            inner = level[split[level]]
+            level = np.stack([tree["left"][inner], tree["right"][inner]], axis=1).ravel()
+        order = np.concatenate(levels)
+    split = split[order]
+    return {
+        "feature": tree["feature"][order],
+        "threshold": tree["threshold"][order][split],
+        "label": tree["label"][order][~split],
+    }
+
+
+class _Unfit(Exception):
+    """Why a document value does not fit its field, said after the
+    field's name."""
+
+
+def from_doc(cls, doc, version: int = MODEL_FORMAT_VERSION, **given):
+    """Rebuild ``cls`` from a decoded document of format ``version`` (1
+    or 2) holding exactly its fields but the ``given`` ones.
+
+    Each value must fit its field's type. An array field takes an array
+    of the field's ``ndim`` (metadata, default 1): in format 2 an
+    ``_blob`` object, in format 1 a rectangular list of numbers. It
+    becomes an int64 array if the field's metadata marks it ``integer``,
+    else a float64 one; every value must be finite, and > 0 where the
+    metadata marks the field ``positive``. A ``dict`` field (a tree)
+    takes a tree, a ``tuple`` field (trees) a nonempty list of them
+    (``_tree_from_json``), an ``int`` field an integer and a ``float``
+    field a finite number. Anything else is a ChainlensError naming the
+    field, as is a missing or unknown field.
     """
     if not isinstance(doc, dict):
         raise ChainlensError(f"{cls.__name__} document must be an object")
@@ -745,45 +837,121 @@ def from_doc(cls, doc, **given):
     values = {}
     for f in fields(cls):
         if f.name in expected:
-            kind, ndim = types[f.name], f.metadata.get("ndim", 1)
-            values[f.name] = _from_json(doc[f.name], kind, ndim)
-            if values[f.name] is None:
-                problems.append(f"field {f.name!r} must be {_expected(kind, ndim)}")
+            try:
+                values[f.name] = _from_json(doc[f.name], types[f.name], f.metadata, version)
+            except _Unfit as exc:
+                problems.append(f"field {f.name!r} {exc}")
     if problems:
         raise ChainlensError(f"{cls.__name__} document: {', '.join(problems)}")
     return cls(**values, **given)
 
 
-def _expected(kind, ndim):
-    return {
-        np.ndarray: f"a {ndim}-d list of numbers",
-        dict: "an object of number lists",
-        tuple: "a nonempty list of objects of number lists",
-        int: "an integer",
-        float: "a number",
-    }[kind]
-
-
-def _from_json(value, kind, ndim=1):
-    """``value`` decoded as a field of type ``kind``, None if it is not one."""
+def _from_json(value, kind, metadata, version):
+    """``value`` decoded as a field of type ``kind``; raises _Unfit."""
     if kind is np.ndarray:
-        if not isinstance(value, list):
-            return None
-        try:
-            array = np.array(value)
-        except ValueError:  # ragged
-            return None
-        return array if array.ndim == ndim and array.dtype.kind in "if" else None
+        ndim, integer = metadata.get("ndim", 1), metadata.get("integer", False)
+        if version == 1:
+            array = _unlist(value, ndim)
+            if integer and array.dtype.kind != "i":
+                raise _Unfit(f"must be a {ndim}-d list of integers")
+            array = array.astype(np.int64 if integer else np.float64)
+        else:
+            array = _unblob(value, ndim, integer)
+        if not np.all(np.isfinite(array)):
+            raise _Unfit("must be finite")
+        if metadata.get("positive") and not np.all(array > 0):
+            raise _Unfit("must be > 0")
+        return array
     if kind is dict:
-        if not isinstance(value, dict):
-            return None
-        tree = {name: _from_json(v, np.ndarray) for name, v in value.items()}
-        return None if any(v is None for v in tree.values()) else tree
+        return _tree_from_json(value, version)
     if kind is tuple:
         if not isinstance(value, list) or not value:
-            return None
-        trees = tuple(_from_json(v, dict) for v in value)
-        return None if any(t is None for t in trees) else trees
+            raise _Unfit("must be a nonempty list of trees")
+        return tuple(_tree_from_json(tree, version) for tree in value)
     if kind is int:
-        return value if type(value) is int else None
-    return value if type(value) in (int, float) else None
+        if type(value) is not int:
+            raise _Unfit("must be an integer")
+        return value
+    if type(value) not in (int, float):
+        raise _Unfit("must be a number")
+    if not math.isfinite(value):
+        raise _Unfit("must be finite")
+    return value
+
+
+def _unlist(value, ndim) -> np.ndarray:
+    """A format-1 array: a rectangular list of numbers, int64 or float64
+    as its values are."""
+    try:
+        array = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in "if":
+        raise _Unfit(f"must be a {ndim}-d list of numbers")
+    return array
+
+
+def _unblob(value, ndim, integer) -> np.ndarray:
+    """A format-2 array object, as int64 if ``integer`` else float64."""
+    if not isinstance(value, dict) or sorted(value) != ["data", "dtype", "shape"]:
+        raise _Unfit("must be an array object of data, dtype and shape")
+    dtype, shape = value["dtype"], value["shape"]
+    if dtype != _FLOAT and dtype not in _INTS:
+        raise _Unfit(f"has unknown dtype {dtype!r}")
+    if (dtype in _INTS) != integer:
+        raise _Unfit(f"must hold {'integers' if integer else 'floats'}, not {dtype!r}")
+    if not isinstance(shape, list) or len(shape) != ndim or any(
+        type(n) is not int or n < 0 for n in shape
+    ):
+        raise _Unfit(f"must be a {ndim}-d array")
+    try:
+        data = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):  # not a string, or not base64
+        raise _Unfit("data is not base64") from None
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) != size:
+        raise _Unfit(f"holds {len(data)} bytes where its shape needs {size}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(
+        np.int64 if integer else np.float64
+    )
+
+
+def _tree_from_json(value, version) -> dict:
+    """A tree's node arrays, for the model to check with ``_check_tree``.
+
+    Format 1 lists all five; format 2 has only ``feature``, ``threshold``
+    for its split nodes and ``label`` for its leaves (``_tree_doc``), and
+    the children are those ``_children`` implies. The other node arrays
+    are 0 where a node has no use for them, as ``_build_trees`` makes
+    them.
+    """
+    if version == 1:
+        if not isinstance(value, dict):
+            raise _Unfit("must be an object of number lists")
+        try:
+            tree = {name: _unlist(array, 1) for name, array in value.items()}
+        except _Unfit:
+            raise _Unfit("must be an object of number lists") from None
+        if "threshold" in tree:
+            tree["threshold"] = tree["threshold"].astype(np.float64)
+    else:
+        if not isinstance(value, dict) or sorted(value) != ["feature", "label", "threshold"]:
+            raise _Unfit("must be a tree of the arrays feature, label and threshold")
+        stored = {}
+        for name in ("feature", "threshold", "label"):
+            try:
+                stored[name] = _unblob(value[name], 1, integer=name != "threshold")
+            except _Unfit as exc:
+                raise _Unfit(f"array {name!r} {exc}") from None
+        split = stored["feature"] >= 0
+        tree = {"feature": stored["feature"]}
+        for name, nodes, what in (("threshold", split, "split nodes"), ("label", ~split, "leaves")):
+            count = int(np.count_nonzero(nodes))
+            if stored[name].shape[0] != count:
+                raise _Unfit(f"holds {stored[name].shape[0]} {name}s for {count} {what}")
+            tree[name] = np.zeros(split.shape[0], dtype=stored[name].dtype)
+            tree[name][nodes] = stored[name]
+        tree["left"], tree["right"] = _children(split)
+    if "threshold" in tree and not np.all(np.isfinite(tree["threshold"])):
+        raise _Unfit("array 'threshold' must be finite")
+    return tree

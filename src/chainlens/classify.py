@@ -23,7 +23,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from .classifiers import (
     CLASSIFIER_KINDS,
     KINDS,
+    MODEL_FORMAT_VERSION,
     fit_classifier,
     from_doc,
     resolve_hyperparameters,
@@ -57,9 +58,6 @@ CLASSIFY_FEATURES = (
     "market_cap",
     "ptsc",
 )
-
-MODEL_FORMAT_VERSION = 1
-
 
 def _missing_counts(table: FeatureTable) -> dict[str, int]:
     return {
@@ -218,7 +216,7 @@ class Normalizer:
     """
 
     means: np.ndarray
-    scales: np.ndarray
+    scales: np.ndarray = field(metadata={"positive": True})
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Normalizer":
@@ -427,9 +425,10 @@ def load_model(path: str | Path) -> TrainedModel:
     if not isinstance(doc, dict):
         raise ChainlensError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ChainlensError(
-            f"unsupported model format version {version!r}; expected {MODEL_FORMAT_VERSION}"
+            f"unsupported model format version {version!r}; "
+            f"expected 1 or {MODEL_FORMAT_VERSION}"
         )
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
@@ -449,17 +448,23 @@ def load_model(path: str | Path) -> TrainedModel:
     seed = doc.get("seed", 0)
     if type(seed) is not int:
         raise ChainlensError(f"model file {path}: seed must be an integer")
-    normalizer = from_doc(Normalizer, doc["normalizer"])
+    normalizer = from_doc(Normalizer, doc["normalizer"], version)
     if normalizer.means.shape != (len(names),) or normalizer.scales.shape != (len(names),):
         raise ChainlensError(
             f"model file {path}: the normalizer must hold one mean and scale per feature"
+        )
+    model = from_doc(
+        KINDS[kind].model, doc["parameters"], version, hyperparameters=hyperparameters
+    )
+    if model.n_features != len(names):
+        raise ChainlensError(
+            f"model file {path}: the model takes {model.n_features} features, "
+            f"but feature_names names {len(names)}"
         )
     return TrainedModel(
         spec=ClassifierSpec(kind=kind, hyperparameters=hyperparameters),
         feature_names=tuple(names),
         normalizer=normalizer,
-        model=from_doc(
-            KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters
-        ),
+        model=model,
         seed=seed,
     )

@@ -12,7 +12,9 @@ and a cumsum + ``put_along_axis`` partition of all feature lists, with
 node ids in level order; ``oracle_forest_trees`` grows a forest with
 it. ``oracle_knn_predict`` is the original full stable argsort of
 each distance block. ``oracle_save_model`` is the one-shot model
-writer: the whole document built by ``to_doc``, then one ``json.dumps``.
+writer: the whole document built by ``to_doc`` (format 2) or
+``to_doc_v1`` (format 1, arrays as lists and trees as five node
+arrays), then one ``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
@@ -21,6 +23,7 @@ and circulating > total rows found by walking the sorted rows, and one
 ``csv.writer`` row per snapshot.
 """
 
+import base64
 import csv
 import json
 import warnings
@@ -479,9 +482,11 @@ def oracle_save_csv(snapshots, path):
 
 
 def to_doc(obj) -> dict:
-    """The whole JSON document of a model or normalizer: every field
-    but ``hyperparameters`` under its own name, arrays as (nested)
-    lists, a tuple of tree dicts as a list."""
+    """The whole format-2 document of a model or normalizer: every field
+    but ``hyperparameters`` under its own name, each array as an
+    ``oracle_blob``, each tree renumbered by ``level_order`` and cut to
+    its features, its split nodes' thresholds and its leaves' labels, a
+    tuple of trees as a list."""
     return {
         f.name: _to_json(getattr(obj, f.name))
         for f in fields(obj)
@@ -489,27 +494,70 @@ def to_doc(obj) -> dict:
     }
 
 
+def oracle_blob(array):
+    """An array as a format-2 object: floats as ``<f8``, integers as the
+    first of ``<i1``..``<i8`` that gives every value back, and the
+    base64 of those bytes."""
+    if array.dtype.kind == "f":
+        dtype = "<f8"
+    else:
+        dtype = next(
+            t for t in ("<i1", "<i2", "<i4", "<i8")
+            if np.array_equal(array.astype(t).astype(np.int64), array)
+        )
+    data = base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")
+    return {"data": data, "dtype": dtype, "shape": list(array.shape)}
+
+
 def _to_json(value):
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return oracle_blob(value)
     if isinstance(value, dict):
-        return {name: _to_json(v) for name, v in value.items()}
+        tree = level_order(value)
+        split = tree["feature"] >= 0
+        return {
+            "feature": oracle_blob(tree["feature"]),
+            "threshold": oracle_blob(tree["threshold"][split]),
+            "label": oracle_blob(tree["label"][~split]),
+        }
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
 
 
-def oracle_save_model(trained, path):
+def to_doc_v1(obj) -> dict:
+    """The whole format-1 document of a model or normalizer: arrays as
+    (nested) lists, a tree as its five node arrays, a tuple of trees as
+    a list."""
+    return {
+        f.name: _to_json_v1(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.name != "hyperparameters"
+    }
+
+
+def _to_json_v1(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {name: _to_json_v1(v) for name, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json_v1(v) for v in value]
+    return value
+
+
+def oracle_save_model(trained, path, version=MODEL_FORMAT_VERSION):
     """The model file as one compact, sorted ``json.dumps`` of the
-    whole document."""
+    whole document, in format 2 (``to_doc``) or 1 (``to_doc_v1``)."""
+    encode = to_doc if version == 2 else to_doc_v1
     doc = {
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": version,
         "kind": trained.spec.kind,
         "hyperparameters": trained.spec.hyperparameters,
         "feature_names": list(trained.feature_names),
         "seed": trained.seed,
-        "normalizer": to_doc(trained.normalizer),
-        "parameters": to_doc(trained.model),
+        "normalizer": encode(trained.normalizer),
+        "parameters": encode(trained.model),
     }
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     Path(path).write_text(text, encoding="utf-8")

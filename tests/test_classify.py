@@ -1,5 +1,6 @@
 """Labeling, splitting, training, evaluation, and flag heuristics."""
 
+import base64
 import dataclasses
 import datetime as dt
 import json
@@ -28,8 +29,10 @@ from chainlens.classify import (
 from chainlens.classifiers import (
     CLASSIFIER_KINDS,
     DecisionTreeModel,
+    KNNModel,
     RandomForestModel,
     from_doc,
+    write_doc,
 )
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.cli import run
@@ -37,13 +40,42 @@ from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
-from oracles import oracle_build_tree, oracle_save_model, to_doc
+from oracles import level_order, oracle_blob, oracle_build_tree, oracle_save_model, to_doc
 
+# model files of format 1 (tests/fixtures/models) and, the same models
+# written by the one-shot writer, of format 2 (tests/fixtures/models_v2)
 MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models"
+MODEL_FIXTURES_V2 = Path(__file__).parent / "fixtures" / "models_v2"
 
 
 def d(text):
     return dt.date.fromisoformat(text)
+
+
+def unblob(blob):
+    """A format-2 array object's values, as int64 or float64."""
+    values = np.frombuffer(base64.b64decode(blob["data"]), dtype=blob["dtype"])
+    return values.reshape(blob["shape"]).astype(np.float64 if blob["dtype"] == "<f8" else np.int64)
+
+
+def tree_doc(feature, threshold, label):
+    """A format-2 tree document from its stored arrays."""
+    return {
+        "feature": oracle_blob(np.array(feature, dtype=np.int64)),
+        "threshold": oracle_blob(np.array(threshold, dtype=np.float64)),
+        "label": oracle_blob(np.array(label, dtype=np.int64)),
+    }
+
+
+def at(index, value):
+    """A change to an array that sets ``index`` to ``value``."""
+
+    def change(array):
+        array = np.array(array, dtype=np.float64)
+        array[index] = value
+        return array
+
+    return change
 
 
 def assert_same_value(got, want):
@@ -508,11 +540,22 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
     def test_file_of_the_one_shot_writer_saves_again_unchanged(self, kind, tmp_path):
-        # tests/fixtures/models holds files the one-shot writer wrote
-        source = MODEL_FIXTURES / f"{kind}.json"
+        source = MODEL_FIXTURES_V2 / f"{kind}.json"
         path = tmp_path / f"{kind}.json"
         save_model(load_model(source), path)
         assert path.read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+    def test_format_1_file_loads_and_saves_as_format_2(self, kind, tmp_path):
+        old = load_model(MODEL_FIXTURES / f"{kind}.json")
+        path = tmp_path / f"{kind}.json"
+        save_model(old, path)
+        assert path.read_bytes() == (MODEL_FIXTURES_V2 / f"{kind}.json").read_bytes()
+        new = load_model(path)
+        for name, value in vars(old.model).items():
+            assert_same_value(getattr(new.model, name), value)
+        probe = np.random.default_rng(14).normal(0.0, 2.0, size=(200, 3))
+        assert np.array_equal(predict(new, probe), predict(old, probe))
 
     def test_file_is_compact_canonical_json(self, tmp_path):
         trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))
@@ -561,12 +604,20 @@ class TestModelPersistence:
             not np.array_equal(old["left"], new["left"]) for old, new in zip(depth_first, fitted)
         )
         path = tmp_path / "model.json"
-        save_model(dataclasses.replace(trained, model=model), path)
+        oracle_save_model(dataclasses.replace(trained, model=model), path, version=1)
         loaded = load_model(path)
         assert_same_value(trees_of(loaded.model), tuple(depth_first))
         probe = np.random.default_rng(13).normal(0.5, 2.0, size=(200, 3))
         assert np.array_equal(predict(loaded, probe), predict(trained, probe))
         assert np.array_equal(predict(loaded, table.X), predict(trained, table.X))
+        # saved again, in format 2, the trees are renumbered in level order
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        reloaded = load_model(again)
+        assert_same_value(trees_of(reloaded.model), tuple(map(level_order, depth_first)))
+        assert np.array_equal(predict(reloaded, probe), predict(trained, probe))
+        oracle_save_model(loaded, tmp_path / "one_shot.json")
+        assert again.read_bytes() == (tmp_path / "one_shot.json").read_bytes()
 
     def test_unsupported_version_rejected(self, tmp_path):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
@@ -576,6 +627,15 @@ class TestModelPersistence:
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "2", None])
+    def test_format_version_must_be_an_integer(self, tmp_path, version):
+        doc = json.loads((MODEL_FIXTURES / "knn.json").read_text())
+        doc["format_version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match="unsupported model format version"):
             load_model(path)
 
     def test_unknown_kind_in_file_rejected(self, tmp_path):
@@ -602,7 +662,7 @@ class TestModelPersistence:
     def test_bad_field_set_in_file_rejected(self, tmp_path, section, edit, message):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         path = tmp_path / "model.json"
-        save_model(trained, path)
+        oracle_save_model(trained, path, version=1)
         doc = json.loads(path.read_text())
         edit(doc[section] if section else doc)
         path.write_text(json.dumps(doc))
@@ -643,14 +703,16 @@ class TestModelPersistence:
             ("knn", ("parameters", "train_y", 0), None, "one label per training row"),
             ("gaussian_nb", ("parameters", "priors", 0), None, "a prior, means and variances"),
             ("knn", ("seed",), "4", "seed must be an integer"),
+            # node 1 is the root's left and right child, node 2 no node's
+            ("decision_tree", ("parameters", "tree", "right", 0), 1, "exactly one parent"),
         ],
     )
     def test_bad_field_value_in_file_rejected(self, tmp_path, kind, where, value, message):
-        # the value at ``where`` in the file is replaced (None: deleted)
+        # the value at ``where`` in a format-1 file is replaced (None: deleted)
         overrides = {"n_trees": 3} if kind == "random_forest" else None
         trained = fit(ClassifierSpec.make(kind, overrides), make_table(n=30))
         path = tmp_path / "model.json"
-        save_model(trained, path)
+        oracle_save_model(trained, path, version=1)
         doc = json.loads(path.read_text())
         *parents, last = where
         target = doc
@@ -671,6 +733,155 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         path.write_bytes(content)
         with pytest.raises(ChainlensError, match="model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, where, edit, message",
+        [
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "dtype": "<f4"},
+             "field 'train_X' has unknown dtype '<f4'"),
+            ("knn", ("parameters", "train_y"), lambda b: oracle_blob(unblob(b).astype(float)),
+             "field 'train_y' must hold integers, not '<f8'"),
+            ("logistic_regression", ("parameters", "weights"), lambda b: {**b, "dtype": "<i8"},
+             "field 'weights' must hold floats, not '<i8'"),
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": [50, 2]},
+             "field 'train_X' holds 1200 bytes where its shape needs 800"),
+            ("gaussian_nb", ("parameters", "priors"), lambda b: {**b, "data": "not base64!"},
+             "field 'priors' data is not base64"),
+            ("gaussian_nb", ("parameters", "priors"), lambda b: {**b, "data": 7},
+             "field 'priors' data is not base64"),
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": [150]},
+             "field 'train_X' must be a 2-d array"),
+            ("knn", ("parameters", "train_X"), lambda b: unblob(b).tolist(),
+             "field 'train_X' must be an array object"),
+            ("logistic_regression", ("normalizer", "means"), lambda b: {**b, "order": "C"},
+             "field 'means' must be an array object"),
+            ("decision_tree", ("parameters", "tree", "threshold"), lambda b: {**b, "dtype": "<i8"},
+             "field 'tree' array 'threshold' must hold floats, not '<i8'"),
+            ("random_forest", ("parameters", "trees", 1, "label"), lambda b: {**b, "dtype": "<u1"},
+             "field 'trees' array 'label' has unknown dtype '<u1'"),
+            ("decision_tree", ("parameters", "tree", "threshold"),
+             lambda b: oracle_blob(unblob(b)[:-1]), "holds 6 thresholds for 7 split nodes"),
+            ("random_forest", ("parameters", "trees", 2, "label"),
+             lambda b: oracle_blob(np.append(unblob(b), 1)), "holds 10 labels for 9 leaves"),
+            ("decision_tree", ("parameters", "tree"), lambda t: {**t, "left": t["label"]},
+             "field 'tree' must be a tree of the arrays feature, label and threshold"),
+            # node 1 is the first split node, so its implied children are 1 and 2
+            ("decision_tree", ("parameters", "tree"), lambda t: tree_doc([-1, 0, -1], [0.5], [0, 1]),
+             "out of range"),
+            # node 3 is no node's child
+            ("decision_tree", ("parameters", "tree"),
+             lambda t: tree_doc([0, -1, -1, -1], [0.5], [0, 1, 0]), "exactly one parent"),
+        ],
+    )
+    def test_bad_array_in_format_2_file_rejected(self, tmp_path, kind, where, edit, message):
+        doc = json.loads((MODEL_FIXTURES_V2 / f"{kind}.json").read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = edit(target[last])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, where, change, message",
+        [
+            ("decision_tree", ("parameters", "tree", "threshold"), at(0, np.nan),
+             "field 'tree' array 'threshold' must be finite"),
+            ("random_forest", ("parameters", "trees", 4, "threshold"), at(0, -np.inf),
+             "field 'trees' array 'threshold' must be finite"),
+            ("knn", ("parameters", "train_X"), at((0, 1), np.inf),
+             "field 'train_X' must be finite"),
+            ("linear_svm", ("parameters", "weights"), at(2, np.nan),
+             "field 'weights' must be finite"),
+            ("linear_svm", ("parameters", "bias"), lambda bias: np.inf,
+             "field 'bias' must be finite"),
+            ("gaussian_nb", ("parameters", "variances"), at((1, 0), -1.0),
+             "field 'variances' must be > 0"),
+            ("gaussian_nb", ("parameters", "priors"), at(0, 0.0),
+             "field 'priors' must be > 0"),
+            ("gaussian_nb", ("parameters", "means"), at((0, 2), np.nan),
+             "field 'means' must be finite"),
+            ("logistic_regression", ("normalizer", "scales"), at(2, 0.0),
+             "field 'scales' must be > 0"),
+            ("logistic_regression", ("normalizer", "means"), at(0, -np.inf),
+             "field 'means' must be finite"),
+            # the model is wider or narrower than its feature names
+            ("knn", ("parameters", "train_X"), lambda a: a[:, :2],
+             "the model takes 2 features, but feature_names names 3"),
+            ("logistic_regression", ("parameters", "weights"), lambda a: np.append(a, 1.0),
+             "the model takes 4 features, but feature_names names 3"),
+            ("decision_tree", ("parameters", "n_features"), lambda n: 4,
+             "the model takes 4 features, but feature_names names 3"),
+            ("random_forest", ("parameters", "trees"), lambda trees: trees[:2],
+             "random_forest holds 2 trees, but n_trees is 5"),
+        ],
+    )
+    def test_bad_value_in_fixture_rejected(self, tmp_path, version, kind, where, change, message):
+        # ``change`` takes and gives an array, decoded from a list or a
+        # blob as the file's format has it, or else the JSON value
+        fixtures = MODEL_FIXTURES if version == 1 else MODEL_FIXTURES_V2
+        doc = json.loads((fixtures / f"{kind}.json").read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        value = target[last]
+        if version == 2 and isinstance(value, dict):
+            target[last] = oracle_blob(change(unblob(value)))
+        elif version == 1 and isinstance(value, list) and last != "trees":
+            target[last] = change(np.array(value)).tolist()
+        else:
+            target[last] = change(value)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([], "<i1"),
+            ([0, 1, 1], "<i1"),
+            ([-128, 127], "<i1"),
+            ([-129, 0], "<i2"),
+            ([32767, 32768], "<i4"),
+            ([-(2**31) - 1], "<i8"),
+            ([2**63 - 1, -(2**63)], "<i8"),
+        ],
+    )
+    def test_integers_take_the_narrowest_dtype_and_load_back(self, values, dtype):
+        labels = np.array(values, dtype=np.int64)
+        pieces = []
+        write_doc(labels, pieces.append)
+        blob = json.loads("".join(pieces))
+        assert blob == oracle_blob(labels)
+        assert blob["dtype"] == dtype
+        doc = {"train_X": oracle_blob(np.zeros((len(values), 2))), "train_y": blob}
+        model = from_doc(KNNModel, doc, hyperparameters={"k": 1})
+        assert_same_value(model.train_y, labels)
+
+    def test_floats_load_back_bit_for_bit(self):
+        train_X = np.array(
+            [[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308], [0.1, 1 / 3]]
+        )
+        pieces = []
+        write_doc(KNNModel(train_X, np.array([0, 1, 1]), {"k": 1}), pieces.append)
+        model = from_doc(KNNModel, json.loads("".join(pieces)), hyperparameters={"k": 1})
+        assert model.train_X.dtype == np.float64
+        assert model.train_X.tobytes() == train_X.tobytes()
+
+    def test_gaussian_nb_means_narrower_than_feature_names_rejected(self, tmp_path):
+        doc = json.loads((MODEL_FIXTURES_V2 / "gaussian_nb.json").read_text())
+        for name in ("means", "variances"):
+            doc["parameters"][name] = oracle_blob(unblob(doc["parameters"][name])[:, 1:])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match="takes 2 features, but feature_names names 3"):
             load_model(path)
 
 

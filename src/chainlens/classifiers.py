@@ -27,14 +27,17 @@ builder's kernels, and a batch draws only from its own trees'
 generators, so the trees do not depend on the number of threads. The
 per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
 a plain CART, so the trees are those that re-sort at every node would
-grow. A tree's node ids are its level order; prediction walks any
-numbering in which a node's children come after it.
+grow. A tree is held as model files of format 2 store it: ``feature``
+for every node in level order (-1 for a leaf), ``threshold`` for the
+split nodes only and ``label`` for the leaves only; the k-th split node
+has children 2k + 1 and 2k + 2.
 
-A model is saved as a document of its fields (``write_doc``) and
-rebuilt from one (``from_doc``). Format 2 stores each array as the
-base64 of its exact little-endian bytes, and a tree as only what its
-children do not imply; format 1, arrays as lists of numbers and trees
-as all five node arrays, still loads.
+A model is saved as a document of its fields, which ``json.dump``
+writes with ``jsonable`` as its ``default``, and rebuilt from one
+(``from_doc``). Format 2 stores each array as the base64 of its exact
+little-endian bytes; format 1, arrays as lists of numbers and trees as
+all five node arrays, numbered in level order or depth-first, still
+loads.
 
 The discriminative kinds (logistic regression, linear SVM, decision
 tree, random forest) refuse single-class training sets; Gaussian NB
@@ -44,7 +47,6 @@ and KNN degenerate gracefully to constant / majority behavior.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +88,8 @@ def _validate_matrix(X, n_features):
         raise ChainlensError(
             f"expected {n_features} features, got {X.shape[1]}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ChainlensError("prediction input must be finite")
     return X
 
 
@@ -292,16 +296,17 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     """CART trees with Gini impurity, one per row of ``weights``, grown
     together one level at a time.
 
-    Each tree comes back as parallel node arrays: feature == -1 marks a
-    leaf. ``data`` is the ``_presort`` of the training matrix, shared by
-    every tree of a forest. ``weights`` (trees x rows) are integer row
-    multiplicities (the forest's bootstrap counts); a row of weight 0
-    takes no part in its tree. Each feature's presorted order, less a
-    tree's rows of weight 0, is that feature's row list in the tree; it
-    stays grouped by frontier node and sorted within each node, so a
-    level scores the whole frontier of all the trees in one vectorized
-    pass (``_best_splits``), finding cuts on the int32 ranks. Each level
-    then drops the leaves' rows and splits the rest with two
+    Each tree comes back as its ``feature`` per node (-1 for a leaf),
+    ``threshold`` per split node and ``label`` per leaf. ``data`` is
+    the ``_presort`` of the training matrix, shared by every tree of a
+    forest. ``weights`` (trees x rows) are integer row multiplicities
+    (the forest's bootstrap counts); a row of weight 0 takes no part in
+    its tree. Each feature's presorted order, less a tree's rows of
+    weight 0, is that feature's row list in the tree; it stays grouped
+    by frontier node and sorted within each node, so a level scores the
+    whole frontier of all the trees in one vectorized pass
+    (``_best_splits``), finding cuts on the int32 ranks. Each level then
+    drops the leaves' rows and splits the rest with two
     ``np.compress`` calls, one for the left and one for the right
     children, so the next frontier holds all left children, then all
     right ones. Levels are recorded, and the per-node feature subsets
@@ -387,65 +392,59 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     )
     trees = []
     for i in nodes:
-        left, right = _children(feature[i] >= 0)
+        split = feature[i] >= 0
         trees.append(
-            dict(feature=feature[i], threshold=threshold[i], left=left, right=right, label=label[i])
+            dict(feature=feature[i], threshold=threshold[i][split], label=label[i][~split])
         )
     return trees
 
 
-def _children(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right child of each node of a level-order tree whose
-    split nodes ``split`` marks: 2k + 1 and 2k + 2 for the k-th split
-    node, -1 for a leaf."""
-    left = np.where(split, 2 * np.cumsum(split) - 1, -1)
-    return left, np.where(split, left + 1, -1)
-
-
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "label")
-
-
-def _check_tree(tree: dict, n_features: int) -> None:
-    """Raise ChainlensError unless ``tree`` is a node-array tree over
-    ``n_features`` features that ``_tree_predict`` can walk: the five
-    1-d arrays, one entry per node, integer but for ``threshold``, each
-    feature below ``n_features`` (-1 for a leaf), each split node's two
-    children after it, so every path ends at a leaf, and each node but
-    the root the child of exactly one split node, so the nodes form one
-    tree."""
-    if sorted(tree) != sorted(_TREE_ARRAYS):
-        raise ChainlensError(f"a tree must hold exactly the arrays {list(_TREE_ARRAYS)}")
-    n = tree["feature"].shape[0]
-    if n == 0 or any(tree[name].shape != (n,) for name in _TREE_ARRAYS):
-        raise ChainlensError("a tree's arrays must share one nonzero length")
-    if any(tree[name].dtype.kind != "i" for name in ("feature", "left", "right", "label")):
-        raise ChainlensError("a tree's feature, left, right and label must be integers")
-    feature, left, right = tree["feature"], tree["left"], tree["right"]
-    node = np.arange(n)
+def _check_tree(tree: dict, n_features: int, field: str) -> None:
+    """Raise ChainlensError unless ``tree``, the value (or one of the
+    values) of the model's ``field``, is a tree over ``n_features``
+    features that ``_tree_predict`` can walk: a threshold per split node
+    and a label per leaf, the thresholds finite, each feature below
+    ``n_features`` (-1 for a leaf), each split node's implied children
+    after it, so every path ends at a leaf, and two nodes more per split
+    node than the root, so each node but the root is the child of
+    exactly one split node."""
+    feature = tree["feature"]
     split = feature >= 0
-    if (
-        np.any(feature < -1)
-        or np.any(feature >= n_features)
-        or np.any((left[split] <= node[split]) | (left[split] >= n))
-        or np.any((right[split] <= node[split]) | (right[split] >= n))
+    n_splits = int(np.count_nonzero(split))
+    for name, count, what in (
+        ("threshold", n_splits, "split nodes"),
+        ("label", split.shape[0] - n_splits, "leaves"),
+    ):
+        if tree[name].shape[0] != count:
+            raise ChainlensError(
+                f"field {field!r} holds {tree[name].shape[0]} {name}s for {count} {what}"
+            )
+    if not np.all(np.isfinite(tree["threshold"])):
+        raise ChainlensError(f"field {field!r} array 'threshold' must be finite")
+    # the k-th split node's first child, 2k + 1, must come after it
+    first_child = 2 * np.arange(n_splits) + 1
+    if np.any((feature < -1) | (feature >= n_features)) or np.any(
+        first_child <= np.flatnonzero(split)
     ):
         raise ChainlensError("a tree names a feature or child node out of range")
-    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
-    if not np.array_equal(parents, node > 0):
+    if split.shape[0] != 2 * n_splits + 1:
         raise ChainlensError("each node of a tree but the root must have exactly one parent")
 
 
 def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    pending = np.flatnonzero(tree["feature"][node] >= 0)
+    feature = tree["feature"]
+    split = feature >= 0
+    # each node's place among the split nodes, or among the leaves; the
+    # k-th split node's children are 2k + 1 and 2k + 2
+    place = np.where(split, np.cumsum(split), np.cumsum(~split)) - 1
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    pending = np.flatnonzero(split[node])
     while pending.size:
         cur = node[pending]
-        f = tree["feature"][cur]
-        go_left = X[pending, f] <= tree["threshold"][cur]
-        node[pending] = np.where(go_left, tree["left"][cur], tree["right"][cur])
-        pending = pending[tree["feature"][node[pending]] >= 0]
-    return tree["label"][node]
+        go_left = X[pending, feature[cur]] <= tree["threshold"][place[cur]]
+        node[pending] = 2 * place[cur] + np.where(go_left, 1, 2)
+        pending = pending[split[node[pending]]]
+    return tree["label"][place[node]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +454,7 @@ class DecisionTreeModel:
     hyperparameters: dict
 
     def __post_init__(self):
-        _check_tree(self.tree, self.n_features)
+        _check_tree(self.tree, self.n_features, "tree")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.n_features)
@@ -493,7 +492,7 @@ class RandomForestModel:
                 f"random_forest holds {len(self.trees)} trees, but n_trees is {n_trees!r}"
             )
         for tree in self.trees:
-            _check_tree(tree, self.n_features)
+            _check_tree(tree, self.n_features, "trees")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _validate_matrix(X, self.n_features)
@@ -730,44 +729,21 @@ _FLOAT = "<f8"
 _INTS = ("<i1", "<i2", "<i4", "<i8")
 
 
-def write_doc(value, write: Callable[[str], object]) -> None:
-    """Pass ``write`` the compact, key-sorted JSON of ``value`` in format
-    2, a piece at a time.
+def jsonable(value):
+    """``default`` for ``json.dump``: a model or normalizer as an object
+    of its fields but ``hyperparameters``, an array as its ``_blob``.
 
-    A model or normalizer is an object of its fields but
-    ``hyperparameters``. An array is an object of ``dtype``, ``shape``
-    and ``data``, the base64 of its little-endian bytes (``_blob``), and
-    a tree the arrays its children do not imply (``_tree_doc``).
-    Objects and tuples (a forest's trees) go member by member, and only
-    the other values are turned into JSON whole, so a forest is never
-    held as one list of trees or one string. The text is that of
-    ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` for the
-    same document built whole.
+    ``json.dump`` encodes in pure Python and calls this one value at a
+    time, so a forest file is written a blob at a time, never held
+    whole as one string.
     """
+    if isinstance(value, np.ndarray):
+        return _blob(value)
     if is_dataclass(value):
-        value = {
-            f.name: getattr(value, f.name)
-            for f in fields(value)
-            if f.name != "hyperparameters"
+        return {
+            f.name: getattr(value, f.name) for f in fields(value) if f.name != "hyperparameters"
         }
-    if isinstance(value, dict) and value.keys() == set(_TREE_ARRAYS):
-        value = _tree_doc(value)
-    if isinstance(value, dict):
-        write("{")
-        for i, name in enumerate(sorted(value)):
-            write(("," if i else "") + json.dumps(name) + ":")
-            write_doc(value[name], write)
-        write("}")
-    elif isinstance(value, tuple):
-        write("[")
-        for i, item in enumerate(value):
-            write("," if i else "")
-            write_doc(item, write)
-        write("]")
-    else:
-        if isinstance(value, np.ndarray):
-            value = _blob(value)
-        write(json.dumps(value, separators=(",", ":"), sort_keys=True))
+    raise TypeError(f"{type(value).__name__} is not a model document value")
 
 
 def _blob(array: np.ndarray) -> dict:
@@ -780,30 +756,6 @@ def _blob(array: np.ndarray) -> dict:
         dtype = next(t for t in _INTS if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
     data = base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return {"data": data.decode("ascii"), "dtype": dtype, "shape": list(array.shape)}
-
-
-def _tree_doc(tree: dict) -> dict:
-    """A tree as format 2 holds it: ``feature`` for every node in level
-    order, ``threshold`` for the split nodes only and ``label`` for the
-    leaves only, each in node order. ``_children`` implies the rest."""
-    split = tree["feature"] >= 0
-    left, right = _children(split)
-    order = np.arange(split.shape[0])
-    if not (np.array_equal(tree["left"], left) and np.array_equal(tree["right"], right)):
-        # numbered another way (depth-first, in files of earlier
-        # versions): walk it level by level, left child first
-        levels, level = [], np.zeros(1, dtype=np.int64)
-        while level.size:
-            levels.append(level)
-            inner = level[split[level]]
-            level = np.stack([tree["left"][inner], tree["right"][inner]], axis=1).ravel()
-        order = np.concatenate(levels)
-    split = split[order]
-    return {
-        "feature": tree["feature"][order],
-        "threshold": tree["threshold"][order][split],
-        "label": tree["label"][order][~split],
-    }
 
 
 class _Unfit(Exception):
@@ -822,8 +774,8 @@ def from_doc(cls, doc, version: int = MODEL_FORMAT_VERSION, **given):
     else a float64 one; every value must be finite, and > 0 where the
     metadata marks the field ``positive``. A ``dict`` field (a tree)
     takes a tree, a ``tuple`` field (trees) a nonempty list of them
-    (``_tree_from_json``), an ``int`` field an integer and a ``float``
-    field a finite number. Anything else is a ChainlensError naming the
+    (``_tree_from_json``; the model checks them), an ``int`` field an
+    integer and a ``float`` field a finite number. Anything else is a ChainlensError naming the
     field, as is a missing or unknown field.
     """
     if not isinstance(doc, dict):
@@ -917,41 +869,65 @@ def _unblob(value, ndim, integer) -> np.ndarray:
 
 
 def _tree_from_json(value, version) -> dict:
-    """A tree's node arrays, for the model to check with ``_check_tree``.
-
-    Format 1 lists all five; format 2 has only ``feature``, ``threshold``
-    for its split nodes and ``label`` for its leaves (``_tree_doc``), and
-    the children are those ``_children`` implies. The other node arrays
-    are 0 where a node has no use for them, as ``_build_trees`` makes
-    them.
-    """
+    """A tree as format 2 stores it (``feature``, ``threshold`` for its
+    split nodes and ``label`` for its leaves), for the model to check
+    with ``_check_tree``."""
     if version == 1:
-        if not isinstance(value, dict):
-            raise _Unfit("must be an object of number lists")
+        return _tree_from_v1(value)
+    if not isinstance(value, dict) or sorted(value) != ["feature", "label", "threshold"]:
+        raise _Unfit("must be a tree of the arrays feature, label and threshold")
+    tree = {}
+    for name in ("feature", "threshold", "label"):
         try:
-            tree = {name: _unlist(array, 1) for name, array in value.items()}
-        except _Unfit:
-            raise _Unfit("must be an object of number lists") from None
-        if "threshold" in tree:
-            tree["threshold"] = tree["threshold"].astype(np.float64)
-    else:
-        if not isinstance(value, dict) or sorted(value) != ["feature", "label", "threshold"]:
-            raise _Unfit("must be a tree of the arrays feature, label and threshold")
-        stored = {}
-        for name in ("feature", "threshold", "label"):
-            try:
-                stored[name] = _unblob(value[name], 1, integer=name != "threshold")
-            except _Unfit as exc:
-                raise _Unfit(f"array {name!r} {exc}") from None
-        split = stored["feature"] >= 0
-        tree = {"feature": stored["feature"]}
-        for name, nodes, what in (("threshold", split, "split nodes"), ("label", ~split, "leaves")):
-            count = int(np.count_nonzero(nodes))
-            if stored[name].shape[0] != count:
-                raise _Unfit(f"holds {stored[name].shape[0]} {name}s for {count} {what}")
-            tree[name] = np.zeros(split.shape[0], dtype=stored[name].dtype)
-            tree[name][nodes] = stored[name]
-        tree["left"], tree["right"] = _children(split)
-    if "threshold" in tree and not np.all(np.isfinite(tree["threshold"])):
-        raise _Unfit("array 'threshold' must be finite")
+            tree[name] = _unblob(value[name], 1, integer=name != "threshold")
+        except _Unfit as exc:
+            raise _Unfit(f"array {name!r} {exc}") from None
     return tree
+
+
+_V1_ARRAYS = ("feature", "threshold", "left", "right", "label")
+
+
+def _tree_from_v1(value) -> dict:
+    """A format-1 tree, all five node arrays, checked, renumbered in
+    level order and cut to what format 2 stores.
+
+    Its nodes may be numbered in any order in which each split node's
+    two children come after it, as long as each node but the root is
+    the child of exactly one split node: files of earlier versions
+    number them depth-first. The tree is walked level by level, left
+    child first.
+    """
+    if not isinstance(value, dict):
+        raise _Unfit("must be an object of number lists")
+    try:
+        tree = {name: _unlist(array, 1) for name, array in value.items()}
+    except _Unfit:
+        raise _Unfit("must be an object of number lists") from None
+    if sorted(tree) != sorted(_V1_ARRAYS):
+        raise ChainlensError(f"a tree must hold exactly the arrays {list(_V1_ARRAYS)}")
+    n = tree["feature"].shape[0]
+    if n == 0 or any(array.shape != (n,) for array in tree.values()):
+        raise ChainlensError("a tree's arrays must share one nonzero length")
+    if any(tree[name].dtype.kind != "i" for name in ("feature", "left", "right", "label")):
+        raise ChainlensError("a tree's feature, left, right and label must be integers")
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    node = np.arange(n)
+    split = feature >= 0
+    children = np.concatenate([left[split], right[split]])
+    if np.any((children <= np.tile(node[split], 2)) | (children >= n)):
+        raise ChainlensError("a tree names a feature or child node out of range")
+    if not np.array_equal(np.bincount(children, minlength=n), node > 0):
+        raise ChainlensError("each node of a tree but the root must have exactly one parent")
+    levels, level = [], np.zeros(1, dtype=np.int64)
+    while level.size:
+        levels.append(level)
+        inner = level[split[level]]
+        level = np.stack([left[inner], right[inner]], axis=1).ravel()
+    order = np.concatenate(levels)
+    split = split[order]
+    return {
+        "feature": feature[order],
+        "threshold": tree["threshold"][order][split].astype(np.float64),
+        "label": tree["label"][order][~split],
+    }

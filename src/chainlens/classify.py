@@ -34,8 +34,8 @@ from .classifiers import (
     MODEL_FORMAT_VERSION,
     fit_classifier,
     from_doc,
+    jsonable,
     resolve_hyperparameters,
-    write_doc,
 )
 from .cleaning import (
     AggregateFeatures,
@@ -408,10 +408,10 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         "normalizer": trained.normalizer,
         "parameters": trained.model,
     }
-    # compact, and written a tree at a time: a forest file holds
-    # millions of numbers
+    # compact, and written a blob at a time: ``json.dump`` calls
+    # ``jsonable`` for one model field or array at a time
     with open(path, "w", encoding="utf-8") as handle:
-        write_doc(doc, handle.write)
+        json.dump(doc, handle, separators=(",", ":"), sort_keys=True, default=jsonable)
 
 
 _MODEL_KEYS = ("kind", "hyperparameters", "feature_names", "normalizer", "parameters")

@@ -250,9 +250,11 @@ class ClusterReport:
 def _daily_feature_matrix(
     dataset: Dataset, date: dt.date, feature_columns: Sequence[str]
 ):
-    rows = dataset.rows_on(date)
+    # the coins alive on the date, each at its last row on or before it
+    rows = dataset.last_rows(date)
+    rows = rows[(rows >= 0) & (dataset.days[dataset.last_rows()] >= date.toordinal())]
     if not rows.size:
-        raise ChainlensError(f"no snapshots on {date.isoformat()}")
+        raise ChainlensError(f"no coins alive on {date.isoformat()}")
     matrix = np.column_stack(
         [feature_values(dataset, name, rows) for name in feature_columns]
     )
@@ -271,7 +273,8 @@ def cluster_report(
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
 ) -> ClusterReport:
-    """Cluster the coins observed on one day.
+    """Cluster the coins alive on one day (first day <= date <= last
+    day), each at its last row on or before it.
 
     Coins with any absent value among the selected features are
     excluded. Every surviving feature column is scaled by its maximum,

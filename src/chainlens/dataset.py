@@ -302,13 +302,9 @@ class Dataset:
             dt.date.fromordinal(int(self.days.max())),
         )
 
-    def rows_on(self, date: dt.date) -> np.ndarray:
-        """Positions of the rows on the given day, in coin-key order."""
-        return np.flatnonzero(self.days == date.toordinal())
-
     def snapshot_at(self, date: dt.date) -> list[CoinSnapshot]:
         """All snapshots on the given day, ordered by coin key."""
-        return self.snapshots_of(self.rows_on(date))
+        return self.snapshots_of(np.flatnonzero(self.days == date.toordinal()))
 
     def last_rows(self, cutoff: dt.date | None = None) -> np.ndarray:
         """Per coin, the position of its last row on or before ``cutoff``

@@ -5,12 +5,14 @@ re-sorts every candidate feature at every node and numbers nodes in
 creation order (a node's two children get consecutive ids when it is
 split; the stack pops the right child first), as model files of
 earlier versions hold them; ``level_order`` renumbers such a tree
-breadth-first. ``oracle_level_tree`` is the first level-wise builder:
-a stable argsort of every feature per tree, float64 value comparisons
-for the cuts, two ``np.minimum.at`` scatters for each level's winners
-and a cumsum + ``put_along_axis`` partition of all feature lists, with
-node ids in level order; ``oracle_forest_trees`` grows a forest with
-it. ``oracle_knn_predict`` is the original full stable argsort of
+breadth-first, ``oracle_compact`` cuts a level-order tree to the three
+arrays that models and format-2 files hold, and ``oracle_expand``
+gives a compact tree its five node arrays back. ``oracle_level_tree``
+is the first level-wise builder: a stable argsort of every feature per
+tree, float64 value comparisons for the cuts, two ``np.minimum.at``
+scatters for each level's winners and a cumsum + ``put_along_axis``
+partition of all feature lists, with node ids in level order;
+``oracle_forest_trees`` grows a forest with it. ``oracle_knn_predict`` is the original full stable argsort of
 each distance block. ``oracle_save_model`` is the one-shot model
 writer: the whole document built by ``to_doc`` (format 2) or
 ``to_doc_v1`` (format 1, arrays as lists and trees as five node
@@ -162,6 +164,38 @@ def level_order(tree):
     for child in ("left", "right"):
         out[child] = np.where(split, new_id[out[child]], -1)
     return out
+
+
+def oracle_compact(tree):
+    """A level-order five-array tree cut to the arrays format 2 stores:
+    ``feature`` of every node, ``threshold`` of the split nodes and
+    ``label`` of the leaves."""
+    split = tree["feature"] >= 0
+    return {
+        "feature": tree["feature"],
+        "threshold": tree["threshold"][split],
+        "label": tree["label"][~split],
+    }
+
+
+def oracle_expand(tree):
+    """A compact tree as all five node arrays, in level order: the k-th
+    split node's children are 2k + 1 and 2k + 2, and a leaf has no
+    threshold and a split node no label (0)."""
+    split = tree["feature"] >= 0
+    left = np.full(split.shape[0], -1, dtype=np.int64)
+    left[split] = 1 + 2 * np.arange(int(split.sum()))
+    threshold = np.zeros(split.shape[0], dtype=np.float64)
+    threshold[split] = tree["threshold"]
+    label = np.zeros(split.shape[0], dtype=np.int64)
+    label[~split] = tree["label"]
+    return {
+        "feature": tree["feature"],
+        "threshold": threshold,
+        "left": left,
+        "right": np.where(split, left + 1, -1),
+        "label": label,
+    }
 
 
 def _level_best_splits(XT, R, node, counts, w, wy, tot, pos, allowed):
@@ -483,10 +517,8 @@ def oracle_save_csv(snapshots, path):
 
 def to_doc(obj) -> dict:
     """The whole format-2 document of a model or normalizer: every field
-    but ``hyperparameters`` under its own name, each array as an
-    ``oracle_blob``, each tree renumbered by ``level_order`` and cut to
-    its features, its split nodes' thresholds and its leaves' labels, a
-    tuple of trees as a list."""
+    but ``hyperparameters`` under its own name, each array (a tree's
+    three too) as an ``oracle_blob``, a tuple of trees as a list."""
     return {
         f.name: _to_json(getattr(obj, f.name))
         for f in fields(obj)
@@ -513,13 +545,7 @@ def _to_json(value):
     if isinstance(value, np.ndarray):
         return oracle_blob(value)
     if isinstance(value, dict):
-        tree = level_order(value)
-        split = tree["feature"] >= 0
-        return {
-            "feature": oracle_blob(tree["feature"]),
-            "threshold": oracle_blob(tree["threshold"][split]),
-            "label": oracle_blob(tree["label"][~split]),
-        }
+        return {name: oracle_blob(array) for name, array in value.items()}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -527,8 +553,8 @@ def _to_json(value):
 
 def to_doc_v1(obj) -> dict:
     """The whole format-1 document of a model or normalizer: arrays as
-    (nested) lists, a tree as its five node arrays, a tuple of trees as
-    a list."""
+    (nested) lists, a tree as its five node arrays (``oracle_expand``),
+    a tuple of trees as a list."""
     return {
         f.name: _to_json_v1(getattr(obj, f.name))
         for f in fields(obj)
@@ -540,7 +566,7 @@ def _to_json_v1(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
-        return {name: _to_json_v1(v) for name, v in value.items()}
+        return {name: v.tolist() for name, v in oracle_expand(value).items()}
     if isinstance(value, tuple):
         return [_to_json_v1(v) for v in value]
     return value

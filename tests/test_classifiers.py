@@ -1,5 +1,6 @@
 """Algorithm-level checks for the six classifiers."""
 
+import json
 import threading
 
 import numpy as np
@@ -15,12 +16,18 @@ from chainlens.classifiers import (
     fit_gaussian_nb,
     fit_knn,
     fit_random_forest,
+    jsonable,
     logistic_loss_and_gradient,
     resolve_hyperparameters,
-    write_doc,
 )
 from chainlens.errors import ChainlensError
-from oracles import level_order, oracle_build_tree, oracle_forest_trees, oracle_knn_predict
+from oracles import (
+    level_order,
+    oracle_build_tree,
+    oracle_compact,
+    oracle_forest_trees,
+    oracle_knn_predict,
+)
 
 
 def two_blobs(rng, n_per=60, separation=6.0, d=4):
@@ -99,7 +106,7 @@ class TestDecisionTree:
         # one internal node splitting at the midpoint of -1 and 1
         internal = model.tree["feature"] >= 0
         assert internal.sum() == 1
-        assert model.tree["threshold"][internal][0] == 0.0
+        assert model.tree["threshold"].tolist() == [0.0]
 
     def test_grows_two_levels_when_first_split_gains(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
@@ -175,6 +182,38 @@ def assert_same_tree(tree, expected):
         assert tree[name].dtype == arr.dtype, name
 
 
+def assert_compact(tree):
+    """``tree`` holds exactly what format 2 stores: a feature per node, a
+    threshold per split node and a label per leaf."""
+    assert sorted(tree) == ["feature", "label", "threshold"]
+    split = tree["feature"] >= 0
+    assert tree["feature"].dtype == np.int64 and tree["feature"].ndim == 1
+    assert tree["threshold"].dtype == np.float64
+    assert tree["threshold"].shape == (split.sum(),)
+    assert tree["label"].dtype == np.int64
+    assert tree["label"].shape == ((~split).sum(),)
+    assert split.shape[0] == 2 * split.sum() + 1
+
+
+class TestCompactTrees:
+    """Every fitted tree holds format 2's three arrays and nothing more."""
+
+    def test_decision_trees(self):
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            X, y = tied_matrix(rng)
+            assert_compact(fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"]).tree)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forest_trees(self, bootstrap):
+        X, y = continuous_blobs(np.random.default_rng(25))
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6, bootstrap=bootstrap)
+        forest = fit_random_forest(X, y, hp, seed=5)
+        assert len(forest.trees) == 6
+        for tree in forest.trees:
+            assert_compact(tree)
+
+
 class TestCartAgainstOracle:
     """The level-wise builder grows the depth-first one's trees exactly,
     numbered in level order."""
@@ -191,8 +230,10 @@ class TestCartAgainstOracle:
             model = fit_decision_tree(X, y, hp)
             assert_same_tree(
                 model.tree,
-                level_order(
-                    oracle_build_tree(X, y, hp["min_samples_split"], hp["max_depth"])
+                oracle_compact(
+                    level_order(
+                        oracle_build_tree(X, y, hp["min_samples_split"], hp["max_depth"])
+                    )
                 ),
             )
 
@@ -200,7 +241,7 @@ class TestCartAgainstOracle:
         rng = np.random.default_rng(22)
         X, y = two_blobs(rng, n_per=150, separation=1.0, d=3)
         model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
-        assert_same_tree(model.tree, level_order(oracle_build_tree(X, y)))
+        assert_same_tree(model.tree, oracle_compact(level_order(oracle_build_tree(X, y))))
 
     def test_weighted_build_matches_duplicated_rows(self):
         rng = np.random.default_rng(23)
@@ -212,7 +253,8 @@ class TestCartAgainstOracle:
             (tree,) = _build_trees(_presort(X), y, weights[None], min_split, None, None, None)
             rows = np.repeat(np.arange(X.shape[0]), weights)
             assert_same_tree(
-                tree, level_order(oracle_build_tree(X[rows], y[rows], min_split))
+                tree,
+                oracle_compact(level_order(oracle_build_tree(X[rows], y[rows], min_split))),
             )
 
 
@@ -245,7 +287,7 @@ class TestForestAgainstOracle:
             expected = oracle_forest_trees(X, y, hp, seed=seed)
             assert len(forest.trees) == len(expected)
             for tree, oracle_tree in zip(forest.trees, expected):
-                assert_same_tree(tree, oracle_tree)
+                assert_same_tree(tree, oracle_compact(oracle_tree))
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_trees_do_not_depend_on_the_batch(self, monkeypatch, batch):
@@ -256,13 +298,11 @@ class TestForestAgainstOracle:
             hp = dict(KIND_DEFAULTS["random_forest"], n_trees=5, max_features=1)
             forest = fit_random_forest(X, y, hp, seed=7)
             for tree, oracle_tree in zip(forest.trees, oracle_forest_trees(X, y, hp, 7)):
-                assert_same_tree(tree, oracle_tree)
+                assert_same_tree(tree, oracle_compact(oracle_tree))
 
 
 def forest_text(forest):
-    pieces = []
-    write_doc(forest, pieces.append)
-    return "".join(pieces)
+    return json.dumps(forest, sort_keys=True, default=jsonable)
 
 
 class TestForestThreads:
@@ -515,6 +555,18 @@ class TestCommonBehavior:
             model.predict(np.zeros((2, 5)))
         with pytest.raises(ChainlensError, match="expected 3 features, got 5"):
             model.predict(np.empty((0, 5)))
+
+    @pytest.mark.parametrize("kind", sorted(KIND_DEFAULTS))
+    def test_nonfinite_prediction_input_rejected(self, kind):
+        rng = np.random.default_rng(15)
+        X, y = two_blobs(rng, n_per=15, separation=3.0, d=3)
+        hp = {"n_trees": 3} if kind == "random_forest" else None
+        model = fit_classifier(kind, X, y, hyperparameters=hp)
+        for value in (np.nan, np.inf, -np.inf):
+            probe = X[:4].copy()
+            probe[2, 1] = value
+            with pytest.raises(ChainlensError, match="prediction input must be finite"):
+                model.predict(probe)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChainlensError):

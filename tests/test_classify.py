@@ -1,7 +1,6 @@
 """Labeling, splitting, training, evaluation, and flag heuristics."""
 
 import base64
-import dataclasses
 import datetime as dt
 import json
 from pathlib import Path
@@ -32,7 +31,7 @@ from chainlens.classifiers import (
     KNNModel,
     RandomForestModel,
     from_doc,
-    write_doc,
+    jsonable,
 )
 from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.cli import run
@@ -40,7 +39,14 @@ from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
-from oracles import level_order, oracle_blob, oracle_build_tree, oracle_save_model, to_doc
+from oracles import (
+    level_order,
+    oracle_blob,
+    oracle_build_tree,
+    oracle_compact,
+    oracle_save_model,
+    to_doc,
+)
 
 # model files of format 1 (tests/fixtures/models) and, the same models
 # written by the one-shot writer, of format 2 (tests/fixtures/models_v2)
@@ -58,13 +64,25 @@ def unblob(blob):
     return values.reshape(blob["shape"]).astype(np.float64 if blob["dtype"] == "<f8" else np.int64)
 
 
-def tree_doc(feature, threshold, label):
-    """A format-2 tree document from its stored arrays."""
+def compact_tree(feature, threshold, label):
+    """A tree as models hold it, from its three arrays."""
     return {
-        "feature": oracle_blob(np.array(feature, dtype=np.int64)),
-        "threshold": oracle_blob(np.array(threshold, dtype=np.float64)),
-        "label": oracle_blob(np.array(label, dtype=np.int64)),
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "label": np.array(label, dtype=np.int64),
     }
+
+
+def tree_doc(tree):
+    """A tree as a format-2 file holds it."""
+    return {name: oracle_blob(array) for name, array in tree.items()}
+
+
+def set_int(array, index, value):
+    """A copy of an integer array with ``index`` set to ``value``."""
+    array = array.copy()
+    array[index] = value
+    return array
 
 
 def at(index, value):
@@ -586,36 +604,42 @@ class TestModelPersistence:
         def trees_of(model):
             return tuple(getattr(model, "trees", None) or (model.tree,))
 
-        fitted = trees_of(trained.model)
-        for tree in fitted:
-            split = tree["feature"] >= 0
-            assert np.array_equal(tree["left"][split], 1 + 2 * np.arange(split.sum()))
         if kind == "decision_tree":
             depth_first = [oracle_build_tree(X, y)]
-            model = DecisionTreeModel(depth_first[0], 3, trained.model.hyperparameters)
         else:
             depth_first = []
             for t in range(4):
                 rng = np.random.default_rng([3, t])
                 rows = np.repeat(np.arange(n), np.bincount(rng.integers(0, n, size=n), minlength=n))
                 depth_first.append(oracle_build_tree(X[rows], y[rows]))
-            model = RandomForestModel(tuple(depth_first), 3, trained.model.hyperparameters)
         assert any(
-            not np.array_equal(old["left"], new["left"]) for old, new in zip(depth_first, fitted)
+            not np.array_equal(tree["left"], level_order(tree)["left"]) for tree in depth_first
         )
         path = tmp_path / "model.json"
-        oracle_save_model(dataclasses.replace(trained, model=model), path, version=1)
+        oracle_save_model(trained, path, version=1)
+        doc = json.loads(path.read_text())
+        lists = [{name: array.tolist() for name, array in tree.items()} for tree in depth_first]
+        if kind == "decision_tree":
+            doc["parameters"]["tree"] = lists[0]
+        else:
+            doc["parameters"]["trees"] = lists
+        path.write_text(json.dumps(doc))
         loaded = load_model(path)
-        assert_same_value(trees_of(loaded.model), tuple(depth_first))
+        # renumbered in level order and cut to format 2's arrays: the fitted trees
+        levelled = tuple(oracle_compact(level_order(tree)) for tree in depth_first)
+        assert_same_value(trees_of(loaded.model), levelled)
+        assert_same_value(trees_of(trained.model), levelled)
         probe = np.random.default_rng(13).normal(0.5, 2.0, size=(200, 3))
         assert np.array_equal(predict(loaded, probe), predict(trained, probe))
         assert np.array_equal(predict(loaded, table.X), predict(trained, table.X))
-        # saved again, in format 2, the trees are renumbered in level order
+        # saved again, in format 2, as the fitted model saves
         again = tmp_path / "again.json"
         save_model(loaded, again)
         reloaded = load_model(again)
-        assert_same_value(trees_of(reloaded.model), tuple(map(level_order, depth_first)))
+        assert_same_value(trees_of(reloaded.model), levelled)
         assert np.array_equal(predict(reloaded, probe), predict(trained, probe))
+        save_model(trained, tmp_path / "fitted.json")
+        assert again.read_bytes() == (tmp_path / "fitted.json").read_bytes()
         oracle_save_model(loaded, tmp_path / "one_shot.json")
         assert again.read_bytes() == (tmp_path / "one_shot.json").read_bytes()
 
@@ -767,11 +791,12 @@ class TestModelPersistence:
             ("decision_tree", ("parameters", "tree"), lambda t: {**t, "left": t["label"]},
              "field 'tree' must be a tree of the arrays feature, label and threshold"),
             # node 1 is the first split node, so its implied children are 1 and 2
-            ("decision_tree", ("parameters", "tree"), lambda t: tree_doc([-1, 0, -1], [0.5], [0, 1]),
-             "out of range"),
+            ("decision_tree", ("parameters", "tree"),
+             lambda t: tree_doc(compact_tree([-1, 0, -1], [0.5], [0, 1])), "out of range"),
             # node 3 is no node's child
             ("decision_tree", ("parameters", "tree"),
-             lambda t: tree_doc([0, -1, -1, -1], [0.5], [0, 1, 0]), "exactly one parent"),
+             lambda t: tree_doc(compact_tree([0, -1, -1, -1], [0.5], [0, 1, 0])),
+             "exactly one parent"),
         ],
     )
     def test_bad_array_in_format_2_file_rejected(self, tmp_path, kind, where, edit, message):
@@ -785,6 +810,48 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: {**t, "threshold": t["threshold"][:-1]},
+             r"field 'trees?' holds \d+ thresholds for \d+ split nodes"),
+            (lambda t: {**t, "label": np.append(t["label"], 1)},
+             r"field 'trees?' holds \d+ labels for \d+ leaves"),
+            (lambda t: {**t, "threshold": at(0, np.inf)(t["threshold"])},
+             r"field 'trees?' array 'threshold' must be finite"),
+            (lambda t: {**t, "feature": set_int(t["feature"], 0, 3)}, "out of range"),
+            (lambda t: {**t, "feature": set_int(t["feature"], -1, -2)}, "out of range"),
+            # node 1 is the first split node, so its implied children are 1 and 2
+            (lambda t: compact_tree([-1, 0, -1], [0.5], [0, 1]), "out of range"),
+            # node 3 is no node's child
+            (lambda t: compact_tree([0, -1, -1, -1], [0.5], [0, 1, 0]), "exactly one parent"),
+            (lambda t: compact_tree([], [], []), "exactly one parent"),
+        ],
+    )
+    def test_malformed_tree_in_memory_rejected_as_in_format_2_file(
+        self, tmp_path, kind, edit, message
+    ):
+        source = MODEL_FIXTURES_V2 / f"{kind}.json"
+        model = load_model(source).model
+        doc = json.loads(source.read_text())
+        if kind == "random_forest":
+            trees = model.trees[:-1] + (edit(model.trees[-1]),)
+            doc["parameters"]["trees"][-1] = tree_doc(trees[-1])
+        else:
+            tree = edit(model.tree)
+            doc["parameters"]["tree"] = tree_doc(tree)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match=message) as from_file:
+            load_model(path)
+        with pytest.raises(ChainlensError) as in_memory:
+            if kind == "random_forest":
+                RandomForestModel(trees, model.n_features, model.hyperparameters)
+            else:
+                DecisionTreeModel(tree, model.n_features, model.hyperparameters)
+        assert str(in_memory.value) == str(from_file.value)
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
@@ -856,9 +923,7 @@ class TestModelPersistence:
     )
     def test_integers_take_the_narrowest_dtype_and_load_back(self, values, dtype):
         labels = np.array(values, dtype=np.int64)
-        pieces = []
-        write_doc(labels, pieces.append)
-        blob = json.loads("".join(pieces))
+        blob = json.loads(json.dumps(labels, default=jsonable))
         assert blob == oracle_blob(labels)
         assert blob["dtype"] == dtype
         doc = {"train_X": oracle_blob(np.zeros((len(values), 2))), "train_y": blob}
@@ -869,9 +934,8 @@ class TestModelPersistence:
         train_X = np.array(
             [[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308], [0.1, 1 / 3]]
         )
-        pieces = []
-        write_doc(KNNModel(train_X, np.array([0, 1, 1]), {"k": 1}), pieces.append)
-        model = from_doc(KNNModel, json.loads("".join(pieces)), hyperparameters={"k": 1})
+        text = json.dumps(KNNModel(train_X, np.array([0, 1, 1]), {"k": 1}), default=jsonable)
+        model = from_doc(KNNModel, json.loads(text), hyperparameters={"k": 1})
         assert model.train_X.dtype == np.float64
         assert model.train_X.tobytes() == train_X.tobytes()
 

@@ -258,6 +258,36 @@ class TestClusterReport:
         assert report.feature_columns == ("market_cap", "volume_24h")
         assert len(report.keys) == 6
 
+    def test_cutoff_off_the_weekly_grid_clusters_the_alive_coins(self):
+        # each coin's rows, as days after day one; the cutoff is day 3
+        weeks = {
+            "Alive_A": [0, 7, 14],  # last row on or before the cutoff: day 0
+            "Late_B": [7, 14],  # first row after the cutoff
+            "Gone_C": [-7, 0],  # last row before the cutoff
+            "Shifted_D": [2, 9],  # on another weekday: day 2
+            "Gap_E": [-14, -7, 7],  # day -7
+        }
+        snaps = [
+            full_snapshot(
+                key,
+                seed=i,
+                date=day_one() + dt.timedelta(days=offset),
+                market_cap=float(100 * i + offset + 20),
+            )
+            for i, (key, offsets) in enumerate(weeks.items())
+            for offset in offsets
+        ]
+        report = cluster_report(
+            Dataset.build(snaps),
+            day_one() + dt.timedelta(days=3),
+            feature_columns=["market_cap"],
+            k=3,
+        )
+        assert report.keys == ("Alive_A", "Gap_E", "Shifted_D")
+        # with k equal to the coin count every coin is its own centroid
+        rows = np.array([20.0, 413.0, 322.0])
+        assert sorted(report.model.centroids.ravel()) == sorted(rows / rows.max())
+
     def test_missing_day_rejected(self):
         snaps = [full_snapshot("Coin0_C0", seed=0)]
         with pytest.raises(ChainlensError):

@@ -32,6 +32,7 @@ from .classifiers import (
     CLASSIFIER_KINDS,
     KINDS,
     MODEL_FORMAT_VERSION,
+    _validate_matrix,
     fit_classifier,
     from_doc,
     jsonable,
@@ -260,13 +261,9 @@ def fit(spec: ClassifierSpec, train: LabeledTable, seed: int = 0) -> TrainedMode
 
 def predict(trained: TrainedModel, rows) -> np.ndarray:
     """Hard labels for a LabeledTable or a raw feature matrix."""
-    X = rows.X if isinstance(rows, LabeledTable) else np.asarray(rows, dtype=np.float64)
-    if X.ndim != 2:
-        raise ChainlensError("prediction input must be 2-d")
-    if X.shape[1] != len(trained.feature_names):
-        raise ChainlensError(
-            f"expected {len(trained.feature_names)} features, got {X.shape[1]}"
-        )
+    X = _validate_matrix(
+        rows.X if isinstance(rows, LabeledTable) else rows, len(trained.feature_names)
+    )
     return trained.model.predict(trained.normalizer.transform(X))
 
 

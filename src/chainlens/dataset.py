@@ -25,6 +25,14 @@ first bad row, to raise its exact error and line number. A number cell
 the vectorized pass cannot take and every cell of the row-by-row parser
 go through one rule, ``_cell``.
 
+:func:`save_csv` writes the extended columns only when one of them has
+a value, each cell empty when absent, as ``str(int(v))`` when integral
+and as ``repr(v)`` otherwise. It computes that text for whole columns in
+numpy (:mod:`chainlens.csvtext`), with ``repr``'s digits from an integer
+shortest-digits kernel, and formats a row by itself only when a cell is
+one the kernel leaves to ``repr`` (subnormals, exact ties, integral
+values from 2**63 on) or its coin prefix is long.
+
 :class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
 takes snapshots, and ``series``, ``snapshot_at`` and ``snapshots``
 materialize them from the checked columns, without validating them
@@ -37,7 +45,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import gc
-import io
 import itertools
 import math
 import warnings
@@ -80,8 +87,11 @@ VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
 _SNAPSHOT_FIELDS = ("key", "date") + VALUE_COLUMNS
 # a parsed cell that failed validation; absent cells are NaN
 _INVALID = -math.inf
-# rows parsed or formatted per pass, which bounds the memory held by cell text
+# rows parsed per pass of load_csv, which bounds the memory held by cell text
 _CHUNK_ROWS = 1 << 14
+# rows formatted per pass of save_csv; over 11 columns a pass holds ~5 MB
+# of word matrices
+_WRITE_ROWS = 1 << 13
 
 
 def coin_key(name: str, symbol: str) -> str:
@@ -637,46 +647,26 @@ def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Datas
     return parser.dataset()
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """CSV text of one column: empty when absent, integral values as
-    integers, others as ``repr``; each distinct value is formatted once."""
-    present = ~np.isnan(values)
-    distinct, inverse = np.unique(values[present], return_inverse=True)
-    integral = distinct == np.floor(distinct)
-    texts = np.empty(distinct.shape[0], dtype=object)
-    texts[integral] = [str(int(v)) for v in distinct[integral].tolist()]
-    texts[~integral] = list(map(repr, distinct[~integral].tolist()))
-    if present.all():
-        return texts[inverse].tolist()
-    out = np.full(values.shape[0], "", dtype=object)
-    out[present] = texts[inverse]
-    return out.tolist()
-
-
 def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a Dataset back to CSV; ``load_csv`` of the result is identity."""
+    """Write a Dataset back to CSV; ``load_csv`` of the result is identity.
+
+    Rows in (key, day) order with CRLF line ends; name and symbol quoted
+    as ``csv.writer`` quotes them; a cell empty when absent,
+    ``str(int(v))`` when integral and ``repr(v)`` otherwise. The bytes
+    are those of writing each row with ``csv.writer``, but the text is
+    computed in numpy ``_WRITE_ROWS`` rows at a time
+    (:func:`chainlens.csvtext.write_chunk`).
+    """
     path = Path(path)
     columns = list(NUMERIC_COLUMNS)
     if dataset.has_extended_columns():
         columns += list(EXTENDED_COLUMNS)
-    # name and symbol are quoted by csv.writer itself, once per coin;
-    # days and numbers never need quoting
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    prefixes = []
-    for key in dataset.keys:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(split_coin_key(key))
-        prefixes.append(buffer.getvalue()[:-2])
-    prefixes = np.array(prefixes, dtype=object)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(["name", "symbol", "date"] + columns)
-        for start in range(0, len(dataset), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            fields = [
-                prefixes[dataset.codes[rows]].tolist(),
-                isoformat_days(dataset.days[rows]),
-            ]
-            fields += [_format_column(dataset.column(c)[rows]) for c in columns]
-            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    # imported on use: its tables take a few ms to build
+    from .csvtext import Prefixes, write_chunk
+
+    prefixes = Prefixes.of(dataset.keys)
+    with path.open("wb") as handle:
+        handle.write((",".join(["name", "symbol", "date"] + columns) + "\r\n").encode())
+        for start in range(0, len(dataset), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            write_chunk(handle, dataset, columns, prefixes, rows)

@@ -22,7 +22,10 @@ arrays), then one ``json.dumps``.
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
 validated ``CoinSnapshot`` per row, sorted with ``sorted``, duplicates
 and circulating > total rows found by walking the sorted rows, and one
-``csv.writer`` row per snapshot.
+``csv.writer`` row per snapshot, each cell by ``_format_cell``.
+``repr_digits`` reads ``repr``'s digits back as an integer and an
+exponent, and ``is_tie`` tells with exact fractions whether a value lies
+halfway between two decimals of that length.
 """
 
 import base64
@@ -30,6 +33,7 @@ import csv
 import json
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +492,27 @@ def oracle_fetch_pages(pages):
     for page, rows in enumerate(pages, start=1):
         snapshots.extend(oracle_rows_to_snapshots(rows, page))
     return oracle_build(snapshots)
+
+
+def repr_digits(value: float) -> tuple[int, int]:
+    """``repr(value)`` as ``(digits, exponent)`` with no trailing zero
+    in ``digits``: the text reads ``digits * 10**exponent``."""
+    mantissa, _, power = repr(value).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    fraction = fraction.rstrip("0")
+    digits, exponent = int(whole + fraction), int(power or 0) - len(fraction)
+    while digits and digits % 10 == 0:
+        digits, exponent = digits // 10, exponent + 1
+    return digits, exponent
+
+
+def is_tie(value: float) -> bool:
+    """Whether two decimals of ``repr``'s length lie equally near the
+    value, exactly, which ``shortest_digits`` leaves to ``repr``."""
+    digits, exponent = repr_digits(value)
+    unit = Fraction(10) ** exponent
+    near = abs(Fraction(value) - digits * unit)
+    return near * 2 == unit
 
 
 def _format_cell(value):

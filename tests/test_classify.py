@@ -383,6 +383,17 @@ class TestFitPredict:
         with pytest.raises(ChainlensError):
             predict(trained, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(3), np.zeros((2, 9)), np.full((1, 3), np.inf)]
+    )
+    def test_predict_checks_input_as_the_model_does(self, bad):
+        trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
+        with pytest.raises(ChainlensError) as by_model:
+            trained.model.predict(bad)
+        with pytest.raises(ChainlensError) as by_predict:
+            predict(trained, bad)
+        assert str(by_predict.value) == str(by_model.value)
+
     def test_predict_empty_is_empty(self):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         assert predict(trained, np.empty((0, 3))).shape == (0,)

@@ -10,15 +10,20 @@ line number included.
 
 import datetime as dt
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 import chainlens.dataset as dataset_module
+from chainlens import csvtext
 from chainlens.api import _parse_rows
 from chainlens.dataset import CoinSnapshot, ColumnParser, Dataset, load_csv, save_csv
 from chainlens.errors import DataQualityWarning
 from oracles import (
+    _format_cell,
+    is_tie,
     oracle_build,
     oracle_fetch_pages,
     oracle_load_csv,
@@ -34,10 +39,11 @@ EXTENDED = ",total_value_locked,staking_reward,total_staking_percentage,whales_p
 
 @pytest.fixture(params=[3, None], ids=["chunks_of_3", "one_chunk"])
 def chunk_rows(request, monkeypatch):
-    """Run each case with tiny chunks too, so errors and blank records
-    fall on chunk boundaries."""
+    """Run each case with tiny chunks too, so errors, blank records and
+    rows that save_csv formats by themselves fall on chunk boundaries."""
     if request.param is not None:
         monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", request.param)
+        monkeypatch.setattr(dataset_module, "_WRITE_ROWS", request.param)
 
 
 def outcome(call):
@@ -394,3 +400,64 @@ class TestBuildMatchesOracle:
         got, _ = outcome(lambda: Dataset.build(snaps))
         want, _ = outcome(lambda: oracle_build(snaps))
         assert_same_error(got, want)
+
+
+# cells that save_csv spells in numpy, and cells it leaves to the row
+# formatter: a tie between two shortest decimals, values from 2**63 on,
+# subnormals
+HARD_CELLS = [
+    0.5,
+    1e-05,
+    0.00012345678901234567,
+    1.7976931348623157e308,
+    12345678901234567.0,
+    2.0**63 - 1024,
+    742190215483.6562,
+    2.0**63,
+    1e300,
+    5e-324,
+    None,
+]
+
+
+class TestSaveCsvMatchesOracle:
+    def test_hard_names_and_cells(self, tmp_path, chunk_rows):
+        names = ["A\x00B", "Coin, Inc", 'Say "hi"', "two\r\nlines", "Ünïcødé 币"]
+        names.append("x" * 70)  # a prefix too long for the word matrix
+        day = dt.date(2021, 1, 1)
+        snaps = [
+            CoinSnapshot(
+                f"{name}_S{i}\x00",
+                day + dt.timedelta(days=j),
+                price=HARD_CELLS[(i + j) % len(HARD_CELLS)],
+                volume_24h=HARD_CELLS[(3 * i + j + 1) % len(HARD_CELLS)],
+                whales_percentage=HARD_CELLS[(j + 5) % len(HARD_CELLS)],
+            )
+            for i, name in enumerate(names)
+            for j in range(5)
+        ]
+        got, got_warnings = outcome(lambda: Dataset.build(snaps))
+        want, want_warnings = outcome(lambda: oracle_build(snaps))
+        assert_matches(got, got_warnings, want, want_warnings, tmp_path)
+        assert b"A\x00B,S0\x00," in (tmp_path / "columnar.csv").read_bytes()
+
+    def test_cell_text_matches_format_cell(self):
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 1 << 63, size=20_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate(
+            [
+                bits[np.isfinite(bits)],
+                rng.random(20_000) * 10.0 ** rng.integers(-9, 18, 20_000),
+                rng.integers(0, 1 << 62, 2_000).astype(np.float64),
+                [v if v is not None else np.nan for v in HARD_CELLS],
+                [1e16, 1e-4, np.nextafter(1e-4, 0), 2.0**-1022, 0.0, -0.0, 1e-100],
+            ]
+        )
+        words, length, left = csvtext.column_text(values)
+        slots = np.stack(words, axis=1).astype("<u8").view(np.uint8)
+        for value, slot, n, by_row in zip(values.tolist(), slots, length.tolist(), left):
+            if by_row:  # the row formatter's: from 2**63 on, subnormal or a tie
+                assert value >= 2.0**63 or 0 < value < 2.0**-1022 or is_tie(value)
+            else:
+                cell = None if math.isnan(value) else value
+                assert slot[24 - n :].tobytes().decode() == _format_cell(cell), value

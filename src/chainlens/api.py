@@ -10,14 +10,10 @@ by example in tests/fixtures/api_payload_format.json.
 
 Every page that parses and passes every row check is cached on disk,
 keyed by (endpoint, params), as the columns it parsed to: a
-``<sha256>.page`` file holding a one-line JSON header (format version,
-``total_pages``, row count, the page's distinct ``(name, symbol)``
-pairs and its column names), then one ``.npy`` array each of pair
-codes, day ordinals and value columns. A rerun with the same config
-needs no network, no JSON decoding and no ``requests``. A page file is
-checked again on every read: one that is cut short, carries trailing
-bytes, or fails a header, range or value check is a miss, and the page
-is fetched again and its file replaced. That cache is the reason the
+``<sha256>.page`` page file (:mod:`chainlens.cache`). A rerun with the
+same config needs no network, no JSON decoding and no ``requests``. A
+page file that fails a check on reading is a miss, and the page is
+fetched again and its file replaced. That cache is the reason the
 whole pipeline stays reproducible offline against a proprietary source.
 """
 
@@ -34,15 +30,13 @@ from itertools import repeat
 from pathlib import Path
 from urllib.parse import urlencode
 
-import numpy as np
-
+from .cache import cache_dir, read_page, write_page
 from .dataset import (
     CSV_HEADER,
     VALUE_COLUMNS,
     Chunk,
     ColumnParser,
     Dataset,
-    coin_key,
     snapshot_from_mapping,
 )
 from .errors import (
@@ -54,17 +48,11 @@ from .errors import (
 
 HISTORY_PATH = "/v1/history"
 API_KEY_ENV = "CHAINLENS_API_KEY"
-CACHE_DIR_ENV = "CHAINLENS_CACHE_DIR"
 
 _REQUIRED = frozenset(CSV_HEADER)
 _ENVELOPE_FIELDS = ("data", "page", "total_pages")
 
 PAGE_SUFFIX = ".page"
-_PAGE_FORMAT = 1
-_CODE_TYPE = np.dtype(np.int32)  # pair codes and day ordinals in a page file
-_VALUE_TYPE = np.dtype(np.float64)
-_FIRST_DAY = dt.date.min.toordinal()
-_LAST_DAY = dt.date.max.toordinal()
 
 
 @dataclass(frozen=True)
@@ -102,10 +90,7 @@ class ApiClientConfig:
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir is not None:
             return Path(self.cache_dir)
-        env = os.environ.get(CACHE_DIR_ENV)
-        if env:
-            return Path(env)
-        return Path.home() / ".cache" / "chainlens"
+        return cache_dir()
 
 
 def _page_path(cache_dir: Path, endpoint: str, params: dict) -> Path:
@@ -113,92 +98,6 @@ def _page_path(cache_dir: Path, endpoint: str, params: dict) -> Path:
         f"{endpoint}?{urlencode(sorted(params.items()))}".encode()
     ).hexdigest()
     return cache_dir / f"{digest}{PAGE_SUFFIX}"
-
-
-def _write_page(path: Path, total_pages: int, chunk: Chunk) -> None:
-    """Save one checked page through a temporary file, so that the page
-    file is whole or absent; a failed write costs only the cache entry."""
-    header = {
-        "format": _PAGE_FORMAT,
-        "total_pages": total_pages,
-        "rows": len(chunk.days),
-        "pairs": chunk.pairs,
-        "columns": list(chunk.columns),
-    }
-    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with temporary.open("wb") as handle:
-            handle.write(json.dumps(header).encode() + b"\n")
-            np.save(handle, chunk.codes.astype(_CODE_TYPE), allow_pickle=False)
-            np.save(handle, chunk.days.astype(_CODE_TYPE), allow_pickle=False)
-            for values in chunk.columns.values():
-                np.save(handle, np.asarray(values, _VALUE_TYPE), allow_pickle=False)
-        os.replace(temporary, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            temporary.unlink(missing_ok=True)
-
-
-def _read_array(handle, dtype: np.dtype, rows: int) -> np.ndarray:
-    """The next ``.npy`` array in a page file, which must hold ``rows``
-    items of ``dtype``."""
-    if np.lib.format.read_magic(handle) != (1, 0):
-        raise ValueError("unexpected .npy format version")
-    shape, _, stored = np.lib.format.read_array_header_1_0(handle)
-    if shape != (rows,) or stored != dtype:
-        raise ValueError(f"array {shape} {stored} does not match the page header")
-    data = handle.read(rows * dtype.itemsize)
-    if len(data) != rows * dtype.itemsize:
-        raise ValueError("page file is cut short")
-    return np.frombuffer(data, dtype)
-
-
-def _load_page(handle, size: int) -> tuple[int, Chunk]:
-    """``total_pages`` and the chunk of an open page file of ``size``
-    bytes; raises ValueError unless the file is whole and every check
-    passes."""
-    header = json.loads(handle.readline())
-    if type(header) is not dict or header.get("format") != _PAGE_FORMAT:
-        raise ValueError("not a page file of this format")
-    total_pages, rows = header.get("total_pages"), header.get("rows")
-    pairs, columns = header.get("pairs"), header.get("columns")
-    if type(total_pages) is not int or type(rows) is not int or rows < 0:
-        raise ValueError("bad total_pages or row count")
-    if type(pairs) is not list or not all(
-        type(pair) is list and len(pair) == 2 and all(type(part) is str for part in pair)
-        for pair in pairs
-    ):
-        raise ValueError("pairs are not [name, symbol] lists")
-    pairs = tuple(map(tuple, pairs))
-    for pair in pairs:
-        coin_key(*pair)  # raises ValueError for a pair with no coin key
-    if columns != list(VALUE_COLUMNS):
-        raise ValueError("not the value columns")
-    # bounds what the arrays can ask to read by what the file holds
-    if rows * (2 * _CODE_TYPE.itemsize + len(columns) * _VALUE_TYPE.itemsize) > size:
-        raise ValueError("row count exceeds the file")
-    codes = _read_array(handle, _CODE_TYPE, rows)
-    days = _read_array(handle, _CODE_TYPE, rows)
-    values = {name: _read_array(handle, _VALUE_TYPE, rows) for name in columns}
-    if handle.read(1):
-        raise ValueError("trailing bytes after the last array")
-    if not np.array_equal(np.unique(codes), np.arange(len(pairs))):
-        raise ValueError("pair codes out of range, or a pair without rows")
-    if rows and not (_FIRST_DAY <= days.min() and days.max() <= _LAST_DAY):
-        raise ValueError("day ordinal off the calendar")
-    for column in values.values():
-        if np.any(column < 0) or np.any(column == np.inf):
-            raise ValueError("value neither absent nor finite and >= 0")
-    return total_pages, Chunk(pairs, codes, days, values)
-
-
-def _read_page(path: Path) -> tuple[int, Chunk] | None:
-    """The cached page at ``path``, or None when it is absent or fails a check."""
-    try:
-        with path.open("rb") as handle:
-            return _load_page(handle, os.fstat(handle.fileno()).st_size)
-    except (OSError, ValueError):  # ValueError: a JSON, .npy or page check
-        return None
 
 
 class _Throttle:
@@ -342,7 +241,7 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
         while page <= total_pages:
             params = dict(base_params, page=page)
             page_file = _page_path(cache_dir, url, params)
-            cached = _read_page(page_file)
+            cached = read_page(page_file)
             if cached is not None:
                 total_pages, chunk = cached
             else:
@@ -359,7 +258,7 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                         f"page {page} total_pages is not an integer"
                     ) from None
                 chunk = _parse_rows(parser, payload["data"], page)
-                _write_page(page_file, total_pages, chunk)
+                write_page(page_file, total_pages, chunk)
             parser.append(chunk)
             page += 1
     return parser.dataset()

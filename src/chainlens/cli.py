@@ -36,6 +36,7 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from .api import ApiClientConfig, fetch_history
+from .cache import load_panel
 from .classify import (
     CLASSIFY_FEATURES,
     ClassifierSpec,
@@ -165,13 +166,16 @@ class ArtifactWriter:
 
 
 def _load_dataset(cfg: RunConfig):
-    """The panel a stage reads: ``--input``, else ``dataset.csv`` in ``--out``."""
+    """The panel a stage reads: ``--input``, else ``dataset.csv`` in ``--out``.
+
+    It is parsed with ``load_csv`` only when the panel cache holds no
+    checked entry for the file's bytes (``cache.load_panel``)."""
     source = Path(cfg.input) if cfg.input else Path(cfg.out) / "dataset.csv"
     if not source.exists():
         hint = "" if cfg.input else "; pass --input or run generate/ingest first"
         raise ChainlensError(f"no dataset at {source}{hint}")
     try:
-        ds = load_csv(source)
+        ds = load_panel(source, load_csv)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
     return _require_rows(ds, source)

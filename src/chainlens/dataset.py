@@ -88,7 +88,7 @@ _SNAPSHOT_FIELDS = ("key", "date") + VALUE_COLUMNS
 # a parsed cell that failed validation; absent cells are NaN
 _INVALID = -math.inf
 # rows parsed per pass of load_csv, which bounds the memory held by cell text
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 13
 # rows formatted per pass of save_csv; over 11 columns a pass holds ~5 MB
 # of word matrices
 _WRITE_ROWS = 1 << 13
@@ -160,6 +160,14 @@ def isoformat_days(days: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
+def _positive_zeros(column: np.ndarray) -> np.ndarray:
+    """``column`` with each negative zero, which ``save_csv`` writes as
+    ``0``, made +0.0; copied only when it holds one."""
+    if np.signbit(column[column == 0]).any():
+        return column + 0.0
+    return column
+
+
 class Dataset:
     """Immutable coin-day panel stored as columns sorted by (key, day).
 
@@ -188,7 +196,7 @@ class Dataset:
         days = np.asarray(days, dtype=np.int64)
         n = days.shape[0]
         values = {
-            name: np.asarray(columns[name], dtype=np.float64)
+            name: _positive_zeros(np.asarray(columns[name], dtype=np.float64))
             if name in columns
             else np.full(n, np.nan)
             for name in VALUE_COLUMNS
@@ -656,11 +664,26 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     are those of writing each row with ``csv.writer``, but the text is
     computed in numpy ``_WRITE_ROWS`` rows at a time
     (:func:`chainlens.csvtext.write_chunk`).
+
+    Raises ValueError naming the column, coin and day, before the file
+    is opened, for a value the loaders would reject: one that is neither
+    absent (NaN) nor finite and ``>= 0``.
     """
     path = Path(path)
     columns = list(NUMERIC_COLUMNS)
     if dataset.has_extended_columns():
         columns += list(EXTENDED_COLUMNS)
+    for name in columns:
+        values = dataset.column(name)
+        bad = np.flatnonzero((values < 0) | (values == math.inf))
+        if bad.size:
+            row = int(bad[0])
+            key = dataset.keys[dataset.codes[row]]
+            day = dt.date.fromordinal(int(dataset.days[row])).isoformat()
+            raise ValueError(
+                f"cannot save {key} {day}: {name} must be finite and >= 0,"
+                f" got {float(values[row])!r}"
+            )
     # imported on use: its tables take a few ms to build
     from .csvtext import Prefixes, write_chunk
 

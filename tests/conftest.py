@@ -1,6 +1,22 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block."""
+"""Shared pytest plumbing: a cache directory per test and the
+acceptance-criteria summary block."""
 
 import pytest
+
+
+def _fresh_cache_dir(tmp_path_factory):
+    """Point ``CHAINLENS_CACHE_DIR`` at a fresh directory until the
+    fixture ends, so nothing writes under the home directory or reads
+    cache entries written elsewhere. Stage subprocesses inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CHAINLENS_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+# one for the module-scoped fixtures, which run before any test's
+_module_cache_dir = pytest.fixture(scope="module", autouse=True)(_fresh_cache_dir)
+# and one for each test
+_cache_dir = pytest.fixture(autouse=True)(_fresh_cache_dir)
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -12,13 +12,8 @@ import numpy as np
 import pytest
 
 import chainlens
-from chainlens.api import (
-    PAGE_SUFFIX,
-    ApiClientConfig,
-    _read_page,
-    _write_page,
-    fetch_history,
-)
+from chainlens.api import PAGE_SUFFIX, ApiClientConfig, fetch_history
+from chainlens.cache import read_page, write_page
 from chainlens.cli import main
 from chainlens.dataset import load_csv
 from chainlens.errors import (
@@ -250,8 +245,8 @@ def edit_chunk(edit):
     replaced, through the page writer."""
 
     def damage(path):
-        total_pages, chunk = _read_page(path)
-        _write_page(path, total_pages, dataclasses.replace(chunk, **edit(chunk)))
+        total_pages, chunk = read_page(path)
+        write_page(path, total_pages, dataclasses.replace(chunk, **edit(chunk)))
 
     return damage
 
@@ -354,7 +349,7 @@ class TestPageCache:
             path = page_files(tmp_path)[0]
             intact = path.read_bytes()
             damage(path)
-            assert _read_page(path) is None
+            assert read_page(path) is None
             served = server.request_count
             assert fetch_history(config) == cold
             assert server.request_count == served + 1

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlens.dataset import (
+    VALUE_COLUMNS,
     CoinSnapshot,
     ColumnParser,
     Dataset,
@@ -327,3 +329,69 @@ def test_property_csv_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "ds.csv"
     save_csv(ds, path)
     assert load_csv(path) == ds
+
+
+class TestSaveRejectsWhatLoadRejects:
+    @pytest.mark.parametrize("value", [-1.5, np.inf, -np.inf], ids=repr)
+    def test_value_the_loaders_reject_leaves_the_target(self, tmp_path, value):
+        target = tmp_path / "ds.csv"
+        target.write_bytes(b"earlier bytes")
+        ds = Dataset(
+            ["A_B", "C_D"],
+            [0, 1, 1],
+            [738000, 738000, 738001],
+            {"price": [1.0, 2.0, 3.0], "volume_24h": [1.0, np.nan, value]},
+        )
+        with pytest.raises(ValueError, match=r"C_D 2021-07-30: volume_24h must be"):
+            save_csv(ds, target)
+        assert target.read_bytes() == b"earlier bytes"
+
+
+# name and symbol text that csv must quote or that is not ASCII; no
+# underscore (it joins the key) and no control characters
+name_text = st.text(
+    st.one_of(
+        st.sampled_from([",", '"', " ", "é", "币"]),
+        st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="_"),
+    ),
+    min_size=1,
+    max_size=8,
+).filter(lambda text: text.strip() == text)
+edge_value = st.one_of(
+    st.just(np.nan),
+    st.just(-0.0),
+    st.just(5e-324),
+    st.just(np.finfo(np.float64).max),
+    st.floats(min_value=0, max_value=np.finfo(np.float64).tiny, allow_subnormal=True),
+    st.floats(min_value=0, allow_infinity=False),
+    st.sampled_from([2.0**53, 2.0**63, 2.0**64, 1e22]),
+)
+
+
+# a panel: per coin key, the distinct days it has rows on
+edge_panel = st.dictionaries(
+    st.builds(coin_key, name_text, name_text),
+    st.sets(st.integers(1, dt.date.max.toordinal()), min_size=1, max_size=4),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_panel, st.data())
+def test_property_save_then_load_is_identity(tmp_path_factory, panel, data):
+    keys = list(panel)
+    rows = [(code, day) for code, key in enumerate(keys) for day in sorted(panel[key])]
+    values = {
+        name: data.draw(st.lists(edge_value, min_size=len(rows), max_size=len(rows)))
+        for name in ("price", "circulating_supply", "total_supply", "whales_percentage")
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        ds = Dataset(keys, [code for code, _ in rows], [day for _, day in rows], values)
+        path = tmp_path_factory.mktemp("edge") / "ds.csv"
+        save_csv(ds, path)
+        loaded = load_csv(path)
+    assert loaded == ds
+    for name in VALUE_COLUMNS:
+        assert loaded.column(name).tobytes() == ds.column(name).tobytes()

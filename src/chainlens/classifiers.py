@@ -19,7 +19,11 @@ value ranks); a forest shares that sort, and each tree keeps the rows
 of nonzero bootstrap weight from it. Each feature's row list stays
 grouped by frontier node and sorted within it, so a level finds every
 node's cuts where the rank changes along its lists, and splits the
-lists into the children with two ``np.compress`` calls. A forest grows
+lists into the children with two ``np.compress`` calls a feature.
+Besides the row lists (this level's and the next), a level holds only
+arrays with one entry per node or per (feature, node) pair, one block
+of ``_SCAN_CELLS`` rows, as it scores the cuts a block at a time, and
+two bytes per row of the one list it is splitting. A forest grows
 its trees in batches of a few, one level of a whole batch per pass, and
 grows a few batches at once on threads, one per CPU the process may run
 on up to a cap on the cells in flight: numpy releases the GIL in the
@@ -170,10 +174,16 @@ def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     return LinearModel(weights=w, bias=float(b), hyperparameters=dict(hp))
 
 
-def _gini_pair(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    # binary Gini impurity from positive counts, vectorized over splits
-    p = pos / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+def _gini_pair(pos: np.ndarray, total: np.ndarray, out=None) -> np.ndarray:
+    # binary Gini impurity from positive counts, vectorized over splits:
+    # 1 - p * p - (1 - p) * (1 - p), into ``out`` if given
+    p = np.divide(pos, total, out=out)
+    q = 1.0 - p
+    q *= q
+    p *= p
+    np.subtract(1.0, p, out=p)
+    p -= q
+    return p
 
 
 class _Presorted(NamedTuple):
@@ -207,89 +217,175 @@ _LOW = 0xFFFFFFFF
 
 # Trees grown together by one call of ``_build_trees``: as many as fit
 # in this many cells (trees x rows x features), at least one. On the
-# README demo's 13,515 x 7 matrix that is five trees a call. On two
-# threads of a 2-core Xeon that fit the forest ~35% faster than one
-# thread at two trees a call; two a call gained only ~10% from the
-# second thread, as more of their time is GIL-held Python between numpy
-# calls, and eight a call were no faster than five.
+# README demo's 13,515 x 7 matrix that is five trees a call. A level
+# costs a fixed run of numpy calls, much of it GIL-held Python between
+# them, so a second thread fits the demo forest only ~5-10% faster than
+# one at five a call (2-core Xeon). Ten a call were ~15% faster on two
+# threads, but raised the classify stage's peak RSS from ~78 to ~89 MB.
 _BATCH_CELLS = 1 << 19
 
 # Cells a forest grows at once over all its threads, at least one
-# batch: this caps the threads, as each batch's per-level arrays scale
-# with its cells. It is two demo batches: with one thread per batch and
-# no cap, the demo fit's peak RSS rose ~15 MB a thread (100 MB on two,
-# 191 on eight, 355 on twenty, the thread count set by hand on a 2-core
-# Xeon), while splitting the cells among more threads would leave each
-# smaller, more GIL-bound batches.
+# batch: this caps the threads, as each thread holds its batch's row
+# lists and scan block and keeps a malloc arena. It is two demo batches:
+# with one thread per batch and no cap, the demo fit's peak RSS rises
+# ~7 MB a thread (67 MB on two, 113 on eight, 188 on twenty, the thread
+# count set by hand on a 2-core Xeon), while splitting the cells among
+# more threads would leave each smaller, more GIL-bound batches.
 _CELLS_IN_FLIGHT = 1 << 20
 
+# Rows a level of the tree builder scores at a time: its scan arrays
+# take ~130 bytes a row, 2 MB a block. On the demo forest 2**14 beat
+# 2**13, which spends more Python per row, and 2**15, whose 256 KB
+# arrays malloc maps and unmaps on every call (4x the page faults).
+_SCAN_CELLS = 1 << 14
 
-def _best_splits(data, R, counts, tree_of, packed, tot, pos, allowed):
-    """Best midpoint split of every frontier node, scored in one pass.
+
+def _blocks(bounds, src, overlap):
+    """Runs of rows laid end to end, ``_SCAN_CELLS`` positions at a time.
+
+    Run i takes positions ``bounds[i]:bounds[i + 1]``, and its position
+    p is entry ``p + src[i]`` of the raveled row lists. Yields, per
+    block, its first position, the first and one past the last run it
+    meets, how many of its positions each of them holds, and each
+    position's entry; each block but the first starts ``overlap``
+    positions inside the one before.
+    """
+    end = int(bounds[-1])
+    for a in range(0, end, _SCAN_CELLS):
+        a0, b = max(a - overlap, 0), min(a + _SCAN_CELLS, end)
+        i0 = int(np.searchsorted(bounds, a0, "right")) - 1
+        i1 = int(np.searchsorted(bounds, b))
+        lens = np.minimum(bounds[i0 + 1 : i1 + 1], b) - np.maximum(bounds[i0:i1], a0)
+        entry = np.repeat(src[i0:i1], lens)
+        entry += np.arange(a0, b)
+        yield a0, i0, i1, lens, entry
+
+
+def _runs(R, starts, counts, feature, node):
+    """The runs of the (``feature``, ``node``) pairs in the row lists
+    ``R``, laid end to end: their ``bounds`` and ``src`` for ``_blocks``."""
+    bounds = np.zeros(node.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts[node], out=bounds[1:])
+    return bounds, feature * R.shape[1] + starts[node] - bounds[:-1]
+
+
+def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
+    """Best midpoint split of every frontier node, scored a block at a time.
 
     ``R`` holds one row list per feature, each grouped by frontier node
-    (``counts`` rows per node; ``tree_of`` names each node's tree) and
-    sorted by that feature within the node. Rows are ids into the
-    ``tree x row`` arrays ``packed`` and ``side``: tree * n + row. A
-    node scores only the features ``allowed`` (features x nodes) marks
-    for it. Each allowed (feature, node) pair is one run of rows, in the
-    order of ``np.nonzero(allowed)``; a cut falls where the dense rank
-    changes inside a run. The lowest weighted child Gini wins; ties
-    break toward the smaller feature index, then the smaller threshold.
-    Returns per-node (score, feature, threshold), with score inf where
-    no feature separates the node's rows.
+    (``counts`` rows per node from ``starts``; ``tree_of`` names each
+    node's tree) and sorted by that feature within the node. Rows are
+    ids into the ``tree x row`` arrays ``packed`` and ``side``: tree * n
+    + row; ``sums`` is each node's packed weight. A node scores only the
+    features ``allowed`` (features x nodes) marks for it. Each allowed
+    (feature, node) pair is one run of rows, in the order of
+    ``np.nonzero(allowed)``; a cut falls where the dense rank changes
+    inside a run. The runs are scanned end to end in blocks of
+    ``_SCAN_CELLS`` rows, each block one row into the last so that a cut
+    may straddle two, and a run may span many: a running packed sum
+    carried across the blocks gives each cut its left child's weight.
+    The lowest weighted child Gini wins; ties break toward the smaller
+    feature index, then the smaller threshold, so a pair keeps the first
+    cut at its lowest score. Returns per-node (score, feature,
+    threshold, left rows, left packed weight), with score inf where no
+    feature separates the node's rows.
     """
     m = allowed.shape[1]
     n = data.XT.shape[1]
+    flat = R.ravel()
     pair_f, pair_s = np.nonzero(allowed)  # (feature, node) pairs, by feature
     n_pairs = pair_f.shape[0]
-    pair_n = counts[pair_s]
-    pair_start = np.cumsum(pair_n) - pair_n
-    rows = np.compress(np.repeat(allowed, counts, axis=1).ravel(), R.ravel())
-    # (feature, row) as an index into the raveled (d, n) arrays
-    cell = rows + np.repeat((pair_f - tree_of[pair_s]) * n, pair_n)
-    ranks = data.rank.ravel().take(cell)
-    running = np.cumsum(packed[rows])
-    base = running[pair_start] - packed[rows[pair_start]]
-    differ = ranks[1:] != ranks[:-1]
-    differ[(pair_start + pair_n - 1)[:-1]] = False  # never across pairs
-    cut = np.flatnonzero(differ)
-    bounds = np.searchsorted(cut, np.append(pair_start, rows.shape[0]))
-    first_cut, n_cuts = bounds[:-1], bounds[1:] - bounds[:-1]
-    total = np.repeat(tot[pair_s].astype(np.float64), n_cuts)
-    left = running[cut] - np.repeat(base, n_cuts)
-    left_n = (left >> 32).astype(np.float64)
-    right_n = total - left_n
-    left_pos = (left & _LOW).astype(np.float64)
-    right_pos = np.repeat(pos[pair_s].astype(np.float64), n_cuts) - left_pos
-    weighted = (
-        left_n * _gini_pair(left_pos, left_n)
-        + right_n * _gini_pair(right_pos, right_n)
-    ) / total
-    has_cut = n_cuts > 0
-    pair_best = np.full(n_pairs, np.inf)
-    if cut.shape[0]:
-        pair_best[has_cut] = np.minimum.reduceat(weighted, first_cut[has_cut])
+    bounds, src = _runs(R, starts, counts, pair_f, pair_s)
+    shift = (pair_f - tree_of[pair_s]) * n  # row id -> (feature, row) in (d, n)
+    pair_sum = sums[pair_s]
+    base = np.cumsum(pair_sum) - pair_sum  # the running sum before each run
+    pair_tot = (pair_sum >> 32).astype(np.float64)
+    pair_pos = (pair_sum & _LOW).astype(np.float64)
+    rank = data.rank.ravel()
+    best = np.full(n_pairs, np.inf)
+    best_at = np.zeros(n_pairs, dtype=np.int64)  # its cut's last left position
+    best_left = np.zeros(n_pairs, dtype=np.int64)  # its left child's packed weight
+    carry = 0  # the running sum before the block
+    # per cut (at most one a block row): its children's sizes and Ginis
+    sizes_buf, gini_buf = np.empty((2, 2, min(_SCAN_CELLS, int(bounds[-1]))))
+    for a0, i0, i1, lens, entry in _blocks(bounds, src, overlap=1):
+        rows = flat.take(entry)
+        weight = packed.take(rows)
+        running = np.cumsum(weight)
+        running += carry
+        carry = int(running[-1] - weight[-1])
+        cell = np.repeat(shift[i0:i1], lens)
+        cell += rows
+        ranks = rank.take(cell)
+        differ = ranks[1:] != ranks[:-1]
+        differ[bounds[i0 + 1 : i1] - (a0 + 1)] = False  # never across runs
+        cut = np.flatnonzero(differ)
+        k = cut.shape[0]
+        if not k:
+            continue
+        edges = np.searchsorted(cut, bounds[i0 : i1 + 1] - a0)  # each run's cuts
+        seg, n_cuts = edges[:-1], edges[1:] - edges[:-1]
+        left = running.take(cut)
+        left -= np.repeat(base[i0:i1], n_cuts)
+        total = np.repeat(pair_tot[i0:i1], n_cuts)
+        sizes, gini = sizes_buf[:, :k], gini_buf[:, :k]  # left child, then right
+        sizes[0] = left >> 32
+        np.subtract(total, sizes[0], out=sizes[1])
+        gini[0] = left & _LOW
+        np.subtract(np.repeat(pair_pos[i0:i1], n_cuts), gini[0], out=gini[1])
+        _gini_pair(gini, sizes, out=gini)
+        gini *= sizes
+        weighted = np.add(gini[0], gini[1], out=sizes[0])
+        weighted /= total
+        # each run's lowest score in the block, and its first cut there
+        has = n_cuts > 0
+        seg, n_cuts = seg[has], n_cuts[has]
+        low = np.minimum.reduceat(weighted, seg)
+        pair = np.flatnonzero(has) + i0
+        better = low < best[pair]
+        if better.any():
+            hit = np.flatnonzero(weighted == np.repeat(low, n_cuts))
+            j = hit[np.searchsorted(hit, seg[better])]
+            pair = pair[better]
+            best[pair] = low[better]
+            best_at[pair] = a0 + cut[j]
+            best_left[pair] = left[j]
     score = np.full(m, np.inf)
-    np.minimum.at(score, pair_s, pair_best)
+    np.minimum.at(score, pair_s, best)
     # pairs run by feature: a node's first pair at its score is the tie winner
-    tied = np.flatnonzero(has_cut & (pair_best == score[pair_s]))
+    tied = np.flatnonzero((best < np.inf) & (best == score[pair_s]))
     winner = np.full(m, n_pairs)
     np.minimum.at(winner, pair_s[tied], tied)
     found = winner < n_pairs
     won = winner[found]
-    # and within it the first cut at that score, the smallest threshold
-    at_best = np.flatnonzero(weighted == np.repeat(pair_best, n_cuts))
-    j = cut[at_best[np.searchsorted(at_best, first_cut[won])]]
     feature = np.zeros(m, dtype=np.int64)
     threshold = np.zeros(m, dtype=np.float64)
+    n_left = np.zeros(m, dtype=np.int64)
+    left_weight = np.zeros(m, dtype=np.int64)
     feature[found] = pair_f[won]
-    below, above = data.XT.ravel()[cell[j]], data.XT.ravel()[cell[j + 1]]
+    n_left[found] = best_at[won] - bounds[won] + 1
+    left_weight[found] = best_left[won]
+    at = best_at[won] + src[won]
+    values = data.XT.ravel()
+    below, above = values[flat[at] + shift[won]], values[flat[at + 1] + shift[won]]
     middle = (below + above) / 2.0
     # between adjacent floats the midpoint can round up to ``above``,
     # which would send every row left; cut at ``below`` then
     threshold[found] = np.where(middle < above, middle, below)
-    return score, feature, threshold
+    return score, feature, threshold, n_left, left_weight
+
+
+def _partition(R, side, n_left, n_right):
+    """Each row list of ``R`` cut by ``side``, one list at a time: its
+    rows of side 0, then those of side 1, each in list order; rows of
+    side 2 drop out. A list holds ``n_left`` rows of side 0 and
+    ``n_right`` of side 1."""
+    out = np.empty((R.shape[0], n_left + n_right), dtype=R.dtype)
+    for rows, into in zip(R, out):
+        code = side.take(rows)
+        np.compress(code == 0, rows, out=into[:n_left])
+        np.compress(code == 1, rows, out=into[n_left:])
+    return out
 
 
 def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, rngs):
@@ -304,28 +400,33 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     its tree. Each feature's presorted order, less a tree's rows of
     weight 0, is that feature's row list in the tree; it stays grouped
     by frontier node and sorted within each node, so a level scores the
-    whole frontier of all the trees in one vectorized pass
-    (``_best_splits``), finding cuts on the int32 ranks. Each level then
-    drops the leaves' rows and splits the rest with two
-    ``np.compress`` calls, one for the left and one for the right
-    children, so the next frontier holds all left children, then all
-    right ones. Levels are recorded, and the per-node feature subsets
-    drawn, in level order instead, tree by tree (the k-th split node's
-    children are 2k and 2k + 1 of the next level): with
-    ``max_features`` below the dimensionality, each level draws one
-    subset per open node of tree t from ``rngs[t]``, in that order, so
-    a tree does not depend on the trees grown with it. Node ids are
-    that level order: node 0 is the root, and the k-th split node of a
-    tree, counted level by level, has children 2k + 1 and 2k + 2.
+    whole frontier of all the trees in one pass of fixed-size blocks
+    (``_best_splits``), finding cuts on the int32 ranks. A split node's
+    left child is the head of its run in the winning feature's list, up
+    to the cut, which also gives the child's row count and weight. Each
+    level marks every row's side from those runs, then cuts each
+    feature's list in turn into the next level's (``_partition``), so
+    the next frontier holds all left children, then all right ones.
+    Levels are recorded, and the per-node feature subsets drawn, in
+    level order instead, tree by tree (the k-th split node's children
+    are 2k and 2k + 1 of the next level): with ``max_features`` below
+    the dimensionality, each level draws one subset per open node of
+    tree t from ``rngs[t]``, in that order, so a tree does not depend on
+    the trees grown with it. Node ids are that level order: node 0 is
+    the root, and the k-th split node of a tree, counted level by level,
+    has children 2k + 1 and 2k + 2.
     """
     d, n = data.XT.shape
     n_trees = weights.shape[0]
     w = np.asarray(weights, dtype=np.int64)
     packed = ((w << 32) | (w * y)).ravel()
-    present = np.take(w, data.order, axis=1).transpose(1, 0, 2) > 0  # d x trees x n
-    ids = data.order[:, None, :] + (np.arange(n_trees, dtype=np.int32) * n)[:, None]
-    R = np.compress(present.ravel(), ids.ravel()).reshape(d, -1)
-    counts = np.count_nonzero(present[0], axis=1)
+    sums = packed.reshape(n_trees, n).sum(axis=1)  # each frontier node's packed weight
+    present = w > 0
+    counts = np.count_nonzero(present, axis=1)
+    R = np.empty((d, counts.sum()), dtype=np.int32)
+    first = (np.arange(n_trees, dtype=np.int32) * n)[:, None]
+    for order, into in zip(data.order, R):
+        np.compress(present[:, order].ravel(), (order + first).ravel(), out=into)
     tree_of = np.arange(n_trees)  # each frontier node's tree
     place = np.arange(n_trees)  # its index in level order, tree by tree
     side = np.empty(n_trees * n, dtype=np.int8)  # per row: 0 left, 1 right, 2 in a leaf
@@ -336,8 +437,6 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
         at = np.empty(m, dtype=np.int64)  # the frontier node at each place
         at[place] = np.arange(m)
         starts = np.cumsum(counts) - counts
-        rows = R[0]
-        sums = np.add.reduceat(packed[rows], starts)
         tot, pos = sums >> 32, sums & _LOW
         is_open = (pos > 0) & (pos < tot) & (tot >= min_samples_split)
         if max_depth is not None and depth >= max_depth:
@@ -352,8 +451,8 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
             # a node draws the features its keys' argsort puts first
             drawn = np.argsort(np.argsort(keys, axis=1), axis=1) < max_features
             allowed[:, at[is_open[at]]] = drawn.T
-        score, feature, threshold = _best_splits(
-            data, R, counts, tree_of, packed, tot, pos, allowed
+        score, feature, threshold, n_left, left_weight = _best_splits(
+            data, R, starts, counts, tree_of, packed, sums, allowed
         )
         # demand a real impurity decrease, not float noise
         split = is_open & ~(score > _gini_pair(pos, tot) - 1e-12)
@@ -365,24 +464,22 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
                 np.where(split, 0, (2 * pos > tot).astype(np.int64))[at],
             )
         )
-        cell = np.repeat((feature - tree_of) * n, counts) + rows
-        goes_left = data.XT.ravel().take(cell) <= np.repeat(threshold, counts)
-        kept = np.repeat(split, counts)
-        side[rows] = np.where(kept, ~goes_left, 2)
-        n_left = np.add.reduceat(kept & goes_left, starts, dtype=np.int64)[split]
-        code = side.take(R).ravel()
+        # a split node's run in its winning feature's list goes left up
+        # to the cut and right after it
+        side.fill(2)
+        bounds, src = _runs(R, starts, counts, feature[split], np.flatnonzero(split))
+        right = src + bounds[:-1] + n_left[split]  # each run's first right entry
         flat = R.ravel()
-        R = np.concatenate(
-            [
-                np.compress(code == 0, flat).reshape(d, -1),
-                np.compress(code == 1, flat).reshape(d, -1),
-            ],
-            axis=1,
-        )
+        for _, i0, i1, lens, entry in _blocks(bounds, src, overlap=0):
+            side[flat.take(entry)] = entry >= np.repeat(right[i0:i1], lens)
+        n_left, n_right = n_left[split], counts[split] - n_left[split]
+        R = _partition(R, side, int(n_left.sum()), int(n_right.sum()))
         k = (np.cumsum(split[at]) - 1)[place[split]]  # rank among split nodes
         place = np.concatenate([2 * k, 2 * k + 1])
         tree_of = np.concatenate([tree_of[split], tree_of[split]])
-        counts = np.concatenate([n_left, counts[split] - n_left])
+        counts = np.concatenate([n_left, n_right])
+        left_weight = left_weight[split]
+        sums = np.concatenate([left_weight, sums[split] - left_weight])
         depth += 1
     tree_of, feature, threshold, label = (np.concatenate(a) for a in zip(*levels))
     # each tree's nodes, level by level

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     oracle_compact,
     oracle_forest_trees,
     oracle_knn_predict,
+    oracle_level_tree,
 )
 
 
@@ -377,6 +379,106 @@ class TestForestThreads:
             fit_random_forest(X, y, hp, seed=0)
         assert raised.value is error
         assert threading.active_count() == before
+
+
+class TestScanBlocks:
+    """A level is scored ``_SCAN_CELLS`` rows at a time, and the trees do
+    not depend on that block size: a run of rows may span blocks and a
+    cut may straddle two."""
+
+    @pytest.mark.parametrize("cells", [1, 2, 5, 10**6])
+    def test_decision_trees_match_oracle(self, monkeypatch, cells):
+        rng = np.random.default_rng(51)
+        cases = [make(rng) for make in (tied_matrix, continuous_blobs) for _ in range(8)]
+        hp = KIND_DEFAULTS["decision_tree"]
+        baseline = [forest_text(fit_decision_tree(X, y, hp)) for X, y in cases]
+        monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
+        for (X, y), text in zip(cases, baseline):
+            model = fit_decision_tree(X, y, hp)
+            ones = np.ones(X.shape[0], dtype=np.int64)
+            assert_same_tree(
+                model.tree, oracle_compact(oracle_level_tree(X, y, ones, 2, None, None, None))
+            )
+            assert forest_text(model) == text
+
+    @pytest.mark.parametrize("cells", [1, 2, 5, 10**6])
+    def test_forests_match_oracle_on_any_worker_count(self, monkeypatch, cells):
+        X, y = two_blobs(np.random.default_rng(52), n_per=20, separation=1.0, d=3)
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
+        expected = [oracle_compact(tree) for tree in oracle_forest_trees(X, y, hp, seed=3)]
+        baseline = forest_text(fit_random_forest(X, y, hp, seed=3))
+        monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
+        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 6 * X.size)  # 3 batches
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(classifiers, "_usable_cpus", lambda: workers)
+            forest = fit_random_forest(X, y, hp, seed=3)
+            assert len(forest.trees) == len(expected)
+            for tree, want in zip(forest.trees, expected):
+                assert_same_tree(tree, want)
+            assert forest_text(forest) == baseline
+
+    def test_runs_spanning_blocks_at_every_alignment(self, monkeypatch):
+        # weighted rows, so the running sums carried across blocks count
+        rng = np.random.default_rng(53)
+        X = rng.integers(0, 5, size=(13, 2)).astype(np.float64)
+        y = rng.integers(0, 2, size=13)
+        y[:2] = [0, 1]
+        weights = rng.integers(1, 4, size=13)
+        expected = oracle_compact(oracle_level_tree(X, y, weights, 2, None, None, None))
+        assert expected["feature"].shape[0] > 3
+        for cells in range(1, 2 * X.size + 2):  # every block edge, then one block
+            monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
+            (tree,) = _build_trees(_presort(X), y, weights[None], 2, None, None, None)
+            assert_same_tree(tree, expected)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4])
+    def test_equal_scores_in_later_blocks_lose(self, monkeypatch, cells):
+        # the cuts after row 0 and after row 4 both score 5 * gini(1/5) / 6,
+        # and feature 1 repeats both in later blocks: the first cut of
+        # feature 0 wins
+        column = np.arange(6.0)
+        X = np.column_stack([column, column])
+        y = np.array([1, 0, 0, 0, 0, 1])
+        monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
+        model = fit_decision_tree(X, y, dict(KIND_DEFAULTS["decision_tree"], max_depth=1))
+        assert model.tree["feature"].tolist() == [0, -1, -1]
+        assert model.tree["threshold"].tolist() == [0.5]
+        assert model.tree["label"].tolist() == [1, 0]
+
+
+class TestBuilderMemory:
+    """A level holds its row lists, arrays with one entry per node or
+    per (feature, node) pair and one scan block, not arrays as long as
+    the level. The ceiling is five times the bytes of the root's row
+    lists (int32, one per feature and present row: this level's, the
+    next level's, and room for the packed weights, the per-node arrays
+    and the grown trees) plus 160 bytes a scan row (~130 in use). On
+    these matrices the builder that held the level whole peaked at
+    19.3 MB (34x the row lists) and 24.3 MB (14x)."""
+
+    @pytest.mark.parametrize("n_trees", [1, 5])
+    def test_peak_stays_within_the_row_lists(self, n_trees):
+        rng = np.random.default_rng(61)
+        n, d = 20_000, 7
+        y = rng.integers(0, 2, size=n)
+        X = rng.normal(size=(n, d)) + 0.5 * y[:, None]
+        data = _presort(X)
+        if n_trees == 1:
+            weights, max_features, rngs = np.ones((1, n), dtype=np.int64), None, None
+        else:
+            rngs = [np.random.default_rng([3, t]) for t in range(n_trees)]
+            weights = np.array([np.bincount(r.integers(0, n, size=n), minlength=n) for r in rngs])
+            max_features = 2
+        row_lists = 4 * d * np.count_nonzero(weights)
+        tracemalloc.start()
+        try:
+            trees = _build_trees(data, y, weights, 2, None, max_features, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == n_trees
+        assert peak <= 5 * row_lists + 160 * classifiers._SCAN_CELLS
 
 
 class TestRandomForest:

@@ -39,9 +39,7 @@ has children 2k + 1 and 2k + 2.
 A model is saved as a document of its fields, which ``json.dump``
 writes with ``jsonable`` as its ``default``, and rebuilt from one
 (``from_doc``). Format 2 stores each array as the base64 of its exact
-little-endian bytes; format 1, arrays as lists of numbers and trees as
-all five node arrays, numbered in level order or depth-first, still
-loads.
+little-endian bytes.
 
 The discriminative kinds (logistic regression, linear SVM, decision
 tree, random forest) refuse single-class training sets; Gaussian NB
@@ -818,7 +816,7 @@ def fit_classifier(kind: str, X, y, hyperparameters: dict | None = None, seed: i
     return KINDS[kind].fit(X, y, hp, seed)
 
 
-MODEL_FORMAT_VERSION = 2  # format 1 still loads
+MODEL_FORMAT_VERSION = 2  # format 1 (arrays as number lists) is no longer read
 
 # the dtypes of a format-2 array: floats as <f8, integers as the
 # narrowest <iN that holds their range
@@ -860,20 +858,19 @@ class _Unfit(Exception):
     field's name."""
 
 
-def from_doc(cls, doc, version: int = MODEL_FORMAT_VERSION, **given):
-    """Rebuild ``cls`` from a decoded document of format ``version`` (1
-    or 2) holding exactly its fields but the ``given`` ones.
+def from_doc(cls, doc, **given):
+    """Rebuild ``cls`` from a decoded format-2 document holding exactly
+    its fields but the ``given`` ones.
 
-    Each value must fit its field's type. An array field takes an array
-    of the field's ``ndim`` (metadata, default 1): in format 2 an
-    ``_blob`` object, in format 1 a rectangular list of numbers. It
+    Each value must fit its field's type. An array field takes an
+    ``_blob`` object of the field's ``ndim`` (metadata, default 1). It
     becomes an int64 array if the field's metadata marks it ``integer``,
     else a float64 one; every value must be finite, and > 0 where the
     metadata marks the field ``positive``. A ``dict`` field (a tree)
     takes a tree, a ``tuple`` field (trees) a nonempty list of them
     (``_tree_from_json``; the model checks them), an ``int`` field an
-    integer and a ``float`` field a finite number. Anything else is a ChainlensError naming the
-    field, as is a missing or unknown field.
+    integer and a ``float`` field a finite number. Anything else is a
+    ChainlensError naming the field, as is a missing or unknown field.
     """
     if not isinstance(doc, dict):
         raise ChainlensError(f"{cls.__name__} document must be an object")
@@ -887,7 +884,7 @@ def from_doc(cls, doc, version: int = MODEL_FORMAT_VERSION, **given):
     for f in fields(cls):
         if f.name in expected:
             try:
-                values[f.name] = _from_json(doc[f.name], types[f.name], f.metadata, version)
+                values[f.name] = _from_json(doc[f.name], types[f.name], f.metadata)
             except _Unfit as exc:
                 problems.append(f"field {f.name!r} {exc}")
     if problems:
@@ -895,28 +892,21 @@ def from_doc(cls, doc, version: int = MODEL_FORMAT_VERSION, **given):
     return cls(**values, **given)
 
 
-def _from_json(value, kind, metadata, version):
+def _from_json(value, kind, metadata):
     """``value`` decoded as a field of type ``kind``; raises _Unfit."""
     if kind is np.ndarray:
-        ndim, integer = metadata.get("ndim", 1), metadata.get("integer", False)
-        if version == 1:
-            array = _unlist(value, ndim)
-            if integer and array.dtype.kind != "i":
-                raise _Unfit(f"must be a {ndim}-d list of integers")
-            array = array.astype(np.int64 if integer else np.float64)
-        else:
-            array = _unblob(value, ndim, integer)
+        array = _unblob(value, metadata.get("ndim", 1), metadata.get("integer", False))
         if not np.all(np.isfinite(array)):
             raise _Unfit("must be finite")
         if metadata.get("positive") and not np.all(array > 0):
             raise _Unfit("must be > 0")
         return array
     if kind is dict:
-        return _tree_from_json(value, version)
+        return _tree_from_json(value)
     if kind is tuple:
         if not isinstance(value, list) or not value:
             raise _Unfit("must be a nonempty list of trees")
-        return tuple(_tree_from_json(tree, version) for tree in value)
+        return tuple(_tree_from_json(tree) for tree in value)
     if kind is int:
         if type(value) is not int:
             raise _Unfit("must be an integer")
@@ -926,18 +916,6 @@ def _from_json(value, kind, metadata, version):
     if not math.isfinite(value):
         raise _Unfit("must be finite")
     return value
-
-
-def _unlist(value, ndim) -> np.ndarray:
-    """A format-1 array: a rectangular list of numbers, int64 or float64
-    as its values are."""
-    try:
-        array = np.array(value) if isinstance(value, list) else None
-    except ValueError:  # ragged
-        array = None
-    if array is None or array.ndim != ndim or array.dtype.kind not in "if":
-        raise _Unfit(f"must be a {ndim}-d list of numbers")
-    return array
 
 
 def _unblob(value, ndim, integer) -> np.ndarray:
@@ -965,12 +943,10 @@ def _unblob(value, ndim, integer) -> np.ndarray:
     )
 
 
-def _tree_from_json(value, version) -> dict:
+def _tree_from_json(value) -> dict:
     """A tree as format 2 stores it (``feature``, ``threshold`` for its
     split nodes and ``label`` for its leaves), for the model to check
     with ``_check_tree``."""
-    if version == 1:
-        return _tree_from_v1(value)
     if not isinstance(value, dict) or sorted(value) != ["feature", "label", "threshold"]:
         raise _Unfit("must be a tree of the arrays feature, label and threshold")
     tree = {}
@@ -980,51 +956,3 @@ def _tree_from_json(value, version) -> dict:
         except _Unfit as exc:
             raise _Unfit(f"array {name!r} {exc}") from None
     return tree
-
-
-_V1_ARRAYS = ("feature", "threshold", "left", "right", "label")
-
-
-def _tree_from_v1(value) -> dict:
-    """A format-1 tree, all five node arrays, checked, renumbered in
-    level order and cut to what format 2 stores.
-
-    Its nodes may be numbered in any order in which each split node's
-    two children come after it, as long as each node but the root is
-    the child of exactly one split node: files of earlier versions
-    number them depth-first. The tree is walked level by level, left
-    child first.
-    """
-    if not isinstance(value, dict):
-        raise _Unfit("must be an object of number lists")
-    try:
-        tree = {name: _unlist(array, 1) for name, array in value.items()}
-    except _Unfit:
-        raise _Unfit("must be an object of number lists") from None
-    if sorted(tree) != sorted(_V1_ARRAYS):
-        raise ChainlensError(f"a tree must hold exactly the arrays {list(_V1_ARRAYS)}")
-    n = tree["feature"].shape[0]
-    if n == 0 or any(array.shape != (n,) for array in tree.values()):
-        raise ChainlensError("a tree's arrays must share one nonzero length")
-    if any(tree[name].dtype.kind != "i" for name in ("feature", "left", "right", "label")):
-        raise ChainlensError("a tree's feature, left, right and label must be integers")
-    feature, left, right = tree["feature"], tree["left"], tree["right"]
-    node = np.arange(n)
-    split = feature >= 0
-    children = np.concatenate([left[split], right[split]])
-    if np.any((children <= np.tile(node[split], 2)) | (children >= n)):
-        raise ChainlensError("a tree names a feature or child node out of range")
-    if not np.array_equal(np.bincount(children, minlength=n), node > 0):
-        raise ChainlensError("each node of a tree but the root must have exactly one parent")
-    levels, level = [], np.zeros(1, dtype=np.int64)
-    while level.size:
-        levels.append(level)
-        inner = level[split[level]]
-        level = np.stack([left[inner], right[inner]], axis=1).ravel()
-    order = np.concatenate(levels)
-    split = split[order]
-    return {
-        "feature": feature[order],
-        "threshold": tree["threshold"][order][split].astype(np.float64),
-        "label": tree["label"][order][~split],
-    }

@@ -411,7 +411,9 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         json.dump(doc, handle, separators=(",", ":"), sort_keys=True, default=jsonable)
 
 
-_MODEL_KEYS = ("kind", "hyperparameters", "feature_names", "normalizer", "parameters")
+_MODEL_KEYS = (
+    "format_version", "kind", "hyperparameters", "feature_names", "seed", "normalizer", "parameters"
+)
 
 
 def load_model(path: str | Path) -> TrainedModel:
@@ -422,17 +424,22 @@ def load_model(path: str | Path) -> TrainedModel:
     if not isinstance(doc, dict):
         raise ChainlensError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+    if version == 1 and type(version) is int:
+        raise ChainlensError(f"model file {path}: model format 1 is no longer read; rerun classify")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ChainlensError(
-            f"unsupported model format version {version!r}; "
-            f"expected 1 or {MODEL_FORMAT_VERSION}"
+            f"model file {path}: unsupported model format version {version!r}; "
+            f"expected {MODEL_FORMAT_VERSION}"
         )
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise ChainlensError(f"model file {path} lacks {', '.join(missing)}")
+    unknown = sorted(doc.keys() - set(_MODEL_KEYS))
+    if unknown:
+        raise ChainlensError(f"model file {path} has unknown keys {', '.join(unknown)}")
     kind = doc["kind"]
     if kind not in CLASSIFIER_KINDS:
-        raise ChainlensError(f"unknown classifier kind {kind!r} in model file")
+        raise ChainlensError(f"unknown classifier kind {kind!r} in model file {path}")
     hyperparameters = doc["hyperparameters"]
     expected = KINDS[kind].defaults.keys()
     if not isinstance(hyperparameters, dict) or hyperparameters.keys() != expected:
@@ -442,17 +449,15 @@ def load_model(path: str | Path) -> TrainedModel:
     names = doc["feature_names"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ChainlensError(f"model file {path}: feature_names must be a list of strings")
-    seed = doc.get("seed", 0)
+    seed = doc["seed"]
     if type(seed) is not int:
         raise ChainlensError(f"model file {path}: seed must be an integer")
-    normalizer = from_doc(Normalizer, doc["normalizer"], version)
+    normalizer = from_doc(Normalizer, doc["normalizer"])
     if normalizer.means.shape != (len(names),) or normalizer.scales.shape != (len(names),):
         raise ChainlensError(
             f"model file {path}: the normalizer must hold one mean and scale per feature"
         )
-    model = from_doc(
-        KINDS[kind].model, doc["parameters"], version, hyperparameters=hyperparameters
-    )
+    model = from_doc(KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters)
     if model.n_features != len(names):
         raise ChainlensError(
             f"model file {path}: the model takes {model.n_features} features, "

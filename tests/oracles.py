@@ -3,20 +3,18 @@
 ``oracle_build_tree`` is the original depth-first CART builder: it
 re-sorts every candidate feature at every node and numbers nodes in
 creation order (a node's two children get consecutive ids when it is
-split; the stack pops the right child first), as model files of
-earlier versions hold them; ``level_order`` renumbers such a tree
-breadth-first, ``oracle_compact`` cuts a level-order tree to the three
-arrays that models and format-2 files hold, and ``oracle_expand``
-gives a compact tree its five node arrays back. ``oracle_level_tree``
-is the first level-wise builder: a stable argsort of every feature per
-tree, float64 value comparisons for the cuts, two ``np.minimum.at``
-scatters for each level's winners and a cumsum + ``put_along_axis``
-partition of all feature lists, with node ids in level order;
-``oracle_forest_trees`` grows a forest with it. ``oracle_knn_predict`` is the original full stable argsort of
-each distance block. ``oracle_save_model`` is the one-shot model
-writer: the whole document built by ``to_doc`` (format 2) or
-``to_doc_v1`` (format 1, arrays as lists and trees as five node
-arrays), then one ``json.dumps``.
+split; the stack pops the right child first); ``level_order``
+renumbers such a tree breadth-first, and ``oracle_compact`` cuts a
+level-order tree to the three arrays that models and model files hold.
+``oracle_level_tree`` is the first level-wise builder: a stable
+argsort of every feature per tree, float64 value comparisons for the
+cuts, two ``np.minimum.at`` scatters for each level's winners and a
+cumsum + ``put_along_axis`` partition of all feature lists, with node
+ids in level order; ``oracle_forest_trees`` grows a forest with it.
+``oracle_knn_predict`` is the original full stable argsort of each
+distance block. ``oracle_save_model`` is the one-shot model writer:
+the whole format-2 document built by ``to_doc``, then one
+``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
@@ -179,26 +177,6 @@ def oracle_compact(tree):
         "feature": tree["feature"],
         "threshold": tree["threshold"][split],
         "label": tree["label"][~split],
-    }
-
-
-def oracle_expand(tree):
-    """A compact tree as all five node arrays, in level order: the k-th
-    split node's children are 2k + 1 and 2k + 2, and a leaf has no
-    threshold and a split node no label (0)."""
-    split = tree["feature"] >= 0
-    left = np.full(split.shape[0], -1, dtype=np.int64)
-    left[split] = 1 + 2 * np.arange(int(split.sum()))
-    threshold = np.zeros(split.shape[0], dtype=np.float64)
-    threshold[split] = tree["threshold"]
-    label = np.zeros(split.shape[0], dtype=np.int64)
-    label[~split] = tree["label"]
-    return {
-        "feature": tree["feature"],
-        "threshold": threshold,
-        "left": left,
-        "right": np.where(split, left + 1, -1),
-        "label": label,
     }
 
 
@@ -576,39 +554,17 @@ def _to_json(value):
     return value
 
 
-def to_doc_v1(obj) -> dict:
-    """The whole format-1 document of a model or normalizer: arrays as
-    (nested) lists, a tree as its five node arrays (``oracle_expand``),
-    a tuple of trees as a list."""
-    return {
-        f.name: _to_json_v1(getattr(obj, f.name))
-        for f in fields(obj)
-        if f.name != "hyperparameters"
-    }
-
-
-def _to_json_v1(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {name: v.tolist() for name, v in oracle_expand(value).items()}
-    if isinstance(value, tuple):
-        return [_to_json_v1(v) for v in value]
-    return value
-
-
-def oracle_save_model(trained, path, version=MODEL_FORMAT_VERSION):
+def oracle_save_model(trained, path):
     """The model file as one compact, sorted ``json.dumps`` of the
-    whole document, in format 2 (``to_doc``) or 1 (``to_doc_v1``)."""
-    encode = to_doc if version == 2 else to_doc_v1
+    whole document (``to_doc``)."""
     doc = {
-        "format_version": version,
+        "format_version": MODEL_FORMAT_VERSION,
         "kind": trained.spec.kind,
         "hyperparameters": trained.spec.hyperparameters,
         "feature_names": list(trained.feature_names),
         "seed": trained.seed,
-        "normalizer": encode(trained.normalizer),
-        "parameters": encode(trained.model),
+        "normalizer": to_doc(trained.normalizer),
+        "parameters": to_doc(trained.model),
     }
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     Path(path).write_text(text, encoding="utf-8")

@@ -39,19 +39,10 @@ from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
-from oracles import (
-    level_order,
-    oracle_blob,
-    oracle_build_tree,
-    oracle_compact,
-    oracle_save_model,
-    to_doc,
-)
+from oracles import oracle_blob, oracle_save_model, to_doc
 
-# model files of format 1 (tests/fixtures/models) and, the same models
-# written by the one-shot writer, of format 2 (tests/fixtures/models_v2)
-MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models"
-MODEL_FIXTURES_V2 = Path(__file__).parent / "fixtures" / "models_v2"
+# model files of format 2, written by the one-shot writer
+MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models_v2"
 
 
 def d(text):
@@ -569,22 +560,10 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
     def test_file_of_the_one_shot_writer_saves_again_unchanged(self, kind, tmp_path):
-        source = MODEL_FIXTURES_V2 / f"{kind}.json"
+        source = MODEL_FIXTURES / f"{kind}.json"
         path = tmp_path / f"{kind}.json"
         save_model(load_model(source), path)
         assert path.read_bytes() == source.read_bytes()
-
-    @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
-    def test_format_1_file_loads_and_saves_as_format_2(self, kind, tmp_path):
-        old = load_model(MODEL_FIXTURES / f"{kind}.json")
-        path = tmp_path / f"{kind}.json"
-        save_model(old, path)
-        assert path.read_bytes() == (MODEL_FIXTURES_V2 / f"{kind}.json").read_bytes()
-        new = load_model(path)
-        for name, value in vars(old.model).items():
-            assert_same_value(getattr(new.model, name), value)
-        probe = np.random.default_rng(14).normal(0.0, 2.0, size=(200, 3))
-        assert np.array_equal(predict(new, probe), predict(old, probe))
 
     def test_file_is_compact_canonical_json(self, tmp_path):
         trained = fit(ClassifierSpec.make("decision_tree"), make_table(n=30))
@@ -604,56 +583,6 @@ class TestModelPersistence:
         probe = np.random.default_rng(11).normal(2.5, 3.0, size=(40, 3))
         assert np.array_equal(predict(loaded, probe), predict(trained, probe))
 
-    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
-    def test_depth_first_file_of_earlier_versions_loads(self, kind, tmp_path):
-        # earlier versions saved tree nodes in depth-first creation order
-        table = make_table(n=60, seed=12, separation=1.0)
-        overrides = {"n_trees": 4, "max_features": "all"} if kind == "random_forest" else None
-        trained = fit(ClassifierSpec.make(kind, overrides), table, seed=3)
-        X, y, n = trained.normalizer.transform(table.X), table.y, table.n_rows
-
-        def trees_of(model):
-            return tuple(getattr(model, "trees", None) or (model.tree,))
-
-        if kind == "decision_tree":
-            depth_first = [oracle_build_tree(X, y)]
-        else:
-            depth_first = []
-            for t in range(4):
-                rng = np.random.default_rng([3, t])
-                rows = np.repeat(np.arange(n), np.bincount(rng.integers(0, n, size=n), minlength=n))
-                depth_first.append(oracle_build_tree(X[rows], y[rows]))
-        assert any(
-            not np.array_equal(tree["left"], level_order(tree)["left"]) for tree in depth_first
-        )
-        path = tmp_path / "model.json"
-        oracle_save_model(trained, path, version=1)
-        doc = json.loads(path.read_text())
-        lists = [{name: array.tolist() for name, array in tree.items()} for tree in depth_first]
-        if kind == "decision_tree":
-            doc["parameters"]["tree"] = lists[0]
-        else:
-            doc["parameters"]["trees"] = lists
-        path.write_text(json.dumps(doc))
-        loaded = load_model(path)
-        # renumbered in level order and cut to format 2's arrays: the fitted trees
-        levelled = tuple(oracle_compact(level_order(tree)) for tree in depth_first)
-        assert_same_value(trees_of(loaded.model), levelled)
-        assert_same_value(trees_of(trained.model), levelled)
-        probe = np.random.default_rng(13).normal(0.5, 2.0, size=(200, 3))
-        assert np.array_equal(predict(loaded, probe), predict(trained, probe))
-        assert np.array_equal(predict(loaded, table.X), predict(trained, table.X))
-        # saved again, in format 2, as the fitted model saves
-        again = tmp_path / "again.json"
-        save_model(loaded, again)
-        reloaded = load_model(again)
-        assert_same_value(trees_of(reloaded.model), levelled)
-        assert np.array_equal(predict(reloaded, probe), predict(trained, probe))
-        save_model(trained, tmp_path / "fitted.json")
-        assert again.read_bytes() == (tmp_path / "fitted.json").read_bytes()
-        oracle_save_model(loaded, tmp_path / "one_shot.json")
-        assert again.read_bytes() == (tmp_path / "one_shot.json").read_bytes()
-
     def test_unsupported_version_rejected(self, tmp_path):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         path = tmp_path / "model.json"
@@ -661,16 +590,50 @@ class TestModelPersistence:
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError):
+        with pytest.raises(ChainlensError) as raised:
             load_model(path)
+        assert str(raised.value) == (
+            f"model file {path}: unsupported model format version 99; expected 2"
+        )
 
-    @pytest.mark.parametrize("version", [True, 1.0, "2", None])
+    # 1.0 and "1" are not format 1: only the integer 1 is refused as it
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2.0, "2", None])
     def test_format_version_must_be_an_integer(self, tmp_path, version):
         doc = json.loads((MODEL_FIXTURES / "knn.json").read_text())
         doc["format_version"] = version
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError, match="unsupported model format version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+    def test_format_1_file_refused(self, tmp_path, kind):
+        doc = json.loads((MODEL_FIXTURES / f"{kind}.json").read_text())
+        doc["format_version"] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError) as raised:
+            load_model(path)
+        assert str(raised.value) == (
+            f"model file {path}: model format 1 is no longer read; rerun classify"
+        )
+
+    # a format-1 file is refused as such whatever else is wrong with it
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("seed"),
+            lambda d: d.update(left=[]),
+            lambda d: d["parameters"].update(tree={"left": [1], "right": [2]}),
+        ],
+    )
+    def test_format_1_refused_before_other_checks(self, tmp_path, edit):
+        doc = json.loads((MODEL_FIXTURES / "decision_tree.json").read_text())
+        doc["format_version"] = 1
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError, match="model format 1 is no longer read"):
             load_model(path)
 
     def test_unknown_kind_in_file_rejected(self, tmp_path):
@@ -680,7 +643,7 @@ class TestModelPersistence:
         doc = json.loads(path.read_text())
         doc["kind"] = "oracle"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError):
+        with pytest.raises(ChainlensError, match="unknown classifier kind 'oracle' in model file"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -692,12 +655,19 @@ class TestModelPersistence:
             ("normalizer", lambda d: d.update(shift=[1.0]), "unknown field 'shift'"),
             (None, lambda d: d.pop("parameters"), "lacks parameters"),
             (None, lambda d: d.pop("feature_names"), "lacks feature_names"),
+            (None, lambda d: d.pop("seed"), "lacks seed"),
+            (None, lambda d: d.pop("kind"), "lacks kind"),
+            (None, lambda d: d.pop("hyperparameters"), "lacks hyperparameters"),
+            (None, lambda d: d.pop("normalizer"), "lacks normalizer"),
+            (None, lambda d: d.pop("format_version"), "unsupported model format version None"),
+            (None, lambda d: d.update(extra=1), "has unknown keys extra"),
+            (None, lambda d: d.update(zeta=1, alpha=2), "has unknown keys alpha, zeta"),
         ],
     )
     def test_bad_field_set_in_file_rejected(self, tmp_path, section, edit, message):
         trained = fit(ClassifierSpec.make("knn"), make_table(n=20))
         path = tmp_path / "model.json"
-        oracle_save_model(trained, path, version=1)
+        save_model(trained, path)
         doc = json.loads(path.read_text())
         edit(doc[section] if section else doc)
         path.write_text(json.dumps(doc))
@@ -707,47 +677,50 @@ class TestModelPersistence:
     @pytest.mark.parametrize(
         "kind, where, value, message",
         [
-            ("decision_tree", ("parameters", "tree", "left"), None, "exactly the arrays"),
-            ("decision_tree", ("parameters", "tree", "left", 0), 0, "out of range"),
-            ("decision_tree", ("parameters", "tree", "feature", 0), 3, "out of range"),
-            ("decision_tree", ("parameters", "tree", "label", 0), 0.5, "must be integers"),
+            ("decision_tree", ("parameters", "tree", "label"),
+             lambda b: oracle_blob(unblob(b).astype(float)),
+             "field 'tree' array 'label' must hold integers, not '<f8'"),
             ("decision_tree", ("parameters", "tree", "threshold"), "0.5",
-             "field 'tree' must be an object of number lists"),
+             "field 'tree' array 'threshold' must be an array object"),
             ("decision_tree", ("parameters", "n_features"), 3.0,
              "field 'n_features' must be an integer"),
             ("random_forest", ("parameters", "trees"), [],
              "field 'trees' must be a nonempty list"),
-            ("random_forest", ("parameters", "trees", 1, "right"), [-1],
-             "share one nonzero length"),
-            ("knn", ("parameters", "train_X", 0), [1.0, 2.0],
-             "field 'train_X' must be a 2-d list of numbers"),
-            ("knn", ("parameters", "train_y", 0), "1",
-             "field 'train_y' must be a 1-d list of numbers"),
-            ("gaussian_nb", ("parameters", "means"), [0.0, 1.0, 2.0],
-             "field 'means' must be a 2-d list of numbers"),
+            ("random_forest", ("parameters", "trees"), {"0": 1},
+             "field 'trees' must be a nonempty list"),
+            ("random_forest", ("parameters", "trees", 1), 0.5,
+             "field 'trees' must be a tree of the arrays"),
+            ("decision_tree", ("parameters", "n_features"), True,
+             "field 'n_features' must be an integer"),
+            ("linear_svm", ("parameters", "bias"), True, "field 'bias' must be a number"),
+            ("knn", ("normalizer",), [1.0], "Normalizer document must be an object"),
+            ("knn", ("parameters",), [], "KNNModel document must be an object"),
             ("logistic_regression", ("parameters", "bias"), [0.0],
              "field 'bias' must be a number"),
-            ("logistic_regression", ("normalizer", "means", 1), [0.0],
-             "field 'means' must be a 1-d list of numbers"),
-            ("logistic_regression", ("normalizer", "scales"), [1.0, 1.0],
+            ("logistic_regression", ("normalizer", "scales"), oracle_blob(np.ones(2)),
              "one mean and scale per feature"),
             ("knn", ("feature_names",), "f0f1f2", "feature_names must be a list of strings"),
+            ("knn", ("feature_names", 0), 0, "feature_names must be a list of strings"),
             ("knn", ("hyperparameters",), [5], "hyperparameters must be an object"),
             ("knn", ("hyperparameters", "k"), None, "hyperparameters must be an object"),
+            ("knn", ("hyperparameters", "p"), 2, "hyperparameters must be an object"),
             ("knn", ("hyperparameters", "k"), "5", "knn needs k >= 1"),
-            ("knn", ("parameters", "train_y", 0), None, "one label per training row"),
-            ("gaussian_nb", ("parameters", "priors", 0), None, "a prior, means and variances"),
+            ("knn", ("hyperparameters", "k"), 0, "knn needs k >= 1"),
+            ("knn", ("parameters", "train_y"), lambda b: oracle_blob(unblob(b)[1:]),
+             "one label per training row"),
+            ("gaussian_nb", ("parameters", "priors"), lambda b: oracle_blob(unblob(b)[1:]),
+             "a prior, means and variances"),
             ("knn", ("seed",), "4", "seed must be an integer"),
-            # node 1 is the root's left and right child, node 2 no node's
-            ("decision_tree", ("parameters", "tree", "right", 0), 1, "exactly one parent"),
+            ("knn", ("seed",), 4.0, "seed must be an integer"),
         ],
     )
     def test_bad_field_value_in_file_rejected(self, tmp_path, kind, where, value, message):
-        # the value at ``where`` in a format-1 file is replaced (None: deleted)
+        # the value at ``where`` in a saved file is replaced (None: deleted;
+        # a callable: applied to the value)
         overrides = {"n_trees": 3} if kind == "random_forest" else None
         trained = fit(ClassifierSpec.make(kind, overrides), make_table(n=30))
         path = tmp_path / "model.json"
-        oracle_save_model(trained, path, version=1)
+        save_model(trained, path)
         doc = json.loads(path.read_text())
         *parents, last = where
         target = doc
@@ -756,7 +729,7 @@ class TestModelPersistence:
         if value is None:
             del target[last]
         else:
-            target[last] = value
+            target[last] = value(target[last]) if callable(value) else value
         path.write_text(json.dumps(doc))
         with pytest.raises(ChainlensError, match=message):
             load_model(path)
@@ -787,6 +760,16 @@ class TestModelPersistence:
              "field 'priors' data is not base64"),
             ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": [150]},
              "field 'train_X' must be a 2-d array"),
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": [-50, -3]},
+             "field 'train_X' must be a 2-d array"),
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": [50.0, 3]},
+             "field 'train_X' must be a 2-d array"),
+            ("knn", ("parameters", "train_X"), lambda b: {**b, "shape": "50x3"},
+             "field 'train_X' must be a 2-d array"),
+            ("logistic_regression", ("normalizer", "means"), lambda b: {**b, "shape": [3, 1]},
+             "field 'means' must be a 1-d array"),
+            ("gaussian_nb", ("parameters", "priors"), lambda b: {**b, "dtype": None},
+             "field 'priors' has unknown dtype None"),
             ("knn", ("parameters", "train_X"), lambda b: unblob(b).tolist(),
              "field 'train_X' must be an array object"),
             ("logistic_regression", ("normalizer", "means"), lambda b: {**b, "order": "C"},
@@ -795,6 +778,9 @@ class TestModelPersistence:
              "field 'tree' array 'threshold' must hold floats, not '<i8'"),
             ("random_forest", ("parameters", "trees", 1, "label"), lambda b: {**b, "dtype": "<u1"},
              "field 'trees' array 'label' has unknown dtype '<u1'"),
+            ("random_forest", ("parameters", "trees", 0, "feature"),
+             lambda b: oracle_blob(unblob(b).astype(float)),
+             "field 'trees' array 'feature' must hold integers, not '<f8'"),
             ("decision_tree", ("parameters", "tree", "threshold"),
              lambda b: oracle_blob(unblob(b)[:-1]), "holds 6 thresholds for 7 split nodes"),
             ("random_forest", ("parameters", "trees", 2, "label"),
@@ -811,7 +797,7 @@ class TestModelPersistence:
         ],
     )
     def test_bad_array_in_format_2_file_rejected(self, tmp_path, kind, where, edit, message):
-        doc = json.loads((MODEL_FIXTURES_V2 / f"{kind}.json").read_text())
+        doc = json.loads((MODEL_FIXTURES / f"{kind}.json").read_text())
         *parents, last = where
         target = doc
         for key in parents:
@@ -844,7 +830,7 @@ class TestModelPersistence:
     def test_malformed_tree_in_memory_rejected_as_in_format_2_file(
         self, tmp_path, kind, edit, message
     ):
-        source = MODEL_FIXTURES_V2 / f"{kind}.json"
+        source = MODEL_FIXTURES / f"{kind}.json"
         model = load_model(source).model
         doc = json.loads(source.read_text())
         if kind == "random_forest":
@@ -864,7 +850,6 @@ class TestModelPersistence:
                 DecisionTreeModel(tree, model.n_features, model.hyperparameters)
         assert str(in_memory.value) == str(from_file.value)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
         "kind, where, change, message",
         [
@@ -899,20 +884,17 @@ class TestModelPersistence:
              "random_forest holds 2 trees, but n_trees is 5"),
         ],
     )
-    def test_bad_value_in_fixture_rejected(self, tmp_path, version, kind, where, change, message):
-        # ``change`` takes and gives an array, decoded from a list or a
-        # blob as the file's format has it, or else the JSON value
-        fixtures = MODEL_FIXTURES if version == 1 else MODEL_FIXTURES_V2
-        doc = json.loads((fixtures / f"{kind}.json").read_text())
+    def test_bad_value_in_fixture_rejected(self, tmp_path, kind, where, change, message):
+        # ``change`` takes and gives an array, decoded from a blob, or
+        # else the JSON value
+        doc = json.loads((MODEL_FIXTURES / f"{kind}.json").read_text())
         *parents, last = where
         target = doc
         for key in parents:
             target = target[key]
         value = target[last]
-        if version == 2 and isinstance(value, dict):
+        if isinstance(value, dict):
             target[last] = oracle_blob(change(unblob(value)))
-        elif version == 1 and isinstance(value, list) and last != "trees":
-            target[last] = change(np.array(value)).tolist()
         else:
             target[last] = change(value)
         path = tmp_path / "model.json"
@@ -951,7 +933,7 @@ class TestModelPersistence:
         assert model.train_X.tobytes() == train_X.tobytes()
 
     def test_gaussian_nb_means_narrower_than_feature_names_rejected(self, tmp_path):
-        doc = json.loads((MODEL_FIXTURES_V2 / "gaussian_nb.json").read_text())
+        doc = json.loads((MODEL_FIXTURES / "gaussian_nb.json").read_text())
         for name in ("means", "variances"):
             doc["parameters"][name] = oracle_blob(unblob(doc["parameters"][name])[:, 1:])
         path = tmp_path / "model.json"

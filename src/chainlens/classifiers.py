@@ -24,11 +24,9 @@ Besides the row lists (this level's and the next), a level holds only
 arrays with one entry per node or per (feature, node) pair, one block
 of ``_SCAN_CELLS`` rows, as it scores the cuts a block at a time, and
 two bytes per row of the one list it is splitting. A forest grows
-its trees in batches of a few, one level of a whole batch per pass, and
-grows a few batches at once on threads, one per CPU the process may run
-on up to a cap on the cells in flight: numpy releases the GIL in the
-builder's kernels, and a batch draws only from its own trees'
-generators, so the trees do not depend on the number of threads. The
+its trees in batches, one level of a whole batch per pass and one
+batch after another; a batch draws only from its own trees'
+generators, so the trees do not depend on the batch size. The
 per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
 a plain CART, so the trees are those that re-sort at every node would
 grow. A tree is held as model files of format 2 store it: ``feature``
@@ -50,8 +48,6 @@ from __future__ import annotations
 
 import base64
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -214,22 +210,14 @@ def _presort(X: np.ndarray) -> _Presorted:
 _LOW = 0xFFFFFFFF
 
 # Trees grown together by one call of ``_build_trees``: as many as fit
-# in this many cells (trees x rows x features), at least one. On the
-# README demo's 13,515 x 7 matrix that is five trees a call. A level
-# costs a fixed run of numpy calls, much of it GIL-held Python between
-# them, so a second thread fits the demo forest only ~5-10% faster than
-# one at five a call (2-core Xeon). Ten a call were ~15% faster on two
-# threads, but raised the classify stage's peak RSS from ~78 to ~89 MB.
-_BATCH_CELLS = 1 << 19
-
-# Cells a forest grows at once over all its threads, at least one
-# batch: this caps the threads, as each thread holds its batch's row
-# lists and scan block and keeps a malloc arena. It is two demo batches:
-# with one thread per batch and no cap, the demo fit's peak RSS rises
-# ~7 MB a thread (67 MB on two, 113 on eight, 188 on twenty, the thread
-# count set by hand on a 2-core Xeon), while splitting the cells among
-# more threads would leave each smaller, more GIL-bound batches.
-_CELLS_IN_FLIGHT = 1 << 20
+# in this many cells (trees x rows x features), at least one. A fit
+# holds one batch's row lists at a time, and a level costs a fixed run
+# of numpy calls however many trees it holds. On the README demo's
+# 13,515 x 7 training matrix this is 11 trees a call (one on the
+# 1000-coin panel's 135,307 x 7), which fit the demo forest in a median
+# 3.50 s against 3.88 s at five a call (faster in 10 of 10 pairs,
+# 2-core Xeon), for a classify-stage peak RSS of 72 MB against 69.
+_BATCH_CELLS = 1 << 20
 
 # Rows a level of the tree builder scores at a time: its scan arrays
 # take ~130 bytes a row, 2 MB a block. On the demo forest 2**14 beat
@@ -618,7 +606,6 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
     data = _presort(X)
     n = X.shape[0]
     batch = max(1, _BATCH_CELLS // X.size)
-    workers = max(1, min(_usable_cpus(), _CELLS_IN_FLIGHT // (batch * X.size)))
 
     def grow(first):
         rngs = [
@@ -641,21 +628,11 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
             rngs=rngs,
         )
 
-    with ThreadPoolExecutor(workers) as pool:
-        batches = list(pool.map(grow, range(0, hp["n_trees"], batch)))  # in order
     return RandomForestModel(
-        trees=tuple(tree for trees in batches for tree in trees),
+        trees=tuple(tree for first in range(0, hp["n_trees"], batch) for tree in grow(first)),
         n_features=X.shape[1],
         hyperparameters=dict(hp),
     )
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

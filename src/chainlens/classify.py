@@ -452,12 +452,15 @@ def load_model(path: str | Path) -> TrainedModel:
     seed = doc["seed"]
     if type(seed) is not int:
         raise ChainlensError(f"model file {path}: seed must be an integer")
-    normalizer = from_doc(Normalizer, doc["normalizer"])
+    try:
+        normalizer = from_doc(Normalizer, doc["normalizer"])
+        model = from_doc(KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters)
+    except ChainlensError as exc:  # a field value, or a model check on them
+        raise ChainlensError(f"model file {path}: {exc}") from None
     if normalizer.means.shape != (len(names),) or normalizer.scales.shape != (len(names),):
         raise ChainlensError(
             f"model file {path}: the normalizer must hold one mean and scale per feature"
         )
-    model = from_doc(KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters)
     if model.n_features != len(names):
         raise ChainlensError(
             f"model file {path}: the model takes {model.n_features} features, "

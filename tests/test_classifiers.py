@@ -1,7 +1,6 @@
 """Algorithm-level checks for the six classifiers."""
 
 import json
-import threading
 import tracemalloc
 
 import numpy as np
@@ -307,78 +306,28 @@ def forest_text(forest):
     return json.dumps(forest, sort_keys=True, default=jsonable)
 
 
-class TestForestThreads:
-    """Batches grown on any number of threads give the same forest."""
+class TestForestBatches:
+    """A forest grows its batches one after another, in tree order."""
 
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_same_forest_for_any_worker_count(self, monkeypatch, bootstrap):
-        rng = np.random.default_rng(33)
-        X, y = two_blobs(rng, n_per=80, separation=1.0, d=4)
-        monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
-        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 6 * X.size)  # 3 batches
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=9, bootstrap=bootstrap)
-        forests = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(classifiers, "_usable_cpus", lambda: workers)
-            forests.append(fit_random_forest(X, y, hp, seed=11))
-        one = forests[0]
-        assert len(one.trees) == 9
-        for other in forests[1:]:
-            assert len(other.trees) == len(one.trees)
-            for tree, want in zip(other.trees, one.trees):
-                assert_same_tree(tree, want)
-            assert forest_text(other) == forest_text(one)
-
-    @pytest.mark.parametrize("cpus, most", [(1, 1), (2, 2), (8, 3), (20, 3)])
-    def test_cells_in_flight_cap_the_threads(self, monkeypatch, cpus, most):
-        X, y = two_blobs(np.random.default_rng(35), n_per=30, d=3)
-        monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
-        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 7 * X.size)  # 3 batches
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: cpus)
-        build, lock = classifiers._build_trees, threading.Lock()
-        running, peak = [0], [0]
-        overlap = threading.Barrier(most, timeout=10)  # 6 batches: waves of `most`
-
-        def counting_build(*args, **kwargs):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            overlap.wait()  # each wave's batches wait until `most` run
-            try:
-                return build(*args, **kwargs)
-            finally:
-                with lock:
-                    running[0] -= 1
-
-        monkeypatch.setattr(classifiers, "_build_trees", counting_build)
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=12)
-        forest = fit_random_forest(X, y, hp, seed=0)
-        assert len(forest.trees) == 12
-        assert peak[0] == most
-
-    def test_batch_error_surfaces_and_threads_end(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [1, 2, 6])
+    def test_batch_error_surfaces(self, monkeypatch, failing):
         X, y = two_blobs(np.random.default_rng(34), n_per=30, d=3)
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", X.size)  # 1 tree a batch
-        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 3 * X.size)
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 3)
-        build, calls, lock = classifiers._build_trees, [], threading.Lock()
-        error = ChainlensError("batch 2 failed")
+        build, calls = classifiers._build_trees, []
+        error = ChainlensError(f"batch {failing} failed")
 
         def failing_build(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                n_calls = len(calls)
-            if n_calls == 2:
+            calls.append(None)
+            if len(calls) == failing:
                 raise error
             return build(*args, **kwargs)
 
         monkeypatch.setattr(classifiers, "_build_trees", failing_build)
-        before = threading.active_count()
         hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
         with pytest.raises(ChainlensError) as raised:
             fit_random_forest(X, y, hp, seed=0)
         assert raised.value is error
-        assert threading.active_count() == before
+        assert len(calls) == failing  # no later batch starts
 
 
 class TestScanBlocks:
@@ -402,21 +351,18 @@ class TestScanBlocks:
             assert forest_text(model) == text
 
     @pytest.mark.parametrize("cells", [1, 2, 5, 10**6])
-    def test_forests_match_oracle_on_any_worker_count(self, monkeypatch, cells):
+    def test_forests_match_oracle_in_batches(self, monkeypatch, cells):
         X, y = two_blobs(np.random.default_rng(52), n_per=20, separation=1.0, d=3)
         hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
         expected = [oracle_compact(tree) for tree in oracle_forest_trees(X, y, hp, seed=3)]
         baseline = forest_text(fit_random_forest(X, y, hp, seed=3))
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
-        monkeypatch.setattr(classifiers, "_CELLS_IN_FLIGHT", 6 * X.size)  # 3 batches
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(classifiers, "_usable_cpus", lambda: workers)
-            forest = fit_random_forest(X, y, hp, seed=3)
-            assert len(forest.trees) == len(expected)
-            for tree, want in zip(forest.trees, expected):
-                assert_same_tree(tree, want)
-            assert forest_text(forest) == baseline
+        forest = fit_random_forest(X, y, hp, seed=3)
+        assert len(forest.trees) == len(expected)
+        for tree, want in zip(forest.trees, expected):
+            assert_same_tree(tree, want)
+        assert forest_text(forest) == baseline
 
     def test_runs_spanning_blocks_at_every_alignment(self, monkeypatch):
         # weighted rows, so the running sums carried across blocks count
@@ -457,12 +403,16 @@ class TestBuilderMemory:
     these matrices the builder that held the level whole peaked at
     19.3 MB (34x the row lists) and 24.3 MB (14x)."""
 
+    @staticmethod
+    def matrix():
+        rng = np.random.default_rng(61)
+        y = rng.integers(0, 2, size=20_000)
+        return rng.normal(size=(20_000, 7)) + 0.5 * y[:, None], y
+
     @pytest.mark.parametrize("n_trees", [1, 5])
     def test_peak_stays_within_the_row_lists(self, n_trees):
-        rng = np.random.default_rng(61)
-        n, d = 20_000, 7
-        y = rng.integers(0, 2, size=n)
-        X = rng.normal(size=(n, d)) + 0.5 * y[:, None]
+        X, y = self.matrix()
+        n, d = X.shape
         data = _presort(X)
         if n_trees == 1:
             weights, max_features, rngs = np.ones((1, n), dtype=np.int64), None, None
@@ -479,6 +429,32 @@ class TestBuilderMemory:
             tracemalloc.stop()
         assert len(trees) == n_trees
         assert peak <= 5 * row_lists + 160 * classifiers._SCAN_CELLS
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_forest_holds_one_batch_at_a_time(self, monkeypatch, batch):
+        # a forest of three batches holds one batch's ceiling, the presort
+        # and the batch's bootstrap weights; two batches grown at once
+        # peaked ~3.5 and ~5 MB above that
+        X, y = self.matrix()
+        n, d = X.shape
+        n_trees, seed = 3 * batch, 3
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
+        present = [
+            np.unique(np.random.default_rng([seed, t]).integers(0, n, size=n)).shape[0]
+            for t in range(n_trees)
+        ]
+        row_lists = 4 * d * max(sum(present[t : t + batch]) for t in range(0, n_trees, batch))
+        presort = sum(a.nbytes for a in _presort(X))
+        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=n_trees)
+        tracemalloc.start()
+        try:
+            forest = fit_random_forest(X, y, hp, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forest.trees) == n_trees
+        weights = 8 * batch * n
+        assert peak <= 5 * row_lists + 160 * classifiers._SCAN_CELLS + presort + weights
 
 
 class TestRandomForest:

@@ -671,8 +671,9 @@ class TestModelPersistence:
         doc = json.loads(path.read_text())
         edit(doc[section] if section else doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError, match=message):
+        with pytest.raises(ChainlensError, match=message) as raised:
             load_model(path)
+        assert str(path) in str(raised.value)
 
     @pytest.mark.parametrize(
         "kind, where, value, message",
@@ -731,8 +732,9 @@ class TestModelPersistence:
         else:
             target[last] = value(target[last]) if callable(value) else value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError, match=message):
+        with pytest.raises(ChainlensError, match=message) as raised:
             load_model(path)
+        assert str(path) in str(raised.value)
 
     @pytest.mark.parametrize(
         "content", [b"{not json", b"", b"\xff\xfe{}", b"[1, 2]", b'"model"']
@@ -805,8 +807,9 @@ class TestModelPersistence:
         target[last] = edit(target[last])
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError, match=message):
+        with pytest.raises(ChainlensError, match=message) as raised:
             load_model(path)
+        assert str(path) in str(raised.value)
 
     @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
     @pytest.mark.parametrize(
@@ -848,7 +851,7 @@ class TestModelPersistence:
                 RandomForestModel(trees, model.n_features, model.hyperparameters)
             else:
                 DecisionTreeModel(tree, model.n_features, model.hyperparameters)
-        assert str(in_memory.value) == str(from_file.value)
+        assert str(from_file.value) == f"model file {path}: {in_memory.value}"
 
     @pytest.mark.parametrize(
         "kind, where, change, message",
@@ -899,8 +902,30 @@ class TestModelPersistence:
             target[last] = change(value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChainlensError, match=message):
+        with pytest.raises(ChainlensError, match=message) as raised:
             load_model(path)
+        assert str(path) in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "kind, where, change, message",
+        [
+            # from_doc rejects a field value
+            ("knn", ("parameters", "train_X"), lambda blob: [1.0],
+             "KNNModel document: field 'train_X' must be an array object of data, dtype and shape"),
+            # the model's __post_init__ rejects the values
+            ("random_forest", ("parameters", "trees"), lambda trees: trees[:2],
+             "random_forest holds 2 trees, but n_trees is 5"),
+        ],
+    )
+    def test_errors_under_load_model_name_the_file(self, tmp_path, kind, where, change, message):
+        doc = json.loads((MODEL_FIXTURES / f"{kind}.json").read_text())
+        section, name = where
+        doc[section][name] = change(doc[section][name])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChainlensError) as raised:
+            load_model(path)
+        assert str(raised.value) == f"model file {path}: {message}"
 
     @pytest.mark.parametrize(
         "values, dtype",

@@ -37,6 +37,7 @@ from .dataset import (
     Chunk,
     ColumnParser,
     Dataset,
+    check_date_range,
     snapshot_from_mapping,
 )
 from .errors import (
@@ -75,9 +76,7 @@ class ApiClientConfig:
         if self.backoff_seconds < 0:
             raise ApiError("backoff_seconds cannot be negative")
         if self.date_range is not None:
-            start, end = self.date_range
-            if start is not None and end is not None and start > end:
-                raise ApiError(f"empty date range: {start} > {end}")
+            check_date_range(*self.date_range, ApiError)
 
     def resolved_key(self) -> str:
         key = self.api_key or os.environ.get(API_KEY_ENV, "")

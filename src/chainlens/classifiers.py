@@ -14,16 +14,16 @@ for every node of that level from its own generator, seeded by
 ``[seed, tree]``.
 
 The tree builder is presorted in the SLIQ/SPRINT style. A fit sorts
-each feature once (``_presort``: stable row order and dense int32
-value ranks); a forest shares that sort, and each tree keeps the rows
-of nonzero bootstrap weight from it. Each feature's row list stays
-grouped by frontier node and sorted within it, so a level finds every
-node's cuts where the rank changes along its lists, and splits the
-lists into the children with two ``np.compress`` calls a feature.
-Besides the row lists (this level's and the next), a level holds only
-arrays with one entry per node or per (feature, node) pair, one block
-of ``_SCAN_CELLS`` rows, as it scores the cuts a block at a time, and
-two bytes per row of the one list it is splitting. A forest grows
+each feature once (``_presort``, a stable row order); a forest shares
+that sort, and each tree keeps the rows of nonzero bootstrap weight
+from it. Each feature's row list stays grouped by frontier node and
+sorted within it, so a level finds every node's cuts where the feature
+value changes along its lists, and splits the lists into the children
+with two ``np.compress`` calls a feature. Besides the row lists (this
+level's and the next), a level holds only arrays with one entry per
+node or per (feature, node) pair, one block of ``_SCAN_CELLS`` rows, as
+it scores the cuts a block at a time, and arrays as long as one list
+while it marks each row's side and splits the lists. A forest grows
 its trees in batches, one level of a whole batch per pass and one
 batch after another; a batch draws only from its own trees'
 generators, so the trees do not depend on the batch size. The
@@ -185,20 +185,13 @@ class _Presorted(NamedTuple):
 
     XT: np.ndarray  # (d, n) float64, the features as rows
     order: np.ndarray  # (d, n) int32: each feature's rows by value, ties by row
-    rank: np.ndarray  # (d, n) int32: each row's dense rank in each feature
 
 
 def _presort(X: np.ndarray) -> _Presorted:
     if X.size >= 2**31:  # int32 row ids and packed weight sums
         raise ChainlensError(f"a {X.shape} matrix is too large for the tree builder")
     XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
-    ordered = np.take_along_axis(XT, order, axis=1)
-    step = np.zeros(XT.shape, dtype=np.int32)
-    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.cumsum(step, axis=1, dtype=np.int32), axis=1)
-    return _Presorted(XT, order, rank)
+    return _Presorted(XT, np.argsort(XT, axis=1, kind="stable").astype(np.int32))
 
 
 # A packed weight holds a row's weight in its high 32 bits and, for a
@@ -220,25 +213,23 @@ _LOW = 0xFFFFFFFF
 _BATCH_CELLS = 1 << 20
 
 # Rows a level of the tree builder scores at a time: its scan arrays
-# take ~130 bytes a row, 2 MB a block. On the demo forest 2**14 beat
+# take ~118 bytes a row, 2 MB a block. On the demo forest 2**14 beat
 # 2**13, which spends more Python per row, and 2**15, whose 256 KB
 # arrays malloc maps and unmaps on every call (4x the page faults).
 _SCAN_CELLS = 1 << 14
 
 
-def _blocks(bounds, src, overlap):
-    """Runs of rows laid end to end, ``_SCAN_CELLS`` positions at a time.
+def _blocks(bounds, src):
+    """The runs of ``_runs``, ``_SCAN_CELLS`` positions at a time.
 
-    Run i takes positions ``bounds[i]:bounds[i + 1]``, and its position
-    p is entry ``p + src[i]`` of the raveled row lists. Yields, per
-    block, its first position, the first and one past the last run it
-    meets, how many of its positions each of them holds, and each
-    position's entry; each block but the first starts ``overlap``
-    positions inside the one before.
+    Yields, per block, its first position, the first and one past the
+    last run it meets, how many of its positions each of them holds, and
+    each position's entry; each block but the first starts one position
+    inside the one before.
     """
     end = int(bounds[-1])
     for a in range(0, end, _SCAN_CELLS):
-        a0, b = max(a - overlap, 0), min(a + _SCAN_CELLS, end)
+        a0, b = max(a - 1, 0), min(a + _SCAN_CELLS, end)
         i0 = int(np.searchsorted(bounds, a0, "right")) - 1
         i1 = int(np.searchsorted(bounds, b))
         lens = np.minimum(bounds[i0 + 1 : i1 + 1], b) - np.maximum(bounds[i0:i1], a0)
@@ -249,7 +240,9 @@ def _blocks(bounds, src, overlap):
 
 def _runs(R, starts, counts, feature, node):
     """The runs of the (``feature``, ``node``) pairs in the row lists
-    ``R``, laid end to end: their ``bounds`` and ``src`` for ``_blocks``."""
+    ``R``, laid end to end: run i takes positions
+    ``bounds[i]:bounds[i + 1]``, and its position p is entry
+    ``p + src[i]`` of ``R.ravel()``."""
     bounds = np.zeros(node.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts[node], out=bounds[1:])
     return bounds, feature * R.shape[1] + starts[node] - bounds[:-1]
@@ -265,7 +258,7 @@ def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
     + row; ``sums`` is each node's packed weight. A node scores only the
     features ``allowed`` (features x nodes) marks for it. Each allowed
     (feature, node) pair is one run of rows, in the order of
-    ``np.nonzero(allowed)``; a cut falls where the dense rank changes
+    ``np.nonzero(allowed)``; a cut falls where the feature value changes
     inside a run. The runs are scanned end to end in blocks of
     ``_SCAN_CELLS`` rows, each block one row into the last so that a cut
     may straddle two, and a run may span many: a running packed sum
@@ -287,14 +280,14 @@ def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
     base = np.cumsum(pair_sum) - pair_sum  # the running sum before each run
     pair_tot = (pair_sum >> 32).astype(np.float64)
     pair_pos = (pair_sum & _LOW).astype(np.float64)
-    rank = data.rank.ravel()
+    values = data.XT.ravel()
     best = np.full(n_pairs, np.inf)
     best_at = np.zeros(n_pairs, dtype=np.int64)  # its cut's last left position
     best_left = np.zeros(n_pairs, dtype=np.int64)  # its left child's packed weight
     carry = 0  # the running sum before the block
     # per cut (at most one a block row): its children's sizes and Ginis
     sizes_buf, gini_buf = np.empty((2, 2, min(_SCAN_CELLS, int(bounds[-1]))))
-    for a0, i0, i1, lens, entry in _blocks(bounds, src, overlap=1):
+    for a0, i0, i1, lens, entry in _blocks(bounds, src):
         rows = flat.take(entry)
         weight = packed.take(rows)
         running = np.cumsum(weight)
@@ -302,8 +295,8 @@ def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
         carry = int(running[-1] - weight[-1])
         cell = np.repeat(shift[i0:i1], lens)
         cell += rows
-        ranks = rank.take(cell)
-        differ = ranks[1:] != ranks[:-1]
+        value = values.take(cell)
+        differ = value[1:] != value[:-1]
         differ[bounds[i0 + 1 : i1] - (a0 + 1)] = False  # never across runs
         cut = np.flatnonzero(differ)
         k = cut.shape[0]
@@ -352,7 +345,6 @@ def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
     n_left[found] = best_at[won] - bounds[won] + 1
     left_weight[found] = best_left[won]
     at = best_at[won] + src[won]
-    values = data.XT.ravel()
     below, above = values[flat[at] + shift[won]], values[flat[at + 1] + shift[won]]
     middle = (below + above) / 2.0
     # between adjacent floats the midpoint can round up to ``above``,
@@ -387,18 +379,18 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     weight 0, is that feature's row list in the tree; it stays grouped
     by frontier node and sorted within each node, so a level scores the
     whole frontier of all the trees in one pass of fixed-size blocks
-    (``_best_splits``), finding cuts on the int32 ranks. A split node's
-    left child is the head of its run in the winning feature's list, up
-    to the cut, which also gives the child's row count and weight. Each
-    level marks every row's side from those runs, then cuts each
-    feature's list in turn into the next level's (``_partition``), so
-    the next frontier holds all left children, then all right ones.
-    Levels are recorded, and the per-node feature subsets drawn, in
-    level order instead, tree by tree (the k-th split node's children
-    are 2k and 2k + 1 of the next level): with ``max_features`` below
-    the dimensionality, each level draws one subset per open node of
-    tree t from ``rngs[t]``, in that order, so a tree does not depend on
-    the trees grown with it. Node ids are that level order: node 0 is
+    (``_best_splits``), finding cuts where the value changes. A split
+    node's left child is the head of its run in the winning feature's
+    list, up to the cut, which also gives the child's row count and
+    weight. Each level marks every row's side from those runs in one
+    pass, then cuts each feature's list in turn into the next level's
+    (``_partition``), so the next frontier holds all left children, then
+    all right ones. Levels are recorded, and the per-node feature
+    subsets drawn, in level order instead, tree by tree (the k-th split
+    node's children are 2k and 2k + 1 of the next level): with
+    ``max_features`` below the dimensionality, each level draws one
+    subset per open node of tree t from ``rngs[t]``, in that order, so a
+    tree does not depend on the trees grown with it. Node ids are that level order: node 0 is
     the root, and the k-th split node of a tree, counted level by level,
     has children 2k + 1 and 2k + 2.
     """
@@ -451,14 +443,15 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
             )
         )
         # a split node's run in its winning feature's list goes left up
-        # to the cut and right after it
+        # to the cut and right after it; positions, like row ids, fit int32
+        n_left, n_right = n_left[split], counts[split] - n_left[split]
         side.fill(2)
         bounds, src = _runs(R, starts, counts, feature[split], np.flatnonzero(split))
-        right = src + bounds[:-1] + n_left[split]  # each run's first right entry
-        flat = R.ravel()
-        for _, i0, i1, lens, entry in _blocks(bounds, src, overlap=0):
-            side[flat.take(entry)] = entry >= np.repeat(right[i0:i1], lens)
-        n_left, n_right = n_left[split], counts[split] - n_left[split]
+        position = np.arange(bounds[-1], dtype=np.int32)
+        first_right = (bounds[:-1] + n_left).astype(np.int32)
+        is_right = position >= np.repeat(first_right, counts[split])
+        position += np.repeat(src.astype(np.int32), counts[split])  # each position's entry
+        side[R.ravel().take(position)] = is_right
         R = _partition(R, side, int(n_left.sum()), int(n_right.sum()))
         k = (np.cumsum(split[at]) - 1)[place[split]]  # rank among split nodes
         place = np.concatenate([2 * k, 2 * k + 1])
@@ -467,6 +460,10 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
         left_weight = left_weight[split]
         sums = np.concatenate([left_weight, sums[split] - left_weight])
         depth += 1
+    # free the row-sized arrays before making the trees, which outlive
+    # the call: this lowered the demo classify stage's median peak RSS
+    # by ~1 MB over 36 heap layouts (checkout paths; 2-core Xeon)
+    del packed, side
     tree_of, feature, threshold, label = (np.concatenate(a) for a in zip(*levels))
     # each tree's nodes, level by level
     nodes = np.split(

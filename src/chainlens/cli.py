@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import html
 import json
 import sys
@@ -187,16 +186,6 @@ def _require_rows(ds, source):
     return ds
 
 
-def _cutoff(cfg: RunConfig, ds) -> dt.date:
-    """The stage's cutoff: ``--cutoff``, else the panel's last day. A
-    cutoff before the panel's first day is a stage failure."""
-    first, last = ds.date_range
-    cutoff = cfg.cutoff_date or last
-    if cutoff < first:
-        raise ChainlensError(f"cutoff {cutoff} precedes the dataset's first day {first}")
-    return cutoff
-
-
 def _dataset_summary(ds) -> dict:
     first, last = ds.date_range
     return {
@@ -281,7 +270,7 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    cutoff = _cutoff(cfg, ds)
+    cutoff = ds.resolve_cutoff(cfg.cutoff_date)
     records = lifetimes(ds, cutoff)
     summary = survival_summary(records)
     data = pareto(records)
@@ -338,7 +327,7 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    report = cluster_report(ds, _cutoff(cfg, ds), k=cfg.k_value, seed=cfg.seed)
+    report = cluster_report(ds, ds.resolve_cutoff(cfg.cutoff_date), k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
         _ASSIGNMENTS_HEADER,
@@ -372,7 +361,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    cutoff = _cutoff(cfg, ds)
+    cutoff = ds.resolve_cutoff(cfg.cutoff_date)
     table = label_risky(ds, cutoff, cfg.date_range)
     train, test = train_test_split(table, cfg.split, seed=cfg.seed)
     named = []
@@ -419,7 +408,7 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
     counts: Counter = Counter()
     rows = []
     # each coin's last row on or before the cutoff; -1 for none
-    last = ds.last_rows(_cutoff(cfg, ds))
+    last = ds.last_rows(ds.resolve_cutoff(cfg.cutoff_date))
     skipped = int((last < 0).sum())
     for snap in ds.snapshots_of(last[last >= 0]):
         flags = sorted(manipulability_flags(snap, stats.get(snap.key)))

@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 from .api import ApiClientConfig
 from .classifiers import CLASSIFIER_KINDS
 from .correlation import METHODS
-from .dataset import parse_day
+from .dataset import check_date_range, parse_day
 from .errors import ChainlensError
 from .synthetic import SyntheticSpec
 
@@ -131,9 +131,7 @@ class RunConfig:
                     days[name] = parse_day(value)
                 except ValueError as exc:
                     raise ConfigError(f"bad {name} date: {exc}") from exc
-        lo, hi = days["start"], days["end"]
-        if lo is not None and hi is not None and lo > hi:
-            raise ConfigError(f"empty date range: {lo} > {hi}")
+        check_date_range(days["start"], days["end"], ConfigError)
 
     @property
     def methods(self) -> tuple[str, ...]:

@@ -324,6 +324,16 @@ class Dataset:
         """All snapshots on the given day, ordered by coin key."""
         return self.snapshots_of(np.flatnonzero(self.days == date.toordinal()))
 
+    def resolve_cutoff(self, cutoff: dt.date | None = None) -> dt.date:
+        """``cutoff``, by default the panel's last day; a cutoff before
+        the panel's first day is an error."""
+        first, last = self.date_range
+        if cutoff is None:
+            return last
+        if cutoff < first:
+            raise ChainlensError(f"cutoff {cutoff} precedes the dataset's first day {first}")
+        return cutoff
+
     def last_rows(self, cutoff: dt.date | None = None) -> np.ndarray:
         """Per coin, the position of its last row on or before ``cutoff``
         (its last row when None), or -1 when it has none."""
@@ -344,6 +354,13 @@ class Dataset:
         return any(not np.isnan(self._columns[n]).all() for n in EXTENDED_COLUMNS)
 
 
+def check_date_range(lo, hi, error: type[Exception] = ChainlensError) -> None:
+    """Raise ``error`` when the inclusive day range ``lo``..``hi`` is
+    empty; a None end is open."""
+    if lo is not None and hi is not None and lo > hi:
+        raise error(f"empty date range: {lo} > {hi}")
+
+
 def day_filter(
     date_range: tuple[dt.date | None, dt.date | None] | None,
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -353,8 +370,7 @@ def day_filter(
     range whose start is after its end is an error.
     """
     lo, hi = date_range if date_range is not None else (None, None)
-    if lo is not None and hi is not None and lo > hi:
-        raise ChainlensError(f"empty date range: {lo} > {hi}")
+    check_date_range(lo, hi)
 
     def mask(days: np.ndarray) -> np.ndarray:
         keep = np.ones(days.shape, dtype=bool)

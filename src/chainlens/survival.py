@@ -69,15 +69,9 @@ class SurvivalSummary:
 
 def lifetimes(dataset: Dataset, cutoff: dt.date | None = None) -> list[LifetimeRecord]:
     """One record per coin series; disappeared iff last day < cutoff."""
-    span = dataset.date_range
-    if span is None:
+    if not len(dataset):
         return []
-    if cutoff is None:
-        cutoff = span[1]
-    elif cutoff < span[0]:
-        raise ChainlensError(
-            f"cutoff {cutoff} precedes the dataset's first day {span[0]}"
-        )
+    cutoff = dataset.resolve_cutoff(cutoff)
     firsts = dataset.days[dataset.offsets[:-1]].tolist()
     lasts = dataset.days[dataset.last_rows()].tolist()
     records = []

@@ -39,22 +39,24 @@ def _fmt(value: float) -> str:
 
 
 def _svg_open(title: str) -> list[str]:
+    """A chart's frame: the canvas, its title and the two axes."""
+    x0, y0 = _MARGIN_LEFT, _HEIGHT - _MARGIN_BOTTOM
+    x1, y1 = _WIDTH - _MARGIN_RIGHT, _MARGIN_TOP
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         f'width="{_WIDTH}" height="{_HEIGHT}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>',
     ]
 
 
-def _axes(parts: list[str]) -> None:
-    x0, y0 = _MARGIN_LEFT, _HEIGHT - _MARGIN_BOTTOM
-    x1, y1 = _WIDTH - _MARGIN_RIGHT, _MARGIN_TOP
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>'
+def _scale_label(text: str) -> str:
+    """The value at the top of the left axis."""
+    return (
+        f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
+        f'font-size="10">{text}</text>'
     )
 
 
@@ -86,7 +88,6 @@ def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
     if not buckets:
         raise ChainlensError("cannot draw a pareto chart with no buckets")
     parts = _svg_open("Disappearance Pareto")
-    _axes(parts)
     slot, x_of, y_of = _plot_geometry(len(buckets))
     top = max(count for _, count, _ in buckets)
     top = top if top > 0 else 1.0
@@ -118,10 +119,7 @@ def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
             f'<circle cx="{_fmt(x_of(i) + slot / 2)}" cy="{_fmt(y_of(pct / 100.0))}" '
             f'r="3" fill="{_SERIES_COLORS[3]}"/>'
         )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
-        f'font-size="10">{_fmt(top)}</text>'
-    )
+    parts.append(_scale_label(_fmt(top)))
     parts.append(
         f'<text x="{_WIDTH - _MARGIN_RIGHT + 8}" y="{_MARGIN_TOP + 4}" '
         f'font-size="10">100%</text>'
@@ -135,7 +133,6 @@ def elbow_chart(points: Sequence[tuple[int, float]]) -> str:
     if not points:
         raise ChainlensError("cannot draw an elbow chart with no points")
     parts = _svg_open("Cluster Count Selection")
-    _axes(parts)
     slot, x_of, y_of = _plot_geometry(max(1, len(points) - 1))
     top = max(w for _, w in points)
     top = top if top > 0 else 1.0
@@ -153,10 +150,7 @@ def elbow_chart(points: Sequence[tuple[int, float]]) -> str:
             f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
             f'text-anchor="middle" font-size="10">{k}</text>'
         )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
-        f'font-size="10">{_fmt(top)}</text>'
-    )
+    parts.append(_scale_label(_fmt(top)))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -169,7 +163,6 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
     if not rows:
         raise ChainlensError("cannot draw a metrics chart with no classifiers")
     parts = _svg_open("Classifier Scores")
-    _axes(parts)
     slot, x_of, y_of = _plot_geometry(len(rows))
     bar_w = slot * 0.8 / len(METRIC_SERIES)
     for i, (name, *values) in enumerate(rows):
@@ -194,10 +187,7 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
         parts.append(
             f'<text x="{lx + 14}" y="{_MARGIN_TOP - 5}" font-size="10">{series}</text>'
         )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 4}" text-anchor="end" '
-        f'font-size="10">1.0</text>'
-    )
+    parts.append(_scale_label("1.0"))
     parts.append("</svg>")
     return "\n".join(parts)
 

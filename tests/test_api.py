@@ -410,7 +410,7 @@ class TestConfigValidation:
             ApiClientConfig(base_url="http://x", max_attempts=0)
 
     def test_reversed_date_range(self):
-        with pytest.raises(ApiError):
+        with pytest.raises(ApiError, match=r"^empty date range: 2022-01-01 > 2021-01-01$"):
             ApiClientConfig(
                 base_url="http://x",
                 date_range=(dt.date(2022, 1, 1), dt.date(2021, 1, 1)),

@@ -259,6 +259,55 @@ class TestCartAgainstOracle:
             )
 
 
+def signed_zero_matrix(rng):
+    """Feature 0 mixes -0.0 and +0.0 with the floats next to them."""
+    tiny = np.nextafter(0.0, 1.0)
+    n = int(rng.integers(4, 40))
+    X = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(np.float64)
+    X[:, 0] = rng.choice([-2 * tiny, -tiny, -0.0, 0.0, tiny, 2 * tiny], size=n)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    return X, y
+
+
+class TestSignedZeros:
+    """-0.0 equals +0.0, so a cut never falls between them: rows holding
+    either reach the same child, and the trees match the oracles', which
+    compare the float values."""
+
+    def test_zeros_of_both_signs_stay_together(self):
+        X = np.array([[-0.0], [0.0]] * 3)
+        y = np.array([0, 1] * 3)
+        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        assert model.tree["feature"].tolist() == [-1]
+
+    def test_trees_match_the_oracles(self):
+        rng = np.random.default_rng(26)
+        hp = KIND_DEFAULTS["decision_tree"]
+        forest_hp = dict(KIND_DEFAULTS["random_forest"], n_trees=3, max_features=1)
+        both = 0  # cases whose feature 0 holds zeros of both signs
+        for _ in range(40):
+            X, y = signed_zero_matrix(rng)
+            zero = X[:, 0] == 0
+            both += np.any(zero & np.signbit(X[:, 0])) and np.any(zero & ~np.signbit(X[:, 0]))
+            ones = np.ones(X.shape[0], dtype=np.int64)
+            tree = fit_decision_tree(X, y, hp).tree
+            assert_same_tree(
+                tree, oracle_compact(oracle_level_tree(X, y, ones, 2, None, None, None))
+            )
+            forest = fit_random_forest(X, y, forest_hp, seed=5)
+            for got, want in zip(forest.trees, oracle_forest_trees(X, y, forest_hp, seed=5)):
+                assert_same_tree(got, oracle_compact(want))
+            # every -0.0 made +0.0: the same trees, so no row changed child
+            unsigned = X + 0.0
+            assert not np.any(np.signbit(unsigned) & (unsigned == 0))
+            assert_same_tree(fit_decision_tree(unsigned, y, hp).tree, tree)
+            unsigned_forest = fit_random_forest(unsigned, y, forest_hp, seed=5)
+            for got, want in zip(unsigned_forest.trees, forest.trees):
+                assert_same_tree(got, want)
+        assert both >= 20
+
+
 def continuous_blobs(rng):
     """Overlapping Gaussian blobs: distinct values, deep trees."""
     d = int(rng.integers(1, 6))
@@ -395,11 +444,12 @@ class TestScanBlocks:
 
 class TestBuilderMemory:
     """A level holds its row lists, arrays with one entry per node or
-    per (feature, node) pair and one scan block, not arrays as long as
-    the level. The ceiling is five times the bytes of the root's row
-    lists (int32, one per feature and present row: this level's, the
-    next level's, and room for the packed weights, the per-node arrays
-    and the grown trees) plus 160 bytes a scan row (~130 in use). On
+    per (feature, node) pair, one scan block and, while it marks sides,
+    arrays as long as one list; not arrays as long as the level. The
+    ceiling is five times the bytes of the root's row lists (int32, one
+    per feature and present row: this level's, the next level's, and
+    room for the packed weights, the side marks, the per-node arrays
+    and the grown trees) plus 160 bytes a scan row (~118 in use). On
     these matrices the builder that held the level whole peaked at
     19.3 MB (34x the row lists) and 24.3 MB (14x)."""
 

@@ -18,18 +18,18 @@ each feature once (``_presort``, a stable row order); a forest shares
 that sort, and each tree keeps the rows of nonzero bootstrap weight
 from it. Each feature's row list stays grouped by frontier node and
 sorted within it, so a level finds every node's cuts where the feature
-value changes along its lists, and splits the lists into the children
-with two ``np.compress`` calls a feature. Besides the row lists (this
-level's and the next), a level holds only arrays with one entry per
-node or per (feature, node) pair, one block of ``_SCAN_CELLS`` rows, as
-it scores the cuts a block at a time, and arrays as long as one list
-while it marks each row's side and splits the lists. A forest grows
-its trees in batches, one level of a whole batch per pass and one
-batch after another; a batch draws only from its own trees'
-generators, so the trees do not depend on the batch size. The
+value changes along its lists, and cuts each feature's list in place
+into the children with two ``np.compress`` calls into one list of
+scratch. Besides that one buffer of row lists, a level holds only
+arrays with one entry per node or per (feature, node) pair, one block
+of ``_SCAN_CELLS`` rows, as it scores the cuts a block at a time, and
+arrays as long as one list while it marks each row's side and cuts the
+lists. A forest grows its trees in batches, one level of a whole batch
+per pass and one batch after another; a batch draws only from its own
+trees' generators, so the trees do not depend on the batch size. The
 per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
 a plain CART, so the trees are those that re-sort at every node would
-grow. A tree is held as model files of format 2 store it: ``feature``
+grow. A tree is held as format 2 stores it, dtypes included: ``feature``
 for every node in level order (-1 for a leaf), ``threshold`` for the
 split nodes only and ``label`` for the leaves only; the k-th split node
 has children 2k + 1 and 2k + 2.
@@ -209,7 +209,8 @@ _LOW = 0xFFFFFFFF
 # 13,515 x 7 training matrix this is 11 trees a call (one on the
 # 1000-coin panel's 135,307 x 7), which fit the demo forest in a median
 # 3.50 s against 3.88 s at five a call (faster in 10 of 10 pairs,
-# 2-core Xeon), for a classify-stage peak RSS of 72 MB against 69.
+# 2-core Xeon), for a classify-stage peak RSS of 60.8-62.4 MB against
+# 60.5-63.5 (six checkout paths each; the path moves it as much).
 _BATCH_CELLS = 1 << 20
 
 # Rows a level of the tree builder scores at a time: its scan arrays
@@ -354,16 +355,20 @@ def _best_splits(data, R, starts, counts, tree_of, packed, sums, allowed):
 
 
 def _partition(R, side, n_left, n_right):
-    """Each row list of ``R`` cut by ``side``, one list at a time: its
-    rows of side 0, then those of side 1, each in list order; rows of
-    side 2 drop out. A list holds ``n_left`` rows of side 0 and
-    ``n_right`` of side 1."""
-    out = np.empty((R.shape[0], n_left + n_right), dtype=R.dtype)
-    for rows, into in zip(R, out):
+    """Each row list of the contiguous ``R`` cut by ``side`` in place,
+    one list at a time: its rows of side 0, then those of side 1, each
+    in list order; rows of side 2 drop out. A list holds ``n_left`` rows
+    of side 0 and ``n_right`` of side 1. New list f fills ``[f * m, (f +
+    1) * m)`` of ``R``'s buffer, which ends before old list f + 1 starts,
+    as m is at most the old length; returns that front of the buffer."""
+    d, m = R.shape[0], n_left + n_right
+    flat, scratch = R.reshape(-1), np.empty(m, dtype=R.dtype)
+    for f, rows in enumerate(R):
         code = side.take(rows)
-        np.compress(code == 0, rows, out=into[:n_left])
-        np.compress(code == 1, rows, out=into[n_left:])
-    return out
+        np.compress(code == 0, rows, out=scratch[:n_left])
+        np.compress(code == 1, rows, out=scratch[n_left:])
+        flat[f * m : (f + 1) * m] = scratch
+    return flat[: d * m].reshape(d, m)
 
 
 def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, rngs):
@@ -371,8 +376,9 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     together one level at a time.
 
     Each tree comes back as its ``feature`` per node (-1 for a leaf),
-    ``threshold`` per split node and ``label`` per leaf. ``data`` is
-    the ``_presort`` of the training matrix, shared by every tree of a
+    ``threshold`` per split node and ``label`` per leaf, in the dtypes
+    format 2 stores them as. ``data`` is the ``_presort`` of the
+    training matrix, shared by every tree of a
     forest. ``weights`` (trees x rows) are integer row multiplicities
     (the forest's bootstrap counts); a row of weight 0 takes no part in
     its tree. Each feature's presorted order, less a tree's rows of
@@ -383,8 +389,8 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     node's left child is the head of its run in the winning feature's
     list, up to the cut, which also gives the child's row count and
     weight. Each level marks every row's side from those runs in one
-    pass, then cuts each feature's list in turn into the next level's
-    (``_partition``), so the next frontier holds all left children, then
+    pass, then cuts each feature's list in turn, in place, into the next
+    level's (``_partition``), so the next frontier holds all left children, then
     all right ones. Levels are recorded, and the per-node feature
     subsets drawn, in level order instead, tree by tree (the k-th split
     node's children are 2k and 2k + 1 of the next level): with
@@ -400,11 +406,14 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     packed = ((w << 32) | (w * y)).ravel()
     sums = packed.reshape(n_trees, n).sum(axis=1)  # each frontier node's packed weight
     present = w > 0
+    # a forest passes its only reference to the weights: free them
+    del weights, w
     counts = np.count_nonzero(present, axis=1)
     R = np.empty((d, counts.sum()), dtype=np.int32)
     first = (np.arange(n_trees, dtype=np.int32) * n)[:, None]
     for order, into in zip(data.order, R):
         np.compress(present[:, order].ravel(), (order + first).ravel(), out=into)
+    del present
     tree_of = np.arange(n_trees)  # each frontier node's tree
     place = np.arange(n_trees)  # its index in level order, tree by tree
     side = np.empty(n_trees * n, dtype=np.int8)  # per row: 0 left, 1 right, 2 in a leaf
@@ -439,7 +448,7 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
                 tree_of[at],
                 np.where(split, feature, -1)[at],
                 np.where(split, threshold, 0.0)[at],
-                np.where(split, 0, (2 * pos > tot).astype(np.int64))[at],
+                np.where(split, 0, 2 * pos > tot).astype(np.int8)[at],  # 0 or 1: format 2's <i1
             )
         )
         # a split node's run in its winning feature's list goes left up
@@ -473,9 +482,8 @@ def _build_trees(data, y, weights, min_samples_split, max_depth, max_features, r
     trees = []
     for i in nodes:
         split = feature[i] >= 0
-        trees.append(
-            dict(feature=feature[i], threshold=threshold[i][split], label=label[i][~split])
-        )
+        f = feature[i].astype(_int_dtype(feature[i]))
+        trees.append(dict(feature=f, threshold=threshold[i][split], label=label[i][~split]))
     return trees
 
 
@@ -524,7 +532,7 @@ def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
         go_left = X[pending, feature[cur]] <= tree["threshold"][place[cur]]
         node[pending] = 2 * place[cur] + np.where(go_left, 1, 2)
         pending = pending[split[node[pending]]]
-    return tree["label"][place[node]]
+    return tree["label"][place[node]].astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,10 +549,20 @@ class DecisionTreeModel:
         return _tree_predict(self.tree, X)
 
 
+def _check_cart(kind, hp):
+    """Raise ChainlensError unless min_samples_split is an int, max_depth None or an int >= 0."""
+    split, depth = hp["min_samples_split"], hp["max_depth"]
+    if type(split) is not int:
+        raise ChainlensError(f"{kind} needs an integer min_samples_split, got {split!r}")
+    if depth is not None and (type(depth) is not int or depth < 0):
+        raise ChainlensError(f"{kind} needs max_depth None or >= 0, got {depth!r}")
+
+
 def fit_decision_tree(X, y, hyperparameters, seed: int = 0) -> DecisionTreeModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "decision_tree")
     hp = hyperparameters
+    _check_cart("decision_tree", hp)
     (tree,) = _build_trees(
         _presort(X),
         y,
@@ -597,28 +615,27 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "random_forest")
     hp = hyperparameters
-    if hp["n_trees"] < 1:
-        raise ChainlensError(f"random_forest needs n_trees >= 1, got {hp['n_trees']}")
+    n_trees, bootstrap = hp["n_trees"], hp["bootstrap"]
+    if type(n_trees) is not int or n_trees < 1:
+        raise ChainlensError(f"random_forest needs n_trees >= 1, got {n_trees!r}")
+    if type(bootstrap) is not bool:
+        raise ChainlensError(f"random_forest needs bootstrap true or false, got {bootstrap!r}")
+    _check_cart("random_forest", hp)
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
     data = _presort(X)
     n = X.shape[0]
     batch = max(1, _BATCH_CELLS // X.size)
 
     def grow(first):
-        rngs = [
-            np.random.default_rng([seed, t])
-            for t in range(first, min(first + batch, hp["n_trees"]))
-        ]
-        if hp["bootstrap"]:
-            weights = np.array(
-                [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs]
-            )
-        else:
-            weights = np.ones((len(rngs), n), dtype=np.int64)
+        batch_trees = range(first, min(first + batch, n_trees))
+        rngs = [np.random.default_rng([seed, t]) for t in batch_trees]
+        # the weights' only reference goes to _build_trees, which drops it once packed
         return _build_trees(
             data,
             y,
-            weights,
+            np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+            if bootstrap
+            else np.ones((len(rngs), n), dtype=np.int64),
             min_samples_split=hp["min_samples_split"],
             max_depth=hp["max_depth"],
             max_features=max_features,
@@ -626,7 +643,7 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
         )
 
     return RandomForestModel(
-        trees=tuple(tree for first in range(0, hp["n_trees"], batch) for tree in grow(first)),
+        trees=tuple(tree for first in range(0, n_trees, batch) for tree in grow(first)),
         n_features=X.shape[1],
         hyperparameters=dict(hp),
     )
@@ -798,6 +815,12 @@ _FLOAT = "<f8"
 _INTS = ("<i1", "<i2", "<i4", "<i8")
 
 
+def _int_dtype(array: np.ndarray) -> str:
+    """The narrowest of ``_INTS`` that holds the integer ``array``'s range."""
+    low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+    return next(t for t in _INTS if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+
+
 def jsonable(value):
     """``default`` for ``json.dump``: a model or normalizer as an object
     of its fields but ``hyperparameters``, an array as its ``_blob``.
@@ -818,11 +841,7 @@ def jsonable(value):
 def _blob(array: np.ndarray) -> dict:
     """``array`` as a format-2 array object; its bytes do not depend on
     the machine."""
-    if array.dtype.kind == "f":
-        dtype = _FLOAT
-    else:
-        low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
-        dtype = next(t for t in _INTS if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+    dtype = _FLOAT if array.dtype.kind == "f" else _int_dtype(array)
     data = base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return {"data": data.decode("ascii"), "dtype": dtype, "shape": list(array.shape)}
 
@@ -892,8 +911,9 @@ def _from_json(value, kind, metadata):
     return value
 
 
-def _unblob(value, ndim, integer) -> np.ndarray:
-    """A format-2 array object, as int64 if ``integer`` else float64."""
+def _unblob(value, ndim, integer, narrow=False) -> np.ndarray:
+    """A format-2 array object, as float64 if not ``integer``, else in
+    its stored dtype if ``narrow``, else as int64."""
     if not isinstance(value, dict) or sorted(value) != ["data", "dtype", "shape"]:
         raise _Unfit("must be an array object of data, dtype and shape")
     dtype, shape = value["dtype"], value["shape"]
@@ -912,21 +932,21 @@ def _unblob(value, ndim, integer) -> np.ndarray:
     size = math.prod(shape) * np.dtype(dtype).itemsize
     if len(data) != size:
         raise _Unfit(f"holds {len(data)} bytes where its shape needs {size}")
-    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(
-        np.int64 if integer else np.float64
-    )
+    array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return array.astype(np.int64 if integer and not narrow else dtype)
 
 
 def _tree_from_json(value) -> dict:
     """A tree as format 2 stores it (``feature``, ``threshold`` for its
-    split nodes and ``label`` for its leaves), for the model to check
-    with ``_check_tree``."""
+    split nodes and ``label`` for its leaves, the integers in their
+    stored dtype, as ``_build_trees`` makes them), for the model to
+    check with ``_check_tree``."""
     if not isinstance(value, dict) or sorted(value) != ["feature", "label", "threshold"]:
         raise _Unfit("must be a tree of the arrays feature, label and threshold")
     tree = {}
     for name in ("feature", "threshold", "label"):
         try:
-            tree[name] = _unblob(value[name], 1, integer=name != "threshold")
+            tree[name] = _unblob(value[name], 1, integer=name != "threshold", narrow=True)
         except _Unfit as exc:
             raise _Unfit(f"array {name!r} {exc}") from None
     return tree

@@ -23,6 +23,7 @@ from chainlens.classifiers import (
 from chainlens.errors import ChainlensError
 from oracles import (
     level_order,
+    oracle_blob,
     oracle_build_tree,
     oracle_compact,
     oracle_forest_trees,
@@ -176,11 +177,18 @@ def tied_matrix(rng):
     return X, y
 
 
+def stored_dtype(array):
+    """The dtype format 2 stores ``array`` as: float64, or the narrowest
+    signed int that holds its values."""
+    return np.dtype(oracle_blob(array)["dtype"])
+
+
 def assert_same_tree(tree, expected):
+    """``tree`` holds ``expected``'s values, each array in its stored dtype."""
     assert tree.keys() == expected.keys()
     for name, arr in expected.items():
         assert np.array_equal(tree[name], arr), name
-        assert tree[name].dtype == arr.dtype, name
+        assert tree[name].dtype == stored_dtype(arr), name
 
 
 def assert_compact(tree):
@@ -188,10 +196,10 @@ def assert_compact(tree):
     threshold per split node and a label per leaf."""
     assert sorted(tree) == ["feature", "label", "threshold"]
     split = tree["feature"] >= 0
-    assert tree["feature"].dtype == np.int64 and tree["feature"].ndim == 1
+    assert tree["feature"].dtype == stored_dtype(tree["feature"]) and tree["feature"].ndim == 1
     assert tree["threshold"].dtype == np.float64
     assert tree["threshold"].shape == (split.sum(),)
-    assert tree["label"].dtype == np.int64
+    assert tree["label"].dtype == stored_dtype(tree["label"])
     assert tree["label"].shape == ((~split).sum(),)
     assert split.shape[0] == 2 * split.sum() + 1
 
@@ -213,6 +221,17 @@ class TestCompactTrees:
         assert len(forest.trees) == 6
         for tree in forest.trees:
             assert_compact(tree)
+            # fewer than 128 features: node features and leaf labels fit int8
+            assert tree["feature"].dtype == tree["label"].dtype == np.int8
+
+    def test_features_past_int8_take_int16(self):
+        # feature 130 splits the root: its tree needs int16, its labels int8
+        X = np.zeros((4, 131))
+        X[:, 130] = [0.0, 0.0, 1.0, 1.0]
+        y = np.array([0, 0, 1, 1])
+        tree = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"]).tree
+        assert tree["feature"].tolist() == [130, -1, -1]
+        assert tree["feature"].dtype == np.int16 and tree["label"].dtype == np.int8
 
 
 class TestCartAgainstOracle:
@@ -443,14 +462,20 @@ class TestScanBlocks:
 
 
 class TestBuilderMemory:
-    """A level holds its row lists, arrays with one entry per node or
-    per (feature, node) pair, one scan block and, while it marks sides,
-    arrays as long as one list; not arrays as long as the level. The
-    ceiling is five times the bytes of the root's row lists (int32, one
-    per feature and present row: this level's, the next level's, and
-    room for the packed weights, the side marks, the per-node arrays
-    and the grown trees) plus 160 bytes a scan row (~118 in use). On
-    these matrices the builder that held the level whole peaked at
+    """A level holds one buffer of row lists, which each level cuts in
+    place, arrays with one entry per node or per (feature, node) pair,
+    one scan block and, while it marks sides and cuts the lists, arrays
+    as long as one list; not arrays as long as the level, nor a second
+    set of lists. The ceiling is 2.5 times the bytes of the root's row
+    lists (int32, one per feature and present row: the lists, and room
+    for the per-node and per-pair arrays, the one-list scratch and the
+    grown trees) plus 9 bytes a tree row (the packed weights and the
+    side marks) and 160 bytes a scan row (~118 in use). With 2**10 scan
+    rows the lists set the peak: beyond the tree rows and scan rows,
+    these cases measured 1.91-2.01 times the root's lists there (0.83-1.53
+    with 2**14 scan rows), against 3.34-3.58 for the builder that cut
+    each level's lists into a second buffer and kept the root's alive.
+    On these matrices the builder that held the level whole peaked at
     19.3 MB (34x the row lists) and 24.3 MB (14x)."""
 
     @staticmethod
@@ -459,8 +484,14 @@ class TestBuilderMemory:
         y = rng.integers(0, 2, size=20_000)
         return rng.normal(size=(20_000, 7)) + 0.5 * y[:, None], y
 
+    @staticmethod
+    def ceiling(row_lists, tree_rows):
+        return 2.5 * row_lists + 9 * tree_rows + 160 * classifiers._SCAN_CELLS
+
+    @pytest.mark.parametrize("cells", [1 << 10, 1 << 14])
     @pytest.mark.parametrize("n_trees", [1, 5])
-    def test_peak_stays_within_the_row_lists(self, n_trees):
+    def test_peak_stays_within_the_row_lists(self, monkeypatch, n_trees, cells):
+        monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         X, y = self.matrix()
         n, d = X.shape
         data = _presort(X)
@@ -478,17 +509,18 @@ class TestBuilderMemory:
         finally:
             tracemalloc.stop()
         assert len(trees) == n_trees
-        assert peak <= 5 * row_lists + 160 * classifiers._SCAN_CELLS
+        assert peak <= self.ceiling(row_lists, n_trees * n)
 
+    @pytest.mark.parametrize("cells", [1 << 10, 1 << 14])
     @pytest.mark.parametrize("batch", [2, 3])
-    def test_forest_holds_one_batch_at_a_time(self, monkeypatch, batch):
+    def test_forest_holds_one_batch_at_a_time(self, monkeypatch, batch, cells):
         # a forest of three batches holds one batch's ceiling, the presort
-        # and the batch's bootstrap weights; two batches grown at once
-        # peaked ~3.5 and ~5 MB above that
+        # and, until they are packed, the batch's bootstrap weights
         X, y = self.matrix()
         n, d = X.shape
         n_trees, seed = 3 * batch, 3
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
+        monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         present = [
             np.unique(np.random.default_rng([seed, t]).integers(0, n, size=n)).shape[0]
             for t in range(n_trees)
@@ -504,7 +536,27 @@ class TestBuilderMemory:
             tracemalloc.stop()
         assert len(forest.trees) == n_trees
         weights = 8 * batch * n
-        assert peak <= 5 * row_lists + 160 * classifiers._SCAN_CELLS + presort + weights
+        assert peak <= self.ceiling(row_lists, batch * n) + presort + weights
+
+    def test_lists_are_cut_in_place(self):
+        # the new lists are a view of the old buffer, and the cut holds
+        # temporaries for one list at a time: 12.7 bytes a row of a list,
+        # against 28.7 when the lists were cut into a second buffer
+        rng = np.random.default_rng(62)
+        d, length = 7, 50_000
+        R = np.array([rng.permutation(length) for _ in range(d)], dtype=np.int32)
+        side = rng.integers(0, 3, size=length).astype(np.int8)
+        want = [np.concatenate([rows[side[rows] == 0], rows[side[rows] == 1]]) for rows in R]
+        n_left, n_right = int(np.sum(side == 0)), int(np.sum(side == 1))
+        tracemalloc.start()
+        try:
+            cut = classifiers._partition(R, side, n_left, n_right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(cut, R)
+        assert np.array_equal(cut, np.array(want))
+        assert peak <= 16 * length
 
 
 class TestRandomForest:
@@ -551,6 +603,10 @@ class TestRandomForest:
             ({"n_trees": -3}, "n_trees >= 1"),
             ({"max_features": 0}, "max_features >= 1"),
             ({"max_features": -1}, "max_features >= 1"),
+            ({"n_trees": 2.5}, "n_trees >= 1, got 2.5"),
+            ({"n_trees": True}, "n_trees >= 1, got True"),
+            ({"bootstrap": "no"}, "bootstrap true or false, got 'no'"),
+            ({"bootstrap": 1}, "bootstrap true or false, got 1"),
         ],
     )
     def test_empty_forest_settings_rejected(self, override, message):
@@ -558,6 +614,23 @@ class TestRandomForest:
         hp = dict(KIND_DEFAULTS["random_forest"], **override)
         with pytest.raises(ChainlensError, match=message):
             fit_random_forest(X, y, hp)
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"min_samples_split": "2"}, "an integer min_samples_split, got '2'"),
+            ({"min_samples_split": 2.0}, "an integer min_samples_split, got 2.0"),
+            ({"min_samples_split": False}, "an integer min_samples_split, got False"),
+            ({"max_depth": -1}, "max_depth None or >= 0, got -1"),
+            ({"max_depth": 3.0}, "max_depth None or >= 0, got 3.0"),
+            ({"max_depth": "3"}, "max_depth None or >= 0, got '3'"),
+        ],
+    )
+    def test_tree_settings_of_the_wrong_type_rejected(self, kind, override, message):
+        X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
+        with pytest.raises(ChainlensError, match=f"^{kind} needs {message}$"):
+            fit_classifier(kind, X, y, override)
 
 
 class TestGaussianNB:

@@ -56,7 +56,8 @@ def unblob(blob):
 
 
 def compact_tree(feature, threshold, label):
-    """A tree as models hold it, from its three arrays."""
+    """A tree from its three arrays, its integers as int64: a model takes
+    any integer dtype, though a fitted or loaded one holds the narrowest."""
     return {
         "feature": np.array(feature, dtype=np.int64),
         "threshold": np.array(threshold, dtype=np.float64),
@@ -547,6 +548,42 @@ class TestModelPersistence:
         again = tmp_path / f"{kind}.again.json"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    def test_trees_keep_their_narrow_dtypes_through_a_file(self, kind, tmp_path):
+        # a fitted tree holds format 2's arrays, dtype included, and
+        # loads back as it was fitted; both still predict int64 labels
+        table = make_table(n=50, seed=9)
+        overrides = {"n_trees": 5} if kind == "random_forest" else None
+        trained = fit(ClassifierSpec.make(kind, overrides), table, seed=4)
+        path = tmp_path / f"{kind}.json"
+        save_model(trained, path)
+        loaded = load_model(path)
+        doc = json.loads(path.read_text())["parameters"]
+        fitted_trees = trained.model.trees if kind == "random_forest" else (trained.model.tree,)
+        loaded_trees = loaded.model.trees if kind == "random_forest" else (loaded.model.tree,)
+        stored_trees = doc["trees"] if kind == "random_forest" else [doc["tree"]]
+        for fitted, again, stored in zip(fitted_trees, loaded_trees, stored_trees, strict=True):
+            assert_same_value(again, fitted)
+            assert fitted["feature"].dtype == fitted["label"].dtype == np.int8
+            for name, array in fitted.items():
+                assert array.dtype == np.dtype(stored[name]["dtype"])
+        probe = np.random.default_rng(10).normal(2.5, 3.0, size=(40, 3))
+        for model in (trained.model, loaded.model):
+            assert model.predict(probe).dtype == np.int64
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    def test_tree_fixtures_load_their_stored_values_and_dtypes(self, kind):
+        doc = json.loads((MODEL_FIXTURES / f"{kind}.json").read_text())["parameters"]
+        model = load_model(MODEL_FIXTURES / f"{kind}.json").model
+        stored_trees = doc["trees"] if kind == "random_forest" else [doc["tree"]]
+        trees = model.trees if kind == "random_forest" else (model.tree,)
+        for tree, stored in zip(trees, stored_trees, strict=True):
+            for name, blob in stored.items():
+                assert np.array_equal(tree[name], unblob(blob))
+                assert tree[name].dtype == np.dtype(blob["dtype"])
+        X = np.random.default_rng(12).normal(size=(20, model.n_features))
+        assert model.predict(X).dtype == np.int64
 
     @pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
     def test_streamed_file_equals_one_shot_dump(self, kind, tmp_path):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import base64
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -138,7 +139,7 @@ class LinearModel:
 def fit_logistic_regression(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "logistic_regression")
-    hp = hyperparameters
+    hp = _checked_settings("logistic_regression", hyperparameters)
     params = np.zeros(X.shape[1] + 1, dtype=np.float64)
     for _ in range(hp["iterations"]):
         w = params[:-1]
@@ -153,7 +154,7 @@ def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     # full-batch subgradient descent on mean hinge loss + L2
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "linear_svm")
-    hp = hyperparameters
+    hp = _checked_settings("linear_svm", hyperparameters)
     signs = np.where(y == 1, 1.0, -1.0)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
@@ -549,20 +550,10 @@ class DecisionTreeModel:
         return _tree_predict(self.tree, X)
 
 
-def _check_cart(kind, hp):
-    """Raise ChainlensError unless min_samples_split is an int, max_depth None or an int >= 0."""
-    split, depth = hp["min_samples_split"], hp["max_depth"]
-    if type(split) is not int:
-        raise ChainlensError(f"{kind} needs an integer min_samples_split, got {split!r}")
-    if depth is not None and (type(depth) is not int or depth < 0):
-        raise ChainlensError(f"{kind} needs max_depth None or >= 0, got {depth!r}")
-
-
 def fit_decision_tree(X, y, hyperparameters, seed: int = 0) -> DecisionTreeModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "decision_tree")
-    hp = hyperparameters
-    _check_cart("decision_tree", hp)
+    hp = _checked_settings("decision_tree", hyperparameters)
     (tree,) = _build_trees(
         _presort(X),
         y,
@@ -604,23 +595,14 @@ class RandomForestModel:
 def _forest_max_features(setting, d: int) -> int | None:
     if setting == "sqrt":
         return max(1, int(math.isqrt(d)))
-    if setting == "all" or setting is None:
-        return None
-    if int(setting) < 1:
-        raise ChainlensError(f"random_forest needs max_features >= 1, got {setting}")
-    return int(setting)
+    return None if setting in ("all", None) else setting
 
 
 def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel:
     X, y = _validate_xy(X, y)
     _require_both_classes(y, "random_forest")
-    hp = hyperparameters
+    hp = _checked_settings("random_forest", hyperparameters)
     n_trees, bootstrap = hp["n_trees"], hp["bootstrap"]
-    if type(n_trees) is not int or n_trees < 1:
-        raise ChainlensError(f"random_forest needs n_trees >= 1, got {n_trees!r}")
-    if type(bootstrap) is not bool:
-        raise ChainlensError(f"random_forest needs bootstrap true or false, got {bootstrap!r}")
-    _check_cart("random_forest", hp)
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
     data = _presort(X)
     n = X.shape[0]
@@ -685,7 +667,7 @@ class GaussianNBModel:
 
 def fit_gaussian_nb(X, y, hyperparameters, seed: int = 0) -> GaussianNBModel:
     X, y = _validate_xy(X, y)
-    hp = hyperparameters
+    hp = _checked_settings("gaussian_nb", hyperparameters)
     classes = np.unique(y)
     # smoothing floor keyed to the largest feature variance, so scale
     # invariance of the decision rule is preserved
@@ -718,9 +700,7 @@ class KNNModel:
     def __post_init__(self):
         if self.train_y.shape != (self.train_X.shape[0],):
             raise ChainlensError("knn needs one label per training row")
-        k = self.hyperparameters.get("k")
-        if type(k) is not int or k < 1:
-            raise ChainlensError(f"knn needs k >= 1, got {k!r}")
+        _checked_settings("knn", self.hyperparameters)
 
     @property
     def n_features(self) -> int:
@@ -785,6 +765,39 @@ KINDS: dict[str, Kind] = {
 }
 CLASSIFIER_KINDS = tuple(KINDS)
 KIND_DEFAULTS = {kind: entry.defaults for kind, entry in KINDS.items()}
+
+
+def _finite(value) -> bool:
+    """A Python int or float (a bool is neither) that a float64 holds finitely."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# hyperparameter -> (what it needs, its test)
+_SETTINGS = {
+    "learning_rate": ("learning_rate finite and > 0", lambda v: _finite(v) and v > 0),
+    "iterations": ("an integer iterations >= 0", lambda v: type(v) is int and v >= 0),
+    "l2": ("l2 finite and >= 0", lambda v: _finite(v) and v >= 0),
+    "min_samples_split": ("an integer min_samples_split", lambda v: type(v) is int),
+    "max_depth": ("max_depth None or >= 0", lambda v: v is None or type(v) is int and v >= 0),
+    "n_trees": ("n_trees >= 1", lambda v: type(v) is int and v >= 1),
+    "bootstrap": ("bootstrap true or false", lambda v: type(v) is bool),
+    "max_features": (
+        "max_features >= 1, 'sqrt', 'all' or None",
+        lambda v: v in ("sqrt", "all", None) or type(v) is int and v >= 1,
+    ),
+    "var_smoothing": ("var_smoothing finite and >= 0", lambda v: _finite(v) and v >= 0),
+    "k": ("k >= 1", lambda v: type(v) is int and v >= 1),
+}
+
+
+def _checked_settings(kind: str, hp: dict) -> dict:
+    """``hp``, once none of the kind's settings fails its test; the
+    first that does is a ChainlensError."""
+    for name in KINDS[kind].defaults:
+        wants, ok = _SETTINGS[name]
+        if not ok(hp.get(name)):
+            raise ChainlensError(f"{kind} needs {wants}, got {hp.get(name)!r}")
+    return hp
 
 
 def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:

@@ -46,7 +46,7 @@ from .cleaning import (
     impute_mean,
     row_feature_table,
 )
-from .dataset import CoinSnapshot, Dataset
+from .dataset import CoinSnapshot, Dataset, day_filter
 from .errors import ChainlensError, DataQualityWarning
 from .survival import lifetimes
 
@@ -152,16 +152,16 @@ def label_risky(
     data; labels always reflect each coin's full observed history
     against the cutoff.
     """
-    records = lifetimes(dataset, cutoff)
-    risky = {r.key: int(r.disappeared) for r in records}
+    risky = np.array([r.disappeared for r in lifetimes(dataset, cutoff)], dtype=np.int64)
     table, _ = prepare_features(dataset, date_range)
-    keys = tuple(row_id.split("@", 1)[0] for row_id in table.row_ids)
+    # the rows row_feature_table tabulated, in its order
+    rows = np.flatnonzero(day_filter(date_range)(dataset.days))
     return LabeledTable(
         feature_names=CLASSIFY_FEATURES,
         row_ids=table.row_ids,
-        keys=keys,
+        keys=tuple(dataset.row_keys(rows)),
         X=table.matrix(CLASSIFY_FEATURES),
-        y=np.array([risky[key] for key in keys], dtype=np.int64),
+        y=risky[dataset.codes[rows]],
     )
 
 

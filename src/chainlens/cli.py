@@ -86,12 +86,10 @@ REPORT_INPUTS = (
     "pareto.csv",
     "correlations.csv",
     "cluster_summary.json",
-    "assignments.csv",
     "metrics.csv",
 )
 
-# Headers of the stage CSVs whose columns ``report`` reads by position.
-_ASSIGNMENTS_HEADER = ("coin_key", "cluster_id")
+# Header of the stage CSV whose columns ``report`` reads by position.
 _FLAGS_HEADER = ("coin_key", "flags")
 
 
@@ -330,7 +328,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     report = cluster_report(ds, ds.resolve_cutoff(cfg.cutoff_date), k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
-        _ASSIGNMENTS_HEADER,
+        ("coin_key", "cluster_id"),
         zip(report.keys, report.model.assignments.tolist()),
     )
     if report.elbow_curve is not None:
@@ -504,8 +502,9 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
     pareto_head, pareto_rows = _read_csv(out / "pareto.csv")
     corr_head, corr_rows = _read_csv(out / "correlations.csv")
     metrics_head, metrics_rows = _read_csv(out / "metrics.csv")
-    _, assign_rows = _read_csv(out / "assignments.csv", _ASSIGNMENTS_HEADER)
-    cluster_sizes = Counter(row[1] for row in assign_rows)
+    sizes = cluster.get("sizes")
+    if not isinstance(sizes, dict):
+        raise ChainlensError(f"artifact {out / 'cluster_summary.json'}: sizes must be an object")
 
     sections = [
         "<h2>Survival</h2>",
@@ -516,10 +515,7 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
         _html_table(corr_head, corr_rows),
         "<h2>Clustering</h2>",
         _kv_table(cluster),
-        _html_table(
-            ("cluster", "coins"),
-            [(c, cluster_sizes[c]) for c in sorted(cluster_sizes)],
-        ),
+        _html_table(("cluster", "coins"), sorted(sizes.items())),
         inline_svg("elbow.svg"),
         "<h2>Classification</h2>",
         _html_table(metrics_head, metrics_rows),

@@ -16,21 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .cleaning import feature_values, max_normalize
-from .dataset import Dataset
+from .dataset import EXTENDED_COLUMNS, Dataset
 from .errors import ChainlensError
 
-# daily on-chain feature set for the cluster report; the last four are
-# the optional extended CSV columns
-CLUSTER_FEATURES = (
-    "market_cap",
-    "volume_24h",
-    "num_market_pairs",
-    "ptsc",
-    "total_value_locked",
-    "staking_reward",
-    "total_staking_percentage",
-    "whales_percentage",
-)
+# daily on-chain feature set for the cluster report; it ends with the
+# optional extended CSV columns
+CLUSTER_FEATURES = ("market_cap", "volume_24h", "num_market_pairs", "ptsc") + EXTENDED_COLUMNS
 
 MAX_ITERATIONS = 300
 DEFAULT_RESTARTS = 10
@@ -100,14 +91,15 @@ def _check_monotone(previous: float, current: float) -> None:
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray):
     assignments, cost = _assign(points, centroids)
-    iterations = 0
-    for _ in range(MAX_ITERATIONS):
-        iterations += 1
+    for iterations in range(1, MAX_ITERATIONS + 1):
         new_centroids = centroids.copy()
-        for cluster in range(centroids.shape[0]):
-            members = assignments == cluster
-            if members.any():
-                new_centroids[cluster] = points[members].mean(axis=0)
+        # a stable sort keeps each cluster's rows in index order, so each
+        # mean adds the same rows in the same order as a masked mean does
+        order = np.argsort(assignments, kind="stable")
+        bounds = np.cumsum(np.bincount(assignments, minlength=len(centroids)))[:-1]
+        for cluster, group in enumerate(np.split(points[order], bounds)):
+            if len(group):
+                new_centroids[cluster] = group.mean(axis=0)
             else:
                 # reseed an emptied cluster at the worst-fit point
                 per_point = ((points - centroids[assignments]) ** 2).sum(axis=1)

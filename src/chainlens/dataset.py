@@ -173,7 +173,9 @@ class Dataset:
 
     Build through :meth:`build` (from snapshots) or the loaders. The
     constructor is the one place that sorts rows, rejects duplicate
-    coin-days, and flags supply inconsistencies.
+    coin-days and values the loaders would reject, and flags supply
+    inconsistencies, so every Dataset round-trips through ``save_csv``
+    and ``load_csv``.
     """
 
     def __init__(
@@ -187,7 +189,9 @@ class Dataset:
 
         ``keys`` are distinct coin keys and ``codes`` index into them;
         ``columns`` maps value-column names to float64 arrays (NaN for
-        absent); a column left out is all absent.
+        absent); a column left out is all absent. Raises ValueError
+        naming the coin, day and column of the first value (after the
+        duplicate check) that is neither absent nor finite and ``>= 0``.
         """
         order = sorted(range(len(keys)), key=keys.__getitem__)
         rank = np.empty(len(keys), dtype=np.int64)
@@ -219,6 +223,13 @@ class Dataset:
             raise DuplicateCoinDayError(
                 zip(self.row_keys(repeated), isoformat_days(days[repeated]))
             )
+        for name, column in values.items():
+            bad = np.flatnonzero((column < 0) | (column == math.inf))[:1]
+            if bad.size:
+                raise ValueError(
+                    f"{self.row_keys(bad)[0]} {isoformat_days(days[bad])[0]}: {name}"
+                    f" must be finite and >= 0, got {float(column[bad[0]])!r}"
+                )
         circulating = values["circulating_supply"]
         total = values["total_supply"]
         over = np.flatnonzero(circulating > total)
@@ -679,27 +690,13 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     ``str(int(v))`` when integral and ``repr(v)`` otherwise. The bytes
     are those of writing each row with ``csv.writer``, but the text is
     computed in numpy ``_WRITE_ROWS`` rows at a time
-    (:func:`chainlens.csvtext.write_chunk`).
-
-    Raises ValueError naming the column, coin and day, before the file
-    is opened, for a value the loaders would reject: one that is neither
-    absent (NaN) nor finite and ``>= 0``.
+    (:func:`chainlens.csvtext.write_chunk`). ``Dataset`` already holds
+    only values the loaders accept, so every Dataset can be written.
     """
     path = Path(path)
     columns = list(NUMERIC_COLUMNS)
     if dataset.has_extended_columns():
         columns += list(EXTENDED_COLUMNS)
-    for name in columns:
-        values = dataset.column(name)
-        bad = np.flatnonzero((values < 0) | (values == math.inf))
-        if bad.size:
-            row = int(bad[0])
-            key = dataset.keys[dataset.codes[row]]
-            day = dt.date.fromordinal(int(dataset.days[row])).isoformat()
-            raise ValueError(
-                f"cannot save {key} {day}: {name} must be finite and >= 0,"
-                f" got {float(values[row])!r}"
-            )
     # imported on use: its tables take a few ms to build
     from .csvtext import Prefixes, write_chunk
 

@@ -12,9 +12,10 @@ cuts, two ``np.minimum.at`` scatters for each level's winners and a
 cumsum + ``put_along_axis`` partition of all feature lists, with node
 ids in level order; ``oracle_forest_trees`` grows a forest with it.
 ``oracle_knn_predict`` is the original full stable argsort of each
-distance block. ``oracle_save_model`` is the one-shot model writer:
-the whole format-2 document built by ``to_doc``, then one
-``json.dumps``.
+distance block. ``oracle_lloyd`` is the original Lloyd loop, which
+recenters each cluster on the mean of a boolean mask of its rows.
+``oracle_save_model`` is the one-shot model writer: the whole format-2
+document built by ``to_doc``, then one ``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from chainlens.classifiers import _forest_max_features
+from chainlens.clustering import MAX_ITERATIONS, _assign, _check_monotone
 from chainlens.classify import MODEL_FORMAT_VERSION
 from chainlens.dataset import (
     CSV_HEADER,
@@ -382,6 +384,35 @@ def oracle_knn_predict(train_X, train_y, k, X):
         votes = train_y[nearest].sum(axis=1)
         out[start : start + chunk] = (votes * 2 > k).astype(np.int64)
     return out
+
+
+def oracle_lloyd(points, centroids):
+    """``(centroids, assignments, wcss, iterations)`` as ``_lloyd`` returns them."""
+    assignments, cost = _assign(points, centroids)
+    iterations = 0
+    for _ in range(MAX_ITERATIONS):
+        iterations += 1
+        new_centroids = centroids.copy()
+        for cluster in range(centroids.shape[0]):
+            members = assignments == cluster
+            if members.any():
+                new_centroids[cluster] = points[members].mean(axis=0)
+            else:
+                # reseed an emptied cluster at the worst-fit point
+                per_point = ((points - centroids[assignments]) ** 2).sum(axis=1)
+                new_centroids[cluster] = points[int(np.argmax(per_point))]
+        diff = points - new_centroids[assignments]
+        update_cost = float((diff * diff).sum())
+        _check_monotone(cost, update_cost)
+        new_assignments, assign_cost = _assign(points, new_centroids)
+        _check_monotone(update_cost, assign_cost)
+        centroids = new_centroids
+        converged = bool(np.array_equal(new_assignments, assignments))
+        assignments = new_assignments
+        cost = assign_cost
+        if converged:
+            break
+    return centroids, assignments, cost, iterations
 
 
 def oracle_build(snapshots):

@@ -32,6 +32,9 @@ from oracles import (
 )
 
 
+LINEAR_KINDS = ("logistic_regression", "linear_svm")
+
+
 def two_blobs(rng, n_per=60, separation=6.0, d=4):
     a = rng.normal(loc=0.0, size=(n_per, d))
     b = rng.normal(loc=separation, size=(n_per, d))
@@ -603,6 +606,9 @@ class TestRandomForest:
             ({"n_trees": -3}, "n_trees >= 1"),
             ({"max_features": 0}, "max_features >= 1"),
             ({"max_features": -1}, "max_features >= 1"),
+            ({"max_features": 2.5}, "max_features >= 1, 'sqrt', 'all' or None, got 2.5"),
+            ({"max_features": True}, "max_features >= 1, 'sqrt', 'all' or None, got True"),
+            ({"max_features": "abc"}, "max_features >= 1, 'sqrt', 'all' or None, got 'abc'"),
             ({"n_trees": 2.5}, "n_trees >= 1, got 2.5"),
             ({"n_trees": True}, "n_trees >= 1, got True"),
             ({"bootstrap": "no"}, "bootstrap true or false, got 'no'"),
@@ -631,6 +637,52 @@ class TestRandomForest:
         X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
         with pytest.raises(ChainlensError, match=f"^{kind} needs {message}$"):
             fit_classifier(kind, X, y, override)
+
+
+@pytest.mark.parametrize(
+    "kinds, override, message",
+    [
+        (LINEAR_KINDS, {"learning_rate": 0}, "learning_rate finite and > 0, got 0"),
+        (LINEAR_KINDS, {"learning_rate": -0.1}, "learning_rate finite and > 0, got -0.1"),
+        (LINEAR_KINDS, {"learning_rate": None}, "learning_rate finite and > 0, got None"),
+        (LINEAR_KINDS, {"learning_rate": True}, "learning_rate finite and > 0, got True"),
+        (LINEAR_KINDS, {"learning_rate": float("inf")}, "learning_rate finite and > 0, got inf"),
+        (LINEAR_KINDS, {"learning_rate": float("nan")}, "learning_rate finite and > 0, got nan"),
+        (LINEAR_KINDS, {"learning_rate": 10**400}, r"learning_rate finite and > 0, got 10+"),
+        (LINEAR_KINDS, {"iterations": "10"}, "an integer iterations >= 0, got '10'"),
+        (LINEAR_KINDS, {"iterations": -1}, "an integer iterations >= 0, got -1"),
+        (LINEAR_KINDS, {"iterations": 10.0}, "an integer iterations >= 0, got 10.0"),
+        (LINEAR_KINDS, {"iterations": False}, "an integer iterations >= 0, got False"),
+        (LINEAR_KINDS, {"l2": "x"}, "l2 finite and >= 0, got 'x'"),
+        (LINEAR_KINDS, {"l2": -1e-4}, "l2 finite and >= 0, got -0.0001"),
+        (LINEAR_KINDS, {"l2": float("nan")}, "l2 finite and >= 0, got nan"),
+        (LINEAR_KINDS, {"l2": True}, "l2 finite and >= 0, got True"),
+        (("gaussian_nb",), {"var_smoothing": -10.0}, "var_smoothing finite and >= 0, got -10.0"),
+        (("gaussian_nb",), {"var_smoothing": None}, "var_smoothing finite and >= 0, got None"),
+        (("gaussian_nb",), {"var_smoothing": "1"}, "var_smoothing finite and >= 0, got '1'"),
+        (("gaussian_nb",), {"var_smoothing": True}, "var_smoothing finite and >= 0, got True"),
+        (("gaussian_nb",), {"var_smoothing": float("inf")}, "var_smoothing finite and >= 0, got inf"),
+    ],
+)
+def test_numeric_settings_rejected(kinds, override, message):
+    X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
+    for kind in kinds:
+        with pytest.raises(ChainlensError, match=f"^{kind} needs {message}$"):
+            fit_classifier(kind, X, y, override)
+
+
+@pytest.mark.parametrize(
+    "kind, override",
+    [
+        ("logistic_regression", {"learning_rate": 1, "iterations": 0, "l2": 0}),
+        ("linear_svm", {"learning_rate": 1, "iterations": 0, "l2": 0}),
+        ("gaussian_nb", {"var_smoothing": 0}),
+        ("random_forest", {"n_trees": 2, "max_features": None}),
+    ],
+)
+def test_boundary_settings_accepted(kind, override):
+    X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
+    assert fit_classifier(kind, X, y, override).predict(X).shape == y.shape
 
 
 class TestGaussianNB:

@@ -1,6 +1,7 @@
 """Labeling, splitting, training, evaluation, and flag heuristics."""
 
 import base64
+import dataclasses
 import datetime as dt
 import json
 from pathlib import Path
@@ -186,6 +187,20 @@ class TestLabelRisky:
             "AAA_alpha@2021-01-02",
             "BBB_beta@2021-01-01",
         )
+        assert table.y.tolist() == [1, 1, 0]
+
+    def test_keys_hold_any_text_the_coin_names_hold(self):
+        renamed = {"AAA_alpha": 'A@2021-01-01,"_alpha', "BBB_beta": 'B"B@x,_be@ta'}
+        ds = Dataset.build(
+            dataclasses.replace(s, key=renamed[s.key])
+            for s in labeled_fixture_dataset().snapshots
+        )
+        table = label_risky(
+            ds, cutoff=d("2021-03-01"), date_range=(None, d("2021-01-31"))
+        )
+        a, b = renamed["AAA_alpha"], renamed["BBB_beta"]
+        assert table.keys == (a, a, b)
+        assert table.row_ids == (f"{a}@2021-01-01", f"{a}@2021-01-02", f"{b}@2021-01-01")
         assert table.y.tolist() == [1, 1, 0]
 
     def test_everything_alive_at_early_cutoff(self):

@@ -199,6 +199,43 @@ class TestPipeline:
             pipeline_dir / "report.html"
         ).read_bytes()
 
+    def test_report_sizes_come_from_the_cluster_summary(self, pipeline_dir, tmp_path):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        # a csv-only rerun with another k rewrites assignments.csv, not the summary
+        rc = run_stage(
+            "cluster", "--out", str(tmp_path), "--k", "3", "--format", "csv", "--seed", "7"
+        )
+        assert rc == 0
+        assert run_stage("report", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "cluster_summary.json").read_text("utf-8"))
+        assert summary["k"] != 3
+        rows = "".join(
+            f"<tr><td>{c}</td><td>{n}</td></tr>" for c, n in sorted(summary["sizes"].items())
+        )
+        page = (tmp_path / "report.html").read_text("utf-8")
+        assert f"<th>cluster</th><th>coins</th></tr></thead><tbody>{rows}</tbody>" in page
+
+    def test_report_does_not_read_the_assignments(self, pipeline_dir, tmp_path):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "assignments.csv").unlink()
+        (tmp_path / "report.html").unlink()
+        assert run_stage("report", "--out", str(tmp_path)) == 0
+        assert (tmp_path / "report.html").read_bytes() == (
+            pipeline_dir / "report.html"
+        ).read_bytes()
+
+    def test_coin_name_holding_an_at_sign_passes_every_stage(self, pipeline_dir, tmp_path):
+        panel = (pipeline_dir / "dataset.csv").read_bytes()
+        assert b"\r\nS00003," in panel
+        # S00003@x_coin00003 sorts where S00003_coin00003 did, so every number stays
+        (tmp_path / "dataset.csv").write_bytes(panel.replace(b"\r\nS00003,", b"\r\nS00003@x,"))
+        config = pipeline_dir / "config.json"
+        for stage in PIPELINE[1:]:
+            rc = run_stage(stage, "--config", str(config), "--out", str(tmp_path), "--seed", "7")
+            assert rc == 0, stage
+        for name in ("metrics.csv", "classify_summary.json"):
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes()
+
     def test_flags_rows_use_known_flag_names(self, pipeline_dir):
         with (pipeline_dir / "flags.csv").open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -461,6 +498,7 @@ class TestRuntimeErrors:
         [
             ("survival_summary.json", b"{not json"),
             ("cluster_summary.json", b"[1, 2]"),
+            ("cluster_summary.json", b'{"sizes": [1]}'),
             ("metrics.csv", b"\xff\xfe"),
             ("flags.csv", b"coin_key,flags\r\nAAA_alpha\r\n"),
             ("pareto.svg", b"\xff\xfe"),

@@ -9,6 +9,8 @@ from chainlens.cli import run
 from chainlens.clustering import (
     CLUSTER_FEATURES,
     ClusterModel,
+    _lloyd,
+    _plusplus_init,
     cluster_report,
     elbow,
     kmeans_fit,
@@ -17,6 +19,7 @@ from chainlens.clustering import (
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError
+from oracles import oracle_lloyd
 
 
 def blob_points(rng, centers, per_blob=40, std=0.05):
@@ -97,6 +100,34 @@ class TestKmeansFit:
         single = kmeans_fit(points, k=4, seed=3, restarts=1)
         many = kmeans_fit(points, k=4, seed=3, restarts=10)
         assert many.wcss <= single.wcss + 1e-12
+
+
+class TestLloydAgainstOracle:
+    @staticmethod
+    def assert_same_run(points, centroids):
+        got = _lloyd(points, centroids.copy())
+        expected = oracle_lloyd(points, centroids.copy())
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert np.array_equal(got[1], expected[1])
+        assert got[2:] == expected[2:]
+        return got[0]
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_bit_identical_to_masked_means(self, d):
+        rng = np.random.default_rng([25, d])
+        for k in range(1, 31):
+            n = int(rng.integers(k, 3 * k + 20))
+            if k % 2:
+                points = rng.normal(size=(n, d)) * rng.uniform(0.1, 1e3, size=d)
+            else:
+                # a coarse grid: coinciding points and tied distances
+                points = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+            centroids = _plusplus_init(points, k, rng)
+            self.assert_same_run(points, centroids)
+            # one centroid far from every point starts empty and is reseeded
+            centroids[int(rng.integers(k))] = 1e6
+            final = self.assert_same_run(points, centroids)
+            assert k == 1 or not (final == 1e6).any()
 
 
 class TestWcss:

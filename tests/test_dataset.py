@@ -331,20 +331,20 @@ def test_property_csv_round_trip(tmp_path_factory, rows):
     assert load_csv(path) == ds
 
 
-class TestSaveRejectsWhatLoadRejects:
+class TestDatasetRejectsWhatLoadRejects:
     @pytest.mark.parametrize("value", [-1.5, np.inf, -np.inf], ids=repr)
-    def test_value_the_loaders_reject_leaves_the_target(self, tmp_path, value):
-        target = tmp_path / "ds.csv"
-        target.write_bytes(b"earlier bytes")
-        ds = Dataset(
-            ["A_B", "C_D"],
-            [0, 1, 1],
-            [738000, 738000, 738001],
-            {"price": [1.0, 2.0, 3.0], "volume_24h": [1.0, np.nan, value]},
-        )
+    def test_value_the_loaders_reject_is_refused(self, value):
         with pytest.raises(ValueError, match=r"C_D 2021-07-30: volume_24h must be"):
-            save_csv(ds, target)
-        assert target.read_bytes() == b"earlier bytes"
+            Dataset(
+                ["A_B", "C_D"],
+                [0, 1, 1],
+                [738000, 738000, 738001],
+                {"price": [1.0, 2.0, 3.0], "volume_24h": [1.0, np.nan, value]},
+            )
+
+    def test_duplicate_coin_day_is_reported_first(self):
+        with pytest.raises(DuplicateCoinDayError):
+            Dataset(["A_B"], [0, 0], [738000, 738000], {"price": [1.0, -1.0]})
 
 
 # name and symbol text that csv must quote or that is not ASCII; no

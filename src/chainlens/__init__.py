@@ -9,116 +9,51 @@ risk classification over daily coin snapshots. The usual flow:
     10
 
 Each stage also exists as a CLI subcommand (``chainlens --help``).
+
+The public names below are imported from their modules on first use,
+so importing the package (as every CLI stage does) loads none of them.
 """
 
-from .classify import (
-    CLASSIFY_FEATURES,
-    ClassifierSpec,
-    LabeledTable,
-    evaluate,
-    fit,
-    label_risky,
-    load_model,
-    manipulability_flags,
-    metrics_from_counts,
-    predict,
-    save_model,
-    train_test_split,
-)
-from .classifiers import CLASSIFIER_KINDS, fit_classifier
-from .cleaning import (
-    FeatureTable,
-    aggregate_stats,
-    derive_ptsc,
-    impute_max_supply,
-    impute_mean,
-    max_normalize,
-    mean_normalize,
-    row_feature_table,
-)
-from .clustering import ClusterModel, cluster_report, elbow, kmeans_fit, wcss
-from .config import RunConfig, build_config
-from .correlation import (
-    METHODS,
-    correlate,
-    correlation_matrix,
-    interpret,
-    price_factor_report,
-)
-from .dataset import (
-    CoinSnapshot,
-    Dataset,
-    coin_key,
-    load_csv,
-    parse_day,
-    save_csv,
-)
-from .errors import (
-    ApiError,
-    AuthenticationError,
-    ChainlensError,
-    DataQualityWarning,
-    InfeasibleSpecError,
-    RateLimitError,
-    SchemaDriftError,
-    UndefinedCorrelationError,
-)
-from .survival import lifetimes, pareto, survival_summary
-from .synthetic import SyntheticSpec, generate_synthetic
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApiError",
-    "AuthenticationError",
-    "CLASSIFIER_KINDS",
-    "CLASSIFY_FEATURES",
-    "ChainlensError",
-    "ClassifierSpec",
-    "ClusterModel",
-    "CoinSnapshot",
-    "DataQualityWarning",
-    "Dataset",
-    "FeatureTable",
-    "InfeasibleSpecError",
-    "LabeledTable",
-    "METHODS",
-    "RateLimitError",
-    "RunConfig",
-    "SchemaDriftError",
-    "SyntheticSpec",
-    "UndefinedCorrelationError",
-    "aggregate_stats",
-    "build_config",
-    "cluster_report",
-    "coin_key",
-    "correlate",
-    "correlation_matrix",
-    "derive_ptsc",
-    "elbow",
-    "evaluate",
-    "fit",
-    "fit_classifier",
-    "impute_max_supply",
-    "impute_mean",
-    "interpret",
-    "kmeans_fit",
-    "label_risky",
-    "lifetimes",
-    "load_csv",
-    "load_model",
-    "manipulability_flags",
-    "max_normalize",
-    "mean_normalize",
-    "metrics_from_counts",
-    "pareto",
-    "parse_day",
-    "predict",
-    "price_factor_report",
-    "row_feature_table",
-    "save_csv",
-    "save_model",
-    "survival_summary",
-    "train_test_split",
-    "wcss",
-]
+# each public name, by the module that defines it
+_EXPORTS = {
+    "classify": (
+        "CLASSIFY_FEATURES", "ClassifierSpec", "LabeledTable", "evaluate", "fit", "label_risky",
+        "load_model", "manipulability_flags", "metrics_from_counts", "predict", "save_model",
+        "train_test_split",
+    ),
+    "classifiers": ("fit_classifier",),
+    "cleaning": (
+        "FeatureTable", "aggregate_stats", "derive_ptsc", "impute_max_supply", "impute_mean",
+        "max_normalize", "mean_normalize", "row_feature_table",
+    ),
+    "clustering": ("ClusterModel", "cluster_report", "elbow", "kmeans_fit", "wcss"),
+    "config": ("RunConfig", "build_config"),
+    "correlation": ("correlate", "correlation_matrix", "interpret", "price_factor_report"),
+    "dataset": ("CoinSnapshot", "Dataset", "coin_key", "load_csv", "save_csv"),
+    "errors": (
+        "ApiError", "AuthenticationError", "ChainlensError", "DataQualityWarning",
+        "InfeasibleSpecError", "RateLimitError", "SchemaDriftError", "UndefinedCorrelationError",
+    ),
+    "rules": ("CLASSIFIER_KINDS", "METHODS", "parse_day"),
+    "survival": ("lifetimes", "pareto", "survival_summary"),
+    "synthetic": ("SyntheticSpec", "generate_synthetic"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

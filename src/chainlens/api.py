@@ -37,7 +37,6 @@ from .dataset import (
     Chunk,
     ColumnParser,
     Dataset,
-    check_date_range,
     snapshot_from_mapping,
 )
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
     RateLimitError,
     SchemaDriftError,
 )
+from .rules import check_date_range
 
 HISTORY_PATH = "/v1/history"
 API_KEY_ENV = "CHAINLENS_API_KEY"

@@ -55,6 +55,7 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .errors import ChainlensError
+from .rules import CLASSIFIER_KINDS
 
 def _validate_xy(X, y):
     X = np.asarray(X, dtype=np.float64)
@@ -162,8 +163,10 @@ def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
     for _ in range(hp["iterations"]):
         margins = signs * (X @ w + b)
         violating = margins < 1.0
-        grad_w = hp["l2"] * w - (signs[violating] @ X[violating]) / n
-        grad_b = -float(signs[violating].sum()) / n
+        # np.compress: boolean indexing with an irregular mask is 3-6x slower
+        violating_signs = np.compress(violating, signs)
+        grad_w = hp["l2"] * w - (violating_signs @ np.compress(violating, X, axis=0)) / n
+        grad_b = -float(violating_signs.sum()) / n
         w -= hp["learning_rate"] * grad_w
         b -= hp["learning_rate"] * grad_b
     return LinearModel(weights=w, bias=float(b), hyperparameters=dict(hp))
@@ -754,16 +757,16 @@ _LINEAR = {"learning_rate": 0.1, "iterations": 1000, "l2": 1e-4}
 _CART = {"min_samples_split": 2, "max_depth": None}
 _FOREST = {"n_trees": 100, **_CART, "bootstrap": True, "max_features": "sqrt"}
 
-# kind -> fitter, model class and default hyperparameters
-KINDS: dict[str, Kind] = {
-    "logistic_regression": Kind(fit_logistic_regression, LinearModel, _LINEAR),
-    "linear_svm": Kind(fit_linear_svm, LinearModel, _LINEAR),
-    "decision_tree": Kind(fit_decision_tree, DecisionTreeModel, _CART),
-    "random_forest": Kind(fit_random_forest, RandomForestModel, _FOREST),
-    "gaussian_nb": Kind(fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}),
-    "knn": Kind(fit_knn, KNNModel, {"k": 5}),
-}
-CLASSIFIER_KINDS = tuple(KINDS)
+# kind -> fitter, model class and default hyperparameters, in the
+# order of CLASSIFIER_KINDS
+KINDS: dict[str, Kind] = dict(zip(CLASSIFIER_KINDS, (
+    Kind(fit_logistic_regression, LinearModel, _LINEAR),
+    Kind(fit_linear_svm, LinearModel, _LINEAR),
+    Kind(fit_decision_tree, DecisionTreeModel, _CART),
+    Kind(fit_random_forest, RandomForestModel, _FOREST),
+    Kind(fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}),
+    Kind(fit_knn, KNNModel, {"k": 5}),
+), strict=True))
 KIND_DEFAULTS = {kind: entry.defaults for kind, entry in KINDS.items()}
 
 

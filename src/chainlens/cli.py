@@ -28,44 +28,55 @@ from __future__ import annotations
 import argparse
 import csv
 import html
+import importlib
 import json
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-from .api import ApiClientConfig, fetch_history
-from .cache import load_panel
-from .classify import (
-    CLASSIFY_FEATURES,
-    ClassifierSpec,
-    evaluate,
-    fit,
-    label_risky,
-    manipulability_flags,
-    predict,
-    prepare_features,
-    save_model,
-    train_test_split,
-)
-from .cleaning import aggregate_stats
-# not called here: perfbench/tracer.py patches these three bindings
-from .cleaning import impute_max_supply, impute_mean, row_feature_table  # noqa: F401
-from .clustering import cluster_report
 from .config import ConfigError, RunConfig, build_config
-from .correlation import METHODS, price_factor_report
-from .dataset import load_csv, parse_day, save_csv
 from .errors import ChainlensError
-from .survival import lifetimes, pareto, survival_summary
-from .svgcharts import (
-    METRIC_SERIES,
-    elbow_chart,
-    emit_plot_data,
-    metrics_chart,
-    pareto_chart,
-    pareto_label,
-)
-from .synthetic import SyntheticSpec, generate_synthetic
+from .rules import METHODS, parse_day
+
+# The names the stage handlers call, by the chainlens module that
+# defines them. This module imports none of them: ``run`` imports the
+# modules a stage's COMMANDS entry lists and binds their names here,
+# and ``__getattr__`` resolves a name on first use. Both bind with
+# setdefault, so a replacement set here first (a test's, the benchmark
+# tracer's) is kept.
+PROVIDERS = {
+    "api": ("ApiClientConfig", "fetch_history"),
+    "cache": ("load_panel",),
+    "classify": (
+        "CLASSIFY_FEATURES", "ClassifierSpec", "evaluate", "fit", "label_risky",
+        "manipulability_flags", "predict", "prepare_features", "save_model", "train_test_split",
+    ),
+    # impute_* and row_feature_table: not called here; perfbench/tracer.py wraps them
+    "cleaning": ("aggregate_stats", "impute_max_supply", "impute_mean", "row_feature_table"),
+    "clustering": ("cluster_report",),
+    "correlation": ("price_factor_report",),
+    "dataset": ("load_csv", "save_csv"),
+    "survival": ("lifetimes", "pareto", "survival_summary"),
+    "svgcharts": (
+        "METRIC_SERIES", "elbow_chart", "emit_plot_data", "metrics_chart", "pareto_chart",
+        "pareto_label",
+    ),
+    "synthetic": ("SyntheticSpec", "generate_synthetic"),
+}
+_MODULE_OF = {name: module for module, names in PROVIDERS.items() for name in names}
+
+
+def _bind(name: str):
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _bind(name)
+
 
 # Demo-scale defaults for `generate` (only knobs that differ from the
 # SyntheticSpec defaults). 100 coins keeps an end-to-end run fast while
@@ -574,17 +585,26 @@ def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
     return f"plot: {kind} -> {kind}.svg, {kind}_plot.csv"
 
 
+_PANEL = ("cache", "dataset")  # what _load_dataset calls
+
+# stage -> (handler, help, the modules of the PROVIDERS names it calls)
 COMMANDS = {
-    "generate": (cmd_generate, "synthesize a dataset with planted structure"),
-    "ingest": (cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv"),
-    "clean": (cmd_clean, "derive and impute the per-row feature table"),
-    "lifetimes": (cmd_lifetimes, "coin lifetimes, survival summary, pareto data"),
-    "correlate": (cmd_correlate, "price-vs-factor correlation artifacts"),
-    "cluster": (cmd_cluster, "k-means daily clustering with elbow selection"),
-    "classify": (cmd_classify, "train and score disappearance classifiers"),
-    "flags": (cmd_flags, "manipulability flags per coin"),
-    "report": (cmd_report, "compose prior artifacts into report.html"),
-    "plot": (cmd_plot, "re-render one artifact CSV as SVG + plotted numbers"),
+    "generate": (cmd_generate, "synthesize a dataset with planted structure",
+                 ("dataset", "synthetic")),
+    "ingest": (cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
+               _PANEL + ("api",)),
+    "clean": (cmd_clean, "derive and impute the per-row feature table", _PANEL + ("classify",)),
+    "lifetimes": (cmd_lifetimes, "coin lifetimes, survival summary, pareto data",
+                  _PANEL + ("survival", "svgcharts")),
+    "correlate": (cmd_correlate, "price-vs-factor correlation artifacts",
+                  _PANEL + ("correlation",)),
+    "cluster": (cmd_cluster, "k-means daily clustering with elbow selection",
+                _PANEL + ("clustering", "svgcharts")),
+    "classify": (cmd_classify, "train and score disappearance classifiers",
+                 _PANEL + ("classify", "svgcharts")),
+    "flags": (cmd_flags, "manipulability flags per coin", _PANEL + ("cleaning", "classify")),
+    "report": (cmd_report, "compose prior artifacts into report.html", ()),
+    "plot": (cmd_plot, "re-render one artifact CSV as SVG + plotted numbers", ("svgcharts",)),
 }
 
 
@@ -599,8 +619,11 @@ def run(command: str, config: RunConfig) -> str:
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    handler, _, modules = COMMANDS[command]
+    for module in modules:
+        for name in PROVIDERS[module]:
+            _bind(name)
     writer = ArtifactWriter(config.out)
-    handler = COMMANDS[command][0]
     try:
         summary = handler(config, writer)
         writer.commit()
@@ -647,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         stage = sub.add_parser(name, parents=[common], help=help_text)
         if name == "correlate":
             stage.add_argument(

@@ -18,18 +18,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .api import ApiClientConfig
-from .classifiers import CLASSIFIER_KINDS
-from .correlation import METHODS
-from .dataset import check_date_range, parse_day
 from .errors import ChainlensError
-from .synthetic import SyntheticSpec
+from .rules import CLASSIFIER_KINDS, METHODS, check_date_range, parse_day
 
 FORMATS = ("csv", "json", "svg")
-
-# Settings the 'generate' block may carry: every SyntheticSpec knob
-# except the seed, which lives at the top level of the config.
-GENERATE_KEYS = frozenset(f.name for f in fields(SyntheticSpec)) - {"seed"}
 
 # Settings the 'api' block may carry. The key comes from the
 # environment and the date range from the top-level start/end fields.
@@ -113,16 +105,24 @@ class RunConfig:
             raise ConfigError(
                 f"unknown 'api' settings {sorted(bad_api)}; allowed: {sorted(API_KEYS)}"
             )
-        _check_types(self.api, ApiClientConfig, "'api' setting ")
+        if self.api:  # the api and synthetic modules load only for their blocks
+            from .api import ApiClientConfig
+
+            _check_types(self.api, ApiClientConfig, "'api' setting ")
         if "seed" in self.generate:
             raise ConfigError("set the seed at the top level, not inside 'generate'")
-        bad_gen = set(self.generate) - GENERATE_KEYS
-        if bad_gen:
-            raise ConfigError(
-                f"unknown 'generate' settings {sorted(bad_gen)}; "
-                f"allowed: {sorted(GENERATE_KEYS)}"
-            )
-        _check_types(self.generate, SyntheticSpec, "'generate' setting ")
+        if self.generate:
+            from .synthetic import SyntheticSpec
+
+            # every SyntheticSpec knob but the seed, which is top-level
+            allowed = {f.name for f in fields(SyntheticSpec)} - {"seed"}
+            bad_gen = set(self.generate) - allowed
+            if bad_gen:
+                raise ConfigError(
+                    f"unknown 'generate' settings {sorted(bad_gen)}; "
+                    f"allowed: {sorted(allowed)}"
+                )
+            _check_types(self.generate, SyntheticSpec, "'generate' setting ")
         days = {name: getattr(self, name) for name in ("cutoff", "start", "end")}
         days["'generate' start_day"] = self.generate.get("start_day")
         for name, value in days.items():

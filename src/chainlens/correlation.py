@@ -27,8 +27,7 @@ from .cleaning import FeatureTable, aggregate_stats, row_feature_table
 from .dataset import NUMERIC_COLUMNS, Dataset
 from .errors import ChainlensError, UndefinedCorrelationError
 from .kernels import count_inversions
-
-METHODS = ("pearson", "kendall", "spearman")
+from .rules import METHODS
 
 # row-level price factors (pooled over every coin-day)
 PRICE_FACTORS = ("max_supply", "total_supply", "circulating_supply", "volume_24h", "ptsc")

@@ -63,6 +63,7 @@ from .errors import (
     DuplicateCoinDayError,
     MalformedRowError,
 )
+from .rules import check_date_range, parse_day
 
 NUMERIC_COLUMNS = (
     "price",
@@ -365,13 +366,6 @@ class Dataset:
         return any(not np.isnan(self._columns[n]).all() for n in EXTENDED_COLUMNS)
 
 
-def check_date_range(lo, hi, error: type[Exception] = ChainlensError) -> None:
-    """Raise ``error`` when the inclusive day range ``lo``..``hi`` is
-    empty; a None end is open."""
-    if lo is not None and hi is not None and lo > hi:
-        raise error(f"empty date range: {lo} > {hi}")
-
-
 def day_filter(
     date_range: tuple[dt.date | None, dt.date | None] | None,
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -392,22 +386,6 @@ def day_filter(
         return keep
 
     return mask
-
-
-def parse_day(text: str) -> dt.date:
-    """Parse a UTC calendar day, truncating any intraday part."""
-    text = text.strip()
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        pass
-    try:
-        stamp = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if stamp.tzinfo is not None:
-            stamp = stamp.astimezone(dt.timezone.utc)
-    except (ValueError, OverflowError):  # the latter: UTC day off the calendar
-        raise ValueError(f"invalid date {text!r}") from None
-    return stamp.date()
 
 
 def _cell(column: str, raw) -> float | None:

@@ -967,6 +967,17 @@ class TestModelPersistence:
             # the model's __post_init__ rejects the values
             ("random_forest", ("parameters", "trees"), lambda trees: trees[:2],
              "random_forest holds 2 trees, but n_trees is 5"),
+            # a hyperparameter that the fitters would have rejected
+            ("logistic_regression", ("hyperparameters", "learning_rate"), lambda v: -1,
+             "logistic_regression needs learning_rate finite and > 0, got -1"),
+            ("linear_svm", ("hyperparameters", "iterations"), lambda v: "x",
+             "linear_svm needs an integer iterations >= 0, got 'x'"),
+            ("decision_tree", ("hyperparameters", "max_depth"), lambda v: -2,
+             "decision_tree needs max_depth None or >= 0, got -2"),
+            ("random_forest", ("hyperparameters", "bootstrap"), lambda v: 1,
+             "random_forest needs bootstrap true or false, got 1"),
+            ("gaussian_nb", ("hyperparameters", "var_smoothing"), lambda v: 1e400,
+             "gaussian_nb needs var_smoothing finite and >= 0, got inf"),
         ],
     )
     def test_errors_under_load_model_name_the_file(self, tmp_path, kind, where, change, message):

@@ -2,9 +2,13 @@
 
 import csv
 import hashlib
+import importlib
+import inspect
 import json
+import os
 import shutil
 import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -12,7 +16,9 @@ import numpy as np
 import pytest
 
 from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
-from chainlens.cli import COMMANDS, GENERATE_DEFAULTS, ArtifactWriter, main, run
+import chainlens
+import chainlens.cli as cli
+from chainlens.cli import COMMANDS, GENERATE_DEFAULTS, PROVIDERS, ArtifactWriter, main, run
 from chainlens.config import ConfigError, RunConfig
 from chainlens.dataset import CSV_HEADER, load_csv
 from chainlens.errors import ChainlensError
@@ -866,3 +872,91 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "lifetimes" in proc.stdout
+
+
+SRC = str(Path(chainlens.__file__).resolve().parents[1])
+
+
+def modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def stage_modules(*argv) -> set[str]:
+    """The numpy and chainlens modules a process holds after ``main(argv)``
+    returned 0."""
+    loaded = modules_after(
+        f"from chainlens.cli import main\nif main({list(argv)!r}): sys.exit('stage failed')"
+    )
+    return {m for m in loaded if m == "numpy" or m.startswith("chainlens")}
+
+
+def _code_names(code) -> set[str]:
+    """The global and attribute names ``code`` and its nested code use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _code_names(const)
+    return names
+
+
+class TestImportFootprint:
+    """A stage process imports only the chainlens modules it runs."""
+
+    BASE = {"chainlens", "chainlens.cli", "chainlens.config", "chainlens.errors", "chainlens.rules"}
+
+    def test_importing_the_cli_loads_no_stage_module(self):
+        loaded = modules_after("import chainlens.cli")
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("chainlens")} == self.BASE
+
+    def test_help_never_imports_numpy(self):
+        assert stage_modules("--help") == self.BASE
+
+    def test_report_never_imports_numpy(self, pipeline_dir, tmp_path):
+        out = shutil.copytree(pipeline_dir, tmp_path / "run")
+        assert stage_modules("report", "--out", str(out)) == self.BASE
+
+    def test_lifetimes_loads_only_what_it_runs(self, pipeline_dir, tmp_path):
+        loaded = stage_modules(
+            "lifetimes", "--input", str(pipeline_dir / "dataset.csv"), "--out", str(tmp_path)
+        )
+        stage = {"chainlens.cache", "chainlens.dataset", "chainlens.survival", "chainlens.svgcharts"}
+        assert loaded == self.BASE | stage | {"numpy"}
+
+    def test_each_stage_lists_the_modules_of_the_names_it_calls(self):
+        module_of = {name: module for module, names in PROVIDERS.items() for name in names}
+        for stage, (handler, _, modules) in COMMANDS.items():
+            used: set[str] = set()
+            todo = [handler]
+            while todo:  # the handler and the cli functions it calls
+                names = _code_names(todo.pop().__code__) - used
+                used |= names
+                todo += [
+                    value
+                    for value in map(vars(cli).get, names)
+                    if inspect.isfunction(value) and value.__module__ == cli.__name__
+                ]
+            needed = {module_of[name] for name in used if name in module_of}
+            assert set(modules) == needed, stage
+
+    def test_every_provider_name_exists_in_its_module(self):
+        for module, names in PROVIDERS.items():
+            provider = importlib.import_module(f"chainlens.{module}")
+            assert [name for name in names if not hasattr(provider, name)] == [], module
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        listed = set(dir(chainlens))
+        assert set(chainlens.__all__) <= listed
+        for name in chainlens.__all__:
+            assert getattr(chainlens, name) is not None
+        assert not hasattr(chainlens, "no_such_name")

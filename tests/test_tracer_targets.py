@@ -12,18 +12,24 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from chainlens.api import ApiClientConfig, fetch_history
 from chainlens.classify import ClassifierSpec, LabeledTable, fit, save_model
-from chainlens.dataset import Dataset, load_csv
+from chainlens.dataset import Dataset, load_csv, save_csv
+from chainlens.rules import CLASSIFIER_KINDS
+from chainlens.synthetic import SyntheticSpec, generate_synthetic
 from mock_server import MockHistoryServer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -86,3 +92,24 @@ def test_classify_span_names_and_model_bytes(tmp_path):
     assert tracer._model_bytes((trained, path), None) == {
         "bytes": path.stat().st_size
     }
+
+
+def test_traced_classify_records_the_stage_spans(tmp_path):
+    # the stage binds its names in chainlens.cli only when it runs; the
+    # tracer's wrappers, installed first, must be the ones it calls
+    spec = SyntheticSpec(n_coins=20, seed=3, disappeared_fraction=0.4, horizon_days=400)
+    save_csv(generate_synthetic(spec), tmp_path / "dataset.csv")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "classify", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())}
+    expected = {"dataset.load_csv", "classify.label_risky", "classify.train_test_split"}
+    for stage in ("fit", "predict", "save_model"):
+        expected |= {f"classify.{stage}.{kind}" for kind in CLASSIFIER_KINDS}
+    assert expected <= names

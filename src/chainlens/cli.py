@@ -14,10 +14,12 @@ and write their own artifacts next to it, so a full run is::
     chainlens report --out run1
 
 Every file a stage writes goes through ``ArtifactWriter``, and every
-stage CSV through its ``write_csv``. Artifacts carry no timestamps; the
-same config and seed produce byte-identical files. ``report`` only
-composes artifacts that earlier stages already wrote, never recomputing
-them, so a stale report is impossible to mistake for a fresh analysis.
+stage CSV through its ``write_csv``; the stage's ``COMMANDS`` row lists
+them, and a rerun removes the row's files it did not write. Artifacts
+carry no timestamps; the same config and seed produce byte-identical
+files. ``report`` only composes artifacts that earlier stages already
+wrote, never recomputing them, so a stale report is impossible to
+mistake for a fresh analysis.
 
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
 earlier artifacts left untouched), 2 usage or configuration error.
@@ -31,13 +33,13 @@ import html
 import importlib
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_config
+from .config import FORMATS, ConfigError, RunConfig, build_config
 from .errors import ChainlensError
-from .rules import METHODS, parse_day
+from .rules import CLASSIFIER_KINDS, METHODS, parse_day
 
 # The names the stage handlers call, by the chainlens module that
 # defines them. This module imports none of them: ``run`` imports the
@@ -90,8 +92,7 @@ GENERATE_DEFAULTS: dict = {
     "missing_max_supply_rate": 0.1,
 }
 
-# What `report` composes. Present iff the owning stage ran with a rich
-# enough --format (json implies the csv artifacts too).
+# What `report` composes; COMMANDS names the stage and --format writing each.
 REPORT_INPUTS = (
     "survival_summary.json",
     "pareto.csv",
@@ -109,14 +110,24 @@ class ArtifactWriter:
     target; ``commit`` moves them all into place once the stage has
     succeeded, and ``discard_written`` removes them after a failure, so
     a failed or interrupted stage leaves the previous run's files as
-    they were."""
+    they were. Given the stage's ``writes`` row of COMMANDS, it skips a
+    file above the run's ``format``, refuses one the row lacks, and
+    ``commit`` removes the row's files that this run did not write."""
 
-    def __init__(self, out_dir: str | Path):
+    def __init__(self, out_dir: str | Path, writes=None, format: str = "svg"):
         self.out_dir = Path(out_dir)
         self.written: list[tuple[Path, Path]] = []  # (temporary, target)
+        # the files of the stage's row, and those the run's format leaves out
+        self.row = None if writes is None else sum(writes, ())
+        self.skipped = sum((writes or ())[FORMATS.index(format) + 1:], ())
 
-    def path(self, relative: str) -> Path:
-        """Where to write the artifact ``relative`` until the commit."""
+    def path(self, relative: str) -> Path | None:
+        """Where to write the artifact ``relative`` until the commit, or
+        None when the run's format leaves it out."""
+        if self.row is not None and relative not in self.row:
+            raise ValueError(f"{relative} is not in the stage's COMMANDS row")
+        if relative in self.skipped:
+            return None
         target = self.out_dir / relative
         target.parent.mkdir(parents=True, exist_ok=True)
         temporary = target.with_name(f".{target.name}.tmp")
@@ -124,7 +135,8 @@ class ArtifactWriter:
         return temporary
 
     def write_text(self, relative: str, text: str) -> None:
-        self.path(relative).write_text(text, encoding="utf-8")
+        if (path := self.path(relative)) is not None:
+            path.write_text(text, encoding="utf-8")
 
     def write_json(self, relative: str, document: dict) -> None:
         self.write_text(
@@ -135,25 +147,32 @@ class ArtifactWriter:
         """The one CSV format of every stage file: the default ``csv``
         dialect (CRLF line ends), floats as ``repr``, None as an empty
         cell."""
-        with self.path(relative).open("w", newline="", encoding="utf-8") as fh:
+        if (path := self.path(relative)) is None:
+            return
+        with path.open("w", newline="", encoding="utf-8") as fh:
             out = csv.writer(fh)
             out.writerow(header)
             out.writerows(rows)
 
     def commit(self) -> None:
-        """Move every staged file into place. If a move fails, each target
-        already replaced gets its previous file back (one that was new is
-        removed) before the error propagates, so a failed commit leaves
-        no mix of new and old artifacts."""
+        """Move every staged file into place, and remove each file of the
+        stage's row that this run did not write. If a move fails, each
+        target already replaced or removed gets its previous file back
+        (one that was new is removed) before the error propagates, so a
+        failed commit leaves no mix of new and old artifacts."""
+        # target -> its staged file, None for a row file this run did not write
+        moves = dict.fromkeys(self.out_dir / name for name in self.row or ())
+        moves.update((target, temporary) for temporary, target in self.written)
         done: list[tuple[Path, Path | None]] = []  # (target, its previous file)
         try:
-            for temporary, target in self.written:
+            for target, temporary in moves.items():
                 if target.is_file():
                     previous = target.with_name(f".{target.name}.previous")
                     target.replace(previous)
                     done.append((target, previous))
-                    temporary.replace(target)
-                else:
+                    if temporary is not None:
+                        temporary.replace(target)
+                elif temporary is not None:
                     temporary.replace(target)
                     done.append((target, None))
         except BaseException:
@@ -213,11 +232,8 @@ def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
     spec = SyntheticSpec(seed=cfg.seed, **settings)
     ds = generate_synthetic(spec)
     save_csv(ds, writer.path("dataset.csv"))
-    if cfg.wants_json:
-        doc = _dataset_summary(ds)
-        doc["planted_disappeared"] = spec.disappeared_count
-        doc["seed"] = spec.seed
-        writer.write_json("dataset_summary.json", doc)
+    doc = dict(_dataset_summary(ds), planted_disappeared=spec.disappeared_count, seed=spec.seed)
+    writer.write_json("dataset_summary.json", doc)
     return (
         f"generate: {len(ds.keys)} coins, {len(ds)} rows"
         f" (seed {spec.seed}) -> dataset.csv"
@@ -237,8 +253,7 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
             "ingest needs --input FILE or an 'api' config block with base_url"
         )
     save_csv(ds, writer.path("dataset.csv"))
-    if cfg.wants_json:
-        writer.write_json("dataset_summary.json", _dataset_summary(ds))
+    writer.write_json("dataset_summary.json", _dataset_summary(ds))
     return f"ingest: {len(ds.keys)} coins, {len(ds)} rows from {origin}"
 
 
@@ -253,23 +268,21 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
             for row_id, row in zip(table.row_ids, table.matrix(CLASSIFY_FEATURES))
         ),
     )
-    if cfg.wants_json:
-        writer.write_json(
-            "cleaning_summary.json",
-            {
-                "rows": table.n_rows,
-                "features": list(CLASSIFY_FEATURES),
-                "missing_before": before,
-                "filled_by_supply_rule": before["max_supply"]
-                - after_rule["max_supply"],
-                "filled_by_column_mean": {
-                    name: after_rule[name] - after_mean[name]
-                    for name in CLASSIFY_FEATURES
-                    if after_rule[name] != after_mean[name]
-                },
-                "missing_after": after_mean,
+    writer.write_json(
+        "cleaning_summary.json",
+        {
+            "rows": table.n_rows,
+            "features": list(CLASSIFY_FEATURES),
+            "missing_before": before,
+            "filled_by_supply_rule": before["max_supply"] - after_rule["max_supply"],
+            "filled_by_column_mean": {
+                name: after_rule[name] - after_mean[name]
+                for name in CLASSIFY_FEATURES
+                if after_rule[name] != after_mean[name]
             },
-        )
+            "missing_after": after_mean,
+        },
+    )
     filled = sum(before.values()) - sum(after_mean.values())
     return (
         f"clean: {table.n_rows} rows x {len(CLASSIFY_FEATURES)} features,"
@@ -296,11 +309,8 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
         ("bucket_start", "bucket_end", "count", "cumulative_pct"),
         map(astuple, data.buckets),
     )
-    if cfg.wants_json:
-        doc = asdict(summary)
-        doc["cutoff"] = cutoff.isoformat()
-        writer.write_json("survival_summary.json", doc)
-    if cfg.wants_svg and data.buckets:
+    writer.write_json("survival_summary.json", dict(asdict(summary), cutoff=cutoff.isoformat()))
+    if data.buckets:
         rows = [
             (pareto_label(b.start, b.end), b.count, b.cumulative_pct)
             for b in data.buckets
@@ -326,8 +336,7 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
         ("var_a", "var_b", "method", "coefficient", "n", "label"),
         map(astuple, chosen),
     )
-    if cfg.wants_json:
-        writer.write_json("correlation_report.json", report.as_dict())
+    writer.write_json("correlation_report.json", report.as_dict())
     return (
         f"correlate: {len(chosen)} pairs ({', '.join(cfg.methods)})"
         " -> correlations.csv"
@@ -345,23 +354,21 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     if report.elbow_curve is not None:
         points = list(zip(report.elbow_curve.ks, report.elbow_curve.wcss))
         writer.write_csv("elbow.csv", ("k", "wcss"), points)
-        if cfg.wants_svg:
-            writer.write_text("elbow.svg", elbow_chart(points))
-    if cfg.wants_json:
-        sizes = Counter(int(c) for c in report.model.assignments)
-        writer.write_json(
-            "cluster_summary.json",
-            {
-                "date": report.date.isoformat(),
-                "k": report.model.k,
-                "k_chosen_by": "elbow" if report.elbow_curve else "flag",
-                "wcss": report.model.wcss,
-                "iterations_run": report.model.iterations_run,
-                "coins": len(report.keys),
-                "excluded": sorted(report.excluded),
-                "sizes": {str(c): sizes[c] for c in sorted(sizes)},
-            },
-        )
+        writer.write_text("elbow.svg", elbow_chart(points))
+    sizes = Counter(int(c) for c in report.model.assignments)
+    writer.write_json(
+        "cluster_summary.json",
+        {
+            "date": report.date.isoformat(),
+            "k": report.model.k,
+            "k_chosen_by": "elbow" if report.elbow_curve else "flag",
+            "wcss": report.model.wcss,
+            "iterations_run": report.model.iterations_run,
+            "coins": len(report.keys),
+            "excluded": sorted(report.excluded),
+            "sizes": {str(c): sizes[c] for c in sorted(sizes)},
+        },
+    )
     return (
         f"cluster: k={report.model.k}, {len(report.keys)} coins on"
         f" {report.date.isoformat()} -> assignments.csv"
@@ -386,21 +393,19 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
         for kind, m in named
     ]
     writer.write_csv("metrics.csv", ("classifier",) + METRIC_SERIES, scores)
-    if cfg.wants_json:
-        writer.write_json(
-            "classify_summary.json",
-            {
-                "cutoff": cutoff.isoformat(),
-                "split": cfg.split,
-                "seed": cfg.seed,
-                "train_rows": train.n_rows,
-                "test_rows": test.n_rows,
-                "risky_fraction_train": float(train.y.mean()),
-                "classifiers": detail,
-            },
-        )
-    if cfg.wants_svg:
-        writer.write_text("metrics.svg", metrics_chart(scores))
+    writer.write_json(
+        "classify_summary.json",
+        {
+            "cutoff": cutoff.isoformat(),
+            "split": cfg.split,
+            "seed": cfg.seed,
+            "train_rows": train.n_rows,
+            "test_rows": test.n_rows,
+            "risky_fraction_train": float(train.y.mean()),
+            "classifiers": detail,
+        },
+    )
+    writer.write_text("metrics.svg", metrics_chart(scores))
     best_kind, best = max(named, key=lambda kv: kv[1].f1)
     degenerate = [kind for kind, m in named if m.zero_division_hit]
     return (
@@ -425,16 +430,15 @@ def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
         rows.append((snap.key, " ".join(flags)))
     writer.write_csv("flags.csv", _FLAGS_HEADER, rows)
     flagged = sum(1 for _, joined in rows if joined)
-    if cfg.wants_json:
-        writer.write_json(
-            "flags_summary.json",
-            {
-                "coins": len(rows),
-                "coins_flagged": flagged,
-                "coins_skipped": skipped,
-                "flag_counts": dict(sorted(counts.items())),
-            },
-        )
+    writer.write_json(
+        "flags_summary.json",
+        {
+            "coins": len(rows),
+            "coins_flagged": flagged,
+            "coins_skipped": skipped,
+            "flag_counts": dict(sorted(counts.items())),
+        },
+    )
     return f"flags: {flagged}/{len(rows)} coins flagged -> flags.csv"
 
 
@@ -491,12 +495,14 @@ def _read_json_object(path: Path) -> dict:
 
 def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
     out = Path(cfg.out)
-    missing = [name for name in REPORT_INPUTS if not (out / name).exists()]
+    made_by = {name: f"{stage} --format {fmt}" for stage, row in COMMANDS.items()
+               for fmt, names in zip(FORMATS, row.writes or ()) for name in names}
+    missing = [f"{name} ({made_by[name]})" for name in REPORT_INPUTS if not (out / name).exists()]
     if missing:
         raise ChainlensError(
             "report composes existing artifacts but these are missing: "
             + ", ".join(missing)
-            + "; run the earlier stages (with --format json or svg) first"
+            + "; run those stages first"
         )
 
     def inline_svg(name: str) -> str:
@@ -585,26 +591,39 @@ def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
     return f"plot: {kind} -> {kind}.svg, {kind}_plot.csv"
 
 
+# A stage's handler, help, the modules of the PROVIDERS names it calls,
+# and the files it writes at --format csv, json and svg, each format
+# adding to the one before (None when the names come from the input).
+Stage = namedtuple("Stage", "handler help modules writes")
 _PANEL = ("cache", "dataset")  # what _load_dataset calls
+_MODELS = tuple(f"models/{kind}.json" for kind in CLASSIFIER_KINDS)
 
-# stage -> (handler, help, the modules of the PROVIDERS names it calls)
 COMMANDS = {
-    "generate": (cmd_generate, "synthesize a dataset with planted structure",
-                 ("dataset", "synthetic")),
-    "ingest": (cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
-               _PANEL + ("api",)),
-    "clean": (cmd_clean, "derive and impute the per-row feature table", _PANEL + ("classify",)),
-    "lifetimes": (cmd_lifetimes, "coin lifetimes, survival summary, pareto data",
-                  _PANEL + ("survival", "svgcharts")),
-    "correlate": (cmd_correlate, "price-vs-factor correlation artifacts",
-                  _PANEL + ("correlation",)),
-    "cluster": (cmd_cluster, "k-means daily clustering with elbow selection",
-                _PANEL + ("clustering", "svgcharts")),
-    "classify": (cmd_classify, "train and score disappearance classifiers",
-                 _PANEL + ("classify", "svgcharts")),
-    "flags": (cmd_flags, "manipulability flags per coin", _PANEL + ("cleaning", "classify")),
-    "report": (cmd_report, "compose prior artifacts into report.html", ()),
-    "plot": (cmd_plot, "re-render one artifact CSV as SVG + plotted numbers", ("svgcharts",)),
+    "generate": Stage(cmd_generate, "synthesize a dataset with planted structure",
+                      ("dataset", "synthetic"), (("dataset.csv",), ("dataset_summary.json",), ())),
+    "ingest": Stage(cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
+                    _PANEL + ("api",), (("dataset.csv",), ("dataset_summary.json",), ())),
+    "clean": Stage(cmd_clean, "derive and impute the per-row feature table",
+                   _PANEL + ("classify",), (("features.csv",), ("cleaning_summary.json",), ())),
+    "lifetimes": Stage(cmd_lifetimes, "coin lifetimes, survival summary, pareto data",
+                       _PANEL + ("survival", "svgcharts"),
+                       (("lifetimes.csv", "pareto.csv"), ("survival_summary.json",),
+                        ("pareto.svg",))),
+    "correlate": Stage(cmd_correlate, "price-vs-factor correlation artifacts",
+                       _PANEL + ("correlation",),
+                       (("correlations.csv",), ("correlation_report.json",), ())),
+    "cluster": Stage(cmd_cluster, "k-means daily clustering with elbow selection",
+                     _PANEL + ("clustering", "svgcharts"),
+                     (("assignments.csv", "elbow.csv"), ("cluster_summary.json",), ("elbow.svg",))),
+    "classify": Stage(cmd_classify, "train and score disappearance classifiers",
+                      _PANEL + ("classify", "svgcharts"),
+                      (("metrics.csv",) + _MODELS, ("classify_summary.json",), ("metrics.svg",))),
+    "flags": Stage(cmd_flags, "manipulability flags per coin", _PANEL + ("cleaning", "classify"),
+                   (("flags.csv",), ("flags_summary.json",), ())),
+    "report": Stage(cmd_report, "compose prior artifacts into report.html", (),
+                    (("report.html",), (), ())),
+    "plot": Stage(cmd_plot, "re-render one artifact CSV as SVG + plotted numbers",
+                  ("svgcharts",), None),
 }
 
 
@@ -619,13 +638,13 @@ def run(command: str, config: RunConfig) -> str:
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    handler, _, modules = COMMANDS[command]
-    for module in modules:
+    stage = COMMANDS[command]
+    for module in stage.modules:
         for name in PROVIDERS[module]:
             _bind(name)
-    writer = ArtifactWriter(config.out)
+    writer = ArtifactWriter(config.out, stage.writes, config.format)
     try:
-        summary = handler(config, writer)
+        summary = stage.handler(config, writer)
         writer.commit()
     except BaseException as exc:
         writer.discard_written()
@@ -670,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, help_text, _) in COMMANDS.items():
-        stage = sub.add_parser(name, parents=[common], help=help_text)
+    for name, row in COMMANDS.items():
+        stage = sub.add_parser(name, parents=[common], help=row.help)
         if name == "correlate":
             stage.add_argument(
                 "--method", choices=list(METHODS) + ["all"], help="which coefficient(s)"

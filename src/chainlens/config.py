@@ -157,15 +157,6 @@ class RunConfig:
         hi = parse_day(self.end) if self.end is not None else None
         return lo, hi
 
-    @property
-    def wants_json(self) -> bool:
-        # artifact richness ladder: csv < json < svg
-        return self.format in ("json", "svg")
-
-    @property
-    def wants_svg(self) -> bool:
-        return self.format == "svg"
-
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -18,10 +19,13 @@ import pytest
 from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
 import chainlens
 import chainlens.cli as cli
-from chainlens.cli import COMMANDS, GENERATE_DEFAULTS, PROVIDERS, ArtifactWriter, main, run
-from chainlens.config import ConfigError, RunConfig
+from chainlens.cli import (
+    COMMANDS, GENERATE_DEFAULTS, PROVIDERS, REPORT_INPUTS, ArtifactWriter, main, run
+)
+from chainlens.config import FORMATS, ConfigError, RunConfig
 from chainlens.dataset import CSV_HEADER, load_csv
 from chainlens.errors import ChainlensError
+from chainlens.rules import CLASSIFIER_KINDS
 
 # Small planted panel: 20 coins over ~400 days keeps every stage under
 # a second while still exercising disappearance, clusters, and holes.
@@ -205,16 +209,22 @@ class TestPipeline:
             pipeline_dir / "report.html"
         ).read_bytes()
 
-    def test_report_sizes_come_from_the_cluster_summary(self, pipeline_dir, tmp_path):
+    def test_report_sizes_come_from_the_cluster_summary(
+        self, pipeline_dir, tmp_path, capsys
+    ):
         shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
-        # a csv-only rerun with another k rewrites assignments.csv, not the summary
-        rc = run_stage(
-            "cluster", "--out", str(tmp_path), "--k", "3", "--format", "csv", "--seed", "7"
-        )
-        assert rc == 0
+        rerun = ("cluster", "--out", str(tmp_path), "--k", "3", "--seed", "7")
+        # a csv-only rerun with another k removes the summary it does not rewrite
+        assert run_stage(*rerun, "--format", "csv") == 0
+        assert not (tmp_path / "cluster_summary.json").exists()
+        capsys.readouterr()
+        assert run_stage("report", "--out", str(tmp_path)) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "cluster_summary.json (cluster --format json)" in message
+        assert run_stage(*rerun, "--format", "json") == 0
         assert run_stage("report", "--out", str(tmp_path)) == 0
         summary = json.loads((tmp_path / "cluster_summary.json").read_text("utf-8"))
-        assert summary["k"] != 3
+        assert summary["k"] == 3
         rows = "".join(
             f"<tr><td>{c}</td><td>{n}</td></tr>" for c, n in sorted(summary["sizes"].items())
         )
@@ -269,6 +279,107 @@ class TestFormats:
         assert run_stage("lifetimes", *base, "--format", "json") == 0
         assert (tmp_path / "survival_summary.json").exists()
         assert not (tmp_path / "pareto.svg").exists()
+
+
+def benchmark_stage_artifacts(monkeypatch) -> dict:
+    """perfbench/run.py's own list of the files each stage writes at
+    --format svg, kept apart from COMMANDS so each checks the other."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.STAGE_ARTIFACTS
+
+
+def lowest_format(name: str) -> str:
+    """The --format that adds ``name``, by the flag's rule: figures at
+    svg, JSON summaries at json, tables, models and the report at csv."""
+    if name.endswith(".svg"):
+        return "svg"
+    return "json" if name.endswith(".json") and not name.startswith("models/") else "csv"
+
+
+def row_files(stage: str, fmt: str) -> set[str]:
+    """The files COMMANDS says ``stage`` writes at ``--format fmt``."""
+    writes = COMMANDS[stage].writes
+    return {name for names in writes[: FORMATS.index(fmt) + 1] for name in names}
+
+
+class TestStageTable:
+    """Each stage writes exactly the files of its COMMANDS row for the
+    run's --format, each into a fresh directory."""
+
+    def run_fresh(self, pipeline_dir, out, stage, fmt, *extra) -> set[str]:
+        if stage == "report":
+            shutil.copytree(pipeline_dir, out)
+            (out / "report.html").unlink()
+        elif stage not in ("generate", "ingest"):
+            out.mkdir()
+            shutil.copy(pipeline_dir / "dataset.csv", out / "dataset.csv")
+        before = set(snapshot_tree(out)) if out.exists() else set()
+        argv = ["--config", str(pipeline_dir / "config.json"), "--out", str(out)]
+        if stage == "ingest":
+            argv = ["--input", str(pipeline_dir / "dataset.csv"), "--out", str(out)]
+        assert run_stage(stage, *argv, "--seed", "7", "--format", fmt, *extra) == 0
+        return set(snapshot_tree(out)) - before
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "stage, flags, unwritten",
+        [
+            pytest.param(stage, (), set(), id=stage)
+            for stage, row in COMMANDS.items()
+            if row.writes is not None
+        ]
+        + [
+            pytest.param("cluster", ("--k", "3"), {"elbow.csv", "elbow.svg"}, id="cluster-k"),
+            pytest.param(
+                "classify",
+                ("--classifier", "knn"),
+                {f"models/{kind}.json" for kind in CLASSIFIER_KINDS if kind != "knn"},
+                id="classify-knn",
+            ),
+        ],
+    )
+    def test_stage_writes_exactly_its_row(
+        self, pipeline_dir, tmp_path, monkeypatch, stage, flags, unwritten, fmt
+    ):
+        written = self.run_fresh(pipeline_dir, tmp_path / "out", stage, fmt, *flags)
+        assert written == row_files(stage, fmt) - unwritten
+        expected = {
+            name
+            for name in benchmark_stage_artifacts(monkeypatch)[stage]
+            if FORMATS.index(lowest_format(name)) <= FORMATS.index(fmt)
+        }
+        assert written == expected - unwritten
+
+    def test_the_table_writes_every_report_input(self):
+        written = {name for row in COMMANDS.values() for names in row.writes or () for name in names}
+        assert set(REPORT_INPUTS) <= written
+
+    def test_benchmark_lists_the_stages_of_the_table(self, monkeypatch):
+        listed = {stage for stage, row in COMMANDS.items() if row.writes is not None}
+        assert set(benchmark_stage_artifacts(monkeypatch)) == listed
+
+    def test_lower_format_rerun_removes_the_stage_files_it_did_not_write(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        others = snapshot_tree(tmp_path)
+        assert run_stage("lifetimes", "--out", str(tmp_path), "--format", "csv") == 0
+        left = snapshot_tree(tmp_path)
+        for name in ("survival_summary.json", "pareto.svg"):
+            assert name not in left
+            del others[name]
+        for name in ("lifetimes.csv", "pareto.csv"):
+            del others[name], left[name]
+        assert left == others  # no other stage's file moved
+        capsys.readouterr()
+        assert run_stage("report", "--out", str(tmp_path)) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "survival_summary.json (lifetimes --format json)" in message
+        assert [p.name for p in tmp_path.glob(".*")] == []
 
 
 class TestUsageErrors:
@@ -855,6 +966,43 @@ class TestProgrammaticRun:
         writer.discard_written()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
 
+    def test_writer_skips_files_above_the_format(self, tmp_path):
+        writer = ArtifactWriter(tmp_path, (("a.csv",), ("a.json",), ("a.svg",)), "json")
+        writer.write_csv("a.csv", ("x",), [(1,)])
+        writer.write_json("a.json", {"x": 1})
+        writer.write_text("a.svg", "<svg/>")
+        assert writer.path("a.svg") is None
+        writer.commit()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+
+    def test_writer_refuses_a_file_outside_its_row(self, tmp_path):
+        writer = ArtifactWriter(tmp_path, (("a.csv",), (), ()), "svg")
+        with pytest.raises(ValueError, match="b.csv"):
+            writer.write_text("b.csv", "x")
+        assert not list(tmp_path.iterdir())
+
+    def test_commit_removes_the_row_files_it_did_not_write(self, tmp_path):
+        for name in ("a.json", "a.svg", "other.txt"):
+            (tmp_path / name).write_text("old", encoding="utf-8")
+        writer = ArtifactWriter(tmp_path, (("a.csv",), ("a.json",), ("a.svg",)), "csv")
+        writer.write_text("a.csv", "new")
+        writer.commit()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "other.txt"]
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "new"
+
+    def test_failed_commit_restores_stale_files(self, tmp_path):
+        stale = b'{"k": 5}\r\n\xe2\x82\xac'
+        (tmp_path / "old.json").write_bytes(stale)
+        writer = ArtifactWriter(tmp_path, (("old.json", "a.txt", "b.txt"), (), ()), "csv")
+        writer.write_text("a.txt", "x")
+        writer.write_text("b.txt", "y")
+        (tmp_path / "b.txt").mkdir()  # old.json is moved aside before this move fails
+        with pytest.raises(OSError):
+            writer.commit()
+        writer.discard_written()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt", "old.json"]
+        assert (tmp_path / "old.json").read_bytes() == stale
+
     def test_generate_defaults_are_feasible(self, tmp_path):
         # the out-of-the-box demo spec must not trip integrality checks
         rc = run_stage("generate", "--out", str(tmp_path), "--format", "csv")
@@ -935,9 +1083,9 @@ class TestImportFootprint:
 
     def test_each_stage_lists_the_modules_of_the_names_it_calls(self):
         module_of = {name: module for module, names in PROVIDERS.items() for name in names}
-        for stage, (handler, _, modules) in COMMANDS.items():
+        for stage, row in COMMANDS.items():
             used: set[str] = set()
-            todo = [handler]
+            todo = [row.handler]
             while todo:  # the handler and the cli functions it calls
                 names = _code_names(todo.pop().__code__) - used
                 used |= names
@@ -947,7 +1095,7 @@ class TestImportFootprint:
                     if inspect.isfunction(value) and value.__module__ == cli.__name__
                 ]
             needed = {module_of[name] for name in used if name in module_of}
-            assert set(modules) == needed, stage
+            assert set(row.modules) == needed, stage
 
     def test_every_provider_name_exists_in_its_module(self):
         for module, names in PROVIDERS.items():

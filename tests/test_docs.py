@@ -1,5 +1,6 @@
 """The documented examples run as written: the package docstring's
-doctest and the README's Library code block."""
+doctest and the README's Library code block; the README's artifact
+table is the CLI's stage table."""
 
 import doctest
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import chainlens
+from chainlens.cli import COMMANDS
+from chainlens.rules import CLASSIFIER_KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +28,20 @@ def test_readme_library_block_runs():
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["summary"].disappeared_count == 39
     assert namespace["tau"] == pytest.approx(-1 / 3)
+
+
+def test_readme_artifact_table_is_the_stage_table():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    documented = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if line.startswith("| `"):
+            stage, *tiers = [re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:-1]]
+            documented[stage[0]] = [
+                {name.replace("<kind>", kind) for name in names for kind in CLASSIFIER_KINDS}
+                for names in tiers
+            ]
+    assert documented == {
+        stage: [set(names) for names in row.writes]
+        for stage, row in COMMANDS.items()
+        if row.writes is not None
+    }

@@ -30,7 +30,7 @@ _EXPORTS = {
         "FeatureTable", "aggregate_stats", "derive_ptsc", "impute_max_supply", "impute_mean",
         "max_normalize", "mean_normalize", "row_feature_table",
     ),
-    "clustering": ("ClusterModel", "cluster_report", "elbow", "kmeans_fit", "wcss"),
+    "clustering": ("ClusterModel", "cluster_report", "elbow", "kmeans_fit"),
     "config": ("RunConfig", "build_config"),
     "correlation": ("correlate", "correlation_matrix", "interpret", "price_factor_report"),
     "dataset": ("CoinSnapshot", "Dataset", "coin_key", "load_csv", "save_csv"),

@@ -351,23 +351,23 @@ FLAG_NAMES = frozenset(
         "insufficient_data_volume",
     }
 )
+# the thresholds of low_circulation and volatile_volume
+LOW_CIRCULATION_PTSC = 0.5
+VOLATILE_VOLUME_RATIO = 1.0
 
 
 def manipulability_flags(
-    snapshot: CoinSnapshot,
-    series_stats: AggregateFeatures | None = None,
-    ptsc_threshold: float = 0.5,
-    volume_ratio_threshold: float = 1.0,
+    snapshot: CoinSnapshot, series_stats: AggregateFeatures | None = None
 ) -> frozenset[str]:
     """Heuristic manipulation-risk flags for one coin.
 
     * ``unlimited_issuance``: no declared max supply, so the issuer
       can mint indefinitely.
     * ``low_circulation``: the circulating share of total supply is
-      below the threshold, leaving insiders a large undistributed
-      stake.
+      below ``LOW_CIRCULATION_PTSC``, leaving insiders a large
+      undistributed stake.
     * ``volatile_volume``: the coin's volume std exceeds
-      ``volume_ratio_threshold`` times its mean volume, a pattern
+      ``VOLATILE_VOLUME_RATIO`` times its mean volume, a pattern
       associated with pump-and-dump bursts.
 
     Missing inputs never raise; they produce ``insufficient_data_*``
@@ -380,7 +380,7 @@ def manipulability_flags(
     ptsc = float(derive_ptsc(snapshot.circulating_supply, snapshot.total_supply))
     if np.isnan(ptsc):
         flags.add("insufficient_data_circulation")
-    elif ptsc < ptsc_threshold:
+    elif ptsc < LOW_CIRCULATION_PTSC:
         flags.add("low_circulation")
     volume = series_stats.volume_24h if series_stats is not None else None
     if (
@@ -391,7 +391,7 @@ def manipulability_flags(
     ):
         flags.add("insufficient_data_volume")
     else:
-        if volume.std / volume.mean > volume_ratio_threshold:
+        if volume.std / volume.mean > VOLATILE_VOLUME_RATIO:
             flags.add("volatile_volume")
     return frozenset(flags)
 

@@ -24,12 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    NUMERIC_COLUMNS,
-    Dataset,
-    day_filter,
-    isoformat_days,
-)
+from .dataset import Dataset, day_filter, isoformat_days
 from .errors import ChainlensError
 
 
@@ -80,9 +75,8 @@ class FeatureTable:
     def column(self, name: str) -> np.ndarray:
         return self._data[name]
 
-    def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
-        names = list(columns) if columns is not None else list(self._data)
-        return np.column_stack([self._data[n] for n in names])
+    def matrix(self, columns: Sequence[str]) -> np.ndarray:
+        return np.column_stack([self._data[n] for n in columns])
 
     def with_columns(self, **replacements) -> "FeatureTable":
         data = dict(self._data)
@@ -94,13 +88,6 @@ class FeatureTable:
                 )
             data[name] = arr
         return FeatureTable(row_ids=self.row_ids, _data=data)
-
-    def take(self, indices) -> "FeatureTable":
-        indices = np.asarray(indices)
-        return FeatureTable(
-            row_ids=tuple(self.row_ids[i] for i in indices),
-            _data={n: _freeze(c[indices]) for n, c in self._data.items()},
-        )
 
     def __eq__(self, other):
         if not isinstance(other, FeatureTable):
@@ -281,7 +268,7 @@ def aggregate_stats(
 
 def row_feature_table(
     dataset: Dataset,
-    columns: Sequence[str] | None = None,
+    columns: Sequence[str],
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> FeatureTable:
     """One table row per snapshot, row ids ``key@YYYY-MM-DD``.
@@ -290,9 +277,8 @@ def row_feature_table(
     ``date_range`` keeps the rows inside an inclusive (start, end)
     pair, as in :func:`aggregate_stats`.
     """
-    names = tuple(columns) if columns is not None else NUMERIC_COLUMNS
     rows = np.flatnonzero(day_filter(date_range)(dataset.days))
-    data = {name: feature_values(dataset, name, rows) for name in names}
+    data = {name: feature_values(dataset, name, rows) for name in columns}
     ids = [
         f"{key}@{day}"
         for key, day in zip(dataset.row_keys(rows), isoformat_days(dataset.days[rows]))

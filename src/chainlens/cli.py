@@ -56,7 +56,7 @@ PROVIDERS = {
     ),
     # impute_* and row_feature_table: not called here; perfbench/tracer.py wraps them
     "cleaning": ("aggregate_stats", "impute_max_supply", "impute_mean", "row_feature_table"),
-    "clustering": ("cluster_report",),
+    "clustering": ("CLUSTER_FEATURES", "cluster_report"),
     "correlation": ("price_factor_report",),
     "dataset": ("load_csv", "save_csv"),
     "survival": ("lifetimes", "pareto", "survival_summary"),
@@ -295,7 +295,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
     records = lifetimes(ds, cutoff)
     summary = survival_summary(records)
-    data = pareto(records)
+    buckets = pareto(records)
     writer.write_csv(
         "lifetimes.csv",
         ("key", "first_day", "last_day", "lifetime_days", "disappeared"),
@@ -307,13 +307,13 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     writer.write_csv(
         "pareto.csv",
         ("bucket_start", "bucket_end", "count", "cumulative_pct"),
-        map(astuple, data.buckets),
+        map(astuple, buckets),
     )
     writer.write_json("survival_summary.json", dict(asdict(summary), cutoff=cutoff.isoformat()))
-    if data.buckets:
+    if buckets:
         rows = [
             (pareto_label(b.start, b.end), b.count, b.cumulative_pct)
-            for b in data.buckets
+            for b in buckets
         ]
         writer.write_text("pareto.svg", pareto_chart(rows))
     return (
@@ -369,9 +369,12 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
             "sizes": {str(c): sizes[c] for c in sorted(sizes)},
         },
     )
+    left_out = report.feature_columns != CLUSTER_FEATURES
     return (
         f"cluster: k={report.model.k}, {len(report.keys)} coins on"
-        f" {report.date.isoformat()} -> assignments.csv"
+        f" {report.date.isoformat()}"
+        + (f" (features {', '.join(report.feature_columns)})" if left_out else "")
+        + " -> assignments.csv"
     )
 
 

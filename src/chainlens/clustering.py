@@ -10,7 +10,7 @@ lowest cluster id. Cluster ids carry no ordinal meaning.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,8 @@ from .dataset import EXTENDED_COLUMNS, Dataset
 from .errors import ChainlensError
 
 # daily on-chain feature set for the cluster report; it ends with the
-# optional extended CSV columns
+# optional extended CSV columns, and a feature that holds no value on
+# the day is left out
 CLUSTER_FEATURES = ("market_cap", "volume_24h", "num_market_pairs", "ptsc") + EXTENDED_COLUMNS
 
 MAX_ITERATIONS = 300
@@ -46,6 +47,7 @@ class ElbowCurve:
     ks: tuple[int, ...]
     wcss: tuple[float, ...]
     chosen_k: int
+    model: ClusterModel = field(compare=False)  # the fit at chosen_k
 
 
 def _validate_points(points) -> np.ndarray:
@@ -160,28 +162,13 @@ def kmeans_fit(
     )
 
 
-def wcss(model: ClusterModel, points) -> float:
-    """Sum of squared distances from each point to its assigned centroid."""
-    pts = _validate_points(points)
-    if pts.shape[0] != model.assignments.shape[0]:
-        raise ChainlensError(
-            f"model assigns {model.assignments.shape[0]} points, got {pts.shape[0]}"
-        )
-    if pts.shape[1] != model.centroids.shape[1]:
-        raise ChainlensError(
-            f"model dimension {model.centroids.shape[1]} != points dimension {pts.shape[1]}"
-        )
-    diff = pts - model.centroids[model.assignments]
-    return float((diff * diff).sum())
-
-
 def elbow(
     points,
     k_range: tuple[int, int] = (1, 30),
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
 ) -> ElbowCurve:
-    """WCSS curve over a k range plus the elbow's k.
+    """WCSS curve over a k range plus the elbow's k and its model.
 
     The elbow is the interior point of the curve (both axes scaled to
     [0, 1]) farthest from the chord joining the endpoints; ties take
@@ -197,10 +184,10 @@ def elbow(
             f"k_max={k_max} exceeds the {pts.shape[0]} available points"
         )
     ks = tuple(range(k_min, k_max + 1))
-    costs = tuple(
-        kmeans_fit(pts, k, seed=seed, restarts=restarts).wcss for k in ks
-    )
-    return ElbowCurve(ks=ks, wcss=costs, chosen_k=_pick_elbow(ks, costs))
+    models = [kmeans_fit(pts, k, seed=seed, restarts=restarts) for k in ks]
+    costs = tuple(model.wcss for model in models)
+    chosen_k = _pick_elbow(ks, costs)
+    return ElbowCurve(ks=ks, wcss=costs, chosen_k=chosen_k, model=models[chosen_k - k_min])
 
 
 def _pick_elbow(ks: Sequence[int], costs: Sequence[float]) -> int:
@@ -231,53 +218,39 @@ class ClusterReport:
     model: ClusterModel
     elbow_curve: ElbowCurve | None
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        return {
-            key: int(cluster)
-            for key, cluster in zip(self.keys, self.model.assignments)
-        }
 
-
-def _daily_feature_matrix(
-    dataset: Dataset, date: dt.date, feature_columns: Sequence[str]
-):
+def _daily_feature_matrix(dataset: Dataset, date: dt.date):
     # the coins alive on the date, each at its last row on or before it
     rows = dataset.last_rows(date)
     rows = rows[(rows >= 0) & (dataset.days[dataset.last_rows()] >= date.toordinal())]
     if not rows.size:
         raise ChainlensError(f"no coins alive on {date.isoformat()}")
-    matrix = np.column_stack(
-        [feature_values(dataset, name, rows) for name in feature_columns]
-    )
+    matrix = np.column_stack([feature_values(dataset, name, rows) for name in CLUSTER_FEATURES])
+    present = ~np.isnan(matrix).all(axis=0)
+    if not present.any():
+        raise ChainlensError(f"no cluster feature has a value on {date.isoformat()}")
+    names = tuple(name for name, kept in zip(CLUSTER_FEATURES, present) if kept)
+    matrix = matrix[:, present]
     complete = ~np.isnan(matrix).any(axis=1)
     keys = dataset.row_keys(rows)
     included = [key for key, ok in zip(keys, complete) if ok]
     excluded = [key for key, ok in zip(keys, complete) if not ok]
-    return included, matrix[complete], excluded
+    return names, included, matrix[complete], excluded
 
 
 def cluster_report(
-    dataset: Dataset,
-    date: dt.date,
-    feature_columns: Sequence[str] | None = None,
-    k: int | None = None,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    dataset: Dataset, date: dt.date, k: int | None = None, seed: int = 0
 ) -> ClusterReport:
     """Cluster the coins alive on one day (first day <= date <= last
     day), each at its last row on or before it.
 
-    Coins with any absent value among the selected features are
-    excluded. Every surviving feature column is scaled by its maximum,
-    then k-means runs with the given k, or with the elbow's choice
-    over k = 1..30 when k is None.
+    The features are the CLUSTER_FEATURES that hold a value on at least
+    one of those rows, and coins with any of them absent are excluded.
+    Every feature column is scaled by its maximum, then k-means runs
+    with the given k, or with the elbow's choice over k = 1..30 when k
+    is None.
     """
-    names = tuple(feature_columns) if feature_columns is not None else CLUSTER_FEATURES
-    unknown = [n for n in names if n not in CLUSTER_FEATURES]
-    if unknown:
-        raise ChainlensError(f"unknown cluster feature(s) {unknown}")
-    keys, matrix, excluded = _daily_feature_matrix(dataset, date, names)
+    names, keys, matrix, excluded = _daily_feature_matrix(dataset, date)
     if not keys:
         raise ChainlensError(
             f"no coins on {date.isoformat()} have all of {list(names)} present"
@@ -294,9 +267,10 @@ def cluster_report(
         k_max = min(30, len(keys))
         if k_max < 2:
             raise ChainlensError("too few coins to run elbow selection")
-        curve = elbow(normalized, (1, k_max), seed=seed, restarts=restarts)
-        k = curve.chosen_k
-    model = kmeans_fit(normalized, k, seed=seed, restarts=restarts)
+        curve = elbow(normalized, (1, k_max), seed=seed)
+        model = curve.model
+    else:
+        model = kmeans_fit(normalized, k, seed=seed)
     return ClusterReport(
         date=date,
         feature_columns=names,

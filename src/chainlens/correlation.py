@@ -329,22 +329,23 @@ def price_factor_report(
         for factor in PRICE_FACTORS
     )
 
-    stats = aggregate_stats(dataset, date_range)
-    keys = list(stats)
-
-    def stat_column(column: str, which: str) -> np.ndarray:
-        values = [getattr(getattr(stats[k], column), which) for k in keys]
-        return np.array(
-            [np.nan if v is None else v for v in values], dtype=np.float64
+    stats = aggregate_stats(dataset, date_range).values()
+    # each per-coin statistic as a column over the coins; None is NaN
+    stat_column = {
+        (column, which): np.array(
+            [getattr(getattr(coin, column), which) for coin in stats], dtype=np.float64
         )
+        for column in ("price",) + AGGREGATE_FACTORS
+        for which in ("mean", "std")
+    }
 
     aggregate = tuple(
         _pair(
             f"{base}_price",
             f"{which}_{factor}",
             method,
-            stat_column("price", base),
-            stat_column(factor, which),
+            stat_column["price", base],
+            stat_column[factor, which],
         )
         for method in METHODS
         for base in ("mean", "std")

@@ -34,10 +34,11 @@ one the kernel leaves to ``repr`` (subnormals, exact ties, integral
 values from 2**63 on) or its coin prefix is long.
 
 :class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
-takes snapshots, and ``series``, ``snapshot_at`` and ``snapshots``
-materialize them from the checked columns, without validating them
-again, for callers that want one object per row
-(``manipulability_flags``, tests). The pipeline stages read columns.
+takes snapshots, and ``snapshots_of`` (given rows) and ``snapshots``
+(every row) materialize them from the checked columns, without
+validating them again, for callers that want one object per row. The
+pipeline stages read columns; only ``flags`` builds snapshots, one per
+coin, for ``manipulability_flags``.
 """
 
 from __future__ import annotations
@@ -286,10 +287,6 @@ class Dataset:
         """Row offsets per coin: coin i owns rows ``offsets[i]:offsets[i+1]``."""
         return np.searchsorted(self.codes, np.arange(len(self.keys) + 1))
 
-    @cached_property
-    def _key_index(self) -> dict[str, int]:
-        return {key: i for i, key in enumerate(self.keys)}
-
     def row_keys(self, rows) -> list[str]:
         """The coin key of each given row."""
         return np.array(self.keys, dtype=object)[self.codes[rows]].tolist()
@@ -318,11 +315,6 @@ class Dataset:
         """Every row as a CoinSnapshot, in (key, day) order."""
         return tuple(self.snapshots_of(slice(None)))
 
-    def series(self, key: str) -> tuple[CoinSnapshot, ...]:
-        """All snapshots of one coin, in date order."""
-        index = self._key_index[key]
-        return tuple(self.snapshots_of(slice(*self.offsets[index : index + 2])))
-
     @property
     def date_range(self) -> tuple[dt.date, dt.date] | None:
         if not len(self):
@@ -331,10 +323,6 @@ class Dataset:
             dt.date.fromordinal(int(self.days.min())),
             dt.date.fromordinal(int(self.days.max())),
         )
-
-    def snapshot_at(self, date: dt.date) -> list[CoinSnapshot]:
-        """All snapshots on the given day, ordered by coin key."""
-        return self.snapshots_of(np.flatnonzero(self.days == date.toordinal()))
 
     def resolve_cutoff(self, cutoff: dt.date | None = None) -> dt.date:
         """``cutoff``, by default the panel's last day; a cutoff before
@@ -591,26 +579,24 @@ def _gc_paused():
             gc.enable()
 
 
-def load_csv(path: str | Path, schema: Mapping[str, str] | None = None) -> Dataset:
+def load_csv(path: str | Path) -> Dataset:
     """Read a snapshot CSV into a Dataset.
 
-    ``schema`` optionally maps canonical column names to the header
-    names actually used in the file. The header must cover every
-    canonical column; the four extended columns are optional; unknown
-    columns are an error. Blank records are skipped; a bad record
-    raises MalformedRowError naming its line (the first bad one).
+    The header must cover every column of ``CSV_HEADER``; the four
+    extended columns are optional; unknown columns are an error. Blank
+    records are skipped; a bad record raises MalformedRowError naming
+    its line (the first bad one).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    rename = {v: k for k, v in (schema or {}).items()}
     with path.open(newline="", encoding="utf-8") as handle, _gc_paused():
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise MalformedRowError(f"{path}: empty file, header row required") from None
-        columns = [rename.get(h.strip(), h.strip()) for h in header]
+        columns = [h.strip() for h in header]
         known = set(CSV_HEADER) | set(EXTENDED_COLUMNS)
         unknown = [c for c in columns if c not in known]
         if unknown:

@@ -5,17 +5,21 @@ before the cutoff; a coin observed on the cutoff day itself is alive.
 The cutoff is a parameter (default: the dataset's last observed day)
 because listing feeds disagree about when a coin truly stopped
 trading. Lifetime is whole calendar days between first and last
-observation, so a single-day coin has lifetime 0.
+observation, so a single-day coin has lifetime 0. The Pareto chart
+buckets the disappeared coins' lifetimes by ``PARETO_BUCKET_DAYS``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .dataset import Dataset
 from .errors import ChainlensError
+
+# the Pareto chart's bucket width, in days of lifetime
+PARETO_BUCKET_DAYS = 80
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,6 @@ class ParetoBucket:
 
 
 @dataclass(frozen=True)
-class ParetoData:
-    bucket_width_days: int
-    buckets: tuple[ParetoBucket, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(b.count for b in self.buckets)
-
-
-@dataclass(frozen=True)
 class SurvivalSummary:
     total: int
     disappeared_count: int
@@ -61,10 +55,6 @@ class SurvivalSummary:
     disappeared_lt_365_days: float | None
     # among surviving coins (absent when none survive)
     surviving_gt_1000_days: float | None
-
-    @property
-    def surviving_count(self) -> int:
-        return self.total - self.disappeared_count
 
 
 def lifetimes(dataset: Dataset, cutoff: dt.date | None = None) -> list[LifetimeRecord]:
@@ -111,29 +101,20 @@ def survival_summary(records: Sequence[LifetimeRecord]) -> SurvivalSummary:
     )
 
 
-def pareto(
-    records: Sequence[LifetimeRecord],
-    bucket_width_days: int = 80,
-    filter: Literal["disappeared", "existing"] = "disappeared",
-) -> ParetoData:
-    """Bucket lifetimes, order by descending count, accumulate percent.
+def pareto(records: Sequence[LifetimeRecord]) -> tuple[ParetoBucket, ...]:
+    """Bucket the disappeared coins' lifetimes, order by descending
+    count, accumulate percent.
 
     Ties in count break toward the earlier bucket so the ordering is
-    deterministic. An empty selection yields empty ParetoData.
+    deterministic. No disappeared coin yields no buckets.
     """
-    if bucket_width_days < 1:
-        raise ChainlensError("bucket_width_days must be >= 1")
-    if filter not in ("disappeared", "existing"):
-        raise ChainlensError(f"unknown filter {filter!r}")
-    keep = [r for r in records if r.disappeared == (filter == "disappeared")]
-    if not keep:
-        return ParetoData(bucket_width_days=bucket_width_days, buckets=())
     counts: dict[int, int] = {}
-    for record in keep:
-        start = (record.lifetime_days // bucket_width_days) * bucket_width_days
-        counts[start] = counts.get(start, 0) + 1
+    for record in records:
+        if record.disappeared:
+            start = record.lifetime_days // PARETO_BUCKET_DAYS * PARETO_BUCKET_DAYS
+            counts[start] = counts.get(start, 0) + 1
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    total = len(keep)
+    total = sum(counts.values())
     buckets = []
     running = 0
     for start, count in ordered:
@@ -141,9 +122,9 @@ def pareto(
         buckets.append(
             ParetoBucket(
                 start=start,
-                end=start + bucket_width_days,
+                end=start + PARETO_BUCKET_DAYS,
                 count=count,
                 cumulative_pct=100.0 * running / total,
             )
         )
-    return ParetoData(bucket_width_days=bucket_width_days, buckets=tuple(buckets))
+    return tuple(buckets)

@@ -442,19 +442,18 @@ def oracle_build(snapshots):
     return tuple(rows), tuple(notes)
 
 
-def oracle_load_csv(path, schema=None):
+def oracle_load_csv(path):
     """Row-by-row CSV load: ``(snapshots, quality_notes)``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    rename = {v: k for k, v in (schema or {}).items()}
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise MalformedRowError(f"{path}: empty file, header row required") from None
-        columns = [rename.get(h.strip(), h.strip()) for h in header]
+        columns = [h.strip() for h in header]
         known = set(CSV_HEADER) | set(EXTENDED_COLUMNS)
         unknown = [c for c in columns if c not in known]
         if unknown:

@@ -430,7 +430,7 @@ def test_criterion_8_planted_survival_fractions(criterion_report):
         for name, (got, expected) in planted.items():
             if got != expected:
                 failures.append(f"{name}: {got!r} != {expected!r}")
-        tail = pareto(records).buckets[-1].cumulative_pct
+        tail = pareto(records)[-1].cumulative_pct
         if abs(tail - 100.0) > 1e-9:
             failures.append(f"pareto cumulative ends at {tail!r}")
         return (

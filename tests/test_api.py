@@ -48,7 +48,7 @@ class TestFetchHistory:
         with MockHistoryServer(rows, page_size=1) as server:
             ds = fetch_history(config_for(server, tmp_path))
         assert ds.keys == ("Bitcoin_BTC",)
-        assert len(ds.series("Bitcoin_BTC")) == 2
+        assert len(ds) == 2
 
     def test_equals_csv_fixture_load(self, tmp_path):
         with MockHistoryServer(ROWS, page_size=2) as server:
@@ -58,11 +58,11 @@ class TestFetchHistory:
     def test_null_fields_become_absent(self, tmp_path):
         with MockHistoryServer(ROWS) as server:
             ds = fetch_history(config_for(server, tmp_path))
-        aeon = ds.series("Aeon_AEON")
+        aeon = [s for s in ds.snapshots if s.key == "Aeon_AEON"]
         assert aeon[1].price is None
         assert aeon[1].market_cap is None
-        wabi = ds.series("Wabi_WABI")
-        assert all(s.max_supply is None for s in wabi)
+        wabi = [s for s in ds.snapshots if s.key == "Wabi_WABI"]
+        assert wabi and all(s.max_supply is None for s in wabi)
 
     def test_date_range_forwarded_as_params(self, tmp_path):
         window = (dt.date(2021, 1, 1), dt.date(2021, 1, 2))

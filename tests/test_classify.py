@@ -527,16 +527,10 @@ class TestManipulabilityFlags:
         flags = manipulability_flags(snap, volume_stats(10.0, 50.0))
         assert flags == {"unlimited_issuance", "low_circulation", "volatile_volume"}
 
-    def test_thresholds_are_tunable(self):
-        snap = self.snapshot(circulating_supply=60.0)
-        strict = manipulability_flags(
-            snap, volume_stats(10.0, 2.0), ptsc_threshold=0.7
-        )
-        assert strict == {"low_circulation"}
-        loose = manipulability_flags(
-            self.snapshot(), volume_stats(10.0, 2.0), volume_ratio_threshold=0.1
-        )
-        assert loose == {"volatile_volume"}
+    def test_thresholds_are_strict(self):
+        # a ptsc of exactly 0.5 and a volume std of exactly the mean flag nothing
+        snap = self.snapshot(circulating_supply=50.0)
+        assert manipulability_flags(snap, volume_stats(10.0, 10.0)) == frozenset()
 
 
 class TestModelPersistence:

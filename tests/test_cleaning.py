@@ -301,11 +301,6 @@ class TestFeatureTable:
         t = table(a=[1.0, 2.0], b=[3.0, 4.0])
         assert t.matrix(["b", "a"]).tolist() == [[3.0, 1.0], [4.0, 2.0]]
 
-    def test_take_selects_rows(self):
-        t = table(a=[1.0, 2.0, 3.0]).take([2, 0])
-        assert t.row_ids == ("r2", "r0")
-        assert list(t.column("a")) == [3.0, 1.0]
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FeatureTable.from_columns(["r0"], {"a": [1.0, 2.0]})

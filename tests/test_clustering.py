@@ -1,20 +1,19 @@
 """K-means, WCSS, elbow selection, and the daily cluster report."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
-from chainlens.cli import run
+from chainlens.cli import main, run
 from chainlens.clustering import (
     CLUSTER_FEATURES,
-    ClusterModel,
     _lloyd,
     _plusplus_init,
     cluster_report,
     elbow,
     kmeans_fit,
-    wcss,
 )
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
@@ -135,29 +134,11 @@ class TestWcss:
         rng = np.random.default_rng(7)
         points = rng.normal(size=(40, 3))
         model = kmeans_fit(points, k=4, seed=1)
-        assert wcss(model, points) == pytest.approx(
+        diff = points - model.centroids[model.assignments]
+        assert model.wcss == pytest.approx(float((diff * diff).sum()))
+        assert model.wcss == pytest.approx(
             brute_wcss(points, model.centroids, model.assignments)
         )
-        assert model.wcss == pytest.approx(wcss(model, points))
-
-    def test_two_points_one_centroid(self):
-        model = ClusterModel(
-            k=1,
-            centroids=np.array([[1.0]]),
-            assignments=np.array([0, 0]),
-            wcss=2.0,
-            iterations_run=1,
-            seed=0,
-        )
-        assert wcss(model, np.array([[0.0], [2.0]])) == 2.0
-
-    def test_dimension_mismatch(self):
-        points = np.zeros((4, 2))
-        model = kmeans_fit(points, k=1)
-        with pytest.raises(ChainlensError):
-            wcss(model, np.zeros((4, 3)))
-        with pytest.raises(ChainlensError):
-            wcss(model, np.zeros((5, 2)))
 
 
 class TestElbow:
@@ -187,6 +168,17 @@ class TestElbow:
         assert curve.chosen_k == 5
         assert curve.ks == tuple(range(1, 11))
         assert len(curve.wcss) == 10
+
+    def test_model_is_the_fit_at_the_chosen_k(self):
+        rng = np.random.default_rng(10)
+        points, _ = blob_points(rng, [(0, 0), (6, 0), (0, 6)], per_blob=15)
+        curve = elbow(points, (1, 8), seed=4, restarts=3)
+        refit = kmeans_fit(points, curve.chosen_k, seed=4, restarts=3)
+        assert curve.model.k == curve.chosen_k
+        assert curve.model.wcss == refit.wcss == curve.wcss[curve.chosen_k - 1]
+        assert np.array_equal(curve.model.centroids, refit.centroids)
+        assert np.array_equal(curve.model.assignments, refit.assignments)
+        assert curve.model.iterations_run == refit.iterations_run
 
     def test_curve_is_nonincreasing_on_blobs(self):
         rng = np.random.default_rng(9)
@@ -237,10 +229,11 @@ class TestClusterReport:
         snaps.append(
             full_snapshot("NoTvl_NT", seed=51, total_value_locked=None)
         )
-        report = cluster_report(Dataset.build(snaps), day_one(), k=2, restarts=3)
+        report = cluster_report(Dataset.build(snaps), day_one(), k=2)
         assert len(report.keys) == 8
         assert set(report.excluded) == {"NoStake_NS", "NoTvl_NT"}
-        assert set(report.assignments) == set(report.keys)
+        assert report.model.assignments.shape == (8,)
+        assert report.feature_columns == CLUSTER_FEATURES
 
     def test_three_tight_groups_are_pure(self):
         snaps = []
@@ -263,9 +256,9 @@ class TestClusterReport:
                     whales_percentage=5.0 * (group + 1),
                 )
             )
-        report = cluster_report(Dataset.build(snaps), day_one(), k=3, restarts=10)
+        report = cluster_report(Dataset.build(snaps), day_one(), k=3)
         by_cluster = {}
-        for key, cluster in report.assignments.items():
+        for key, cluster in zip(report.keys, report.model.assignments.tolist()):
             by_cluster.setdefault(cluster, set()).add(group_of[key])
         assert all(len(groups) == 1 for groups in by_cluster.values())
 
@@ -279,15 +272,21 @@ class TestClusterReport:
             )
             for i in range(6)
         ]
-        report = cluster_report(
-            Dataset.build(snaps),
-            day_one(),
-            feature_columns=["market_cap", "volume_24h"],
-            k=2,
-            restarts=3,
-        )
+        report = cluster_report(Dataset.build(snaps), day_one(), k=2)
         assert report.feature_columns == ("market_cap", "volume_24h")
         assert len(report.keys) == 6
+
+    def test_a_feature_held_by_some_coins_excludes_the_others(self):
+        snaps = [
+            CoinSnapshot(f"Coin{i}_C{i}", day_one(), market_cap=float(1 + i)) for i in range(4)
+        ]
+        snaps.append(
+            CoinSnapshot("Pairs_P", day_one(), market_cap=9.0, num_market_pairs=3.0)
+        )
+        report = cluster_report(Dataset.build(snaps), day_one(), k=1)
+        assert report.feature_columns == ("market_cap", "num_market_pairs")
+        assert report.keys == ("Pairs_P",)
+        assert len(report.excluded) == 4
 
     def test_cutoff_off_the_weekly_grid_clusters_the_alive_coins(self):
         # each coin's rows, as days after day one; the cutoff is day 3
@@ -299,21 +298,16 @@ class TestClusterReport:
             "Gap_E": [-14, -7, 7],  # day -7
         }
         snaps = [
-            full_snapshot(
+            CoinSnapshot(
                 key,
-                seed=i,
-                date=day_one() + dt.timedelta(days=offset),
+                day_one() + dt.timedelta(days=offset),
                 market_cap=float(100 * i + offset + 20),
             )
             for i, (key, offsets) in enumerate(weeks.items())
             for offset in offsets
         ]
-        report = cluster_report(
-            Dataset.build(snaps),
-            day_one() + dt.timedelta(days=3),
-            feature_columns=["market_cap"],
-            k=3,
-        )
+        report = cluster_report(Dataset.build(snaps), day_one() + dt.timedelta(days=3), k=3)
+        assert report.feature_columns == ("market_cap",)
         assert report.keys == ("Alive_A", "Gap_E", "Shifted_D")
         # with k equal to the coin count every coin is its own centroid
         rows = np.array([20.0, 413.0, 322.0])
@@ -328,13 +322,6 @@ class TestClusterReport:
         snaps = [full_snapshot(f"Coin{i}_C{i}", seed=i) for i in range(3)]
         with pytest.raises(ChainlensError):
             cluster_report(Dataset.build(snaps), day_one(), k=5)
-
-    def test_unknown_feature_rejected(self):
-        snaps = [full_snapshot("Coin0_C0", seed=0)]
-        with pytest.raises(ChainlensError):
-            cluster_report(
-                Dataset.build(snaps), day_one(), feature_columns=["price"], k=1
-            )
 
     def test_automatic_k_uses_elbow(self):
         snaps = []
@@ -353,8 +340,9 @@ class TestClusterReport:
                     whales_percentage=3.0 if group == 0 else 50.0,
                 )
             )
-        report = cluster_report(Dataset.build(snaps), day_one(), restarts=3)
+        report = cluster_report(Dataset.build(snaps), day_one())
         assert report.elbow_curve is not None
+        assert report.model is report.elbow_curve.model
         assert report.model.k == report.elbow_curve.chosen_k
 
     def test_csv_exports(self, tmp_path):
@@ -368,7 +356,8 @@ class TestClusterReport:
         assert lines[0] == "coin_key,cluster_id"
         assert len(lines) == 7
         assert lines[1:] == [
-            f"{key},{cluster}" for key, cluster in report.assignments.items()
+            f"{key},{cluster}"
+            for key, cluster in zip(report.keys, report.model.assignments.tolist())
         ]
 
         run("cluster", RunConfig(out=str(tmp_path), format="csv"))
@@ -389,3 +378,40 @@ class TestClusterReport:
             "total_staking_percentage",
             "whales_percentage",
         )
+
+
+class TestClusterStage:
+    def test_panel_without_extended_columns_clusters_on_the_base_features(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "generate": {
+                        "n_coins": 20,
+                        "disappeared_fraction": 0.4,
+                        "include_extended_columns": False,
+                    }
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["cluster", "--out", str(tmp_path)]) == 0
+        summary = capsys.readouterr().out
+        assert "(features market_cap, volume_24h, num_market_pairs, ptsc) ->" in summary
+        doc = json.loads((tmp_path / "cluster_summary.json").read_text(encoding="utf-8"))
+        assert doc["excluded"] == []
+        assert doc["coins"] == sum(doc["sizes"].values()) > 0
+
+    def test_panel_without_any_feature_on_the_day_exits_1(self, tmp_path, capsys):
+        snaps = [CoinSnapshot(f"Coin{i}_C{i}", day_one(), price=1.0 + i) for i in range(3)]
+        save_csv(Dataset.build(snaps), tmp_path / "dataset.csv")
+        assert main(["cluster", "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": "no cluster feature has a value on 2022-01-01",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]

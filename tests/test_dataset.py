@@ -120,7 +120,7 @@ class TestDatasetBuild:
         assert len(ds) == 1
         assert len(ds.quality_notes) == 1
 
-    def test_series_and_keys(self):
+    def test_snapshots_and_keys(self):
         ds = Dataset.build(
             [
                 snap("Bitcoin_BTC", "2021-01-01"),
@@ -129,19 +129,22 @@ class TestDatasetBuild:
             ]
         )
         assert ds.keys == ("Bitcoin_BTC", "Ether_ETH")
-        assert [s.date.day for s in ds.series("Bitcoin_BTC")] == [1, 3]
+        assert [s.date.day for s in ds.snapshots_of(slice(0, ds.offsets[1]))] == [1, 3]
         assert ds.date_range == (dt.date(2021, 1, 1), dt.date(2021, 1, 3))
 
-    def test_snapshot_at_orders_by_key(self):
+    def test_snapshots_order_by_key_then_day(self):
         ds = Dataset.build(
             [
                 snap("Ether_ETH", "2021-01-01"),
-                snap("Bitcoin_BTC", "2021-01-01"),
                 snap("Bitcoin_BTC", "2021-01-02"),
+                snap("Bitcoin_BTC", "2021-01-01"),
             ]
         )
-        day = ds.snapshot_at(dt.date(2021, 1, 1))
-        assert [s.key for s in day] == ["Bitcoin_BTC", "Ether_ETH"]
+        assert [(s.key, s.date.day) for s in ds.snapshots] == [
+            ("Bitcoin_BTC", 1),
+            ("Bitcoin_BTC", 2),
+            ("Ether_ETH", 1),
+        ]
 
     def test_column_uses_nan_for_absent(self):
         ds = Dataset.build([snap(price=3.5), snap(day="2021-01-02")])
@@ -163,10 +166,10 @@ class TestCsv:
         path.write_text(CSV_TEXT, encoding="utf-8")
         ds = load_csv(path)
         assert len(ds) == 3
-        btc = ds.series("Bitcoin_BTC")
-        assert btc[0].price == 29374.15
-        assert btc[1].total_supply is None
-        assert ds.series("Dogecoin_DOGE")[0].max_supply is None
+        btc, btc_next, doge = ds.snapshots
+        assert btc.price == 29374.15
+        assert btc_next.total_supply is None
+        assert doge.key == "Dogecoin_DOGE" and doge.max_supply is None
 
     def test_round_trip_is_identity(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -196,14 +199,6 @@ class TestCsv:
         )
         with pytest.raises(MalformedRowError):
             load_csv(path)
-
-    def test_schema_mapping_renames_headers(self, tmp_path):
-        path = tmp_path / "alt.csv"
-        path.write_text(
-            CSV_TEXT.replace("volume_24h", "vol"), encoding="utf-8"
-        )
-        ds = load_csv(path, schema={"volume_24h": "vol"})
-        assert ds.series("Bitcoin_BTC")[0].volume_24h == 40000000000.0
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

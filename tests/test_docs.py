@@ -1,6 +1,7 @@
 """The documented examples run as written: the package docstring's
 doctest and the README's Library code block; the README's artifact
-table is the CLI's stage table."""
+table is the CLI's stage table, and every ``ds.NAME`` it mentions is
+a Dataset attribute."""
 
 import doctest
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import chainlens
 from chainlens.cli import COMMANDS
+from chainlens.dataset import Dataset
 from chainlens.rules import CLASSIFIER_KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +47,10 @@ def test_readme_artifact_table_is_the_stage_table():
         for stage, row in COMMANDS.items()
         if row.writes is not None
     }
+
+
+def test_readme_dataset_names_are_dataset_attributes():
+    names = set(re.findall(r"`ds\.(\w+)", README.read_text(encoding="utf-8")))
+    ds = Dataset.build([])  # an instance, so attributes set in __init__ count
+    assert names
+    assert sorted(name for name in names if not hasattr(ds, name)) == []

@@ -11,6 +11,7 @@ from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError
 from chainlens.survival import (
+    PARETO_BUCKET_DAYS,
     LifetimeRecord,
     lifetimes,
     pareto,
@@ -89,7 +90,7 @@ class TestSurvivalSummary:
         summary = survival_summary(records)
         assert summary.disappeared_fraction == 0.39
         assert summary.disappeared_count == 39
-        assert summary.surviving_count == 61
+        assert summary.total == 100
 
     def test_all_surviving_leaves_disappeared_stats_absent(self):
         records = [record(key=f"C{i}_S{i}", disappeared=False) for i in range(5)]
@@ -124,18 +125,18 @@ class TestPareto:
             record(key="B_B", life=15),
             record(key="C_C", life=100),
         ]
-        data = pareto(records, bucket_width_days=80)
-        assert [(b.start, b.end, b.count) for b in data.buckets] == [
+        buckets = pareto(records)
+        assert [(b.start, b.end, b.count) for b in buckets] == [
             (0, 80, 2),
             (80, 160, 1),
         ]
-        assert data.buckets[0].cumulative_pct == pytest.approx(66.66666666666667)
-        assert data.buckets[1].cumulative_pct == 100.0
+        assert buckets[0].cumulative_pct == pytest.approx(66.66666666666667)
+        assert buckets[1].cumulative_pct == 100.0
 
     def test_single_record(self):
-        data = pareto([record(life=5)], bucket_width_days=80)
-        assert len(data.buckets) == 1
-        assert data.buckets[0].cumulative_pct == 100.0
+        buckets = pareto([record(life=5)])
+        assert len(buckets) == 1
+        assert buckets[0].cumulative_pct == 100.0
 
     def test_tie_broken_by_ascending_start(self):
         records = [
@@ -144,25 +145,10 @@ class TestPareto:
             record(key="C_C", life=10),
             record(key="D_D", life=15),
         ]
-        data = pareto(records, bucket_width_days=80)
-        assert [b.start for b in data.buckets] == [0, 80]
+        assert [b.start for b in pareto(records)] == [0, 80]
 
-    def test_filter_selects_matching_records(self):
-        records = [record(key="A_A", disappeared=True), record(key="B_B", disappeared=False)]
-        assert pareto(records, filter="disappeared").total == 1
-        assert pareto(records, filter="existing").total == 1
-
-    def test_no_records_after_filter_gives_empty(self):
-        data = pareto([record(disappeared=False)], filter="disappeared")
-        assert data.buckets == ()
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(ChainlensError):
-            pareto([record()], bucket_width_days=0)
-
-    def test_bad_filter_rejected(self):
-        with pytest.raises(ChainlensError):
-            pareto([record()], filter="both")
+    def test_no_disappeared_record_gives_no_buckets(self):
+        assert pareto([record(disappeared=False)]) == ()
 
     def test_csv_shape(self, tmp_path):
         # the lifetimes stage's pareto.csv: lifetimes 10 and 100 disappeared
@@ -186,23 +172,24 @@ class TestPareto:
         min_size=1,
         max_size=80,
     ),
-    st.integers(min_value=1, max_value=200),
 )
-def test_property_pareto_invariants(rows, width):
+def test_property_pareto_invariants(rows):
     records = [
         record(key=f"C{i}_S{i}", life=life, disappeared=gone)
         for i, (life, gone) in enumerate(rows)
     ]
-    for which in ("disappeared", "existing"):
-        data = pareto(records, bucket_width_days=width, filter=which)
-        expected = sum(1 for _, gone in rows if gone == (which == "disappeared"))
-        assert data.total == expected
-        cps = [b.cumulative_pct for b in data.buckets]
-        assert all(a <= b + 1e-9 for a, b in zip(cps, cps[1:]))
-        if cps:
-            assert abs(cps[-1] - 100.0) <= 1e-9
-        counts = [b.count for b in data.buckets]
-        assert counts == sorted(counts, reverse=True)
+    buckets = pareto(records)
+    assert sum(b.count for b in buckets) == sum(1 for _, gone in rows if gone)
+    assert all(
+        b.start % PARETO_BUCKET_DAYS == 0 and b.end == b.start + PARETO_BUCKET_DAYS
+        for b in buckets
+    )
+    cps = [b.cumulative_pct for b in buckets]
+    assert all(a <= b + 1e-9 for a, b in zip(cps, cps[1:]))
+    if cps:
+        assert abs(cps[-1] - 100.0) <= 1e-9
+    counts = [b.count for b in buckets]
+    assert counts == sorted(counts, reverse=True)
 
 
 @settings(deadline=None, max_examples=60)
@@ -219,7 +206,8 @@ def test_property_summary_counts(rows):
         for i, (life, gone) in enumerate(rows)
     ]
     summary = survival_summary(records)
-    assert summary.disappeared_count + summary.surviving_count == summary.total
+    assert summary.total == len(rows)
+    assert summary.disappeared_count == sum(1 for _, gone in rows if gone)
     for frac in (
         summary.disappeared_fraction,
         summary.disappeared_lt_80_days,

@@ -272,8 +272,8 @@ class TestFeatureLaws:
     def test_snapshot_cadence(self):
         spec = SyntheticSpec(n_coins=3, snapshot_interval_days=10, seed=7)
         ds = generate_synthetic(spec)
-        for key in ds.keys:
-            days = [s.date for s in ds.series(key)]
+        for start, end in zip(ds.offsets[:-1], ds.offsets[1:]):
+            days = [s.date for s in ds.snapshots[start:end]]
             gaps = [(b - a).days for a, b in zip(days, days[1:])]
             assert all(g == 10 for g in gaps[:-1])
             assert gaps[-1] <= 10

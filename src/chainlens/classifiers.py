@@ -767,7 +767,6 @@ KINDS: dict[str, Kind] = dict(zip(CLASSIFIER_KINDS, (
     Kind(fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}),
     Kind(fit_knn, KNNModel, {"k": 5}),
 ), strict=True))
-KIND_DEFAULTS = {kind: entry.defaults for kind, entry in KINDS.items()}
 
 
 def _finite(value) -> bool:

@@ -16,6 +16,10 @@ derived in ``cleaning.feature_values``), then imputes (max-supply
 thousandfold rule first, then column means) and reports the missing
 cells at each step. Mean/std normalization statistics are computed
 from the training split only and merely applied to the test split.
+
+A ``LabeledTable`` carries each row's panel position and coin code as
+int64 arrays, and ``manipulability_flags`` gives one boolean mask per
+flag over the rows it is given.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ from .classifiers import (
     resolve_hyperparameters,
 )
 from .cleaning import (
-    AggregateFeatures,
     FeatureTable,
     derive_ptsc,
     impute_max_supply,
     impute_mean,
     row_feature_table,
 )
-from .dataset import CoinSnapshot, Dataset, day_filter
+from .dataset import Dataset
 from .errors import ChainlensError, DataQualityWarning
 from .survival import lifetimes
 
@@ -111,32 +114,33 @@ class ClassifierSpec:
 
 @dataclass(frozen=True, eq=False)
 class LabeledTable:
-    """Row-level features plus 0/1 risk labels, one row per coin-day."""
+    """Row-level features plus 0/1 risk labels, one row per coin-day:
+    ``rows`` are panel positions, ``coins`` codes into ``Dataset.keys``."""
 
     feature_names: tuple[str, ...]
-    row_ids: tuple[str, ...]
-    keys: tuple[str, ...]
+    rows: np.ndarray
+    coins: np.ndarray
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if self.X.shape != (len(self.row_ids), len(self.feature_names)):
+        if self.X.shape != (len(self.rows), len(self.feature_names)):
             raise ChainlensError("feature matrix shape mismatch")
-        if self.y.shape != (len(self.row_ids),):
+        if self.y.shape != (len(self.rows),):
             raise ChainlensError("label vector shape mismatch")
         if not np.all(np.isfinite(self.X)):
             raise ChainlensError("labeled rows must be fully imputed and finite")
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_ids)
+        return len(self.rows)
 
     def take(self, indices) -> "LabeledTable":
         indices = np.asarray(indices)
         return LabeledTable(
             feature_names=self.feature_names,
-            row_ids=tuple(self.row_ids[i] for i in indices),
-            keys=tuple(self.keys[i] for i in indices),
+            rows=self.rows[indices],
+            coins=self.coins[indices],
             X=self.X[indices],
             y=self.y[indices],
         )
@@ -155,14 +159,13 @@ def label_risky(
     """
     risky = np.array([r.disappeared for r in lifetimes(dataset, cutoff)], dtype=np.int64)
     table, _ = prepare_features(dataset, date_range)
-    # the rows row_feature_table tabulated, in its order
-    rows = np.flatnonzero(day_filter(date_range)(dataset.days))
+    coins = dataset.codes[table.rows]
     return LabeledTable(
         feature_names=CLASSIFY_FEATURES,
-        row_ids=table.row_ids,
-        keys=tuple(dataset.row_keys(rows)),
+        rows=table.rows,
+        coins=coins,
         X=table.matrix(CLASSIFY_FEATURES),
-        y=risky[dataset.codes[rows]],
+        y=risky[coins],
     )
 
 
@@ -183,7 +186,8 @@ def train_test_split(
         raise ChainlensError("need at least 2 rows to split")
     rng = np.random.default_rng(seed)
     if group_by_coin:
-        coins = list(dict.fromkeys(table.keys))
+        # the distinct coins in first-appearance order
+        coins = np.array(list(dict.fromkeys(table.coins.tolist())))
         if len(coins) < 2:
             raise ChainlensError("group split needs at least 2 coins")
         n_train = round(ratio * len(coins))
@@ -192,10 +196,9 @@ def train_test_split(
                 f"ratio {ratio} leaves one side of the coin split empty"
             )
         order = rng.permutation(len(coins))
-        train_coins = {coins[i] for i in order[:n_train]}
-        keys = np.array(table.keys)
-        train_idx = np.flatnonzero(np.isin(keys, sorted(train_coins)))
-        test_idx = np.flatnonzero(~np.isin(keys, sorted(train_coins)))
+        in_train = np.isin(table.coins, coins[order[:n_train]])
+        train_idx = np.flatnonzero(in_train)
+        test_idx = np.flatnonzero(~in_train)
     else:
         n_train = round(ratio * table.n_rows)
         if n_train == 0 or n_train == table.n_rows:
@@ -341,25 +344,21 @@ def evaluate(predicted, truth) -> EvalMetrics:
     return metrics_from_counts(counts)
 
 
-# every flag manipulability_flags can emit
-FLAG_NAMES = frozenset(
-    {
-        "unlimited_issuance",
-        "low_circulation",
-        "insufficient_data_circulation",
-        "volatile_volume",
-        "insufficient_data_volume",
-    }
-)
 # the thresholds of low_circulation and volatile_volume
 LOW_CIRCULATION_PTSC = 0.5
 VOLATILE_VOLUME_RATIO = 1.0
 
 
 def manipulability_flags(
-    snapshot: CoinSnapshot, series_stats: AggregateFeatures | None = None
-) -> frozenset[str]:
-    """Heuristic manipulation-risk flags for one coin.
+    dataset: Dataset, rows, volume: tuple[np.ndarray, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Heuristic manipulation-risk flags at the given panel rows.
+
+    Returns one boolean mask over ``rows`` per flag; the keys are
+    every flag there is. ``volume`` is the (means, stds) pair of
+    per-coin volume statistics in ``dataset.keys`` order that
+    :func:`~chainlens.cleaning.aggregate_stats` gives for
+    ``volume_24h``; each row reads its coin's.
 
     * ``unlimited_issuance``: no declared max supply, so the issuer
       can mint indefinitely.
@@ -373,27 +372,21 @@ def manipulability_flags(
     Missing inputs never raise; they produce ``insufficient_data_*``
     flags instead.
     """
-    flags = set()
-    if snapshot.max_supply is None:
-        flags.add("unlimited_issuance")
     # NaN when either supply is absent or the total is not positive
-    ptsc = float(derive_ptsc(snapshot.circulating_supply, snapshot.total_supply))
-    if np.isnan(ptsc):
-        flags.add("insufficient_data_circulation")
-    elif ptsc < LOW_CIRCULATION_PTSC:
-        flags.add("low_circulation")
-    volume = series_stats.volume_24h if series_stats is not None else None
-    if (
-        volume is None
-        or volume.mean is None
-        or volume.std is None
-        or volume.mean == 0
-    ):
-        flags.add("insufficient_data_volume")
-    else:
-        if volume.std / volume.mean > VOLATILE_VOLUME_RATIO:
-            flags.add("volatile_volume")
-    return frozenset(flags)
+    ptsc = derive_ptsc(
+        dataset.column("circulating_supply")[rows], dataset.column("total_supply")[rows]
+    )
+    means, stds = (stat[dataset.codes[rows]] for stat in volume)
+    no_volume = np.isnan(means) | np.isnan(stds) | (means == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        volatile = stds / means > VOLATILE_VOLUME_RATIO
+    return {
+        "unlimited_issuance": np.isnan(dataset.column("max_supply")[rows]),
+        "low_circulation": ptsc < LOW_CIRCULATION_PTSC,
+        "insufficient_data_circulation": np.isnan(ptsc),
+        "volatile_volume": volatile & ~no_volume,
+        "insufficient_data_volume": no_volume,
+    }
 
 
 def save_model(trained: TrainedModel, path: str | Path) -> None:

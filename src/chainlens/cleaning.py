@@ -14,17 +14,20 @@ Conventions used throughout this module (and everywhere downstream):
   entries pairwise instead (see the correlation module).
 * ``ptsc`` (circulating over total supply) is read by name like a
   panel column; :func:`feature_values` derives it for every stage.
+* Results stay columns: a :class:`FeatureTable` names its rows by their
+  panel positions, and :func:`aggregate_stats` gives each per-coin
+  statistic as one array over the coins.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, day_filter, isoformat_days
+from .dataset import Dataset
 from .errors import ChainlensError
 
 
@@ -36,37 +39,33 @@ def _freeze(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """Named numeric columns of equal length, NaN marking absence.
+    """Named numeric columns of equal length, NaN marking absence, with
+    each row's position in the panel it came from (``rows``, int64).
 
     Immutable: transforms return new tables. Equality is by content,
     treating NaN cells as equal (two tables with the same holes match).
     """
 
-    row_ids: tuple[str, ...]
+    rows: np.ndarray
     _data: dict[str, np.ndarray]
 
     @classmethod
-    def from_columns(
-        cls, row_ids: Sequence[str], columns: Mapping[str, Iterable]
-    ) -> "FeatureTable":
-        row_ids = tuple(row_ids)
+    def from_columns(cls, rows, columns: Mapping[str, Iterable]) -> "FeatureTable":
+        rows = np.array(rows, dtype=np.int64)
+        rows.flags.writeable = False
         data = {}
         for name, values in columns.items():
-            arr = _freeze(
-                [np.nan if v is None else v for v in values]
-                if not isinstance(values, np.ndarray)
-                else values
-            )
-            if arr.ndim != 1 or arr.shape[0] != len(row_ids):
+            arr = _freeze(values)  # None becomes NaN
+            if arr.shape != rows.shape:
                 raise ValueError(
-                    f"column {name!r} has shape {arr.shape}, expected ({len(row_ids)},)"
+                    f"column {name!r} has shape {arr.shape}, expected {rows.shape}"
                 )
             data[name] = arr
-        return cls(row_ids=row_ids, _data=data)
+        return cls(rows=rows, _data=data)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_ids)
+        return self.rows.shape[0]
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -87,12 +86,12 @@ class FeatureTable:
                     f"column {name!r} has shape {arr.shape}, expected ({self.n_rows},)"
                 )
             data[name] = arr
-        return FeatureTable(row_ids=self.row_ids, _data=data)
+        return FeatureTable(rows=self.rows, _data=data)
 
     def __eq__(self, other):
         if not isinstance(other, FeatureTable):
             return NotImplemented
-        if self.row_ids != other.row_ids:
+        if not np.array_equal(self.rows, other.rows):
             return False
         if self.column_names != other.column_names:
             return False
@@ -208,61 +207,39 @@ def max_normalize(column: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Mean and population std of one column; absent below the
-    observation floor (mean needs 1 value, std needs 2)."""
-
-    mean: float | None
-    std: float | None
-    count: int
-
-
-@dataclass(frozen=True)
-class AggregateFeatures:
-    """Per-coin summary statistics over a date range."""
-
-    key: str
-    price: ColumnStats
-    max_supply: ColumnStats
-    total_supply: ColumnStats
-    volume_24h: ColumnStats
-    ptsc: ColumnStats
-
-
-_AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateFeatures))[1:]
-
-
-def _column_stats(values: np.ndarray) -> ColumnStats:
-    present = values[~np.isnan(values)]
-    n = present.shape[0]
-    mean = float(present.mean()) if n >= 1 else None
-    std = float(present.std()) if n >= 2 else None
-    return ColumnStats(mean=mean, std=std, count=n)
+_AGGREGATE_COLUMNS = ("price", "max_supply", "total_supply", "volume_24h", "ptsc")
 
 
 def aggregate_stats(
     dataset: Dataset,
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
-) -> dict[str, AggregateFeatures]:
-    """Per-coin mean/std of price, supplies, volume, and supply ratio.
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-coin mean and population std of price, max_supply,
+    total_supply, volume_24h and ptsc.
 
-    ``date_range`` is an inclusive (start, end) pair; either side may
-    be None for open-ended. Statistics use present values only.
+    Each column maps to a (means, stds) pair of arrays in
+    ``dataset.keys`` order. ``date_range`` is an inclusive (start, end)
+    pair; either side may be None for open-ended. Statistics use the
+    present values in range only: a coin with none gets NaN for both,
+    a coin with one gets NaN for its std.
     """
-    in_range = day_filter(date_range)(dataset.days)
+    in_range = dataset.in_range(date_range)
     offsets = dataset.offsets
-    out: dict[str, AggregateFeatures] = {}
-    for index, key in enumerate(dataset.keys):
-        rows = slice(offsets[index], offsets[index + 1])
-        keep = in_range[rows]
-        out[key] = AggregateFeatures(
-            key,
-            *(
-                _column_stats(feature_values(dataset, name, rows)[keep])
-                for name in _AGGREGATE_COLUMNS
-            ),
-        )
+    n_coins = len(dataset.keys)
+    out = {}
+    for name in _AGGREGATE_COLUMNS:
+        values = feature_values(dataset, name, slice(None))
+        keep = in_range & ~np.isnan(values)
+        means = np.full(n_coins, np.nan)
+        stds = np.full(n_coins, np.nan)
+        for index in range(n_coins):
+            rows = slice(offsets[index], offsets[index + 1])
+            present = values[rows][keep[rows]]
+            if present.shape[0] >= 1:
+                means[index] = present.mean()
+            if present.shape[0] >= 2:
+                stds[index] = present.std()
+        out[name] = (means, stds)
     return out
 
 
@@ -271,16 +248,13 @@ def row_feature_table(
     columns: Sequence[str],
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> FeatureTable:
-    """One table row per snapshot, row ids ``key@YYYY-MM-DD``.
+    """One table row per panel row, in panel order.
 
     ``columns`` are panel columns or ``ptsc`` (:func:`feature_values`).
     ``date_range`` keeps the rows inside an inclusive (start, end)
     pair, as in :func:`aggregate_stats`.
     """
-    rows = np.flatnonzero(day_filter(date_range)(dataset.days))
-    data = {name: feature_values(dataset, name, rows) for name in columns}
-    ids = [
-        f"{key}@{day}"
-        for key, day in zip(dataset.row_keys(rows), isoformat_days(dataset.days[rows]))
-    ]
-    return FeatureTable.from_columns(ids, data)
+    rows = np.flatnonzero(dataset.in_range(date_range))
+    return FeatureTable.from_columns(
+        rows, {name: feature_values(dataset, name, rows) for name in columns}
+    )

@@ -58,7 +58,7 @@ PROVIDERS = {
     "cleaning": ("aggregate_stats", "impute_max_supply", "impute_mean", "row_feature_table"),
     "clustering": ("CLUSTER_FEATURES", "cluster_report"),
     "correlation": ("price_factor_report",),
-    "dataset": ("load_csv", "save_csv"),
+    "dataset": ("isoformat_days", "load_csv", "save_csv"),
     "survival": ("lifetimes", "pareto", "survival_summary"),
     "svgcharts": (
         "METRIC_SERIES", "elbow_chart", "emit_plot_data", "metrics_chart", "pareto_chart",
@@ -260,12 +260,13 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
     table, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
+    ids = map("{}@{}".format, ds.row_keys(table.rows), isoformat_days(ds.days[table.rows]))
     writer.write_csv(
         "features.csv",
         ("row_id",) + CLASSIFY_FEATURES,
         (
             [row_id] + row.tolist()
-            for row_id, row in zip(table.row_ids, table.matrix(CLASSIFY_FEATURES))
+            for row_id, row in zip(ids, table.matrix(CLASSIFY_FEATURES))
         ),
     )
     writer.write_json(
@@ -366,6 +367,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
             "iterations_run": report.model.iterations_run,
             "coins": len(report.keys),
             "excluded": sorted(report.excluded),
+            "features": list(report.feature_columns),
             "sizes": {str(c): sizes[c] for c in sorted(sizes)},
         },
     )
@@ -421,25 +423,24 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    stats = aggregate_stats(ds, cfg.date_range)
-    counts: Counter = Counter()
-    rows = []
+    volume = aggregate_stats(ds, cfg.date_range)["volume_24h"]
     # each coin's last row on or before the cutoff; -1 for none
     last = ds.last_rows(ds.resolve_cutoff(cfg.cutoff_date))
-    skipped = int((last < 0).sum())
-    for snap in ds.snapshots_of(last[last >= 0]):
-        flags = sorted(manipulability_flags(snap, stats.get(snap.key)))
-        counts.update(flags)
-        rows.append((snap.key, " ".join(flags)))
-    writer.write_csv("flags.csv", _FLAGS_HEADER, rows)
-    flagged = sum(1 for _, joined in rows if joined)
+    rows = last[last >= 0]
+    masks = manipulability_flags(ds, rows, volume)
+    names = sorted(masks)
+    joined = [" ".join(name for name in names if masks[name][i]) for i in range(len(rows))]
+    writer.write_csv("flags.csv", _FLAGS_HEADER, zip(ds.row_keys(rows), joined))
+    flagged = sum(map(bool, joined))
     writer.write_json(
         "flags_summary.json",
         {
             "coins": len(rows),
             "coins_flagged": flagged,
-            "coins_skipped": skipped,
-            "flag_counts": dict(sorted(counts.items())),
+            "coins_skipped": len(last) - len(rows),
+            "flag_counts": {
+                name: int(masks[name].sum()) for name in names if masks[name].any()
+            },
         },
     )
     return f"flags: {flagged}/{len(rows)} coins flagged -> flags.csv"

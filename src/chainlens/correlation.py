@@ -117,10 +117,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise UndefinedCorrelationError("pearson undefined: y side is constant")
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+    # np.sum, not np.dot: BLAS's summation order depends on its thread count
+    denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
     if denom == 0.0:
         raise UndefinedCorrelationError("pearson undefined: zero variance")
-    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / denom))
+    return min(1.0, max(-1.0, float(np.sum(xc * yc)) / denom))
 
 
 def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
@@ -329,28 +330,14 @@ def price_factor_report(
         for factor in PRICE_FACTORS
     )
 
-    stats = aggregate_stats(dataset, date_range).values()
-    # each per-coin statistic as a column over the coins; None is NaN
-    stat_column = {
-        (column, which): np.array(
-            [getattr(getattr(coin, column), which) for coin in stats], dtype=np.float64
-        )
-        for column in ("price",) + AGGREGATE_FACTORS
-        for which in ("mean", "std")
-    }
-
+    # per coin, each column's (means, stds)
+    stats = aggregate_stats(dataset, date_range)
     aggregate = tuple(
-        _pair(
-            f"{base}_price",
-            f"{which}_{factor}",
-            method,
-            stat_column["price", base],
-            stat_column[factor, which],
-        )
+        _pair(f"{base}_price", f"{which}_{factor}", method, price_stat, factor_stat)
         for method in METHODS
-        for base in ("mean", "std")
+        for base, price_stat in zip(("mean", "std"), stats["price"])
         for factor in AGGREGATE_FACTORS
-        for which in ("mean", "std")
+        for which, factor_stat in zip(("mean", "std"), stats[factor])
     )
 
     matrix = correlation_matrix("spearman", table, MATRIX_VARIABLES)

@@ -34,11 +34,11 @@ one the kernel leaves to ``repr`` (subnormals, exact ties, integral
 values from 2**63 on) or its coin prefix is long.
 
 :class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
-takes snapshots, and ``snapshots_of`` (given rows) and ``snapshots``
-(every row) materialize them from the checked columns, without
-validating them again, for callers that want one object per row. The
-pipeline stages read columns; only ``flags`` builds snapshots, one per
-coin, for ``manipulability_flags``.
+takes snapshots, and ``snapshots`` materializes every row as one from
+the checked columns, without validating them again, for callers that
+want one object per row. No pipeline stage builds snapshots: the
+stages pass row positions (``in_range`` gives the mask of a date
+range) and read columns.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -291,29 +291,25 @@ class Dataset:
         """The coin key of each given row."""
         return np.array(self.keys, dtype=object)[self.codes[rows]].tolist()
 
-    def snapshots_of(self, rows) -> list[CoinSnapshot]:
-        """Snapshots of the given rows (positions or a slice), built from
+    @cached_property
+    def snapshots(self) -> tuple[CoinSnapshot, ...]:
+        """Every row as a CoinSnapshot, in (key, day) order, built from
         the already-checked columns without validating them again."""
-        day_list = self.days[rows].tolist()
+        day_list = self.days.tolist()
         dates = {d: dt.date.fromordinal(d) for d in set(day_list)}
         cells = []
         for name in VALUE_COLUMNS:
-            column = self._columns[name][rows]
+            column = self._columns[name]
             boxed = column.astype(object)
             boxed[np.isnan(column)] = None
             cells.append(boxed.tolist())
         new = object.__new__
         out = []
-        for record in zip(self.row_keys(rows), map(dates.__getitem__, day_list), *cells):
+        for record in zip(self.row_keys(slice(None)), map(dates.__getitem__, day_list), *cells):
             snap = new(CoinSnapshot)
             snap.__dict__.update(zip(_SNAPSHOT_FIELDS, record))
             out.append(snap)
-        return out
-
-    @cached_property
-    def snapshots(self) -> tuple[CoinSnapshot, ...]:
-        """Every row as a CoinSnapshot, in (key, day) order."""
-        return tuple(self.snapshots_of(slice(None)))
+        return tuple(out)
 
     @property
     def date_range(self) -> tuple[dt.date, dt.date] | None:
@@ -344,6 +340,21 @@ class Dataset:
         kept = np.add.reduceat(self.days <= cutoff.toordinal(), starts, dtype=np.int64)
         return np.where(kept > 0, starts + kept - 1, -1)
 
+    def in_range(self, date_range: tuple[dt.date | None, dt.date | None] | None) -> np.ndarray:
+        """Row mask of the days inside an inclusive (start, end) range.
+
+        Either side (or the whole range) may be None for open-ended; a
+        range whose start is after its end is an error.
+        """
+        lo, hi = date_range if date_range is not None else (None, None)
+        check_date_range(lo, hi)
+        keep = np.ones(self.days.shape, dtype=bool)
+        if lo is not None:
+            keep &= self.days >= lo.toordinal()
+        if hi is not None:
+            keep &= self.days <= hi.toordinal()
+        return keep
+
     def column(self, name: str) -> np.ndarray:
         """One numeric column over all rows (read-only), NaN where absent."""
         if name not in VALUE_COLUMNS:
@@ -352,28 +363,6 @@ class Dataset:
 
     def has_extended_columns(self) -> bool:
         return any(not np.isnan(self._columns[n]).all() for n in EXTENDED_COLUMNS)
-
-
-def day_filter(
-    date_range: tuple[dt.date | None, dt.date | None] | None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Row mask over day ordinals for an inclusive (start, end) day range.
-
-    Either side (or the whole range) may be None for open-ended; a
-    range whose start is after its end is an error.
-    """
-    lo, hi = date_range if date_range is not None else (None, None)
-    check_date_range(lo, hi)
-
-    def mask(days: np.ndarray) -> np.ndarray:
-        keep = np.ones(days.shape, dtype=bool)
-        if lo is not None:
-            keep &= days >= lo.toordinal()
-        if hi is not None:
-            keep &= days <= hi.toordinal()
-        return keep
-
-    return mask
 
 
 def _cell(column: str, raw) -> float | None:

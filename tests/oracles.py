@@ -25,6 +25,11 @@ and circulating > total rows found by walking the sorted rows, and one
 ``repr_digits`` reads ``repr``'s digits back as an integer and an
 exponent, and ``is_tie`` tells with exact fractions whether a value lies
 halfway between two decimals of that length.
+
+``oracle_aggregate_stats`` and ``oracle_manipulability_flags`` are the
+original per-coin paths: one coin's snapshots at a time, a statistic
+absent (None) below its observation floor, and a set of flag names for
+one ``CoinSnapshot``.
 """
 
 import base64
@@ -598,3 +603,62 @@ def oracle_save_model(trained, path):
     }
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _oracle_ptsc(snapshot):
+    """Circulating over total supply, NaN when either is absent or the
+    total is not positive."""
+    circulating, total = snapshot.circulating_supply, snapshot.total_supply
+    if circulating is None or total is None or not total > 0:
+        return float("nan")
+    return circulating / total
+
+
+def _oracle_column_stats(values):
+    present = values[~np.isnan(values)]
+    n = present.shape[0]
+    mean = float(present.mean()) if n >= 1 else None
+    std = float(present.std()) if n >= 2 else None
+    return mean, std
+
+
+def oracle_aggregate_stats(dataset, date_range=None):
+    """Per coin key, each aggregate column's (mean, population std) over
+    the coin's snapshots in the inclusive range; None without a present
+    value (mean) or without two (std)."""
+    lo, hi = date_range if date_range is not None else (None, None)
+    by_key = {key: [] for key in dataset.keys}
+    for snap in dataset.snapshots:
+        if (lo is None or snap.date >= lo) and (hi is None or snap.date <= hi):
+            by_key[snap.key].append(snap)
+    out = {}
+    for key, snaps in by_key.items():
+        columns = {
+            name: [getattr(s, name) for s in snaps]
+            for name in ("price", "max_supply", "total_supply", "volume_24h")
+        }
+        columns["ptsc"] = [_oracle_ptsc(s) for s in snaps]
+        out[key] = {
+            name: _oracle_column_stats(np.array(values, dtype=np.float64))
+            for name, values in columns.items()
+        }
+    return out
+
+
+def oracle_manipulability_flags(snapshot, volume):
+    """The flag names of one coin: its ``CoinSnapshot`` at the cutoff and
+    its volume (mean, std), each None when absent."""
+    flags = set()
+    if snapshot.max_supply is None:
+        flags.add("unlimited_issuance")
+    ptsc = _oracle_ptsc(snapshot)
+    if np.isnan(ptsc):
+        flags.add("insufficient_data_circulation")
+    elif ptsc < 0.5:
+        flags.add("low_circulation")
+    mean, std = volume
+    if mean is None or std is None or mean == 0:
+        flags.add("insufficient_data_volume")
+    elif std / mean > 1.0:
+        flags.add("volatile_volume")
+    return frozenset(flags)

@@ -249,8 +249,8 @@ def _planted_table(rng: np.random.Generator, n_rows: int, risky_share: float):
     X = centers + rng.normal(size=(n_rows, len(CLASSIFY_FEATURES)))
     return LabeledTable(
         feature_names=CLASSIFY_FEATURES,
-        row_ids=tuple(f"C{i:05d}_x@2020-01-01" for i in range(n_rows)),
-        keys=tuple(f"C{i:05d}_x" for i in range(n_rows)),
+        rows=np.arange(n_rows),
+        coins=np.arange(n_rows),
         X=X,
         y=y,
     )
@@ -352,7 +352,7 @@ def test_criterion_7_cleaning_contracts(criterion_report):
             column = values.copy()
             column[holes] = np.nan
             table = FeatureTable.from_columns(
-                [f"r{i}" for i in range(n)], {"price": column}
+                range(n), {"price": column}
             )
             once = impute_mean(table, ("price",))
             twice = impute_mean(once, ("price",))
@@ -374,7 +374,7 @@ def test_criterion_7_cleaning_contracts(criterion_report):
         ]
         for raw, expected in listed:
             table = FeatureTable.from_columns(
-                [f"r{i}" for i in range(len(raw))], {"max_supply": raw}
+                range(len(raw)), {"max_supply": raw}
             )
             got = impute_max_supply(table).column("max_supply")
             if not np.array_equal(got, np.array(expected)):

@@ -8,7 +8,7 @@ import pytest
 
 from chainlens import classifiers
 from chainlens.classifiers import (
-    KIND_DEFAULTS,
+    KINDS,
     _build_trees,
     _presort,
     fit_classifier,
@@ -106,7 +106,7 @@ class TestDecisionTree:
     def test_single_split_on_1d_separable(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert np.array_equal(model.predict(X), y)
         # one internal node splitting at the midpoint of -1 and 1
         internal = model.tree["feature"] >= 0
@@ -116,7 +116,7 @@ class TestDecisionTree:
     def test_grows_two_levels_when_first_split_gains(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 1, 1, 0, 0])
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert np.array_equal(model.predict(X), y)
         assert (model.tree["feature"] >= 0).sum() == 2
 
@@ -124,14 +124,14 @@ class TestDecisionTree:
         # XOR: no single axis split lowers Gini, so the root stays a leaf
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert np.all(model.tree["feature"] == -1)
         assert np.array_equal(model.predict(X), np.zeros(4, dtype=int))
 
     def test_min_samples_split_stops_growth(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        hp = dict(KIND_DEFAULTS["decision_tree"], min_samples_split=10)
+        hp = dict(KINDS["decision_tree"].defaults, min_samples_split=10)
         model = fit_decision_tree(X, y, hp)
         assert np.all(model.tree["feature"] == -1)  # a single leaf
         # majority tie between the classes resolves to label 0
@@ -142,29 +142,29 @@ class TestDecisionTree:
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(200, 1))
         y = (np.abs(X[:, 0]) < 1.0).astype(int)
-        stump = fit_decision_tree(X, y, dict(KIND_DEFAULTS["decision_tree"], max_depth=1))
+        stump = fit_decision_tree(X, y, dict(KINDS["decision_tree"].defaults, max_depth=1))
         assert (stump.tree["feature"] >= 0).sum() == 1
         assert np.mean(stump.predict(X) == y) < 1.0
-        full = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        full = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert np.array_equal(full.predict(X), y)
 
     def test_single_class_rejected(self):
         with pytest.raises(ChainlensError):
-            fit_decision_tree(np.zeros((4, 2)), np.ones(4, dtype=int), KIND_DEFAULTS["decision_tree"])
+            fit_decision_tree(np.zeros((4, 2)), np.ones(4, dtype=int), KINDS["decision_tree"].defaults)
 
     def test_adjacent_float_values_split_apart(self):
         # the midpoint of these two rounds up to the larger one
         low = np.nextafter(1.0, 2.0)
         X = np.array([[low], [np.nextafter(low, 2.0)]])
         y = np.array([0, 1])
-        hp = dict(KIND_DEFAULTS["decision_tree"], max_depth=1)
+        hp = dict(KINDS["decision_tree"].defaults, max_depth=1)
         model = fit_decision_tree(X, y, hp)
         assert np.array_equal(model.predict(X), y)
 
     def test_duplicate_feature_rows_fall_back_to_majority(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([0, 1, 1])
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert np.array_equal(model.predict(X), np.array([1, 1, 1]))
 
 
@@ -214,12 +214,12 @@ class TestCompactTrees:
         rng = np.random.default_rng(24)
         for _ in range(30):
             X, y = tied_matrix(rng)
-            assert_compact(fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"]).tree)
+            assert_compact(fit_decision_tree(X, y, KINDS["decision_tree"].defaults).tree)
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_forest_trees(self, bootstrap):
         X, y = continuous_blobs(np.random.default_rng(25))
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6, bootstrap=bootstrap)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=6, bootstrap=bootstrap)
         forest = fit_random_forest(X, y, hp, seed=5)
         assert len(forest.trees) == 6
         for tree in forest.trees:
@@ -232,7 +232,7 @@ class TestCompactTrees:
         X = np.zeros((4, 131))
         X[:, 130] = [0.0, 0.0, 1.0, 1.0]
         y = np.array([0, 0, 1, 1])
-        tree = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"]).tree
+        tree = fit_decision_tree(X, y, KINDS["decision_tree"].defaults).tree
         assert tree["feature"].tolist() == [130, -1, -1]
         assert tree["feature"].dtype == np.int16 and tree["label"].dtype == np.int8
 
@@ -246,7 +246,7 @@ class TestCartAgainstOracle:
         for _ in range(150):
             X, y = tied_matrix(rng)
             hp = dict(
-                KIND_DEFAULTS["decision_tree"],
+                KINDS["decision_tree"].defaults,
                 min_samples_split=int(rng.integers(2, 6)),
                 max_depth=None if rng.random() < 0.5 else int(rng.integers(0, 5)),
             )
@@ -263,7 +263,7 @@ class TestCartAgainstOracle:
     def test_continuous_features_match(self):
         rng = np.random.default_rng(22)
         X, y = two_blobs(rng, n_per=150, separation=1.0, d=3)
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert_same_tree(model.tree, oracle_compact(level_order(oracle_build_tree(X, y))))
 
     def test_weighted_build_matches_duplicated_rows(self):
@@ -300,13 +300,13 @@ class TestSignedZeros:
     def test_zeros_of_both_signs_stay_together(self):
         X = np.array([[-0.0], [0.0]] * 3)
         y = np.array([0, 1] * 3)
-        model = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         assert model.tree["feature"].tolist() == [-1]
 
     def test_trees_match_the_oracles(self):
         rng = np.random.default_rng(26)
-        hp = KIND_DEFAULTS["decision_tree"]
-        forest_hp = dict(KIND_DEFAULTS["random_forest"], n_trees=3, max_features=1)
+        hp = KINDS["decision_tree"].defaults
+        forest_hp = dict(KINDS["random_forest"].defaults, n_trees=3, max_features=1)
         both = 0  # cases whose feature 0 holds zeros of both signs
         for _ in range(40):
             X, y = signed_zero_matrix(rng)
@@ -347,7 +347,7 @@ class TestForestAgainstOracle:
         for _ in range(12):
             X, y = make(rng)
             hp = dict(
-                KIND_DEFAULTS["random_forest"],
+                KINDS["random_forest"].defaults,
                 n_trees=3,
                 bootstrap=bootstrap,
                 max_features=max_features,
@@ -367,7 +367,7 @@ class TestForestAgainstOracle:
         for _ in range(10):
             X, y = continuous_blobs(rng)
             monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
-            hp = dict(KIND_DEFAULTS["random_forest"], n_trees=5, max_features=1)
+            hp = dict(KINDS["random_forest"].defaults, n_trees=5, max_features=1)
             forest = fit_random_forest(X, y, hp, seed=7)
             for tree, oracle_tree in zip(forest.trees, oracle_forest_trees(X, y, hp, 7)):
                 assert_same_tree(tree, oracle_compact(oracle_tree))
@@ -394,7 +394,7 @@ class TestForestBatches:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(classifiers, "_build_trees", failing_build)
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=6)
         with pytest.raises(ChainlensError) as raised:
             fit_random_forest(X, y, hp, seed=0)
         assert raised.value is error
@@ -410,7 +410,7 @@ class TestScanBlocks:
     def test_decision_trees_match_oracle(self, monkeypatch, cells):
         rng = np.random.default_rng(51)
         cases = [make(rng) for make in (tied_matrix, continuous_blobs) for _ in range(8)]
-        hp = KIND_DEFAULTS["decision_tree"]
+        hp = KINDS["decision_tree"].defaults
         baseline = [forest_text(fit_decision_tree(X, y, hp)) for X, y in cases]
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         for (X, y), text in zip(cases, baseline):
@@ -424,7 +424,7 @@ class TestScanBlocks:
     @pytest.mark.parametrize("cells", [1, 2, 5, 10**6])
     def test_forests_match_oracle_in_batches(self, monkeypatch, cells):
         X, y = two_blobs(np.random.default_rng(52), n_per=20, separation=1.0, d=3)
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=6)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=6)
         expected = [oracle_compact(tree) for tree in oracle_forest_trees(X, y, hp, seed=3)]
         baseline = forest_text(fit_random_forest(X, y, hp, seed=3))
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
@@ -458,7 +458,7 @@ class TestScanBlocks:
         X = np.column_stack([column, column])
         y = np.array([1, 0, 0, 0, 0, 1])
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
-        model = fit_decision_tree(X, y, dict(KIND_DEFAULTS["decision_tree"], max_depth=1))
+        model = fit_decision_tree(X, y, dict(KINDS["decision_tree"].defaults, max_depth=1))
         assert model.tree["feature"].tolist() == [0, -1, -1]
         assert model.tree["threshold"].tolist() == [0.5]
         assert model.tree["label"].tolist() == [1, 0]
@@ -530,7 +530,7 @@ class TestBuilderMemory:
         ]
         row_lists = 4 * d * max(sum(present[t : t + batch]) for t in range(0, n_trees, batch))
         presort = sum(a.nbytes for a in _presort(X))
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=n_trees)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=n_trees)
         tracemalloc.start()
         try:
             forest = fit_random_forest(X, y, hp, seed=seed)
@@ -567,27 +567,27 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         X, y = two_blobs(rng, n_per=40, separation=3.0)
         hp = dict(
-            KIND_DEFAULTS["random_forest"],
+            KINDS["random_forest"].defaults,
             n_trees=1,
             bootstrap=False,
             max_features="all",
         )
         forest = fit_random_forest(X, y, hp, seed=0)
-        tree = fit_decision_tree(X, y, KIND_DEFAULTS["decision_tree"])
+        tree = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
         probe = rng.normal(loc=1.5, size=(300, X.shape[1]))
         assert np.array_equal(forest.predict(probe), tree.predict(probe))
 
     def test_learns_blobs(self):
         rng = np.random.default_rng(7)
         X, y = two_blobs(rng, n_per=50, separation=4.0)
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=15)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=15)
         model = fit_random_forest(X, y, hp, seed=1)
         assert np.mean(model.predict(X) == y) >= 0.99
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)
         X, y = two_blobs(rng, n_per=25, separation=2.0)
-        hp = dict(KIND_DEFAULTS["random_forest"], n_trees=7)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=7)
         probe = rng.normal(size=(50, X.shape[1]))
         a = fit_random_forest(X, y, hp, seed=5).predict(probe)
         b = fit_random_forest(X, y, hp, seed=5).predict(probe)
@@ -596,7 +596,7 @@ class TestRandomForest:
     def test_single_class_rejected(self):
         with pytest.raises(ChainlensError):
             fit_random_forest(
-                np.zeros((4, 2)), np.zeros(4, dtype=int), KIND_DEFAULTS["random_forest"]
+                np.zeros((4, 2)), np.zeros(4, dtype=int), KINDS["random_forest"].defaults
             )
 
     @pytest.mark.parametrize(
@@ -617,7 +617,7 @@ class TestRandomForest:
     )
     def test_empty_forest_settings_rejected(self, override, message):
         X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
-        hp = dict(KIND_DEFAULTS["random_forest"], **override)
+        hp = dict(KINDS["random_forest"].defaults, **override)
         with pytest.raises(ChainlensError, match=message):
             fit_random_forest(X, y, hp)
 
@@ -690,7 +690,7 @@ class TestGaussianNB:
         rng = np.random.default_rng(9)
         X = np.concatenate([rng.normal(-3.0, 1.0, 500), rng.normal(3.0, 1.0, 500)])
         y = np.array([0] * 500 + [1] * 500)
-        model = fit_gaussian_nb(X.reshape(-1, 1), y, KIND_DEFAULTS["gaussian_nb"])
+        model = fit_gaussian_nb(X.reshape(-1, 1), y, KINDS["gaussian_nb"].defaults)
         grid = np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
         predictions = model.predict(grid)
         switches = np.flatnonzero(np.diff(predictions) != 0)
@@ -700,13 +700,13 @@ class TestGaussianNB:
 
     def test_single_class_degrades_to_constant(self):
         X = np.random.default_rng(10).normal(size=(10, 3))
-        model = fit_gaussian_nb(X, np.ones(10, dtype=int), KIND_DEFAULTS["gaussian_nb"])
+        model = fit_gaussian_nb(X, np.ones(10, dtype=int), KINDS["gaussian_nb"].defaults)
         assert np.array_equal(model.predict(X), np.ones(10, dtype=int))
 
     def test_constant_features_do_not_crash(self):
         X = np.ones((8, 2))
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        model = fit_gaussian_nb(X, y, KIND_DEFAULTS["gaussian_nb"])
+        model = fit_gaussian_nb(X, y, KINDS["gaussian_nb"].defaults)
         out = model.predict(np.ones((3, 2)))
         assert out.shape == (3,)
 
@@ -789,7 +789,7 @@ class TestKNNAgainstOracle:
 
 
 class TestCommonBehavior:
-    @pytest.mark.parametrize("kind", sorted(KIND_DEFAULTS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_empty_prediction_input(self, kind):
         rng = np.random.default_rng(13)
         X, y = two_blobs(rng, n_per=15, separation=3.0, d=3)
@@ -798,7 +798,7 @@ class TestCommonBehavior:
         out = model.predict(np.empty((0, 3)))
         assert out.shape == (0,)
 
-    @pytest.mark.parametrize("kind", sorted(KIND_DEFAULTS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_dimension_mismatch_rejected(self, kind):
         rng = np.random.default_rng(14)
         X, y = two_blobs(rng, n_per=15, separation=3.0, d=3)
@@ -809,7 +809,7 @@ class TestCommonBehavior:
         with pytest.raises(ChainlensError, match="expected 3 features, got 5"):
             model.predict(np.empty((0, 5)))
 
-    @pytest.mark.parametrize("kind", sorted(KIND_DEFAULTS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_nonfinite_prediction_input_rejected(self, kind):
         rng = np.random.default_rng(15)
         X, y = two_blobs(rng, n_per=15, separation=3.0, d=3)

@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import datetime as dt
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from chainlens.classifiers import (
     from_doc,
     jsonable,
 )
-from chainlens.cleaning import AggregateFeatures, ColumnStats
 from chainlens.cli import run
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
@@ -109,12 +109,10 @@ def make_table(n=80, seed=0, n_coins=8, n_features=3, separation=5.0):
     rng = np.random.default_rng(seed)
     y = np.arange(n) % 2
     X = rng.normal(size=(n, n_features)) + separation * y[:, None]
-    keys = tuple(f"K{i % n_coins}_coin" for i in range(n))
-    row_ids = tuple(f"{keys[i]}@2021-01-{(i % 28) + 1:02d}" for i in range(n))
     return LabeledTable(
         feature_names=tuple(f"f{j}" for j in range(n_features)),
-        row_ids=row_ids,
-        keys=keys,
+        rows=np.arange(n) + 100,
+        coins=np.arange(n) % n_coins,
         X=X,
         y=y.astype(np.int64),
     )
@@ -148,14 +146,11 @@ def labeled_fixture_dataset():
 
 class TestLabelRisky:
     def test_labels_follow_disappearance(self):
-        table = label_risky(labeled_fixture_dataset(), cutoff=d("2021-03-01"))
-        assert table.row_ids == (
-            "AAA_alpha@2021-01-01",
-            "AAA_alpha@2021-01-02",
-            "BBB_beta@2021-01-01",
-            "BBB_beta@2021-03-01",
-        )
-        assert table.keys == ("AAA_alpha", "AAA_alpha", "BBB_beta", "BBB_beta")
+        ds = labeled_fixture_dataset()
+        table = label_risky(ds, cutoff=d("2021-03-01"))
+        assert table.rows.tolist() == [0, 1, 2, 3]
+        assert ds.row_keys(table.rows) == ["AAA_alpha", "AAA_alpha", "BBB_beta", "BBB_beta"]
+        assert table.coins.tolist() == [0, 0, 1, 1]
         assert table.y.tolist() == [1, 1, 0, 0]
         assert table.feature_names == CLASSIFY_FEATURES
 
@@ -182,11 +177,7 @@ class TestLabelRisky:
             date_range=(d("2021-01-01"), d("2021-01-31")),
         )
         # BBB's March row falls outside the range but BBB stays non-risky
-        assert table.row_ids == (
-            "AAA_alpha@2021-01-01",
-            "AAA_alpha@2021-01-02",
-            "BBB_beta@2021-01-01",
-        )
+        assert table.rows.tolist() == [0, 1, 2]
         assert table.y.tolist() == [1, 1, 0]
 
     def test_keys_hold_any_text_the_coin_names_hold(self):
@@ -199,8 +190,10 @@ class TestLabelRisky:
             ds, cutoff=d("2021-03-01"), date_range=(None, d("2021-01-31"))
         )
         a, b = renamed["AAA_alpha"], renamed["BBB_beta"]
-        assert table.keys == (a, a, b)
-        assert table.row_ids == (f"{a}@2021-01-01", f"{a}@2021-01-02", f"{b}@2021-01-01")
+        assert ds.row_keys(table.rows) == [a, a, b]
+        assert ds.days[table.rows].tolist() == [
+            d("2021-01-01").toordinal(), d("2021-01-02").toordinal(), d("2021-01-01").toordinal()
+        ]
         assert table.y.tolist() == [1, 1, 0]
 
     def test_everything_alive_at_early_cutoff(self):
@@ -251,8 +244,8 @@ class TestLabeledTable:
         with pytest.raises(ChainlensError):
             LabeledTable(
                 feature_names=("a", "b"),
-                row_ids=("r1",),
-                keys=("k",),
+                rows=np.zeros(1, dtype=np.int64),
+                coins=np.zeros(1, dtype=np.int64),
                 X=np.zeros((1, 3)),
                 y=np.zeros(1, dtype=np.int64),
             )
@@ -261,8 +254,8 @@ class TestLabeledTable:
         with pytest.raises(ChainlensError):
             LabeledTable(
                 feature_names=("a",),
-                row_ids=("r1",),
-                keys=("k",),
+                rows=np.zeros(1, dtype=np.int64),
+                coins=np.zeros(1, dtype=np.int64),
                 X=np.array([[np.nan]]),
                 y=np.zeros(1, dtype=np.int64),
             )
@@ -270,7 +263,8 @@ class TestLabeledTable:
     def test_take_preserves_alignment(self):
         table = make_table(n=10)
         sub = table.take([1, 4, 7])
-        assert sub.row_ids == tuple(table.row_ids[i] for i in (1, 4, 7))
+        assert sub.rows.tolist() == [table.rows[i] for i in (1, 4, 7)]
+        assert sub.coins.tolist() == [table.coins[i] for i in (1, 4, 7)]
         assert sub.y.tolist() == [table.y[i] for i in (1, 4, 7)]
         assert np.array_equal(sub.X, table.X[[1, 4, 7]])
 
@@ -280,27 +274,26 @@ class TestTrainTestSplit:
         table = make_table(n=10)
         train, test = train_test_split(table, 0.8, seed=3)
         assert train.n_rows == 8 and test.n_rows == 2
-        assert set(train.row_ids) | set(test.row_ids) == set(table.row_ids)
-        assert set(train.row_ids) & set(test.row_ids) == set()
+        assert set(train.rows.tolist()) | set(test.rows.tolist()) == set(table.rows.tolist())
+        assert set(train.rows.tolist()) & set(test.rows.tolist()) == set()
 
     def test_row_order_is_preserved_within_sides(self):
         table = make_table(n=30)
         train, test = train_test_split(table, 0.5, seed=1)
-        position = {rid: i for i, rid in enumerate(table.row_ids)}
-        assert sorted(train.row_ids, key=position.get) == list(train.row_ids)
-        assert sorted(test.row_ids, key=position.get) == list(test.row_ids)
+        assert np.all(np.diff(train.rows) > 0)
+        assert np.all(np.diff(test.rows) > 0)
 
     def test_same_seed_same_split(self):
         table = make_table(n=40)
         a_train, _ = train_test_split(table, 0.7, seed=11)
         b_train, _ = train_test_split(table, 0.7, seed=11)
-        assert a_train.row_ids == b_train.row_ids
+        assert np.array_equal(a_train.rows, b_train.rows)
 
     def test_different_seeds_differ(self):
         table = make_table(n=100)
         a_train, _ = train_test_split(table, 0.5, seed=0)
         b_train, _ = train_test_split(table, 0.5, seed=1)
-        assert a_train.row_ids != b_train.row_ids
+        assert not np.array_equal(a_train.rows, b_train.rows)
 
     def test_half_of_five_rounds_to_even(self):
         # round-half-even: round(0.5 * 5) == 2
@@ -322,9 +315,19 @@ class TestTrainTestSplit:
     def test_group_split_keeps_coins_whole(self):
         table = make_table(n=80, n_coins=10)
         train, test = train_test_split(table, 0.8, seed=7, group_by_coin=True)
-        assert set(train.keys) & set(test.keys) == set()
-        assert len(set(train.keys)) == 8 and len(set(test.keys)) == 2
+        assert set(train.coins.tolist()) & set(test.coins.tolist()) == set()
+        assert len(set(train.coins.tolist())) == 8 and len(set(test.coins.tolist())) == 2
         assert train.n_rows + test.n_rows == 80
+
+    def test_group_split_takes_coins_in_first_appearance_order(self):
+        # the same coins in the same order of first appearance, coded apart
+        table = make_table(n=40, n_coins=5)
+        recoded = dataclasses.replace(table, coins=np.array([7, 2, 9, 0, 4])[table.coins])
+        for seed in range(5):
+            train, test = train_test_split(table, 0.6, seed=seed, group_by_coin=True)
+            again, _ = train_test_split(recoded, 0.6, seed=seed, group_by_coin=True)
+            assert np.array_equal(train.rows, again.rows)
+            assert train.n_rows + test.n_rows == 40
 
     def test_group_split_needs_multiple_coins(self):
         table = make_table(n=10, n_coins=1)
@@ -462,16 +465,18 @@ class TestEvaluate:
             metrics_from_counts(ConfusionCounts(tp=0, tn=0, fp=0, fn=0))
 
 
-def volume_stats(mean, std, count=30):
-    filler = ColumnStats(mean=None, std=None, count=0)
-    return AggregateFeatures(
-        key="X_x",
-        price=filler,
-        max_supply=filler,
-        total_supply=filler,
-        volume_24h=ColumnStats(mean=mean, std=std, count=count),
-        ptsc=filler,
-    )
+def volume_stats(mean, std):
+    """One coin's volume (means, stds) pair; None is absent."""
+    return (np.array([mean], dtype=np.float64), np.array([std], dtype=np.float64))
+
+
+def flags_of(snapshot, volume=None):
+    """The flags raised on a one-row panel holding ``snapshot``."""
+    with warnings.catch_warnings():  # circulating over a zero total is a supply note
+        warnings.simplefilter("ignore", DataQualityWarning)
+        ds = Dataset.build([snapshot])
+    masks = manipulability_flags(ds, np.array([0]), volume or volume_stats(None, None))
+    return {name for name, mask in masks.items() if mask[0]}
 
 
 class TestManipulabilityFlags:
@@ -485,22 +490,22 @@ class TestManipulabilityFlags:
         return CoinSnapshot("X_x", d("2021-06-01"), **fields)
 
     def test_clean_coin_has_no_flags(self):
-        flags = manipulability_flags(self.snapshot(), volume_stats(10.0, 2.0))
-        assert flags == frozenset()
+        flags = flags_of(self.snapshot(), volume_stats(10.0, 2.0))
+        assert flags == set()
 
     def test_low_circulating_share(self):
         snap = self.snapshot(circulating_supply=19.0)
-        flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
+        flags = flags_of(snap, volume_stats(10.0, 2.0))
         assert flags == {"low_circulation"}
 
     def test_missing_max_supply(self):
         snap = self.snapshot(max_supply=None)
-        flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
+        flags = flags_of(snap, volume_stats(10.0, 2.0))
         assert flags == {"unlimited_issuance"}
 
     def test_missing_supply_data(self):
         snap = self.snapshot(total_supply=None)
-        flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
+        flags = flags_of(snap, volume_stats(10.0, 2.0))
         assert flags == {"insufficient_data_circulation"}
 
     @pytest.mark.parametrize(
@@ -510,27 +515,44 @@ class TestManipulabilityFlags:
     )
     def test_no_supply_ratio(self, overrides):
         snap = self.snapshot(**overrides)
-        flags = manipulability_flags(snap, volume_stats(10.0, 2.0))
+        flags = flags_of(snap, volume_stats(10.0, 2.0))
         assert flags == {"insufficient_data_circulation"}
 
     def test_volatile_volume(self):
-        flags = manipulability_flags(self.snapshot(), volume_stats(10.0, 15.0))
+        flags = flags_of(self.snapshot(), volume_stats(10.0, 15.0))
         assert flags == {"volatile_volume"}
 
     def test_missing_volume_stats(self):
-        assert manipulability_flags(self.snapshot()) == {"insufficient_data_volume"}
-        flags = manipulability_flags(self.snapshot(), volume_stats(10.0, None))
+        assert flags_of(self.snapshot()) == {"insufficient_data_volume"}
+        flags = flags_of(self.snapshot(), volume_stats(10.0, None))
         assert flags == {"insufficient_data_volume"}
 
     def test_flags_combine(self):
         snap = self.snapshot(max_supply=None, circulating_supply=10.0)
-        flags = manipulability_flags(snap, volume_stats(10.0, 50.0))
+        flags = flags_of(snap, volume_stats(10.0, 50.0))
         assert flags == {"unlimited_issuance", "low_circulation", "volatile_volume"}
+
+    def test_every_flag_has_a_mask_over_the_rows(self):
+        ds = Dataset.build(
+            [self.snapshot(), dataclasses.replace(self.snapshot(), key="Y_y", max_supply=None)]
+        )
+        volume = (np.array([10.0, 10.0]), np.array([2.0, 50.0]))
+        masks = manipulability_flags(ds, np.array([1, 0]), volume)
+        assert set(masks) == {
+            "unlimited_issuance",
+            "low_circulation",
+            "insufficient_data_circulation",
+            "volatile_volume",
+            "insufficient_data_volume",
+        }
+        assert all(mask.dtype == bool and mask.shape == (2,) for mask in masks.values())
+        assert masks["unlimited_issuance"].tolist() == [True, False]
+        assert masks["volatile_volume"].tolist() == [True, False]
 
     def test_thresholds_are_strict(self):
         # a ptsc of exactly 0.5 and a volume std of exactly the mean flag nothing
         snap = self.snapshot(circulating_supply=50.0)
-        assert manipulability_flags(snap, volume_stats(10.0, 10.0)) == frozenset()
+        assert flags_of(snap, volume_stats(10.0, 10.0)) == set()
 
 
 class TestModelPersistence:

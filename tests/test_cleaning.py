@@ -25,7 +25,7 @@ from chainlens.errors import ChainlensError, DataQualityWarning
 
 def table(**columns):
     n = len(next(iter(columns.values())))
-    return FeatureTable.from_columns([f"r{i}" for i in range(n)], columns)
+    return FeatureTable.from_columns(range(n), columns)
 
 
 class TestDerivePtsc:
@@ -215,35 +215,40 @@ class TestAggregateStats:
 
     def test_population_std_convention(self):
         stats = aggregate_stats(self.make())
-        a = stats["A_A"]
-        assert a.price.mean == 2.0
-        assert a.price.std == 1.0  # population std of [1, 3]
-        assert a.ptsc.mean == pytest.approx((0.5 + 0.25) / 2)
+        means, stds = stats["price"]
+        assert means[0] == 2.0
+        assert stds[0] == 1.0  # population std of [1, 3]
+        assert stats["ptsc"][0][0] == pytest.approx((0.5 + 0.25) / 2)
+
+    def test_arrays_follow_the_coin_keys(self):
+        ds = self.make()
+        stats = aggregate_stats(ds)
+        assert ds.keys == ("A_A", "B_B")
+        assert list(stats) == ["price", "max_supply", "total_supply", "volume_24h", "ptsc"]
+        for means, stds in stats.values():
+            assert means.shape == stds.shape == (2,)
 
     def test_single_observation_has_mean_but_absent_std(self):
-        stats = aggregate_stats(self.make())
-        b = stats["B_B"]
-        assert b.price.mean == 5.0
-        assert b.price.std is None
-        assert b.price.count == 1
+        means, stds = aggregate_stats(self.make())["price"]
+        assert means[1] == 5.0
+        assert np.isnan(stds[1])
 
     def test_no_observations_absent_entries(self):
-        stats = aggregate_stats(self.make())
-        assert stats["B_B"].volume_24h.mean is None
-        assert stats["B_B"].volume_24h.count == 0
+        means, stds = aggregate_stats(self.make())["volume_24h"]
+        assert np.isnan(means[1]) and np.isnan(stds[1])
 
     def test_date_range_filters(self):
-        stats = aggregate_stats(self.make(), (day(1), day(1)))
-        assert stats["A_A"].price.mean == 3.0
-        assert stats["B_B"].price.count == 0
+        means, _ = aggregate_stats(self.make(), (day(1), day(1)))["price"]
+        assert means[0] == 3.0
+        assert np.isnan(means[1])
 
     def test_empty_range_errors(self):
         with pytest.raises(ChainlensError):
             aggregate_stats(self.make(), (day(2), day(1)))
 
     def test_disjoint_coins_independent(self):
-        stats = aggregate_stats(self.make())
-        assert stats["A_A"].price.mean != stats["B_B"].price.mean
+        means, _ = aggregate_stats(self.make())["price"]
+        assert means[0] != means[1]
 
 
 class TestRowFeatureTable:
@@ -255,7 +260,8 @@ class TestRowFeatureTable:
             ]
         )
         t = row_feature_table(ds, ["price", "volume_24h"])
-        assert t.row_ids == ("A_A@2021-01-01", "A_A@2021-01-02")
+        assert t.rows.dtype == np.int64
+        assert t.rows.tolist() == [0, 1]
         assert list(t.column("price")) == [1.0, 2.0]
         assert np.isnan(t.column("volume_24h")).all()
 
@@ -286,7 +292,7 @@ class TestRowFeatureTable:
             [CoinSnapshot("A_A", day(i), price=float(i)) for i in range(3)]
         )
         t = row_feature_table(ds, ["price"], (day(1), None))
-        assert t.row_ids == ("A_A@2021-01-02", "A_A@2021-01-03")
+        assert t.rows.tolist() == [1, 2]
         with pytest.raises(ChainlensError, match="empty date range"):
             row_feature_table(ds, ["price"], (day(2), day(1)))
 
@@ -303,4 +309,14 @@ class TestFeatureTable:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FeatureTable.from_columns(["r0"], {"a": [1.0, 2.0]})
+            FeatureTable.from_columns([0], {"a": [1.0, 2.0]})
+
+    def test_none_cells_are_absent(self):
+        t = table(a=[1.0, None])
+        assert t.column("a")[0] == 1.0 and np.isnan(t.column("a")[1])
+
+    def test_rows_are_read_only_and_kept_by_transforms(self):
+        t = FeatureTable.from_columns([4, 9], {"a": [1.0, np.nan]})
+        with pytest.raises(ValueError):
+            t.rows[0] = 0
+        assert impute_mean(t, ("a",)).rows.tolist() == [4, 9]

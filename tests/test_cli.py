@@ -1,6 +1,7 @@
 """Subcommand behavior: artifacts, exit codes, determinism, cleanup."""
 
 import csv
+import datetime as dt
 import hashlib
 import importlib
 import importlib.util
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainlens.classify import FLAG_NAMES, label_risky, prepare_features
+from chainlens.classify import label_risky, prepare_features
 import chainlens
 import chainlens.cli as cli
 from chainlens.cli import (
@@ -166,9 +167,13 @@ class TestPipeline:
     def test_clean_and_classify_share_one_feature_table(self, pipeline_dir):
         with (pipeline_dir / "features.csv").open(newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
-        table = label_risky(load_csv(pipeline_dir / "dataset.csv"))
+        ds = load_csv(pipeline_dir / "dataset.csv")
+        table = label_risky(ds)
         assert tuple(header[1:]) == table.feature_names
-        assert tuple(row[0] for row in rows) == table.row_ids
+        assert [row[0] for row in rows] == [
+            f"{key}@{dt.date.fromordinal(day)}"
+            for key, day in zip(ds.row_keys(table.rows), ds.days[table.rows].tolist())
+        ]
         written = np.array([[float(v) for v in row[1:]] for row in rows])
         assert np.array_equal(written, table.X)
 
@@ -195,6 +200,8 @@ class TestPipeline:
         assert "<h2>Correlations</h2>" in page
         assert "<h2>Clustering</h2>" in page
         assert "<h2>Classification</h2>" in page
+        # the cluster summary's fields, its feature list among them
+        assert "<td>features</td><td>[&quot;market_cap&quot;, &quot;volume_24h&quot;" in page
         # figures ride along inline; nothing is fetched from elsewhere
         assert page.count("<svg") >= 3
         for marker in ("<img", "<script", "<link", "href=", "src="):
@@ -259,7 +266,13 @@ class TestPipeline:
         assert len(rows) == 1 + 20
         for _, joined in rows[1:]:
             for flag in joined.split():
-                assert flag in FLAG_NAMES
+                assert flag in {
+                    "unlimited_issuance",
+                    "low_circulation",
+                    "insufficient_data_circulation",
+                    "volatile_volume",
+                    "insufficient_data_volume",
+                }
 
 
 class TestFormats:

@@ -404,6 +404,7 @@ class TestClusterStage:
         assert "(features market_cap, volume_24h, num_market_pairs, ptsc) ->" in summary
         doc = json.loads((tmp_path / "cluster_summary.json").read_text(encoding="utf-8"))
         assert doc["excluded"] == []
+        assert doc["features"] == ["market_cap", "volume_24h", "num_market_pairs", "ptsc"]
         assert doc["coins"] == sum(doc["sizes"].values()) > 0
 
     def test_panel_without_any_feature_on_the_day_exits_1(self, tmp_path, capsys):

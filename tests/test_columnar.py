@@ -5,7 +5,9 @@ Every input goes through both the columnar code (``load_csv``,
 and the original row-by-row code in ``oracles.py``. Good input must
 give equal snapshots, quality notes, warnings and ``save_csv`` bytes;
 bad input must raise the same exception type with the same message,
-line number included.
+line number included. The per-coin statistics (``aggregate_stats``) and
+the flag masks (``manipulability_flags``) must give, coin by coin, the
+original per-coin results: the same bits, NaN where those are None.
 """
 
 import datetime as dt
@@ -15,18 +17,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainlens.dataset as dataset_module
 from chainlens import csvtext
 from chainlens.api import _parse_rows
+from chainlens.classify import manipulability_flags
+from chainlens.cleaning import aggregate_stats
 from chainlens.dataset import CoinSnapshot, ColumnParser, Dataset, load_csv, save_csv
 from chainlens.errors import DataQualityWarning
 from oracles import (
     _format_cell,
     is_tie,
+    oracle_aggregate_stats,
     oracle_build,
     oracle_fetch_pages,
     oracle_load_csv,
+    oracle_manipulability_flags,
     oracle_save_csv,
 )
 
@@ -454,3 +462,81 @@ class TestSaveCsvMatchesOracle:
             else:
                 cell = None if math.isnan(value) else value
                 assert slot[24 - n :].tobytes().decode() == _format_cell(cell), value
+
+
+DAY0 = dt.date(2021, 1, 1)
+# absent, round and arbitrary values
+CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 1.0, 3.0]),
+    st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+def day_or_none(offset):
+    return None if offset is None else DAY0 + dt.timedelta(days=offset)
+
+
+@st.composite
+def small_panels(draw):
+    """1-4 coins of 1-5 rows on days 0-9, with holes, zero or absent
+    totals and coins whose every volume is zero; a date range; and a
+    cutoff from the day before the first on, so it can precede some
+    coins' first rows."""
+    snapshots = []
+    for coin in range(draw(st.integers(1, 4))):
+        zero_volume = draw(st.booleans())
+        for offset in draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)):
+            snapshots.append(
+                CoinSnapshot(
+                    f"C{coin}_c",
+                    DAY0 + dt.timedelta(days=offset),
+                    price=draw(CELLS),
+                    max_supply=draw(CELLS),
+                    total_supply=draw(st.one_of(st.just(0.0), CELLS)),
+                    circulating_supply=draw(CELLS),
+                    volume_24h=0.0 if zero_volume else draw(CELLS),
+                )
+            )
+    lo = draw(st.one_of(st.none(), st.integers(0, 9)))
+    hi = draw(st.one_of(st.none(), st.integers(lo or 0, 9)))
+    cutoff = DAY0 + dt.timedelta(days=draw(st.integers(-1, 9)))
+    with warnings.catch_warnings():  # circulating over total is only a note
+        warnings.simplefilter("ignore", DataQualityWarning)
+        ds = Dataset.build(snapshots)
+    return ds, (day_or_none(lo), day_or_none(hi)), cutoff
+
+
+class TestStatsAndFlagsMatchOracle:
+    @given(small_panels())
+    @settings(deadline=None, max_examples=150)
+    def test_aggregate_stats(self, panel):
+        ds, date_range, _ = panel
+        stats = aggregate_stats(ds, date_range)
+        oracle = oracle_aggregate_stats(ds, date_range)
+        for name, (means, stds) in stats.items():
+            assert means.shape == stds.shape == (len(ds.keys),)
+            for index, key in enumerate(ds.keys):
+                for got, want in zip((means[index], stds[index]), oracle[key][name]):
+                    if want is None:
+                        assert np.isnan(got)
+                    else:
+                        assert float(got).hex() == want.hex()
+        assert list(stats) == list(oracle[ds.keys[0]])
+
+    @given(small_panels())
+    @settings(deadline=None, max_examples=150)
+    def test_manipulability_flags(self, panel):
+        ds, date_range, cutoff = panel
+        last = ds.last_rows(cutoff)
+        rows = last[last >= 0]
+        volume = aggregate_stats(ds, date_range)["volume_24h"]
+        masks = manipulability_flags(ds, rows, volume)
+        oracle = oracle_aggregate_stats(ds, date_range)
+        alive = {s.key for s in ds.snapshots if s.date <= cutoff}
+        assert ds.row_keys(rows) == sorted(alive)
+        for position, row in enumerate(rows.tolist()):
+            snapshot = ds.snapshots[row]
+            got = {name for name, mask in masks.items() if mask[position]}
+            want = oracle_manipulability_flags(snapshot, oracle[snapshot.key]["volume_24h"])
+            assert got == want

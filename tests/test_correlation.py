@@ -1,7 +1,12 @@
 """Correlation methods against brute-force and scipy oracles."""
 
 import datetime as dt
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from chainlens.cli import run
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, UndefinedCorrelationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_tau_b(x, y):
@@ -256,7 +263,7 @@ def toy_table():
     b = 2.0 * a + rng.normal(scale=0.1, size=50)
     c = rng.normal(size=50)
     return FeatureTable.from_columns(
-        [f"r{i}" for i in range(50)], {"a": a, "b": b, "c": c}
+        range(50), {"a": a, "b": b, "c": c}
     )
 
 
@@ -268,7 +275,7 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("method", METHODS)
     def test_duplicated_column_gives_unit_off_diagonal(self, method):
         t = FeatureTable.from_columns(
-            ["r0", "r1", "r2"], {"u": [1.0, 2.0, 3.0], "v": [1.0, 2.0, 3.0]}
+            range(3), {"u": [1.0, 2.0, 3.0], "v": [1.0, 2.0, 3.0]}
         )
         report = correlation_matrix(method, t, ["u", "v"])
         assert report.coefficients[0, 1] == 1.0
@@ -290,7 +297,7 @@ class TestCorrelationMatrix:
 
     def test_constant_column_marked_absent_not_zero(self):
         t = FeatureTable.from_columns(
-            ["r0", "r1", "r2"],
+            range(3),
             {"u": [1.0, 2.0, 3.0], "k": [7.0, 7.0, 7.0]},
         )
         report = correlation_matrix("pearson", t, ["u", "k"])
@@ -411,11 +418,31 @@ class TestPriceFactorReport:
         ]
 
     def test_as_dict_round_trips_through_json(self):
-        import json
-
         report = price_factor_report(inverse_price_dataset())
         blob = json.dumps(report.as_dict(), sort_keys=True)
         assert json.loads(blob)["matrix"]["variables"] == list(MATRIX_VARIABLES)
         assert list(json.loads(blob)["pooled"][0]) == [
             "coefficient", "label", "method", "n", "var_a", "var_b"
         ]
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        # the README demo panel; its pooled vectors (~17k pairs) are long
+        # enough for a multithreaded BLAS to split a dot product
+        code = (
+            "import json\n"
+            "from chainlens.cli import GENERATE_DEFAULTS\n"
+            "from chainlens.correlation import price_factor_report\n"
+            "from chainlens.synthetic import SyntheticSpec, generate_synthetic\n"
+            "ds = generate_synthetic(SyntheticSpec(seed=7, **GENERATE_DEFAULTS))\n"
+            "print(json.dumps(price_factor_report(ds).as_dict()))\n"
+        )
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(json.loads(proc.stdout))
+        assert reports[0] == reports[1]

@@ -21,6 +21,7 @@ from chainlens.dataset import (
     split_coin_key,
 )
 from chainlens.errors import (
+    ChainlensError,
     DataQualityWarning,
     DuplicateCoinDayError,
     MalformedRowError,
@@ -129,8 +130,25 @@ class TestDatasetBuild:
             ]
         )
         assert ds.keys == ("Bitcoin_BTC", "Ether_ETH")
-        assert [s.date.day for s in ds.snapshots_of(slice(0, ds.offsets[1]))] == [1, 3]
+        assert [s.date.day for s in ds.snapshots[: ds.offsets[1]]] == [1, 3]
         assert ds.date_range == (dt.date(2021, 1, 1), dt.date(2021, 1, 3))
+
+    def test_in_range_masks_the_rows_of_an_inclusive_range(self):
+        ds = Dataset.build(
+            [
+                snap("Bitcoin_BTC", "2021-01-01"),
+                snap("Bitcoin_BTC", "2021-01-03"),
+                snap("Ether_ETH", "2021-01-02"),
+            ]
+        )
+        day = dt.date(2021, 1, 2)
+        assert ds.in_range(None).tolist() == [True, True, True]
+        assert ds.in_range((None, None)).tolist() == [True, True, True]
+        assert ds.in_range((day, None)).tolist() == [False, True, True]
+        assert ds.in_range((None, day)).tolist() == [True, False, True]
+        assert ds.in_range((day, day)).tolist() == [False, False, True]
+        with pytest.raises(ChainlensError, match="empty date range"):
+            ds.in_range((dt.date(2021, 1, 3), day))
 
     def test_snapshots_order_by_key_then_day(self):
         ds = Dataset.build(

@@ -78,8 +78,8 @@ def test_classify_span_names_and_model_bytes(tmp_path):
     X = np.arange(12, dtype=np.float64).reshape(6, 2)
     table = LabeledTable(
         feature_names=("a", "b"),
-        row_ids=tuple(f"C_c@{i}" for i in range(6)),
-        keys=("C_c",) * 6,
+        rows=np.arange(6),
+        coins=np.zeros(6, dtype=np.int64),
         X=X,
         y=np.array([0, 1] * 3),
     )
@@ -95,21 +95,41 @@ def test_classify_span_names_and_model_bytes(tmp_path):
 
 
 def test_traced_classify_records_the_stage_spans(tmp_path):
-    # the stage binds its names in chainlens.cli only when it runs; the
-    # tracer's wrappers, installed first, must be the ones it calls
+    # a stage binds its names in chainlens.cli only when it runs; the
+    # tracer's wrappers, installed first, must be the ones it calls, and
+    # the layer calls a stage makes must go through their traced bindings
     spec = SyntheticSpec(n_coins=20, seed=3, disappeared_fraction=0.4, horizon_days=400)
     save_csv(generate_synthetic(spec), tmp_path / "dataset.csv")
-    spans = tmp_path / "spans.json"
-    proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans), "classify", "--out", str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
-    expected = {"dataset.load_csv", "classify.label_risky", "classify.train_test_split"}
-    for stage in ("fit", "predict", "save_model"):
-        expected |= {f"classify.{stage}.{kind}" for kind in CLASSIFIER_KINDS}
-    assert expected <= names
+    features = {
+        "cleaning.row_feature_table",
+        "cleaning.impute_max_supply",
+        "cleaning.impute_mean",
+    }
+    classify = {"classify.label_risky", "classify.train_test_split"} | features
+    for step in ("fit", "predict", "save_model"):
+        classify |= {f"classify.{step}.{kind}" for kind in CLASSIFIER_KINDS}
+    expected = {
+        # the first stage parses the panel; the rest read the panel cache
+        "clean": features | {"dataset.load_csv"},
+        "correlate": {
+            "correlation.price_factor_report",
+            "cleaning.row_feature_table",
+            "cleaning.aggregate_stats",
+            "correlation.correlate",
+            "kernels.count_inversions",
+        },
+        "classify": classify,
+        "flags": {"cleaning.aggregate_stats"},
+    }
+    for stage, spans in expected.items():
+        path = tmp_path / f"{stage}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(TRACER), str(path), stage, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(path.read_text())}
+        assert spans <= names, stage

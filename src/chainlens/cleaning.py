@@ -104,15 +104,16 @@ class FeatureTable:
 def derive_ptsc(circulating_supply, total_supply) -> np.ndarray:
     """Public token supply coverage: circulating over total supply.
 
-    Absent (NaN) wherever total supply is absent or not positive.
-    Ratios above 1 (dirty data, which ``Dataset.build`` already flags)
-    are kept; dropping them would bias any downstream survival
-    statistic.
+    Absent (NaN) wherever total supply is absent or not positive, or
+    the ratio overflows (a tiny positive total). Ratios above 1 (dirty
+    data, which ``Dataset.build`` already flags) are kept; dropping
+    them would bias any downstream survival statistic.
     """
     circ = np.asarray(circulating_supply, dtype=np.float64)
     tot = np.asarray(total_supply, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(tot > 0, circ / tot, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = circ / tot
+    return np.where((tot > 0) & np.isfinite(ratio), ratio, np.nan)
 
 
 def feature_values(dataset: Dataset, name: str, rows) -> np.ndarray:
@@ -207,15 +208,13 @@ def max_normalize(column: np.ndarray) -> np.ndarray:
     return out
 
 
-_AGGREGATE_COLUMNS = ("price", "max_supply", "total_supply", "volume_24h", "ptsc")
-
-
 def aggregate_stats(
     dataset: Dataset,
+    columns: Sequence[str],
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-coin mean and population std of price, max_supply,
-    total_supply, volume_24h and ptsc.
+    """Per-coin mean and population std of each of ``columns`` (panel
+    columns or ``ptsc``, as in :func:`feature_values`).
 
     Each column maps to a (means, stds) pair of arrays in
     ``dataset.keys`` order. ``date_range`` is an inclusive (start, end)
@@ -227,7 +226,7 @@ def aggregate_stats(
     offsets = dataset.offsets
     n_coins = len(dataset.keys)
     out = {}
-    for name in _AGGREGATE_COLUMNS:
+    for name in columns:
         values = feature_values(dataset, name, slice(None))
         keep = in_range & ~np.isnan(values)
         means = np.full(n_coins, np.nan)

@@ -423,7 +423,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    volume = aggregate_stats(ds, cfg.date_range)["volume_24h"]
+    volume = aggregate_stats(ds, ("volume_24h",), cfg.date_range)["volume_24h"]
     # each coin's last row on or before the cutoff; -1 for none
     last = ds.last_rows(ds.resolve_cutoff(cfg.cutoff_date))
     rows = last[last >= 0]
@@ -688,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--end", metavar="YYYY-MM-DD", help="range end (inclusive)")
     common.add_argument(
         "--format",
-        choices=["csv", "json", "svg"],
+        choices=FORMATS,
         help="artifact richness: csv only, +json summaries, +svg figures",
     )
 
@@ -725,14 +725,10 @@ def main(argv=None) -> int:
     try:
         config = build_config(args.config, overrides)
         summary = run(args.command, config)
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
     except ChainlensError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     print(summary)
     return 0
 

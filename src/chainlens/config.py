@@ -23,12 +23,6 @@ from .rules import CLASSIFIER_KINDS, METHODS, check_date_range, parse_day
 
 FORMATS = ("csv", "json", "svg")
 
-# Settings the 'api' block may carry. The key comes from the
-# environment and the date range from the top-level start/end fields.
-API_KEYS = frozenset(
-    {"base_url", "rate_limit", "max_attempts", "backoff_seconds", "cache_dir"}
-)
-
 
 class ConfigError(ChainlensError):
     """Invalid configuration file or flag value; a usage error."""
@@ -59,6 +53,18 @@ def _check_types(values: dict, cls, where: str = "") -> None:
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             expected = " or ".join(dict.fromkeys(what for _, what in spellings))
             raise ConfigError(f"{where}{name} must be {expected}, got {value!r}")
+
+
+def _check_block(block: str, values: dict, cls, reserved: set) -> None:
+    """Raise ConfigError unless the ``block`` settings name fields of
+    ``cls`` other than ``reserved``, each spelled as its type."""
+    allowed = {f.name for f in fields(cls)} - reserved
+    bad = set(values) - allowed
+    if bad:
+        raise ConfigError(
+            f"unknown {block!r} settings {sorted(bad)}; allowed: {sorted(allowed)}"
+        )
+    _check_types(values, cls, f"{block!r} setting ")
 
 
 @dataclass(frozen=True)
@@ -100,29 +106,17 @@ class RunConfig:
             raise ConfigError(
                 "api_key does not belong in a config file; set CHAINLENS_API_KEY"
             )
-        bad_api = set(self.api) - API_KEYS
-        if bad_api:
-            raise ConfigError(
-                f"unknown 'api' settings {sorted(bad_api)}; allowed: {sorted(API_KEYS)}"
-            )
         if self.api:  # the api and synthetic modules load only for their blocks
             from .api import ApiClientConfig
 
-            _check_types(self.api, ApiClientConfig, "'api' setting ")
+            # the key comes from the environment, the range from start/end
+            _check_block("api", self.api, ApiClientConfig, {"api_key", "date_range"})
         if "seed" in self.generate:
             raise ConfigError("set the seed at the top level, not inside 'generate'")
         if self.generate:
             from .synthetic import SyntheticSpec
 
-            # every SyntheticSpec knob but the seed, which is top-level
-            allowed = {f.name for f in fields(SyntheticSpec)} - {"seed"}
-            bad_gen = set(self.generate) - allowed
-            if bad_gen:
-                raise ConfigError(
-                    f"unknown 'generate' settings {sorted(bad_gen)}; "
-                    f"allowed: {sorted(allowed)}"
-                )
-            _check_types(self.generate, SyntheticSpec, "'generate' setting ")
+            _check_block("generate", self.generate, SyntheticSpec, {"seed"})
         days = {name: getattr(self, name) for name in ("cutoff", "start", "end")}
         days["'generate' start_day"] = self.generate.get("start_day")
         for name, value in days.items():

@@ -11,7 +11,8 @@ Method conventions:
 * Absent values are deleted pairwise per coefficient; nothing is
   imputed here. Each report cell carries its effective sample size.
 * Coefficients that are undefined (fewer than two pairs, a constant
-  side, an all-tied side) are reported as absent, never as zero.
+  side, an all-tied side, Pearson sums that are not finite) are
+  reported as absent, never as zero.
 """
 
 from __future__ import annotations
@@ -115,13 +116,19 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise UndefinedCorrelationError("pearson undefined: x side is constant")
     if np.all(y == y[0]):
         raise UndefinedCorrelationError("pearson undefined: y side is constant")
-    xc = x - x.mean()
-    yc = y - y.mean()
     # np.sum, not np.dot: BLAS's summation order depends on its thread count
-    denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        cross = float(np.sum(xc * yc))
+        denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
+    if not (math.isfinite(cross) and math.isfinite(denom)):
+        raise UndefinedCorrelationError(
+            "pearson undefined: its sums or their product are not finite"
+        )
     if denom == 0.0:
         raise UndefinedCorrelationError("pearson undefined: zero variance")
-    return min(1.0, max(-1.0, float(np.sum(xc * yc)) / denom))
+    return min(1.0, max(-1.0, cross / denom))
 
 
 def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
@@ -331,7 +338,7 @@ def price_factor_report(
     )
 
     # per coin, each column's (means, stds)
-    stats = aggregate_stats(dataset, date_range)
+    stats = aggregate_stats(dataset, ("price",) + AGGREGATE_FACTORS, date_range)
     aggregate = tuple(
         _pair(f"{base}_price", f"{which}_{factor}", method, price_stat, factor_stat)
         for method in METHODS

@@ -19,8 +19,6 @@ from typing import Sequence
 
 from .errors import ChainlensError
 
-PLOT_KINDS = ("pareto", "elbow", "metrics")
-
 METRIC_SERIES = ("precision", "recall", "f1", "accuracy")
 _SERIES_COLORS = ("#4878a8", "#e49444", "#5aa469", "#d1605e")
 
@@ -192,6 +190,22 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
     return "\n".join(parts)
 
 
+# Each plot kind: the values plotted from one artifact row, the chart
+# drawing them and their header.
+_PLOTS = {
+    "pareto": (
+        lambda row: (pareto_label(row["bucket_start"], row["bucket_end"]),
+                     float(row["count"]), float(row["cumulative_pct"])),
+        pareto_chart, ("bucket", "count", "cumulative_pct"),
+    ),
+    "elbow": (lambda row: (int(row["k"]), float(row["wcss"])), elbow_chart, ("k", "wcss")),
+    "metrics": (
+        lambda row: (row["classifier"], *(float(row[name]) for name in METRIC_SERIES)),
+        metrics_chart, ("classifier",) + METRIC_SERIES,
+    ),
+}
+
+
 def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
     """Chart plus the plotted numbers for one artifact's parsed rows.
 
@@ -200,27 +214,13 @@ def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
     unknown artifact kind, a missing column or a cell that is not a
     finite number (an integer for elbow's ``k``).
     """
-    if kind not in PLOT_KINDS:
+    if kind not in _PLOTS:
         raise ChainlensError(
-            f"unknown plot artifact kind {kind!r}; expected one of {PLOT_KINDS}"
+            f"unknown plot artifact kind {kind!r}; expected one of {tuple(_PLOTS)}"
         )
+    read, chart, header = _PLOTS[kind]
     try:
-        if kind == "pareto":
-            plotted = [
-                (
-                    pareto_label(row["bucket_start"], row["bucket_end"]),
-                    float(row["count"]),
-                    float(row["cumulative_pct"]),
-                )
-                for row in rows
-            ]
-        elif kind == "elbow":
-            plotted = [(int(row["k"]), float(row["wcss"])) for row in rows]
-        else:
-            plotted = [
-                (row["classifier"],) + tuple(float(row[series]) for series in METRIC_SERIES)
-                for row in rows
-            ]
+        plotted = [read(row) for row in rows]
     except KeyError as exc:
         raise ChainlensError(f"{kind} artifact lacks the column {exc}") from None
     except (TypeError, ValueError) as exc:  # a cell missing or not a number
@@ -229,9 +229,4 @@ def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
         for value in row:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ChainlensError(f"{kind} artifact has a non-finite cell: {value}")
-    chart, header = {
-        "pareto": (pareto_chart, ("bucket", "count", "cumulative_pct")),
-        "elbow": (elbow_chart, ("k", "wcss")),
-        "metrics": (metrics_chart, ("classifier",) + METRIC_SERIES),
-    }[kind]
     return chart(plotted), header, plotted

@@ -35,6 +35,7 @@ one ``CoinSnapshot``.
 import base64
 import csv
 import json
+import math
 import warnings
 from dataclasses import fields
 from fractions import Fraction
@@ -606,12 +607,13 @@ def oracle_save_model(trained, path):
 
 
 def _oracle_ptsc(snapshot):
-    """Circulating over total supply, NaN when either is absent or the
-    total is not positive."""
+    """Circulating over total supply, NaN when either is absent, the
+    total is not positive or the ratio overflows."""
     circulating, total = snapshot.circulating_supply, snapshot.total_supply
     if circulating is None or total is None or not total > 0:
         return float("nan")
-    return circulating / total
+    ratio = circulating / total
+    return ratio if math.isfinite(ratio) else float("nan")
 
 
 def _oracle_column_stats(values):

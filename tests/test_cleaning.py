@@ -45,6 +45,14 @@ class TestDerivePtsc:
     def test_absent_total_returns_absent(self):
         assert np.isnan(derive_ptsc([5.0], [np.nan])[0])
 
+    def test_overflowing_ratio_returns_absent(self):
+        # a tiny positive total passes every loader but overflows the ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = derive_ptsc([5.0, 5.0], [1e-310, 1e-300])
+        assert np.isnan(out[0])
+        assert out[1] == pytest.approx(5e300)
+
     def test_ratio_above_one_kept(self):
         # circulating > total is flagged once, by Dataset.build
         assert derive_ptsc([30.0], [20.0])[0] == pytest.approx(1.5)
@@ -214,7 +222,7 @@ class TestAggregateStats:
         )
 
     def test_population_std_convention(self):
-        stats = aggregate_stats(self.make())
+        stats = aggregate_stats(self.make(), ("price", "ptsc"))
         means, stds = stats["price"]
         assert means[0] == 2.0
         assert stds[0] == 1.0  # population std of [1, 3]
@@ -222,32 +230,32 @@ class TestAggregateStats:
 
     def test_arrays_follow_the_coin_keys(self):
         ds = self.make()
-        stats = aggregate_stats(ds)
+        stats = aggregate_stats(ds, ("ptsc", "price", "max_supply"))
         assert ds.keys == ("A_A", "B_B")
-        assert list(stats) == ["price", "max_supply", "total_supply", "volume_24h", "ptsc"]
+        assert list(stats) == ["ptsc", "price", "max_supply"]  # the named ones only
         for means, stds in stats.values():
             assert means.shape == stds.shape == (2,)
 
     def test_single_observation_has_mean_but_absent_std(self):
-        means, stds = aggregate_stats(self.make())["price"]
+        means, stds = aggregate_stats(self.make(), ("price",))["price"]
         assert means[1] == 5.0
         assert np.isnan(stds[1])
 
     def test_no_observations_absent_entries(self):
-        means, stds = aggregate_stats(self.make())["volume_24h"]
+        means, stds = aggregate_stats(self.make(), ("volume_24h",))["volume_24h"]
         assert np.isnan(means[1]) and np.isnan(stds[1])
 
     def test_date_range_filters(self):
-        means, _ = aggregate_stats(self.make(), (day(1), day(1)))["price"]
+        means, _ = aggregate_stats(self.make(), ("price",), (day(1), day(1)))["price"]
         assert means[0] == 3.0
         assert np.isnan(means[1])
 
     def test_empty_range_errors(self):
         with pytest.raises(ChainlensError):
-            aggregate_stats(self.make(), (day(2), day(1)))
+            aggregate_stats(self.make(), ("price",), (day(2), day(1)))
 
     def test_disjoint_coins_independent(self):
-        means, _ = aggregate_stats(self.make())["price"]
+        means, _ = aggregate_stats(self.make(), ("price",))["price"]
         assert means[0] != means[1]
 
 

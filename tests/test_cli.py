@@ -25,7 +25,7 @@ from chainlens.cli import (
 )
 from chainlens.config import FORMATS, ConfigError, RunConfig
 from chainlens.dataset import CSV_HEADER, load_csv
-from chainlens.errors import ChainlensError
+from chainlens.errors import ApiError, ChainlensError, UndefinedCorrelationError
 from chainlens.rules import CLASSIFIER_KINDS
 
 # Small planted panel: 20 coins over ~400 days keeps every stage under
@@ -424,6 +424,23 @@ class TestUsageErrors:
         assert rc == 2
         assert "CHAINLENS_API_KEY" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_unknown_api_setting_lists_the_allowed_ones(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"api": {"base_url": "http://x", "retries": 3}}', encoding="utf-8")
+        assert run_stage("ingest", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "unknown 'api' settings ['retries']; allowed: ['backoff_seconds',"
+            " 'base_url', 'cache_dir', 'max_attempts', 'rate_limit']",
+        }
+
+    def test_unknown_format_exits_2_with_the_argparse_message(self, tmp_path, capsys):
+        assert run_stage("correlate", "--out", str(tmp_path), "--format", "xml") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "chainlens correlate: error: argument --format: invalid choice: 'xml'"
+            " (choose from 'csv', 'json', 'svg')"
+        )
+
     def test_seed_inside_generate_block_exits_2(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"generate": {"seed": 3}}', encoding="utf-8")
@@ -492,6 +509,22 @@ class TestUsageErrors:
 
 
 class TestRuntimeErrors:
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ConfigError, 2), (ChainlensError, 1), (ApiError, 1), (UndefinedCorrelationError, 1)],
+    )
+    def test_one_json_line_and_the_exit_code_of_the_error_class(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def fail(command, config):
+            raise error("went wrong")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert run_stage("lifetimes", "--out", str(tmp_path)) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": error.__name__, "message": "went wrong"}) + "\n"
+
     def test_stage_without_dataset_exits_1(self, tmp_path, capsys):
         rc = run_stage("lifetimes", "--out", str(tmp_path))
         assert rc == 1
@@ -838,6 +871,51 @@ class TestClassifySummary:
         assert sorted(named) == sorted(doc["classifiers"])
 
 
+class TestOverflowingSupplyRatio:
+    """A positive total supply so small that circulating over it
+    overflows passes the loaders; ptsc is then absent on that row, as
+    for an absent total."""
+
+    @staticmethod
+    def panel_with_total(pipeline_dir, out: Path, total: str) -> Path:
+        with (pipeline_dir / "dataset.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        circulating = header.index("circulating_supply")
+        row = next(r for r in rows if r[circulating] and float(r[circulating]) > 0)
+        row[header.index("total_supply")] = total
+        out.mkdir()
+        with (out / "dataset.csv").open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        return out
+
+    @staticmethod
+    def price_ptsc_pearson(out: Path) -> dict:
+        with (out / "correlations.csv").open(newline="", encoding="utf-8") as fh:
+            return {
+                (r["var_a"], r["var_b"]): r
+                for r in csv.DictReader(fh)
+                if r["method"] == "pearson" and r["var_b"].endswith("ptsc")
+                and r["var_a"].endswith("price")
+            }
+
+    @pytest.mark.filterwarnings("ignore::chainlens.errors.DataQualityWarning")  # circ > total
+    def test_every_stage_exits_0_and_reads_the_ratio_as_absent(
+        self, pipeline_dir, tmp_path
+    ):
+        tiny = self.panel_with_total(pipeline_dir, tmp_path / "tiny", "1e-310")
+        for stage in PIPELINE[1:]:
+            assert run_stage(stage, "--out", str(tiny), "--seed", "7") == 0, stage
+        blank = self.panel_with_total(pipeline_dir, tmp_path / "blank", "")
+        assert run_stage("correlate", "--out", str(blank)) == 0
+        got = self.price_ptsc_pearson(tiny)
+        assert got == self.price_ptsc_pearson(blank)
+        for cell in (("price", "ptsc"), ("mean_price", "mean_ptsc")):
+            coefficient = float(got[cell]["coefficient"])
+            assert np.isfinite(coefficient) and coefficient != -1.0  # not clamped NaN
+        before = self.price_ptsc_pearson(pipeline_dir)[("price", "ptsc")]
+        assert int(got[("price", "ptsc")]["n"]) == int(before["n"]) - 1
+
+
 class TestPlot:
     @pytest.mark.parametrize("artifact", ["pareto", "elbow", "metrics"])
     def test_replots_pipeline_artifacts(self, pipeline_dir, tmp_path, artifact):
@@ -861,15 +939,13 @@ class TestPlot:
         assert replot == (pipeline_dir / f"{artifact}.svg").read_bytes()
 
     def test_unknown_artifact_kind_exits_1(self, pipeline_dir, tmp_path, capsys):
-        rc = run_stage(
-            "plot",
-            "--input",
-            str(pipeline_dir / "correlations.csv"),
-            "--out",
-            str(tmp_path),
-        )
-        assert rc == 1
-        assert "correlations" in json.loads(capsys.readouterr().err)["message"]
+        source = pipeline_dir / "correlations.csv"
+        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": f"{source}: unknown plot artifact kind 'correlations';"
+            " expected one of ('pareto', 'elbow', 'metrics')",
+        }
         assert not (tmp_path / "correlations.svg").exists()
 
     @pytest.mark.parametrize(

@@ -167,6 +167,22 @@ class TestUndefinedCases:
         with pytest.raises(UndefinedCorrelationError):
             correlate(method, [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [1e200, 2e200, 3e200],  # the squares overflow
+            [1.0, 2.0, math.inf],  # inf - inf in the centring is NaN
+        ],
+    )
+    def test_pearson_sums_that_are_not_finite(self, y):
+        with pytest.raises(UndefinedCorrelationError, match="not finite"):
+            correlate("pearson", [1.0, 2.0, 3.0], y)
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    def test_rank_methods_read_the_order_of_huge_values(self, method):
+        assert correlate(method, [1.0, 2.0, 3.0], [1e200, 2e200, 3e200]) == 1.0
+        assert correlate(method, [1.0, 2.0, 3.0], [1.0, 2.0, math.inf]) == 1.0
+
 
 class TestPairwiseDeletion:
     @pytest.mark.parametrize("method", METHODS)

@@ -1,9 +1,12 @@
 """The documented examples run as written: the package docstring's
 doctest and the README's Library code block; the README's artifact
-table is the CLI's stage table, and every ``ds.NAME`` it mentions is
-a Dataset attribute."""
+table is the CLI's stage table, its ``api`` example names exactly the
+keys the block takes, and every ``ds.NAME`` it mentions is a Dataset
+attribute."""
 
+import ast
 import doctest
+import json
 import re
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 
 import chainlens
 from chainlens.cli import COMMANDS
+from chainlens.config import ConfigError, RunConfig
 from chainlens.dataset import Dataset
 from chainlens.rules import CLASSIFIER_KINDS
 
@@ -54,3 +58,13 @@ def test_readme_dataset_names_are_dataset_attributes():
     ds = Dataset.build([])  # an instance, so attributes set in __init__ count
     assert names
     assert sorted(name for name in names if not hasattr(ds, name)) == []
+
+
+def test_readme_api_example_names_every_api_key():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    [example] = [doc for doc in map(json.loads, blocks) if "api" in doc]
+    RunConfig(**example)  # the example is a valid config
+    with pytest.raises(ConfigError) as error:
+        RunConfig(api={"not_a_key": 1})
+    allowed = ast.literal_eval(str(error.value).split("allowed: ", 1)[1])
+    assert sorted(example["api"]) == allowed

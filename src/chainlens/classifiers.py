@@ -39,9 +39,12 @@ writes with ``jsonable`` as its ``default``, and rebuilt from one
 (``from_doc``). Format 2 stores each array as the base64 of its exact
 little-endian bytes.
 
-The discriminative kinds (logistic regression, linear SVM, decision
-tree, random forest) refuse single-class training sets; Gaussian NB
-and KNN degenerate gracefully to constant / majority behavior.
+``fit_classifier`` is the one checked way to fit a kind: it checks the
+settings (``resolve_hyperparameters``) and the data, then calls the
+kind's fitter, which only fits. The discriminative kinds (logistic
+regression, linear SVM, decision tree, random forest) refuse
+single-class training sets; Gaussian NB and KNN degenerate gracefully
+to constant / majority behavior.
 """
 
 from __future__ import annotations
@@ -71,13 +74,6 @@ def _validate_xy(X, y):
     if not np.all((y == 0) | (y == 1)):
         raise ChainlensError("labels must be 0 or 1")
     return X, y.astype(np.int64)
-
-
-def _require_both_classes(y, kind):
-    if np.unique(y).shape[0] < 2:
-        raise ChainlensError(
-            f"{kind} needs both classes in the training set"
-        )
 
 
 def _validate_matrix(X, n_features):
@@ -137,25 +133,17 @@ class LinearModel:
         return (X @ self.weights + self.bias >= 0.0).astype(np.int64)
 
 
-def fit_logistic_regression(X, y, hyperparameters, seed: int = 0) -> LinearModel:
-    X, y = _validate_xy(X, y)
-    _require_both_classes(y, "logistic_regression")
-    hp = _checked_settings("logistic_regression", hyperparameters)
+def _fit_logistic_regression(X, y, hp, seed) -> LinearModel:
     params = np.zeros(X.shape[1] + 1, dtype=np.float64)
     for _ in range(hp["iterations"]):
         w = params[:-1]
         grad = _logistic_gradient(w, X @ w + params[-1], X, y, hp["l2"])
         params -= hp["learning_rate"] * grad
-    return LinearModel(
-        weights=params[:-1], bias=float(params[-1]), hyperparameters=dict(hp)
-    )
+    return LinearModel(weights=params[:-1], bias=float(params[-1]), hyperparameters=hp)
 
 
-def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
+def _fit_linear_svm(X, y, hp, seed) -> LinearModel:
     # full-batch subgradient descent on mean hinge loss + L2
-    X, y = _validate_xy(X, y)
-    _require_both_classes(y, "linear_svm")
-    hp = _checked_settings("linear_svm", hyperparameters)
     signs = np.where(y == 1, 1.0, -1.0)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
@@ -169,7 +157,7 @@ def fit_linear_svm(X, y, hyperparameters, seed: int = 0) -> LinearModel:
         grad_b = -float(violating_signs.sum()) / n
         w -= hp["learning_rate"] * grad_w
         b -= hp["learning_rate"] * grad_b
-    return LinearModel(weights=w, bias=float(b), hyperparameters=dict(hp))
+    return LinearModel(weights=w, bias=float(b), hyperparameters=hp)
 
 
 def _gini_pair(pos: np.ndarray, total: np.ndarray, out=None) -> np.ndarray:
@@ -553,10 +541,7 @@ class DecisionTreeModel:
         return _tree_predict(self.tree, X)
 
 
-def fit_decision_tree(X, y, hyperparameters, seed: int = 0) -> DecisionTreeModel:
-    X, y = _validate_xy(X, y)
-    _require_both_classes(y, "decision_tree")
-    hp = _checked_settings("decision_tree", hyperparameters)
+def _fit_decision_tree(X, y, hp, seed) -> DecisionTreeModel:
     (tree,) = _build_trees(
         _presort(X),
         y,
@@ -566,9 +551,7 @@ def fit_decision_tree(X, y, hyperparameters, seed: int = 0) -> DecisionTreeModel
         max_features=None,
         rngs=None,
     )
-    return DecisionTreeModel(
-        tree=tree, n_features=X.shape[1], hyperparameters=dict(hp)
-    )
+    return DecisionTreeModel(tree=tree, n_features=X.shape[1], hyperparameters=hp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,10 +584,7 @@ def _forest_max_features(setting, d: int) -> int | None:
     return None if setting in ("all", None) else setting
 
 
-def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel:
-    X, y = _validate_xy(X, y)
-    _require_both_classes(y, "random_forest")
-    hp = _checked_settings("random_forest", hyperparameters)
+def _fit_random_forest(X, y, hp, seed) -> RandomForestModel:
     n_trees, bootstrap = hp["n_trees"], hp["bootstrap"]
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
     data = _presort(X)
@@ -630,7 +610,7 @@ def fit_random_forest(X, y, hyperparameters, seed: int = 0) -> RandomForestModel
     return RandomForestModel(
         trees=tuple(tree for first in range(0, n_trees, batch) for tree in grow(first)),
         n_features=X.shape[1],
-        hyperparameters=dict(hp),
+        hyperparameters=hp,
     )
 
 
@@ -668,9 +648,7 @@ class GaussianNBModel:
         return self.classes[np.argmax(scores, axis=1)]
 
 
-def fit_gaussian_nb(X, y, hyperparameters, seed: int = 0) -> GaussianNBModel:
-    X, y = _validate_xy(X, y)
-    hp = _checked_settings("gaussian_nb", hyperparameters)
+def _fit_gaussian_nb(X, y, hp, seed) -> GaussianNBModel:
     classes = np.unique(y)
     # smoothing floor keyed to the largest feature variance, so scale
     # invariance of the decision rule is preserved
@@ -690,7 +668,7 @@ def fit_gaussian_nb(X, y, hyperparameters, seed: int = 0) -> GaussianNBModel:
         priors=priors,
         means=means,
         variances=variances,
-        hyperparameters=dict(hp),
+        hyperparameters=hp,
     )
 
 
@@ -703,7 +681,6 @@ class KNNModel:
     def __post_init__(self):
         if self.train_y.shape != (self.train_X.shape[0],):
             raise ChainlensError("knn needs one label per training row")
-        _checked_settings("knn", self.hyperparameters)
 
     @property
     def n_features(self) -> int:
@@ -742,15 +719,15 @@ class KNNModel:
         return out
 
 
-def fit_knn(X, y, hyperparameters, seed: int = 0) -> KNNModel:
-    X, y = _validate_xy(X, y)
-    return KNNModel(train_X=X, train_y=y, hyperparameters=dict(hyperparameters))
+def _fit_knn(X, y, hp, seed) -> KNNModel:
+    return KNNModel(train_X=X, train_y=y, hyperparameters=hp)
 
 
 class Kind(NamedTuple):
-    fit: Callable  # (X, y, hyperparameters, seed) -> model
+    fit: Callable  # (X, y, hyperparameters, seed) -> model; fit_classifier checks them
     model: type
     defaults: dict
+    one_class: bool  # whether it fits a training set of one class
 
 
 _LINEAR = {"learning_rate": 0.1, "iterations": 1000, "l2": 1e-4}
@@ -760,12 +737,12 @@ _FOREST = {"n_trees": 100, **_CART, "bootstrap": True, "max_features": "sqrt"}
 # kind -> fitter, model class and default hyperparameters, in the
 # order of CLASSIFIER_KINDS
 KINDS: dict[str, Kind] = dict(zip(CLASSIFIER_KINDS, (
-    Kind(fit_logistic_regression, LinearModel, _LINEAR),
-    Kind(fit_linear_svm, LinearModel, _LINEAR),
-    Kind(fit_decision_tree, DecisionTreeModel, _CART),
-    Kind(fit_random_forest, RandomForestModel, _FOREST),
-    Kind(fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}),
-    Kind(fit_knn, KNNModel, {"k": 5}),
+    Kind(_fit_logistic_regression, LinearModel, _LINEAR, False),
+    Kind(_fit_linear_svm, LinearModel, _LINEAR, False),
+    Kind(_fit_decision_tree, DecisionTreeModel, _CART, False),
+    Kind(_fit_random_forest, RandomForestModel, _FOREST, False),
+    Kind(_fit_gaussian_nb, GaussianNBModel, {"var_smoothing": 1e-9}, True),
+    Kind(_fit_knn, KNNModel, {"k": 5}, True),
 ), strict=True))
 
 
@@ -792,17 +769,10 @@ _SETTINGS = {
 }
 
 
-def _checked_settings(kind: str, hp: dict) -> dict:
-    """``hp``, once none of the kind's settings fails its test; the
-    first that does is a ChainlensError."""
-    for name in KINDS[kind].defaults:
-        wants, ok = _SETTINGS[name]
-        if not ok(hp.get(name)):
-            raise ChainlensError(f"{kind} needs {wants}, got {hp.get(name)!r}")
-    return hp
-
-
 def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:
+    """The kind's defaults with ``overrides`` applied: a ChainlensError
+    names an unknown kind or setting, or the first setting that fails
+    its test."""
     if kind not in KINDS:
         raise ChainlensError(
             f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}"
@@ -814,11 +784,21 @@ def resolve_hyperparameters(kind: str, overrides: dict | None = None) -> dict:
                 f"{kind} has no hyperparameter {name!r}; valid: {sorted(hp)}"
             )
         hp[name] = value
+    for name, value in hp.items():
+        wants, ok = _SETTINGS[name]
+        if not ok(value):
+            raise ChainlensError(f"{kind} needs {wants}, got {value!r}")
     return hp
 
 
 def fit_classifier(kind: str, X, y, hyperparameters: dict | None = None, seed: int = 0):
+    """A ``kind`` model fit to features ``X`` and 0/1 labels ``y``, once
+    the settings, the data and, for a kind that needs them, both classes
+    pass their checks."""
     hp = resolve_hyperparameters(kind, hyperparameters)
+    X, y = _validate_xy(X, y)
+    if not KINDS[kind].one_class and np.unique(y).shape[0] < 2:
+        raise ChainlensError(f"{kind} needs both classes in the training set")
     return KINDS[kind].fit(X, y, hp, seed)
 
 

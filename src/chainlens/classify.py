@@ -36,7 +36,6 @@ from .classifiers import (
     CLASSIFIER_KINDS,
     KINDS,
     MODEL_FORMAT_VERSION,
-    _checked_settings,
     _validate_matrix,
     fit_classifier,
     from_doc,
@@ -447,7 +446,7 @@ def load_model(path: str | Path) -> TrainedModel:
     if type(seed) is not int:
         raise ChainlensError(f"model file {path}: seed must be an integer")
     try:
-        _checked_settings(kind, hyperparameters)
+        hyperparameters = resolve_hyperparameters(kind, hyperparameters)
         normalizer = from_doc(Normalizer, doc["normalizer"])
         model = from_doc(KINDS[kind].model, doc["parameters"], hyperparameters=hyperparameters)
     except ChainlensError as exc:  # a hyperparameter or field value, or a model check

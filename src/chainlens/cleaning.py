@@ -22,6 +22,7 @@ Conventions used throughout this module (and everywhere downstream):
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -220,7 +221,8 @@ def aggregate_stats(
     ``dataset.keys`` order. ``date_range`` is an inclusive (start, end)
     pair; either side may be None for open-ended. Statistics use the
     present values in range only: a coin with none gets NaN for both,
-    a coin with one gets NaN for its std.
+    a coin with one gets NaN for its std. Both stay finite where the
+    values are (:func:`_finite_stat`).
     """
     in_range = dataset.in_range(date_range)
     offsets = dataset.offsets
@@ -231,15 +233,27 @@ def aggregate_stats(
         keep = in_range & ~np.isnan(values)
         means = np.full(n_coins, np.nan)
         stds = np.full(n_coins, np.nan)
-        for index in range(n_coins):
-            rows = slice(offsets[index], offsets[index + 1])
-            present = values[rows][keep[rows]]
-            if present.shape[0] >= 1:
-                means[index] = present.mean()
-            if present.shape[0] >= 2:
-                stds[index] = present.std()
+        with np.errstate(over="ignore"):
+            for index in range(n_coins):
+                rows = slice(offsets[index], offsets[index + 1])
+                present = values[rows][keep[rows]]
+                if present.shape[0] >= 1:
+                    means[index] = _finite_stat(present, np.mean)
+                if present.shape[0] >= 2:
+                    stds[index] = _finite_stat(present, np.std)
         out[name] = (means, stds)
     return out
+
+
+def _finite_stat(present: np.ndarray, stat) -> float:
+    """``stat`` (``np.mean`` or ``np.std``) of the finite ``present``.
+    Where a sum or a square overflows, it is taken over the values
+    divided by their largest magnitude and scaled back."""
+    value = stat(present)
+    if math.isfinite(value):
+        return value
+    scale = np.abs(present).max()
+    return scale * stat(present / scale)
 
 
 def row_feature_table(

@@ -1,10 +1,10 @@
 """K-means clustering with k-means++ seeding and elbow k selection.
 
-Determinism contract: identical (points, k, seed, restarts) give an
-identical model. Every restart draws from an independent generator
-seeded with (seed, restart index), restarts are compared by WCSS with
-ties going to the earliest restart, and assignment ties go to the
-lowest cluster id. Cluster ids carry no ordinal meaning.
+Determinism contract: identical (points, k, seed) give an identical
+model. Each of the ``RESTARTS`` restarts draws from an independent
+generator seeded with (seed, restart index), restarts are compared by
+WCSS with ties going to the earliest restart, and assignment ties go
+to the lowest cluster id. Cluster ids carry no ordinal meaning.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ChainlensError
 CLUSTER_FEATURES = ("market_cap", "volume_24h", "num_market_pairs", "ptsc") + EXTENDED_COLUMNS
 
 MAX_ITERATIONS = 300
-DEFAULT_RESTARTS = 10
+RESTARTS = 10
 
 # monotonicity guard: float rounding can wiggle WCSS by ~1e-16
 # relative, a genuine Lloyd bug moves it at data scale
@@ -121,13 +121,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray):
     return centroids, assignments, cost, iterations
 
 
-def kmeans_fit(
-    points,
-    k: int,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> ClusterModel:
-    """Best-WCSS model over independent k-means++ restarts.
+def kmeans_fit(points, k: int, seed: int = 0) -> ClusterModel:
+    """Best-WCSS model over ``RESTARTS`` independent k-means++ restarts.
 
     Each restart runs Lloyd iterations to an assignment fixpoint (or
     the iteration cap); WCSS is checked nonincreasing at every half
@@ -138,10 +133,8 @@ def kmeans_fit(
         raise ChainlensError(f"k must be >= 1, got {k}")
     if k > pts.shape[0]:
         raise ChainlensError(f"k={k} exceeds the {pts.shape[0]} available points")
-    if restarts < 1:
-        raise ChainlensError("restarts must be >= 1")
     best = None
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = np.random.default_rng([seed, restart])
         centroids = _plusplus_init(pts, k, rng)
         centroids, assignments, cost, iterations = _lloyd(pts, centroids)
@@ -162,12 +155,7 @@ def kmeans_fit(
     )
 
 
-def elbow(
-    points,
-    k_range: tuple[int, int] = (1, 30),
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> ElbowCurve:
+def elbow(points, k_range: tuple[int, int] = (1, 30), seed: int = 0) -> ElbowCurve:
     """WCSS curve over a k range plus the elbow's k and its model.
 
     The elbow is the interior point of the curve (both axes scaled to
@@ -184,7 +172,7 @@ def elbow(
             f"k_max={k_max} exceeds the {pts.shape[0]} available points"
         )
     ks = tuple(range(k_min, k_max + 1))
-    models = [kmeans_fit(pts, k, seed=seed, restarts=restarts) for k in ks]
+    models = [kmeans_fit(pts, k, seed=seed) for k in ks]
     costs = tuple(model.wcss for model in models)
     chosen_k = _pick_elbow(ks, costs)
     return ElbowCurve(ks=ks, wcss=costs, chosen_k=chosen_k, model=models[chosen_k - k_min])

@@ -121,11 +121,12 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         xc = x - x.mean()
         yc = y - y.mean()
         cross = float(np.sum(xc * yc))
-        denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
+        sxx, syy = float(np.sum(xc * xc)), float(np.sum(yc * yc))
+    product = sxx * syy
+    # finite sums whose product overflows: the product of their roots
+    denom = math.sqrt(product) if math.isfinite(product) else math.sqrt(sxx) * math.sqrt(syy)
     if not (math.isfinite(cross) and math.isfinite(denom)):
-        raise UndefinedCorrelationError(
-            "pearson undefined: its sums or their product are not finite"
-        )
+        raise UndefinedCorrelationError("pearson undefined: its sums are not finite")
     if denom == 0.0:
         raise UndefinedCorrelationError("pearson undefined: zero variance")
     return min(1.0, max(-1.0, cross / denom))

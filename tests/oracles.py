@@ -345,7 +345,7 @@ def oracle_level_tree(X, y, weights, min_samples_split, max_depth, max_features,
 
 
 def oracle_forest_trees(X, y, hyperparameters, seed=0):
-    """The trees ``fit_random_forest`` grew with ``oracle_level_tree``."""
+    """The trees ``fit_classifier("random_forest", ...)`` grew with ``oracle_level_tree``."""
     hp = hyperparameters
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
     trees = []
@@ -619,9 +619,20 @@ def _oracle_ptsc(snapshot):
 def _oracle_column_stats(values):
     present = values[~np.isnan(values)]
     n = present.shape[0]
-    mean = float(present.mean()) if n >= 1 else None
-    std = float(present.std()) if n >= 2 else None
+    mean = _oracle_stat(present, "mean") if n >= 1 else None
+    std = _oracle_stat(present, "std") if n >= 2 else None
     return mean, std
+
+
+def _oracle_stat(present, method):
+    """``present.mean()`` or ``present.std()``; where that overflows,
+    the same of the values over their largest magnitude, times it."""
+    with np.errstate(over="ignore"):
+        value = float(getattr(present, method)())
+        if math.isfinite(value):
+            return value
+        scale = float(np.max(np.abs(present)))
+        return scale * float(getattr(present / scale, method)())
 
 
 def oracle_aggregate_stats(dataset, date_range=None):

@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,57 @@ class TestRetryPolicy:
             with pytest.raises(ApiError) as excinfo:
                 fetch_history(config_for(server, tmp_path, max_attempts=2))
         assert not isinstance(excinfo.value, RateLimitError)
+
+
+def closed_port():
+    """A loopback port nothing listens on: bound, then closed."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestNetworkErrors:
+    def setup_method(self):
+        self.base_url = f"http://127.0.0.1:{closed_port()}"
+        self.message = (
+            f"history API unavailable after 2 attempts to {self.base_url}/v1/history "
+            "(last: network error:"
+        )
+
+    def test_refused_connections_exhaust_to_api_error(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        config = ApiClientConfig(
+            base_url=self.base_url,
+            api_key="test-key",
+            max_attempts=2,
+            backoff_seconds=0.01,
+            cache_dir=cache,
+        )
+        with pytest.raises(ApiError) as excinfo:
+            fetch_history(config)
+        assert not isinstance(excinfo.value, RateLimitError)
+        assert str(excinfo.value).startswith(self.message)
+        assert list(cache.iterdir()) == []
+
+    def test_ingest_exits_1_with_one_json_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHAINLENS_API_KEY", "test-key")
+        cache = tmp_path / "cache"
+        api = {
+            "base_url": self.base_url,
+            "max_attempts": 2,
+            "backoff_seconds": 0.01,
+            "cache_dir": str(cache),
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"api": api}), encoding="utf-8")
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        error = json.loads(err)
+        assert error["error"] == "ApiError"
+        assert error["message"].startswith(self.message)
+        assert not cache.exists() or list(cache.iterdir()) == []
 
 
 class TestAuthentication:

@@ -12,10 +12,6 @@ from chainlens.classifiers import (
     _build_trees,
     _presort,
     fit_classifier,
-    fit_decision_tree,
-    fit_gaussian_nb,
-    fit_knn,
-    fit_random_forest,
     jsonable,
     logistic_loss_and_gradient,
     resolve_hyperparameters,
@@ -106,7 +102,7 @@ class TestDecisionTree:
     def test_single_split_on_1d_separable(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert np.array_equal(model.predict(X), y)
         # one internal node splitting at the midpoint of -1 and 1
         internal = model.tree["feature"] >= 0
@@ -116,7 +112,7 @@ class TestDecisionTree:
     def test_grows_two_levels_when_first_split_gains(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 1, 1, 0, 0])
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert np.array_equal(model.predict(X), y)
         assert (model.tree["feature"] >= 0).sum() == 2
 
@@ -124,7 +120,7 @@ class TestDecisionTree:
         # XOR: no single axis split lowers Gini, so the root stays a leaf
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert np.all(model.tree["feature"] == -1)
         assert np.array_equal(model.predict(X), np.zeros(4, dtype=int))
 
@@ -132,7 +128,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
         hp = dict(KINDS["decision_tree"].defaults, min_samples_split=10)
-        model = fit_decision_tree(X, y, hp)
+        model = fit_classifier("decision_tree", X, y, hp)
         assert np.all(model.tree["feature"] == -1)  # a single leaf
         # majority tie between the classes resolves to label 0
         assert np.array_equal(model.predict(X), np.zeros(4, dtype=int))
@@ -142,15 +138,15 @@ class TestDecisionTree:
         rng = np.random.default_rng(5)
         X = rng.uniform(-3.0, 3.0, size=(200, 1))
         y = (np.abs(X[:, 0]) < 1.0).astype(int)
-        stump = fit_decision_tree(X, y, dict(KINDS["decision_tree"].defaults, max_depth=1))
+        stump = fit_classifier("decision_tree", X, y, {"max_depth": 1})
         assert (stump.tree["feature"] >= 0).sum() == 1
         assert np.mean(stump.predict(X) == y) < 1.0
-        full = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        full = fit_classifier("decision_tree", X, y)
         assert np.array_equal(full.predict(X), y)
 
     def test_single_class_rejected(self):
         with pytest.raises(ChainlensError):
-            fit_decision_tree(np.zeros((4, 2)), np.ones(4, dtype=int), KINDS["decision_tree"].defaults)
+            fit_classifier("decision_tree", np.zeros((4, 2)), np.ones(4, dtype=int))
 
     def test_adjacent_float_values_split_apart(self):
         # the midpoint of these two rounds up to the larger one
@@ -158,13 +154,13 @@ class TestDecisionTree:
         X = np.array([[low], [np.nextafter(low, 2.0)]])
         y = np.array([0, 1])
         hp = dict(KINDS["decision_tree"].defaults, max_depth=1)
-        model = fit_decision_tree(X, y, hp)
+        model = fit_classifier("decision_tree", X, y, hp)
         assert np.array_equal(model.predict(X), y)
 
     def test_duplicate_feature_rows_fall_back_to_majority(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([0, 1, 1])
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert np.array_equal(model.predict(X), np.array([1, 1, 1]))
 
 
@@ -214,13 +210,13 @@ class TestCompactTrees:
         rng = np.random.default_rng(24)
         for _ in range(30):
             X, y = tied_matrix(rng)
-            assert_compact(fit_decision_tree(X, y, KINDS["decision_tree"].defaults).tree)
+            assert_compact(fit_classifier("decision_tree", X, y).tree)
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_forest_trees(self, bootstrap):
         X, y = continuous_blobs(np.random.default_rng(25))
         hp = dict(KINDS["random_forest"].defaults, n_trees=6, bootstrap=bootstrap)
-        forest = fit_random_forest(X, y, hp, seed=5)
+        forest = fit_classifier("random_forest", X, y, hp, seed=5)
         assert len(forest.trees) == 6
         for tree in forest.trees:
             assert_compact(tree)
@@ -232,7 +228,7 @@ class TestCompactTrees:
         X = np.zeros((4, 131))
         X[:, 130] = [0.0, 0.0, 1.0, 1.0]
         y = np.array([0, 0, 1, 1])
-        tree = fit_decision_tree(X, y, KINDS["decision_tree"].defaults).tree
+        tree = fit_classifier("decision_tree", X, y).tree
         assert tree["feature"].tolist() == [130, -1, -1]
         assert tree["feature"].dtype == np.int16 and tree["label"].dtype == np.int8
 
@@ -250,7 +246,7 @@ class TestCartAgainstOracle:
                 min_samples_split=int(rng.integers(2, 6)),
                 max_depth=None if rng.random() < 0.5 else int(rng.integers(0, 5)),
             )
-            model = fit_decision_tree(X, y, hp)
+            model = fit_classifier("decision_tree", X, y, hp)
             assert_same_tree(
                 model.tree,
                 oracle_compact(
@@ -263,7 +259,7 @@ class TestCartAgainstOracle:
     def test_continuous_features_match(self):
         rng = np.random.default_rng(22)
         X, y = two_blobs(rng, n_per=150, separation=1.0, d=3)
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert_same_tree(model.tree, oracle_compact(level_order(oracle_build_tree(X, y))))
 
     def test_weighted_build_matches_duplicated_rows(self):
@@ -300,7 +296,7 @@ class TestSignedZeros:
     def test_zeros_of_both_signs_stay_together(self):
         X = np.array([[-0.0], [0.0]] * 3)
         y = np.array([0, 1] * 3)
-        model = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        model = fit_classifier("decision_tree", X, y)
         assert model.tree["feature"].tolist() == [-1]
 
     def test_trees_match_the_oracles(self):
@@ -313,18 +309,18 @@ class TestSignedZeros:
             zero = X[:, 0] == 0
             both += np.any(zero & np.signbit(X[:, 0])) and np.any(zero & ~np.signbit(X[:, 0]))
             ones = np.ones(X.shape[0], dtype=np.int64)
-            tree = fit_decision_tree(X, y, hp).tree
+            tree = fit_classifier("decision_tree", X, y, hp).tree
             assert_same_tree(
                 tree, oracle_compact(oracle_level_tree(X, y, ones, 2, None, None, None))
             )
-            forest = fit_random_forest(X, y, forest_hp, seed=5)
+            forest = fit_classifier("random_forest", X, y, forest_hp, seed=5)
             for got, want in zip(forest.trees, oracle_forest_trees(X, y, forest_hp, seed=5)):
                 assert_same_tree(got, oracle_compact(want))
             # every -0.0 made +0.0: the same trees, so no row changed child
             unsigned = X + 0.0
             assert not np.any(np.signbit(unsigned) & (unsigned == 0))
-            assert_same_tree(fit_decision_tree(unsigned, y, hp).tree, tree)
-            unsigned_forest = fit_random_forest(unsigned, y, forest_hp, seed=5)
+            assert_same_tree(fit_classifier("decision_tree", unsigned, y, hp).tree, tree)
+            unsigned_forest = fit_classifier("random_forest", unsigned, y, forest_hp, seed=5)
             for got, want in zip(unsigned_forest.trees, forest.trees):
                 assert_same_tree(got, want)
         assert both >= 20
@@ -355,7 +351,7 @@ class TestForestAgainstOracle:
                 max_depth=None if rng.random() < 0.5 else int(rng.integers(0, 6)),
             )
             seed = int(rng.integers(0, 2**31))
-            forest = fit_random_forest(X, y, hp, seed=seed)
+            forest = fit_classifier("random_forest", X, y, hp, seed=seed)
             expected = oracle_forest_trees(X, y, hp, seed=seed)
             assert len(forest.trees) == len(expected)
             for tree, oracle_tree in zip(forest.trees, expected):
@@ -368,7 +364,7 @@ class TestForestAgainstOracle:
             X, y = continuous_blobs(rng)
             monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
             hp = dict(KINDS["random_forest"].defaults, n_trees=5, max_features=1)
-            forest = fit_random_forest(X, y, hp, seed=7)
+            forest = fit_classifier("random_forest", X, y, hp, seed=7)
             for tree, oracle_tree in zip(forest.trees, oracle_forest_trees(X, y, hp, 7)):
                 assert_same_tree(tree, oracle_compact(oracle_tree))
 
@@ -396,7 +392,7 @@ class TestForestBatches:
         monkeypatch.setattr(classifiers, "_build_trees", failing_build)
         hp = dict(KINDS["random_forest"].defaults, n_trees=6)
         with pytest.raises(ChainlensError) as raised:
-            fit_random_forest(X, y, hp, seed=0)
+            fit_classifier("random_forest", X, y, hp, seed=0)
         assert raised.value is error
         assert len(calls) == failing  # no later batch starts
 
@@ -411,10 +407,10 @@ class TestScanBlocks:
         rng = np.random.default_rng(51)
         cases = [make(rng) for make in (tied_matrix, continuous_blobs) for _ in range(8)]
         hp = KINDS["decision_tree"].defaults
-        baseline = [forest_text(fit_decision_tree(X, y, hp)) for X, y in cases]
+        baseline = [forest_text(fit_classifier("decision_tree", X, y, hp)) for X, y in cases]
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         for (X, y), text in zip(cases, baseline):
-            model = fit_decision_tree(X, y, hp)
+            model = fit_classifier("decision_tree", X, y, hp)
             ones = np.ones(X.shape[0], dtype=np.int64)
             assert_same_tree(
                 model.tree, oracle_compact(oracle_level_tree(X, y, ones, 2, None, None, None))
@@ -426,10 +422,10 @@ class TestScanBlocks:
         X, y = two_blobs(np.random.default_rng(52), n_per=20, separation=1.0, d=3)
         hp = dict(KINDS["random_forest"].defaults, n_trees=6)
         expected = [oracle_compact(tree) for tree in oracle_forest_trees(X, y, hp, seed=3)]
-        baseline = forest_text(fit_random_forest(X, y, hp, seed=3))
+        baseline = forest_text(fit_classifier("random_forest", X, y, hp, seed=3))
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", 2 * X.size)  # 2 trees a batch
-        forest = fit_random_forest(X, y, hp, seed=3)
+        forest = fit_classifier("random_forest", X, y, hp, seed=3)
         assert len(forest.trees) == len(expected)
         for tree, want in zip(forest.trees, expected):
             assert_same_tree(tree, want)
@@ -458,7 +454,7 @@ class TestScanBlocks:
         X = np.column_stack([column, column])
         y = np.array([1, 0, 0, 0, 0, 1])
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
-        model = fit_decision_tree(X, y, dict(KINDS["decision_tree"].defaults, max_depth=1))
+        model = fit_classifier("decision_tree", X, y, {"max_depth": 1})
         assert model.tree["feature"].tolist() == [0, -1, -1]
         assert model.tree["threshold"].tolist() == [0.5]
         assert model.tree["label"].tolist() == [1, 0]
@@ -533,7 +529,7 @@ class TestBuilderMemory:
         hp = dict(KINDS["random_forest"].defaults, n_trees=n_trees)
         tracemalloc.start()
         try:
-            forest = fit_random_forest(X, y, hp, seed=seed)
+            forest = fit_classifier("random_forest", X, y, hp, seed=seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -572,8 +568,8 @@ class TestRandomForest:
             bootstrap=False,
             max_features="all",
         )
-        forest = fit_random_forest(X, y, hp, seed=0)
-        tree = fit_decision_tree(X, y, KINDS["decision_tree"].defaults)
+        forest = fit_classifier("random_forest", X, y, hp, seed=0)
+        tree = fit_classifier("decision_tree", X, y)
         probe = rng.normal(loc=1.5, size=(300, X.shape[1]))
         assert np.array_equal(forest.predict(probe), tree.predict(probe))
 
@@ -581,7 +577,7 @@ class TestRandomForest:
         rng = np.random.default_rng(7)
         X, y = two_blobs(rng, n_per=50, separation=4.0)
         hp = dict(KINDS["random_forest"].defaults, n_trees=15)
-        model = fit_random_forest(X, y, hp, seed=1)
+        model = fit_classifier("random_forest", X, y, hp, seed=1)
         assert np.mean(model.predict(X) == y) >= 0.99
 
     def test_deterministic_per_seed(self):
@@ -589,15 +585,13 @@ class TestRandomForest:
         X, y = two_blobs(rng, n_per=25, separation=2.0)
         hp = dict(KINDS["random_forest"].defaults, n_trees=7)
         probe = rng.normal(size=(50, X.shape[1]))
-        a = fit_random_forest(X, y, hp, seed=5).predict(probe)
-        b = fit_random_forest(X, y, hp, seed=5).predict(probe)
+        a = fit_classifier("random_forest", X, y, hp, seed=5).predict(probe)
+        b = fit_classifier("random_forest", X, y, hp, seed=5).predict(probe)
         assert np.array_equal(a, b)
 
     def test_single_class_rejected(self):
         with pytest.raises(ChainlensError):
-            fit_random_forest(
-                np.zeros((4, 2)), np.zeros(4, dtype=int), KINDS["random_forest"].defaults
-            )
+            fit_classifier("random_forest", np.zeros((4, 2)), np.zeros(4, dtype=int))
 
     @pytest.mark.parametrize(
         "override, message",
@@ -619,7 +613,7 @@ class TestRandomForest:
         X, y = two_blobs(np.random.default_rng(8), n_per=10, d=3)
         hp = dict(KINDS["random_forest"].defaults, **override)
         with pytest.raises(ChainlensError, match=message):
-            fit_random_forest(X, y, hp)
+            fit_classifier("random_forest", X, y, hp)
 
     @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
     @pytest.mark.parametrize(
@@ -690,7 +684,7 @@ class TestGaussianNB:
         rng = np.random.default_rng(9)
         X = np.concatenate([rng.normal(-3.0, 1.0, 500), rng.normal(3.0, 1.0, 500)])
         y = np.array([0] * 500 + [1] * 500)
-        model = fit_gaussian_nb(X.reshape(-1, 1), y, KINDS["gaussian_nb"].defaults)
+        model = fit_classifier("gaussian_nb", X.reshape(-1, 1), y)
         grid = np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
         predictions = model.predict(grid)
         switches = np.flatnonzero(np.diff(predictions) != 0)
@@ -700,13 +694,13 @@ class TestGaussianNB:
 
     def test_single_class_degrades_to_constant(self):
         X = np.random.default_rng(10).normal(size=(10, 3))
-        model = fit_gaussian_nb(X, np.ones(10, dtype=int), KINDS["gaussian_nb"].defaults)
+        model = fit_classifier("gaussian_nb", X, np.ones(10, dtype=int))
         assert np.array_equal(model.predict(X), np.ones(10, dtype=int))
 
     def test_constant_features_do_not_crash(self):
         X = np.ones((8, 2))
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        model = fit_gaussian_nb(X, y, KINDS["gaussian_nb"].defaults)
+        model = fit_classifier("gaussian_nb", X, y)
         out = model.predict(np.ones((3, 2)))
         assert out.shape == (3,)
 
@@ -716,37 +710,37 @@ class TestKNN:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, size=30)
-        model = fit_knn(X, y, {"k": 1})
+        model = fit_classifier("knn", X, y, {"k": 1})
         assert np.array_equal(model.predict(X), y)
 
     def test_k2_tie_goes_to_smaller_label(self):
         X = np.array([[0.0], [2.0]])
         y = np.array([0, 1])
-        model = fit_knn(X, y, {"k": 2})
+        model = fit_classifier("knn", X, y, {"k": 2})
         assert model.predict(np.array([[1.0]]))[0] == 0
 
     def test_distance_tie_goes_to_smaller_training_index(self):
         # both training points at distance 1; k=1 must take index 0
         X = np.array([[1.0], [-1.0]])
         y = np.array([1, 0])
-        model = fit_knn(X, y, {"k": 1})
+        model = fit_classifier("knn", X, y, {"k": 1})
         assert model.predict(np.array([[0.0]]))[0] == 1
 
     def test_k_equals_n_predicts_majority(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(9, 2))
         y = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0])
-        model = fit_knn(X, y, {"k": 9})
+        model = fit_classifier("knn", X, y, {"k": 9})
         probe = rng.normal(size=(20, 2))
         assert np.array_equal(model.predict(probe), np.ones(20, dtype=int))
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ChainlensError):
-            fit_knn(np.zeros((4, 2)), np.array([0, 1, 0, 1]), {"k": 0})
+            fit_classifier("knn", np.zeros((4, 2)), np.array([0, 1, 0, 1]), {"k": 0})
 
     def test_single_class_degrades_gracefully(self):
         X = np.zeros((4, 2))
-        model = fit_knn(X, np.zeros(4, dtype=int), {"k": 5})
+        model = fit_classifier("knn", X, np.zeros(4, dtype=int), {"k": 5})
         assert np.array_equal(model.predict(np.ones((2, 2))), np.zeros(2, dtype=int))
 
 
@@ -762,7 +756,7 @@ class TestKNNAgainstOracle:
             y = rng.integers(0, 2, size=n)
             probe = rng.integers(-2, 3, size=(int(rng.integers(1, 30)), d))
             probe = probe.astype(np.float64)
-            model = fit_knn(X, y, {"k": k})
+            model = fit_classifier("knn", X, y, {"k": k})
             assert np.array_equal(
                 model.predict(probe), oracle_knn_predict(X, y, k, probe)
             )
@@ -782,7 +776,7 @@ class TestKNNAgainstOracle:
             X = base[rng.permutation(np.repeat(np.arange(base.shape[0]), copies))]
             y = rng.integers(0, 2, size=X.shape[0])
             probe = np.vstack([offset + rng.normal(size=(20, d)), base])
-            model = fit_knn(X, y, {"k": k})
+            model = fit_classifier("knn", X, y, {"k": k})
             assert np.array_equal(
                 model.predict(probe), oracle_knn_predict(X, y, k, probe)
             )
@@ -832,6 +826,16 @@ class TestCommonBehavior:
     def test_overrides_apply(self):
         hp = resolve_hyperparameters("knn", {"k": 9})
         assert hp == {"k": 9}
+
+    def test_a_bad_setting_is_named_before_bad_data(self):
+        with pytest.raises(ChainlensError, match=r"^knn needs k >= 1, got 0$"):
+            resolve_hyperparameters("knn", {"k": 0})
+        with pytest.raises(ChainlensError, match=r"^knn needs k >= 1, got 0$"):
+            fit_classifier("knn", np.array([[np.nan]]), np.array([2]), {"k": 0})
+
+    def test_fit_classifier_is_the_one_public_fitter(self):
+        public = {name for name in vars(classifiers) if name.startswith("fit")}
+        assert public == {"fit_classifier"}
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ChainlensError):

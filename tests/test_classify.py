@@ -412,6 +412,10 @@ class TestFitPredict:
         with pytest.raises(ChainlensError):
             ClassifierSpec.make("nearest_centroid")
 
+    def test_bad_setting_rejected_when_the_spec_is_made(self):
+        with pytest.raises(ChainlensError, match=r"^random_forest needs n_trees >= 1, got 0$"):
+            ClassifierSpec.make("random_forest", {"n_trees": 0})
+
 
 class TestEvaluate:
     def test_hand_confusion_table(self):

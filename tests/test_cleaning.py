@@ -1,8 +1,11 @@
 """Cleaning transforms: derived features, imputation, normalization."""
 
 import datetime as dt
+import decimal
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from chainlens.cleaning import (
     FeatureTable,
     aggregate_stats,
     derive_ptsc,
+    feature_values,
     impute_max_supply,
     impute_mean,
     max_normalize,
@@ -257,6 +261,51 @@ class TestAggregateStats:
     def test_disjoint_coins_independent(self):
         means, _ = aggregate_stats(self.make(), ("price",))["price"]
         assert means[0] != means[1]
+
+
+def exact_mean_std(values):
+    """The mean and population std of ``values``: the mean and variance
+    as exact fractions, the root taken in 40-digit decimal."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / len(xs)
+    with decimal.localcontext() as context:
+        context.prec = 40
+        std = (Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt()
+    return float(mean), float(std)
+
+
+class TestAggregateStatsOfHugeValues:
+    """A coin whose finite values overflow numpy's sum or squares still
+    gets a finite mean and std."""
+
+    @pytest.mark.parametrize(
+        "name, cells",
+        [
+            ("price", [{"price": 0.0}, {"price": 1.5625e308}]),  # found by hypothesis
+            ("price", [{"price": 1.5e308}, {"price": 1.6e308}]),
+            ("price", [{"price": 1.0}, {"price": 1.6e308}, {"price": 1.7e308}]),
+            ("price", [{"price": 1.7e308}] * 3),
+            (
+                "ptsc",
+                [
+                    {"circulating_supply": 1e-3, "total_supply": 1e-310},
+                    {"circulating_supply": 1e-4, "total_supply": 1e-310},
+                ],
+            ),
+        ],
+    )
+    def test_matches_exact_arithmetic(self, name, cells):
+        with warnings.catch_warnings():  # circulating over total is only a note
+            warnings.simplefilter("ignore", DataQualityWarning)
+            ds = Dataset.build([CoinSnapshot("A_A", day(i), **c) for i, c in enumerate(cells)])
+        values = feature_values(ds, name, slice(None))
+        with np.errstate(over="ignore"):  # numpy's own statistics overflow here
+            assert not (np.isfinite(values.mean()) and np.isfinite(values.std()))
+        means, stds = aggregate_stats(ds, (name,))[name]
+        for got, want in zip((means[0], stds[0]), exact_mean_std(values.tolist())):
+            assert math.isfinite(got)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
 
 
 class TestRowFeatureTable:

@@ -178,6 +178,14 @@ class TestUndefinedCases:
         with pytest.raises(UndefinedCorrelationError, match="not finite"):
             correlate("pearson", [1.0, 2.0, 3.0], y)
 
+    def test_pearson_of_finite_sums_whose_product_overflows(self):
+        # sxx = 2e200 and syy ~ 4.7e200: each finite, their product not
+        huge = correlate("pearson", [1e100, 2e100, 3e100], [1e100, 2e100, 4e100])
+        assert huge == 0.9819805060619656
+        unscaled = correlate("pearson", [1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+        assert unscaled == 0.9819805060619659
+        assert math.isclose(huge, unscaled, rel_tol=1e-15)
+
     @pytest.mark.parametrize("method", ["spearman", "kendall"])
     def test_rank_methods_read_the_order_of_huge_values(self, method):
         assert correlate(method, [1.0, 2.0, 3.0], [1e200, 2e200, 3e200]) == 1.0

@@ -19,6 +19,11 @@ effect on every artifact is known exactly.
   and changes nothing else: correlations are scale-free, and the
   max-scaled cluster features and mean/std-normalized classifier
   features come out bit for bit the same.
+* Increasing transform: taking the square root of every ``volume_24h``
+  value keeps their order and, on this panel, makes no new ties, so
+  every Spearman and Kendall coefficient of the volume rows (pooled
+  and in the pairwise matrix) stays bit for bit the same, as does
+  every cell that does not read volume.
 
 Each run goes through ``chainlens.cli.main`` in-process on a 20-coin
 panel.
@@ -29,6 +34,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -198,3 +204,38 @@ def test_doubled_volume_changes_only_the_volume_values(generated, tmp_path):
         factor = np.where(np.array(old["feature_names"]) == "volume_24h", 2.0, 1.0)
         for part in ("means", "scales"):
             assert np.array_equal(array(new_norm[part]), factor * array(old_norm[part])), name
+
+
+def test_increasing_transform_keeps_the_rank_coefficients(generated, tmp_path):
+    header, rows = panel_lines(generated)
+    at = header.split(b",").index(b"volume_24h")
+    values = sorted({float(row.split(b",")[at]) for row in rows if row.split(b",")[at]})
+    roots = [math.sqrt(v) for v in values]
+    assert all(a < b for a, b in zip(roots, roots[1:]))  # no new ties
+
+    def rooted(row):
+        cells = row.split(b",")
+        if cells[at]:
+            cells[at] = repr(math.sqrt(float(cells[at]))).encode()
+        return b",".join(cells)
+
+    rooted_rows = [rooted(row) for row in rows]
+    transformed = ingest_rows(tmp_path, header, rooted_rows, stages=("correlate",))
+    old = csv_rows(generated["correlations.csv"])
+    new = csv_rows(transformed["correlations.csv"])
+    assert len(new) == len(old) and new[0] == old[0]
+    ranked, moved = [], set()
+    for was, now in zip(old[1:], new[1:]):
+        var_a, var_b, method = was[:3]
+        assert now[:3] == was[:3] and now[4] == was[4]  # the same pair over the same n
+        if method != "pearson" and "volume_24h" in (var_a, var_b):
+            ranked.append(now[3])
+            assert now == was
+        elif "volume_24h" not in var_a + var_b:
+            assert now == was
+        elif now != was:
+            moved.add((var_a, var_b, method))
+    # pooled Spearman and Kendall, and volume's five matrix pairs
+    assert len(ranked) == 7 and all(ranked)
+    # Pearson reads the values themselves, so it does see the transform
+    assert ("price", "volume_24h", "pearson") in moved

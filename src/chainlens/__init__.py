@@ -5,7 +5,7 @@ risk classification over daily coin snapshots. The usual flow:
 
     >>> from chainlens import SyntheticSpec, generate_synthetic, lifetimes
     >>> ds = generate_synthetic(SyntheticSpec(n_coins=10, seed=1))
-    >>> len(lifetimes(ds))
+    >>> lifetimes(ds).disappeared.size
     10
 
 Each stage also exists as a CLI subcommand (``chainlens --help``).

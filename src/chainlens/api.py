@@ -23,6 +23,7 @@ import contextlib
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .dataset import (
     Chunk,
     ColumnParser,
     Dataset,
-    snapshot_from_mapping,
+    check_record,
 )
 from .errors import (
     ApiError,
@@ -69,12 +70,13 @@ class ApiClientConfig:
     def __post_init__(self):
         if not self.base_url.strip():
             raise ApiError("base_url must be non-empty")
-        if self.rate_limit <= 0:
+        # NaN fails every comparison, so each check asks for the valid side
+        if not self.rate_limit > 0:
             raise ApiError(f"rate_limit must be positive, got {self.rate_limit}")
         if self.max_attempts < 1:
             raise ApiError(f"max_attempts must be at least 1, got {self.max_attempts}")
-        if self.backoff_seconds < 0:
-            raise ApiError("backoff_seconds cannot be negative")
+        if not 0 <= self.backoff_seconds < math.inf:
+            raise ApiError(f"backoff_seconds must be finite and >= 0, got {self.backoff_seconds}")
         if self.date_range is not None:
             check_date_range(*self.date_range, ApiError)
 
@@ -168,15 +170,15 @@ def _parse_page(body: str) -> dict:
 
 
 def _check_row(row, page: int) -> None:
-    """Raise the error the row-by-row parser gives for one flagged row."""
+    """Raise the error the row-by-row check gives for one flagged row."""
     if type(row) is not dict:
         raise ApiError(f"page {page} row is not a JSON object: {row!r:.80}")
     for field in CSV_HEADER:
         if field not in row:
             raise SchemaDriftError(field, f"page {page} row")
     try:
-        snapshot_from_mapping(row)
-    except (ValueError, KeyError) as exc:
+        check_record(row)
+    except ValueError as exc:
         raise ApiError(f"bad value in page {page} row: {exc}") from exc
 
 
@@ -184,7 +186,7 @@ def _parse_rows(parser: ColumnParser, rows, page: int) -> Chunk:
     """Parse one page's rows into a chunk of columns.
 
     Raises for the page's first row that lacks a field or holds a bad
-    value, with the row-by-row parser's error.
+    value, with the row-by-row check's error.
     """
     if type(rows) is not list:
         raise ApiError(f"page {page} data is not a JSON list: {rows!r:.80}")

@@ -44,6 +44,7 @@ from .classifiers import (
 )
 from .cleaning import (
     FeatureTable,
+    _finite_stat,
     derive_ptsc,
     impute_max_supply,
     impute_mean,
@@ -156,7 +157,7 @@ def label_risky(
     data; labels always reflect each coin's full observed history
     against the cutoff.
     """
-    risky = np.array([r.disappeared for r in lifetimes(dataset, cutoff)], dtype=np.int64)
+    risky = lifetimes(dataset, cutoff).disappeared.astype(np.int64)
     table, _ = prepare_features(dataset, date_range)
     coins = dataset.codes[table.rows]
     return LabeledTable(
@@ -224,8 +225,11 @@ class Normalizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Normalizer":
-        means = X.mean(axis=0)
-        scales = X.std(axis=0)  # population convention, as everywhere
+        with np.errstate(over="ignore"):
+            means, scales = X.mean(axis=0), X.std(axis=0)  # population std, as everywhere
+            for stats, stat in ((means, np.mean), (scales, np.std)):
+                for j in np.flatnonzero(~np.isfinite(stats)):  # its sums overflow
+                    stats[j] = _finite_stat(X[:, j], stat)
         scales = np.where(scales == 0.0, 1.0, scales)
         return cls(means=means, scales=scales)
 

@@ -168,8 +168,11 @@ def impute_max_supply(table: FeatureTable) -> FeatureTable:
         )
     if mask.all():
         return table
+    top = float(col[mask].max())  # a Python float overflows to inf without a warning
+    if math.isinf(top * 1000.0):
+        raise ChainlensError(f"cannot impute column 'max_supply': 1000x its max {top} overflows")
     filled = col.copy()
-    filled[~mask] = col[mask].max() * 1000.0
+    filled[~mask] = top * 1000.0
     return table.with_columns(max_supply=filled)
 
 

@@ -294,15 +294,18 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
 def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
-    records = lifetimes(ds, cutoff)
-    summary = survival_summary(records)
-    buckets = pareto(records)
+    coins = lifetimes(ds, cutoff)
+    summary = survival_summary(coins)
+    buckets = pareto(coins)
     writer.write_csv(
         "lifetimes.csv",
         ("key", "first_day", "last_day", "lifetime_days", "disappeared"),
-        (
-            (r.key, r.first_day, r.last_day, r.lifetime_days, str(r.disappeared).lower())
-            for r in records
+        zip(
+            ds.keys,
+            isoformat_days(coins.first_days),
+            isoformat_days(coins.last_days),
+            coins.lifetime_days.tolist(),
+            ("true" if gone else "false" for gone in coins.disappeared.tolist()),
         ),
     )
     writer.write_csv(

@@ -11,7 +11,7 @@ Method conventions:
 * Absent values are deleted pairwise per coefficient; nothing is
   imputed here. Each report cell carries its effective sample size.
 * Coefficients that are undefined (fewer than two pairs, a constant
-  side, an all-tied side, Pearson sums that are not finite) are
+  side, an all-tied side, Pearson over an infinite value) are
   reported as absent, never as zero.
 """
 
@@ -111,11 +111,8 @@ def _tie_pairs(new_group: np.ndarray) -> int:
     return int(np.sum(lengths * (lengths - 1) // 2))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if np.all(x == x[0]):
-        raise UndefinedCorrelationError("pearson undefined: x side is constant")
-    if np.all(y == y[0]):
-        raise UndefinedCorrelationError("pearson undefined: y side is constant")
+def _pearson_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The cross sum and the root of the two squared sums of the centred sides."""
     # np.sum, not np.dot: BLAS's summation order depends on its thread count
     with np.errstate(over="ignore", invalid="ignore"):
         xc = x - x.mean()
@@ -125,6 +122,20 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     product = sxx * syy
     # finite sums whose product overflows: the product of their roots
     denom = math.sqrt(product) if math.isfinite(product) else math.sqrt(sxx) * math.sqrt(syy)
+    return cross, denom
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    if np.all(x == x[0]):
+        raise UndefinedCorrelationError("pearson undefined: x side is constant")
+    if np.all(y == y[0]):
+        raise UndefinedCorrelationError("pearson undefined: y side is constant")
+    cross, denom = _pearson_sums(x, y)
+    defined = math.isfinite(cross) and math.isfinite(denom) and denom > 0.0
+    if not defined and np.isfinite(x).all() and np.isfinite(y).all():
+        # sums that over- or underflow: again over each side scaled exactly, by a
+        # power of two, to a largest magnitude in [0.5, 1) (Blue 1978's scaled norm)
+        cross, denom = _pearson_sums(*(np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y)))
     if not (math.isfinite(cross) and math.isfinite(denom)):
         raise UndefinedCorrelationError("pearson undefined: its sums are not finite")
     if denom == 0.0:

@@ -20,10 +20,10 @@ A :class:`Dataset` holds its rows as columns sorted by (coin key, day):
 ``offsets`` cuts the rows into one slice per coin. The loaders parse
 and validate whole columns at once: numbers with vectorized finite and
 ``>= 0`` masks, keys and days once per distinct raw value. The
-row-by-row parser (:func:`snapshot_from_mapping`) runs only on the
-first bad row, to raise its exact error and line number. A number cell
-the vectorized pass cannot take and every cell of the row-by-row parser
-go through one rule, ``_cell``.
+row-by-row check (:func:`check_record`) runs only on the first bad
+row, to raise its exact error and line number. A number cell the
+vectorized pass cannot take and every cell of the row-by-row check go
+through one rule, ``_cell``.
 
 :func:`save_csv` writes the extended columns only when one of them has
 a value, each cell empty when absent, as ``str(int(v))`` when integral
@@ -36,9 +36,9 @@ values from 2**63 on) or its coin prefix is long.
 :class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
 takes snapshots, and ``snapshots`` materializes every row as one from
 the checked columns, without validating them again, for callers that
-want one object per row. No pipeline stage builds snapshots: the
-stages pass row positions (``in_range`` gives the mask of a date
-range) and read columns.
+want one object per row. No loader builds snapshots, not even on bad
+input, and no pipeline stage does: the stages pass row positions
+(``in_range`` gives the mask of a date range) and read columns.
 """
 
 from __future__ import annotations
@@ -388,21 +388,16 @@ def _cell(column: str, raw) -> float | None:
     return value
 
 
-def snapshot_from_mapping(record: Mapping[str, object]) -> CoinSnapshot:
-    """Build a snapshot from string-keyed cells (CSV row or API record).
-
-    Values may be strings (CSV) or already-typed (JSON); missing keys
-    and empty strings / None are treated as absent numeric fields.
-    This is the row-by-row reference parser: the loaders run it on the
-    first row their column checks reject, to raise its exact error.
-    """
-    name = str(record["name"])
-    symbol = str(record["symbol"])
-    date = record["date"]
-    if not isinstance(date, dt.date):
-        date = parse_day(str(date))
-    numbers = {c: _cell(c, record[c]) for c in VALUE_COLUMNS if c in record}
-    return CoinSnapshot(key=coin_key(name, symbol), date=date, **numbers)
+def check_record(record: Mapping[str, object]) -> None:
+    """Raise the ValueError of the first bad field of a row (CSV row or
+    API record): its date, each value column it has in ``VALUE_COLUMNS``
+    order, then its coin key. The loaders run it on the first row their
+    column checks reject, to raise its exact error."""
+    parse_day(str(record["date"]))
+    for column in VALUE_COLUMNS:
+        if column in record:
+            _cell(column, record[column])
+    coin_key(str(record["name"]), str(record["symbol"]))
 
 
 def _cell_value(raw) -> float:
@@ -619,8 +614,8 @@ def load_csv(path: str | Path) -> Dataset:
                 )
                 if bad is not None:
                     try:
-                        snapshot_from_mapping(dict(zip(columns, kept[bad])))
-                    except (ValueError, KeyError) as exc:
+                        check_record(dict(zip(columns, kept[bad])))
+                    except ValueError as exc:
                         raise MalformedRowError(
                             f"{path}: line {line_no + positions[bad]}: {exc}"
                         ) from exc

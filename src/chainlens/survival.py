@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .dataset import Dataset
 from .errors import ChainlensError
@@ -22,19 +24,17 @@ from .errors import ChainlensError
 PARETO_BUCKET_DAYS = 80
 
 
-@dataclass(frozen=True)
-class LifetimeRecord:
-    key: str
-    first_day: dt.date
-    last_day: dt.date
-    lifetime_days: int
-    disappeared: bool
+class Lifetimes(NamedTuple):
+    """Per coin, in ``dataset.keys`` order: the ordinals of its first and
+    last observed days, and whether it disappeared."""
 
-    def __post_init__(self):
-        if self.first_day > self.last_day:
-            raise ValueError(f"{self.key}: first_day after last_day")
-        if self.lifetime_days != (self.last_day - self.first_day).days:
-            raise ValueError(f"{self.key}: lifetime_days inconsistent with dates")
+    first_days: np.ndarray
+    last_days: np.ndarray
+    disappeared: np.ndarray
+
+    @property
+    def lifetime_days(self) -> np.ndarray:
+        return self.last_days - self.first_days
 
 
 @dataclass(frozen=True)
@@ -57,74 +57,47 @@ class SurvivalSummary:
     surviving_gt_1000_days: float | None
 
 
-def lifetimes(dataset: Dataset, cutoff: dt.date | None = None) -> list[LifetimeRecord]:
-    """One record per coin series; disappeared iff last day < cutoff."""
-    if not len(dataset):
-        return []
-    cutoff = dataset.resolve_cutoff(cutoff)
-    firsts = dataset.days[dataset.offsets[:-1]].tolist()
-    lasts = dataset.days[dataset.last_rows()].tolist()
-    records = []
-    for key, first, last in zip(dataset.keys, firsts, lasts):
-        last_day = dt.date.fromordinal(last)
-        records.append(
-            LifetimeRecord(
-                key=key,
-                first_day=dt.date.fromordinal(first),
-                last_day=last_day,
-                lifetime_days=last - first,
-                disappeared=last_day < cutoff,
-            )
-        )
-    return records
+def lifetimes(dataset: Dataset, cutoff: dt.date | None = None) -> Lifetimes:
+    """Each coin's first and last day; disappeared iff last day < cutoff."""
+    last_days = dataset.days[dataset.last_rows()]
+    # an empty panel has no cutoff to resolve, and no coin to compare with it
+    cutoff = dataset.resolve_cutoff(cutoff).toordinal() if len(dataset) else 0
+    return Lifetimes(dataset.days[dataset.offsets[:-1]], last_days, last_days < cutoff)
 
 
-def survival_summary(records: Sequence[LifetimeRecord]) -> SurvivalSummary:
+def survival_summary(coins: Lifetimes) -> SurvivalSummary:
     """Disappearance fraction plus the lifetime-threshold fractions."""
-    if not records:
-        raise ChainlensError("survival_summary needs at least one record")
-    gone = [r for r in records if r.disappeared]
-    alive = [r for r in records if not r.disappeared]
+    if not coins.disappeared.size:
+        raise ChainlensError("survival_summary needs at least one coin")
+    gone = coins.lifetime_days[coins.disappeared]
+    alive = coins.lifetime_days[~coins.disappeared]
 
-    def fraction(subset, predicate):
-        if not subset:
-            return None
-        return sum(1 for r in subset if predicate(r)) / len(subset)
+    def fraction(hits: np.ndarray) -> float | None:
+        return int(np.count_nonzero(hits)) / hits.size if hits.size else None
 
     return SurvivalSummary(
-        total=len(records),
-        disappeared_count=len(gone),
-        disappeared_fraction=len(gone) / len(records),
-        disappeared_lt_80_days=fraction(gone, lambda r: r.lifetime_days < 80),
-        disappeared_lt_365_days=fraction(gone, lambda r: r.lifetime_days < 365),
-        surviving_gt_1000_days=fraction(alive, lambda r: r.lifetime_days > 1000),
+        total=coins.disappeared.size,
+        disappeared_count=gone.size,
+        disappeared_fraction=fraction(coins.disappeared),
+        disappeared_lt_80_days=fraction(gone < 80),
+        disappeared_lt_365_days=fraction(gone < 365),
+        surviving_gt_1000_days=fraction(alive > 1000),
     )
 
 
-def pareto(records: Sequence[LifetimeRecord]) -> tuple[ParetoBucket, ...]:
+def pareto(coins: Lifetimes) -> tuple[ParetoBucket, ...]:
     """Bucket the disappeared coins' lifetimes, order by descending
     count, accumulate percent.
 
     Ties in count break toward the earlier bucket so the ordering is
     deterministic. No disappeared coin yields no buckets.
     """
-    counts: dict[int, int] = {}
-    for record in records:
-        if record.disappeared:
-            start = record.lifetime_days // PARETO_BUCKET_DAYS * PARETO_BUCKET_DAYS
-            counts[start] = counts.get(start, 0) + 1
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    total = sum(counts.values())
-    buckets = []
-    running = 0
-    for start, count in ordered:
-        running += count
-        buckets.append(
-            ParetoBucket(
-                start=start,
-                end=start + PARETO_BUCKET_DAYS,
-                count=count,
-                cumulative_pct=100.0 * running / total,
-            )
+    life = coins.lifetime_days[coins.disappeared]
+    starts, counts = np.unique(life // PARETO_BUCKET_DAYS * PARETO_BUCKET_DAYS, return_counts=True)
+    order = np.argsort(-counts, kind="stable")  # equal counts keep ascending starts
+    return tuple(
+        ParetoBucket(start, start + PARETO_BUCKET_DAYS, count, 100.0 * running / life.size)
+        for start, count, running in zip(
+            starts[order].tolist(), counts[order].tolist(), np.cumsum(counts[order]).tolist()
         )
-    return tuple(buckets)
+    )

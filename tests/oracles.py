@@ -19,7 +19,8 @@ document built by ``to_doc``, then one ``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
-validated ``CoinSnapshot`` per row, sorted with ``sorted``, duplicates
+validated ``CoinSnapshot`` per row (``snapshot_from_mapping``, the
+original row parser), sorted with ``sorted``, duplicates
 and circulating > total rows found by walking the sorted rows, and one
 ``csv.writer`` row per snapshot, each cell by ``_format_cell``.
 ``repr_digits`` reads ``repr``'s digits back as an integer and an
@@ -30,14 +31,19 @@ halfway between two decimals of that length.
 original per-coin paths: one coin's snapshots at a time, a statistic
 absent (None) below its observation floor, and a set of flag names for
 one ``CoinSnapshot``.
+
+``oracle_lifetimes``, ``oracle_survival_summary`` and ``oracle_pareto``
+are the original record-based survival path: one validated
+``LifetimeRecord`` per coin, read back field by field.
 """
 
 import base64
 import csv
+import datetime as dt
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,16 +56,22 @@ from chainlens.dataset import (
     CSV_HEADER,
     EXTENDED_COLUMNS,
     NUMERIC_COLUMNS,
-    snapshot_from_mapping,
+    VALUE_COLUMNS,
+    CoinSnapshot,
+    _cell,
+    coin_key,
     split_coin_key,
 )
 from chainlens.errors import (
     ApiError,
+    ChainlensError,
     DataQualityWarning,
     DuplicateCoinDayError,
     MalformedRowError,
     SchemaDriftError,
 )
+from chainlens.rules import parse_day
+from chainlens.survival import PARETO_BUCKET_DAYS, ParetoBucket, SurvivalSummary
 
 
 def _gini_pair(pos, total):
@@ -448,6 +460,21 @@ def oracle_build(snapshots):
     return tuple(rows), tuple(notes)
 
 
+def snapshot_from_mapping(record):
+    """Build a snapshot from string-keyed cells (CSV row or API record).
+
+    Values may be strings (CSV) or already-typed (JSON); missing keys
+    and empty strings / None are treated as absent numeric fields.
+    """
+    name = str(record["name"])
+    symbol = str(record["symbol"])
+    date = record["date"]
+    if not isinstance(date, dt.date):
+        date = parse_day(str(date))
+    numbers = {c: _cell(c, record[c]) for c in VALUE_COLUMNS if c in record}
+    return CoinSnapshot(key=coin_key(name, symbol), date=date, **numbers)
+
+
 def oracle_load_csv(path):
     """Row-by-row CSV load: ``(snapshots, quality_notes)``."""
     path = Path(path)
@@ -675,3 +702,87 @@ def oracle_manipulability_flags(snapshot, volume):
     elif std / mean > 1.0:
         flags.add("volatile_volume")
     return frozenset(flags)
+
+
+@dataclass(frozen=True)
+class LifetimeRecord:
+    key: str
+    first_day: dt.date
+    last_day: dt.date
+    lifetime_days: int
+    disappeared: bool
+
+    def __post_init__(self):
+        if self.first_day > self.last_day:
+            raise ValueError(f"{self.key}: first_day after last_day")
+        if self.lifetime_days != (self.last_day - self.first_day).days:
+            raise ValueError(f"{self.key}: lifetime_days inconsistent with dates")
+
+
+def oracle_lifetimes(dataset, cutoff=None):
+    """One record per coin series; disappeared iff last day < cutoff."""
+    if not len(dataset):
+        return []
+    cutoff = dataset.resolve_cutoff(cutoff)
+    firsts = dataset.days[dataset.offsets[:-1]].tolist()
+    lasts = dataset.days[dataset.last_rows()].tolist()
+    records = []
+    for key, first, last in zip(dataset.keys, firsts, lasts):
+        last_day = dt.date.fromordinal(last)
+        records.append(
+            LifetimeRecord(
+                key=key,
+                first_day=dt.date.fromordinal(first),
+                last_day=last_day,
+                lifetime_days=last - first,
+                disappeared=last_day < cutoff,
+            )
+        )
+    return records
+
+
+def oracle_survival_summary(records):
+    """Disappearance fraction plus the lifetime-threshold fractions."""
+    if not records:
+        raise ChainlensError("survival_summary needs at least one record")
+    gone = [r for r in records if r.disappeared]
+    alive = [r for r in records if not r.disappeared]
+
+    def fraction(subset, predicate):
+        if not subset:
+            return None
+        return sum(1 for r in subset if predicate(r)) / len(subset)
+
+    return SurvivalSummary(
+        total=len(records),
+        disappeared_count=len(gone),
+        disappeared_fraction=len(gone) / len(records),
+        disappeared_lt_80_days=fraction(gone, lambda r: r.lifetime_days < 80),
+        disappeared_lt_365_days=fraction(gone, lambda r: r.lifetime_days < 365),
+        surviving_gt_1000_days=fraction(alive, lambda r: r.lifetime_days > 1000),
+    )
+
+
+def oracle_pareto(records):
+    """Bucket the disappeared coins' lifetimes, order by descending
+    count (ties toward the earlier bucket), accumulate percent."""
+    counts = {}
+    for record in records:
+        if record.disappeared:
+            start = record.lifetime_days // PARETO_BUCKET_DAYS * PARETO_BUCKET_DAYS
+            counts[start] = counts.get(start, 0) + 1
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    total = sum(counts.values())
+    buckets = []
+    running = 0
+    for start, count in ordered:
+        running += count
+        buckets.append(
+            ParetoBucket(
+                start=start,
+                end=start + PARETO_BUCKET_DAYS,
+                count=count,
+                cumulative_pct=100.0 * running / total,
+            )
+        )
+    return tuple(buckets)

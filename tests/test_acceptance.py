@@ -419,8 +419,8 @@ def test_criterion_8_planted_survival_fractions(criterion_report):
             seed=8,
         )
         ds = generate_synthetic(spec)
-        records = lifetimes(ds, cutoff=spec.end_day)
-        summary = survival_summary(records)
+        coins = lifetimes(ds, cutoff=spec.end_day)
+        summary = survival_summary(coins)
         planted = {
             "disappeared_fraction": (summary.disappeared_fraction, 0.39),
             "disappeared_lt_80_days": (summary.disappeared_lt_80_days, 0.40),
@@ -430,7 +430,7 @@ def test_criterion_8_planted_survival_fractions(criterion_report):
         for name, (got, expected) in planted.items():
             if got != expected:
                 failures.append(f"{name}: {got!r} != {expected!r}")
-        tail = pareto(records)[-1].cumulative_pct
+        tail = pareto(coins)[-1].cumulative_pct
         if abs(tail - 100.0) > 1e-9:
             failures.append(f"pareto cumulative ends at {tail!r}")
         return (

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+import math
 import os
 import socket
 import subprocess
@@ -16,10 +17,11 @@ import chainlens
 from chainlens.api import PAGE_SUFFIX, ApiClientConfig, fetch_history
 from chainlens.cache import read_page, write_page
 from chainlens.cli import main
-from chainlens.dataset import load_csv
+from chainlens.dataset import CoinSnapshot, load_csv
 from chainlens.errors import (
     ApiError,
     AuthenticationError,
+    MalformedRowError,
     RateLimitError,
     SchemaDriftError,
 )
@@ -252,6 +254,52 @@ class TestWrongJsonTypes:
         assert str(caught.value) == f"bad value in page 1 row: {message}"
 
 
+# one bad row's fields and the error of its first bad one: the date,
+# then the value columns in order, then the coin key
+BAD_ROWS = [
+    ({"date": "2021-13-01", "price": "abc"}, "invalid date '2021-13-01'"),
+    ({"price": "abc", "volume_24h": "-1"}, "non-numeric price: 'abc'"),
+    ({"volume_24h": "-1", "name": "A_B"}, "volume_24h must be finite and >= 0: '-1'"),
+    ({"name": "A_B"}, "underscore not allowed inside name or symbol: 'A_B', 'BTC'"),
+    ({"symbol": " "}, "coin name and symbol must be non-empty after trimming"),
+]
+
+
+class TestLoadersBuildNoSnapshot:
+    """The loaders name a bad row with its exact error without building a
+    CoinSnapshot: here building one fails."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_snapshots(self, monkeypatch):
+        def refuse(snapshot):
+            raise AssertionError("a loader built a CoinSnapshot")
+
+        monkeypatch.setattr(CoinSnapshot, "__post_init__", refuse)
+
+    def test_good_input(self, tmp_path):
+        with MockHistoryServer(ROWS) as server:
+            fetched = fetch_history(config_for(server, tmp_path))
+        assert len(fetched) == len(load_csv(FIXTURES / "api_equivalent.csv")) == len(ROWS)
+
+    @pytest.mark.parametrize("change, message", BAD_ROWS)
+    def test_csv_bad_row(self, tmp_path, change, message):
+        header = (FIXTURES / "api_equivalent.csv").read_text().splitlines()[:2]
+        row = dict(ROWS[0], **change)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(header + [",".join(map(str, row.values()))]) + "\n")
+        with pytest.raises(MalformedRowError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize("change, message", BAD_ROWS)
+    def test_api_bad_value(self, tmp_path, change, message):
+        body = page_body([ROWS[0], dict(ROWS[0], **change)])
+        with MockHistoryServer(ROWS, body=body) as server:
+            with pytest.raises(ApiError) as caught:
+                fetch_history(config_for(server, tmp_path))
+        assert str(caught.value) == f"bad value in page 1 row: {message}"
+
+
 class TestCache:
     def test_rerun_is_offline(self, tmp_path):
         server = MockHistoryServer(ROWS, page_size=2)
@@ -453,9 +501,32 @@ class TestPageCache:
 
 
 class TestConfigValidation:
-    def test_bad_rate_limit(self):
-        with pytest.raises(ApiError):
-            ApiClientConfig(base_url="http://x", rate_limit=0.0)
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_bad_rate_limit(self, rate):
+        with pytest.raises(ApiError, match="rate_limit must be positive"):
+            ApiClientConfig(base_url="http://x", rate_limit=rate)
+
+    @pytest.mark.parametrize("backoff", [-0.5, math.nan, math.inf])
+    def test_bad_backoff(self, backoff):
+        with pytest.raises(ApiError, match="backoff_seconds must be finite and >= 0"):
+            ApiClientConfig(base_url="http://x", backoff_seconds=backoff)
+
+    @pytest.mark.parametrize("setting", ["rate_limit", "backoff_seconds"])
+    def test_nan_from_a_config_file_exits_1_before_any_request(
+        self, tmp_path, monkeypatch, capsys, setting
+    ):
+        # json reads NaN; a retry used to sleep(NaN) and die with a traceback
+        monkeypatch.setenv("CHAINLENS_API_KEY", "test-key")
+        with MockHistoryServer(ROWS, fail_500=1) as server:
+            api = {"base_url": server.base_url, "cache_dir": str(tmp_path / "cache")}
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"api": dict(api, **{setting: math.nan})}))
+            rc = main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")])
+            assert server.request_count == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "ApiError"
+        assert rc == 1
 
     def test_bad_attempts(self):
         with pytest.raises(ApiError):

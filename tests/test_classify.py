@@ -348,6 +348,30 @@ class TestNormalizer:
         assert np.array_equal(norm.scales, np.ones(2))
         assert np.array_equal(norm.transform(X), np.zeros((4, 2)))
 
+    def test_column_whose_squares_overflow_keeps_finite_stats(self):
+        # numpy's std of 1e200..3e200 overflows; the column is scaled first
+        X = np.array([[1e200, 1.0], [2e200, 2.0], [3e200, 4.0]])
+        norm = Normalizer.fit(X)
+        tame = Normalizer.fit(X / [1e200, 1.0])
+        assert np.allclose(norm.means / [1e200, 1.0], tame.means, rtol=1e-15)
+        assert np.allclose(norm.scales / [1e200, 1.0], tame.scales, rtol=1e-15)
+        assert np.allclose(norm.transform(X), tame.transform(X / [1e200, 1.0]), rtol=1e-14)
+
+    def test_column_whose_sum_overflows_keeps_finite_stats(self):
+        X = np.array([[1.2e308], [1.6e308], [1.7e308]])
+        norm = Normalizer.fit(X)
+        assert np.isfinite(norm.means).all() and np.isfinite(norm.scales).all()
+        assert np.allclose(norm.transform(X).mean(), 0.0, atol=1e-15)
+
+    def test_huge_feature_model_saves_and_loads(self, tmp_path):
+        table = make_table(n=40, seed=3)
+        table = dataclasses.replace(table, X=table.X * [1.0, 1.0, 1e200] + [0.0, 0.0, 2e200])
+        trained = fit(ClassifierSpec.make("logistic_regression"), table, seed=1)
+        path = tmp_path / "huge.json"
+        save_model(trained, path)
+        loaded = load_model(path)
+        assert np.array_equal(predict(loaded, table.X), predict(trained, table.X))
+
     def test_doc_round_trip(self):
         norm = Normalizer.fit(np.random.default_rng(0).normal(size=(10, 3)))
         doc = to_doc(norm)

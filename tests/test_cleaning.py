@@ -123,6 +123,13 @@ class TestImputeMaxSupply:
         with pytest.raises(ChainlensError, match="max_supply"):
             impute_max_supply(table(max_supply=[None]))
 
+    def test_fill_that_overflows_errors(self):
+        # 1000x of a max above ~1.8e305 is not a float
+        with pytest.raises(ChainlensError, match=r"1000x its max 1e\+306 overflows"):
+            impute_max_supply(table(max_supply=[1e306, None]))
+        t = impute_max_supply(table(max_supply=[1e305, None]))
+        assert t.column("max_supply")[1] == 1e305 * 1000.0
+
     def test_runs_before_mean_imputation_in_pipeline_order(self):
         # sentinel must already be present when the mean is taken
         t = table(max_supply=[100.0, None], price=[1.0, None])

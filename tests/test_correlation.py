@@ -167,16 +167,21 @@ class TestUndefinedCases:
         with pytest.raises(UndefinedCorrelationError):
             correlate(method, [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
-    @pytest.mark.parametrize(
-        "y",
-        [
-            [1e200, 2e200, 3e200],  # the squares overflow
-            [1.0, 2.0, math.inf],  # inf - inf in the centring is NaN
-        ],
-    )
-    def test_pearson_sums_that_are_not_finite(self, y):
+    def test_pearson_sums_that_are_not_finite(self):
+        # inf - inf in the centring is NaN
         with pytest.raises(UndefinedCorrelationError, match="not finite"):
-            correlate("pearson", [1.0, 2.0, 3.0], y)
+            correlate("pearson", [1.0, 2.0, 3.0], [1.0, 2.0, math.inf])
+
+    def test_pearson_of_finite_values_whose_squares_overflow(self):
+        assert correlate("pearson", [1.0, 2.0, 3.0], [1e200, 2e200, 3e200]) == 1.0
+        huge = correlate("pearson", [1e200, 2e200, 3e200], [1e200, 2e200, 4e200])
+        assert huge == 0.9819805060619656
+
+    def test_pearson_of_finite_values_whose_squares_underflow(self):
+        # each squared sum of the tiny side is 0, though the side is not constant
+        tiny = correlate("pearson", [1e-300, 2e-300, 3e-300], [1.0, 2.0, 4.0])
+        assert tiny == 0.9819805060619657
+        assert correlate("pearson", [1e-300, 2e-300, 3e-300], [1e-300, 2e-300, 3e-300]) == 1.0
 
     def test_pearson_of_finite_sums_whose_product_overflows(self):
         # sxx = 2e200 and syy ~ 4.7e200: each finite, their product not
@@ -237,6 +242,23 @@ class TestMethodProperties:
         assert abs(correlate("pearson", 3.5 * x + 11.0, y) - base) <= 1e-12
         assert abs(correlate("pearson", x, 0.25 * y - 4.0) - base) <= 1e-12
         assert abs(correlate("pearson", -x, y) + base) <= 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-200, max_value=1000),
+        st.integers(min_value=-200, max_value=1000),
+    )
+    def test_pearson_invariant_under_power_of_two_scaling(self, seed, kx, ky):
+        # 2**1000 makes the squares overflow; down to 2**-200 the product
+        # of the squared sums stays a normal float
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=int(rng.integers(3, 40)))
+        y = x + rng.normal(size=x.size)
+        base = correlate("pearson", x, y)
+        scaled = correlate("pearson", np.ldexp(x, kx), np.ldexp(y, ky))
+        # exact, but for the roots' product taken where the product overflows
+        assert abs(scaled - base) <= 4 * math.ulp(base)
 
     @pytest.mark.parametrize("method", ["spearman", "kendall"])
     def test_rank_methods_invariant_under_monotone_transform(self, method):

@@ -1,7 +1,9 @@
-"""Lifetime records, survival summaries, Pareto bucketing."""
+"""Per-coin lifetime arrays, survival summaries, Pareto bucketing."""
 
 import datetime as dt
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,26 +14,31 @@ from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError
 from chainlens.survival import (
     PARETO_BUCKET_DAYS,
-    LifetimeRecord,
+    Lifetimes,
     lifetimes,
     pareto,
     survival_summary,
 )
+from oracles import oracle_lifetimes, oracle_pareto, oracle_survival_summary
 
 
 def d(text):
     return dt.date.fromisoformat(text)
 
 
-def record(key="X_X", first="2021-01-01", life=10, disappeared=True):
-    first_day = d(first)
-    last_day = first_day + dt.timedelta(days=life)
-    return LifetimeRecord(
-        key=key,
-        first_day=first_day,
-        last_day=last_day,
-        lifetime_days=life,
-        disappeared=disappeared,
+def record(first="2021-01-01", life=10, disappeared=True):
+    """One coin's first day, last day and disappearance."""
+    first_day = d(first).toordinal()
+    return first_day, first_day + life, disappeared
+
+
+def coins(records):
+    """The Lifetimes of the given coins, in order."""
+    firsts, lasts, gone = zip(*records) if records else ((), (), ())
+    return Lifetimes(
+        np.array(firsts, dtype=np.int64),
+        np.array(lasts, dtype=np.int64),
+        np.array(gone, dtype=bool),
     )
 
 
@@ -45,29 +52,28 @@ def span_dataset(key, first, last):
 class TestLifetimes:
     def test_calendar_day_subtraction(self):
         ds = Dataset.build(span_dataset("A_A", "2021-01-01", "2021-03-01"))
-        [rec] = lifetimes(ds, cutoff=d("2022-01-01"))
-        assert rec.lifetime_days == 59
-        assert rec.disappeared is True
+        got = lifetimes(ds, cutoff=d("2022-01-01"))
+        assert got.lifetime_days.tolist() == [59]
+        assert got.disappeared.tolist() == [True]
 
     def test_last_day_equal_to_cutoff_is_alive(self):
         ds = Dataset.build(span_dataset("A_A", "2021-01-01", "2021-03-01"))
-        [rec] = lifetimes(ds, cutoff=d("2021-03-01"))
-        assert rec.disappeared is False
+        got = lifetimes(ds, cutoff=d("2021-03-01"))
+        assert got.disappeared.tolist() == [False]
 
     def test_single_day_coin(self):
         ds = Dataset.build([CoinSnapshot("A_A", d("2021-05-05"))])
-        [rec] = lifetimes(ds, cutoff=d("2021-06-01"))
-        assert rec.lifetime_days == 0
-        assert rec.first_day == rec.last_day
+        got = lifetimes(ds, cutoff=d("2021-06-01"))
+        assert got.lifetime_days.tolist() == [0]
+        assert got.first_days.tolist() == got.last_days.tolist() == [d("2021-05-05").toordinal()]
 
     def test_default_cutoff_is_last_observed_day(self):
         ds = Dataset.build(
             span_dataset("A_A", "2021-01-01", "2021-02-01")
             + span_dataset("B_B", "2021-01-01", "2021-06-01")
         )
-        recs = {r.key: r for r in lifetimes(ds)}
-        assert recs["A_A"].disappeared is True
-        assert recs["B_B"].disappeared is False
+        gone = dict(zip(ds.keys, lifetimes(ds).disappeared.tolist()))
+        assert gone == {"A_A": True, "B_B": False}
 
     def test_cutoff_before_dataset_errors(self):
         ds = Dataset.build(span_dataset("A_A", "2021-01-01", "2021-02-01"))
@@ -75,57 +81,48 @@ class TestLifetimes:
             lifetimes(ds, cutoff=d("2020-01-01"))
 
     def test_empty_dataset(self):
-        assert lifetimes(Dataset.build([])) == []
-
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            LifetimeRecord("X_X", d("2021-01-02"), d("2021-01-01"), -1, True)
-        with pytest.raises(ValueError):
-            LifetimeRecord("X_X", d("2021-01-01"), d("2021-01-03"), 5, True)
+        got = lifetimes(Dataset.build([]))
+        assert [array.size for array in got] == [0, 0, 0]
 
 
 class TestSurvivalSummary:
     def test_planted_fraction(self):
-        records = [record(key=f"C{i}_S{i}", disappeared=i < 39) for i in range(100)]
-        summary = survival_summary(records)
+        records = [record(disappeared=i < 39) for i in range(100)]
+        summary = survival_summary(coins(records))
         assert summary.disappeared_fraction == 0.39
         assert summary.disappeared_count == 39
         assert summary.total == 100
 
     def test_all_surviving_leaves_disappeared_stats_absent(self):
-        records = [record(key=f"C{i}_S{i}", disappeared=False) for i in range(5)]
-        summary = survival_summary(records)
+        records = [record(disappeared=False) for i in range(5)]
+        summary = survival_summary(coins(records))
         assert summary.disappeared_fraction == 0.0
         assert summary.disappeared_lt_80_days is None
         assert summary.disappeared_lt_365_days is None
 
     def test_threshold_fractions_are_strict(self):
         records = [
-            record(key="A_A", life=79, disappeared=True),
-            record(key="B_B", life=80, disappeared=True),
-            record(key="C_C", life=364, disappeared=True),
-            record(key="D_D", life=365, disappeared=True),
-            record(key="E_E", life=1000, disappeared=False),
-            record(key="F_F", life=1001, disappeared=False),
+            record(life=79, disappeared=True),
+            record(life=80, disappeared=True),
+            record(life=364, disappeared=True),
+            record(life=365, disappeared=True),
+            record(life=1000, disappeared=False),
+            record(life=1001, disappeared=False),
         ]
-        summary = survival_summary(records)
+        summary = survival_summary(coins(records))
         assert summary.disappeared_lt_80_days == 0.25
         assert summary.disappeared_lt_365_days == 0.75
         assert summary.surviving_gt_1000_days == 0.5
 
     def test_empty_list_errors(self):
         with pytest.raises(ChainlensError):
-            survival_summary([])
+            survival_summary(coins([]))
 
 
 class TestPareto:
     def test_hand_bucketing(self):
-        records = [
-            record(key="A_A", life=10),
-            record(key="B_B", life=15),
-            record(key="C_C", life=100),
-        ]
-        buckets = pareto(records)
+        records = [record(life=10), record(life=15), record(life=100)]
+        buckets = pareto(coins(records))
         assert [(b.start, b.end, b.count) for b in buckets] == [
             (0, 80, 2),
             (80, 160, 1),
@@ -134,21 +131,16 @@ class TestPareto:
         assert buckets[1].cumulative_pct == 100.0
 
     def test_single_record(self):
-        buckets = pareto([record(life=5)])
+        buckets = pareto(coins([record(life=5)]))
         assert len(buckets) == 1
         assert buckets[0].cumulative_pct == 100.0
 
     def test_tie_broken_by_ascending_start(self):
-        records = [
-            record(key="A_A", life=90),
-            record(key="B_B", life=95),
-            record(key="C_C", life=10),
-            record(key="D_D", life=15),
-        ]
-        assert [b.start for b in pareto(records)] == [0, 80]
+        records = [record(life=90), record(life=95), record(life=10), record(life=15)]
+        assert [b.start for b in pareto(coins(records))] == [0, 80]
 
     def test_no_disappeared_record_gives_no_buckets(self):
-        assert pareto([record(disappeared=False)]) == ()
+        assert pareto(coins([record(disappeared=False)])) == ()
 
     def test_csv_shape(self, tmp_path):
         # the lifetimes stage's pareto.csv: lifetimes 10 and 100 disappeared
@@ -174,11 +166,8 @@ class TestPareto:
     ),
 )
 def test_property_pareto_invariants(rows):
-    records = [
-        record(key=f"C{i}_S{i}", life=life, disappeared=gone)
-        for i, (life, gone) in enumerate(rows)
-    ]
-    buckets = pareto(records)
+    records = [record(life=life, disappeared=gone) for life, gone in rows]
+    buckets = pareto(coins(records))
     assert sum(b.count for b in buckets) == sum(1 for _, gone in rows if gone)
     assert all(
         b.start % PARETO_BUCKET_DAYS == 0 and b.end == b.start + PARETO_BUCKET_DAYS
@@ -201,11 +190,8 @@ def test_property_pareto_invariants(rows):
     )
 )
 def test_property_summary_counts(rows):
-    records = [
-        record(key=f"C{i}_S{i}", life=life, disappeared=gone)
-        for i, (life, gone) in enumerate(rows)
-    ]
-    summary = survival_summary(records)
+    records = [record(life=life, disappeared=gone) for life, gone in rows]
+    summary = survival_summary(coins(records))
     assert summary.total == len(rows)
     assert summary.disappeared_count == sum(1 for _, gone in rows if gone)
     for frac in (
@@ -215,3 +201,45 @@ def test_property_summary_counts(rows):
         summary.surviving_gt_1000_days,
     ):
         assert frac is None or 0.0 <= frac <= 1.0
+
+
+@st.composite
+def panels(draw):
+    """1-30 coins, each observed on a sorted set of days in a 400-day
+    horizon, and a cutoff before the panel's last day, on it or after it."""
+    n_coins = draw(st.integers(min_value=1, max_value=30))
+    start = d("2020-01-01").toordinal()
+    snaps = []
+    for i in range(n_coins):
+        offsets = draw(st.sets(st.integers(min_value=0, max_value=400), min_size=1, max_size=6))
+        snaps += [
+            CoinSnapshot(f"C{i}_S{i}", dt.date.fromordinal(start + o)) for o in offsets
+        ]
+    ds = Dataset.build(snaps)
+    first, last = ds.date_range
+    where = draw(st.sampled_from(["before", "on", "after", "default"]))
+    if where == "before" and first < last:
+        cutoff = first + dt.timedelta(draw(st.integers(0, (last - first).days - 1)))
+    elif where == "after":
+        cutoff = last + dt.timedelta(draw(st.integers(1, 500)))
+    elif where == "on":
+        cutoff = last
+    else:
+        cutoff = None
+    return ds, cutoff
+
+
+@settings(deadline=None, max_examples=150)
+@given(panels())
+def test_property_matches_the_record_oracle(panel):
+    ds, cutoff = panel
+    got = lifetimes(ds, cutoff)
+    records = oracle_lifetimes(ds, cutoff)
+    assert got.first_days.tolist() == [r.first_day.toordinal() for r in records]
+    assert got.last_days.tolist() == [r.last_day.toordinal() for r in records]
+    assert got.lifetime_days.tolist() == [r.lifetime_days for r in records]
+    assert got.disappeared.tolist() == [r.disappeared for r in records]
+    # repr tells every float's bits apart, and a numpy scalar from an int
+    summary = asdict(survival_summary(got))
+    assert repr(summary) == repr(asdict(oracle_survival_summary(records)))
+    assert repr(pareto(got)) == repr(oracle_pareto(records))

@@ -180,17 +180,15 @@ class TestDisappearancePlanting:
         ds = generate_synthetic(
             SyntheticSpec(n_coins=100, disappeared_fraction=0.39, seed=5)
         )
-        records = lifetimes(ds)
-        assert sum(r.disappeared for r in records) == 39
+        assert lifetimes(ds).disappeared.sum() == 39
 
     def test_survivors_share_the_end_day(self):
         spec = SyntheticSpec(n_coins=40, disappeared_fraction=0.25, seed=2)
         ds = generate_synthetic(spec)
-        for record in lifetimes(ds):
-            if record.disappeared:
-                assert record.last_day < spec.end_day
-            else:
-                assert record.last_day == spec.end_day
+        coins = lifetimes(ds)
+        end = spec.end_day.toordinal()
+        assert (coins.last_days[coins.disappeared] < end).all()
+        assert (coins.last_days[~coins.disappeared] == end).all()
 
     def test_planted_lifetime_buckets_recovered_exactly(self):
         spec = SyntheticSpec(

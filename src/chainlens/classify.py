@@ -43,9 +43,8 @@ from .classifiers import (
     resolve_hyperparameters,
 )
 from .cleaning import (
-    FeatureTable,
     _finite_stat,
-    derive_ptsc,
+    feature_values,
     impute_max_supply,
     impute_mean,
     row_feature_table,
@@ -64,29 +63,29 @@ CLASSIFY_FEATURES = (
     "ptsc",
 )
 
-def _missing_counts(table: FeatureTable) -> dict[str, int]:
-    return {
-        name: int(np.isnan(table.column(name)).sum()) for name in CLASSIFY_FEATURES
-    }
+def _missing_counts(columns: dict[str, np.ndarray]) -> dict[str, int]:
+    return {name: int(np.isnan(columns[name]).sum()) for name in CLASSIFY_FEATURES}
 
 
 def prepare_features(
     dataset: Dataset,
     date_range: tuple[dt.date | None, dt.date | None] | None = None,
-) -> tuple[FeatureTable, tuple[dict[str, int], dict[str, int], dict[str, int]]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[dict[str, int], dict[str, int], dict[str, int]]]:
     """The CLASSIFY_FEATURES of every snapshot row in range, imputed.
 
-    Returns the fully imputed table and the per-feature missing-cell
-    counts at three points: before imputation, after the max-supply
-    rule, and after the column-mean fill. Rows whose circulating
-    supply is present but whose total supply is absent or zero get an
-    absent ptsc (later mean-filled), with one data-quality warning.
+    Returns the rows' panel positions, the fully imputed matrix with one
+    column per feature in CLASSIFY_FEATURES order, and the per-feature
+    missing-cell counts at three points: before imputation, after the
+    max-supply rule, and after the column-mean fill. Rows whose
+    circulating supply is present but whose total supply is absent or
+    zero get an absent ptsc (later mean-filled), with one data-quality
+    warning.
     """
     table = row_feature_table(dataset, CLASSIFY_FEATURES, date_range)
-    if table.n_rows == 0:
+    if not table.rows.size:
         raise ChainlensError("no rows in the requested date range")
-    circulating = table.column("circulating_supply")
-    total = table.column("total_supply")
+    circulating = table.columns["circulating_supply"]
+    total = table.columns["total_supply"]
     bad_total = int(np.sum(~(total > 0) & ~np.isnan(circulating)))
     if bad_total:
         warnings.warn(
@@ -95,11 +94,12 @@ def prepare_features(
             DataQualityWarning,
             stacklevel=2,
         )
-    before = _missing_counts(table)
+    before = _missing_counts(table.columns)
     table = impute_max_supply(table)
-    after_rule = _missing_counts(table)
+    after_rule = _missing_counts(table.columns)
     table = impute_mean(table, CLASSIFY_FEATURES)
-    return table, (before, after_rule, _missing_counts(table))
+    X = np.column_stack([table.columns[name] for name in CLASSIFY_FEATURES])
+    return table.rows, X, (before, after_rule, _missing_counts(table.columns))
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,10 @@ def label_risky(
     against the cutoff.
     """
     risky = lifetimes(dataset, cutoff).disappeared.astype(np.int64)
-    table, _ = prepare_features(dataset, date_range)
-    coins = dataset.codes[table.rows]
+    rows, X, _ = prepare_features(dataset, date_range)
+    coins = dataset.codes[rows]
     return LabeledTable(
-        feature_names=CLASSIFY_FEATURES,
-        rows=table.rows,
-        coins=coins,
-        X=table.matrix(CLASSIFY_FEATURES),
-        y=risky[coins],
+        feature_names=CLASSIFY_FEATURES, rows=rows, coins=coins, X=X, y=risky[coins]
     )
 
 
@@ -376,9 +372,7 @@ def manipulability_flags(
     flags instead.
     """
     # NaN when either supply is absent or the total is not positive
-    ptsc = derive_ptsc(
-        dataset.column("circulating_supply")[rows], dataset.column("total_supply")[rows]
-    )
+    ptsc = feature_values(dataset, "ptsc", rows)
     means, stds = (stat[dataset.codes[rows]] for stat in volume)
     no_volume = np.isnan(means) | np.isnan(stds) | (means == 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,74 +31,13 @@ from .dataset import Dataset
 from .errors import ChainlensError
 
 
-def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureTable:
-    """Named numeric columns of equal length, NaN marking absence, with
-    each row's position in the panel it came from (``rows``, int64).
-
-    Immutable: transforms return new tables. Equality is by content,
-    treating NaN cells as equal (two tables with the same holes match).
-    """
+class FeatureTable(NamedTuple):
+    """Each row's position in the panel it came from (``rows``, int64)
+    and one float64 array per named column over those rows, NaN marking
+    absence. Transforms return a new table and leave their input unchanged."""
 
     rows: np.ndarray
-    _data: dict[str, np.ndarray]
-
-    @classmethod
-    def from_columns(cls, rows, columns: Mapping[str, Iterable]) -> "FeatureTable":
-        rows = np.array(rows, dtype=np.int64)
-        rows.flags.writeable = False
-        data = {}
-        for name, values in columns.items():
-            arr = _freeze(values)  # None becomes NaN
-            if arr.shape != rows.shape:
-                raise ValueError(
-                    f"column {name!r} has shape {arr.shape}, expected {rows.shape}"
-                )
-            data[name] = arr
-        return cls(rows=rows, _data=data)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self._data)
-
-    def column(self, name: str) -> np.ndarray:
-        return self._data[name]
-
-    def matrix(self, columns: Sequence[str]) -> np.ndarray:
-        return np.column_stack([self._data[n] for n in columns])
-
-    def with_columns(self, **replacements) -> "FeatureTable":
-        data = dict(self._data)
-        for name, values in replacements.items():
-            arr = _freeze(values)
-            if arr.shape != (self.n_rows,):
-                raise ValueError(
-                    f"column {name!r} has shape {arr.shape}, expected ({self.n_rows},)"
-                )
-            data[name] = arr
-        return FeatureTable(rows=self.rows, _data=data)
-
-    def __eq__(self, other):
-        if not isinstance(other, FeatureTable):
-            return NotImplemented
-        if not np.array_equal(self.rows, other.rows):
-            return False
-        if self.column_names != other.column_names:
-            return False
-        return all(
-            np.array_equal(self._data[n], other._data[n], equal_nan=True)
-            for n in self._data
-        )
+    columns: dict[str, np.ndarray]
 
 
 def derive_ptsc(circulating_supply, total_supply) -> np.ndarray:
@@ -137,7 +75,7 @@ def impute_mean(table: FeatureTable, columns: Sequence[str]) -> FeatureTable:
     """
     replacements = {}
     for name in columns:
-        col = table.column(name)
+        col = table.columns[name]
         mask = ~np.isnan(col)
         if not mask.any():
             raise ChainlensError(
@@ -150,7 +88,7 @@ def impute_mean(table: FeatureTable, columns: Sequence[str]) -> FeatureTable:
         replacements[name] = filled
     if not replacements:
         return table
-    return table.with_columns(**replacements)
+    return table._replace(columns={**table.columns, **replacements})
 
 
 def impute_max_supply(table: FeatureTable) -> FeatureTable:
@@ -160,7 +98,7 @@ def impute_max_supply(table: FeatureTable) -> FeatureTable:
     a supply cap behaves like one with an effectively unlimited cap,
     and a mean fill would instead make it look typical.
     """
-    col = table.column("max_supply")
+    col = table.columns["max_supply"]
     mask = ~np.isnan(col)
     if not mask.any():
         raise ChainlensError(
@@ -173,7 +111,7 @@ def impute_max_supply(table: FeatureTable) -> FeatureTable:
         raise ChainlensError(f"cannot impute column 'max_supply': 1000x its max {top} overflows")
     filled = col.copy()
     filled[~mask] = top * 1000.0
-    return table.with_columns(max_supply=filled)
+    return table._replace(columns={**table.columns, "max_supply": filled})
 
 
 def mean_normalize(column: np.ndarray) -> np.ndarray:
@@ -271,6 +209,4 @@ def row_feature_table(
     pair, as in :func:`aggregate_stats`.
     """
     rows = np.flatnonzero(dataset.in_range(date_range))
-    return FeatureTable.from_columns(
-        rows, {name: feature_values(dataset, name, rows) for name in columns}
-    )
+    return FeatureTable(rows, {name: feature_values(dataset, name, rows) for name in columns})

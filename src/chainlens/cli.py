@@ -259,20 +259,17 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     ds = _load_dataset(cfg)
-    table, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
-    ids = map("{}@{}".format, ds.row_keys(table.rows), isoformat_days(ds.days[table.rows]))
+    rows, X, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
+    ids = map("{}@{}".format, ds.row_keys(rows), isoformat_days(ds.days[rows]))
     writer.write_csv(
         "features.csv",
         ("row_id",) + CLASSIFY_FEATURES,
-        (
-            [row_id] + row.tolist()
-            for row_id, row in zip(ids, table.matrix(CLASSIFY_FEATURES))
-        ),
+        ([row_id] + row.tolist() for row_id, row in zip(ids, X)),
     )
     writer.write_json(
         "cleaning_summary.json",
         {
-            "rows": table.n_rows,
+            "rows": len(rows),
             "features": list(CLASSIFY_FEATURES),
             "missing_before": before,
             "filled_by_supply_rule": before["max_supply"] - after_rule["max_supply"],
@@ -286,7 +283,7 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
     filled = sum(before.values()) - sum(after_mean.values())
     return (
-        f"clean: {table.n_rows} rows x {len(CLASSIFY_FEATURES)} features,"
+        f"clean: {len(rows)} rows x {len(CLASSIFY_FEATURES)} features,"
         f" {filled} cells imputed -> features.csv"
     )
 

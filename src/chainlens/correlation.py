@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -111,18 +112,13 @@ def _tie_pairs(new_group: np.ndarray) -> int:
     return int(np.sum(lengths * (lengths - 1) // 2))
 
 
-def _pearson_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """The cross sum and the root of the two squared sums of the centred sides."""
+def _pearson_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """The cross sum and the two squared sums of the centred sides."""
     # np.sum, not np.dot: BLAS's summation order depends on its thread count
     with np.errstate(over="ignore", invalid="ignore"):
         xc = x - x.mean()
         yc = y - y.mean()
-        cross = float(np.sum(xc * yc))
-        sxx, syy = float(np.sum(xc * xc)), float(np.sum(yc * yc))
-    product = sxx * syy
-    # finite sums whose product overflows: the product of their roots
-    denom = math.sqrt(product) if math.isfinite(product) else math.sqrt(sxx) * math.sqrt(syy)
-    return cross, denom
+        return float(np.sum(xc * yc)), float(np.sum(xc * xc)), float(np.sum(yc * yc))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -130,12 +126,17 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise UndefinedCorrelationError("pearson undefined: x side is constant")
     if np.all(y == y[0]):
         raise UndefinedCorrelationError("pearson undefined: y side is constant")
-    cross, denom = _pearson_sums(x, y)
-    defined = math.isfinite(cross) and math.isfinite(denom) and denom > 0.0
-    if not defined and np.isfinite(x).all() and np.isfinite(y).all():
-        # sums that over- or underflow: again over each side scaled exactly, by a
-        # power of two, to a largest magnitude in [0.5, 1) (Blue 1978's scaled norm)
-        cross, denom = _pearson_sums(*(np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y)))
+    cross, sxx, syy = _pearson_sums(x, y)
+    finite = math.isfinite(cross) and math.isfinite(sxx) and math.isfinite(syy)
+    # sums that overflow, or a sum of squares or their product below the normal
+    # range (its low bits lost): again over each side scaled exactly, by a power
+    # of two, to a largest magnitude in [0.5, 1) (Blue 1978's scaled norm)
+    lossy = not finite or min(sxx, syy, sxx * syy) < sys.float_info.min
+    if lossy and np.isfinite(x).all() and np.isfinite(y).all():
+        cross, sxx, syy = _pearson_sums(*(np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y)))
+    product = sxx * syy
+    # finite sums whose product overflows: the product of their roots
+    denom = math.sqrt(product) if math.isfinite(product) else math.sqrt(sxx) * math.sqrt(syy)
     if not (math.isfinite(cross) and math.isfinite(denom)):
         raise UndefinedCorrelationError("pearson undefined: its sums are not finite")
     if denom == 0.0:
@@ -233,50 +234,26 @@ def _pair(var_a: str, var_b: str, method: str, x, y) -> PairCorrelation:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
-    """Symmetric coefficient matrix with per-cell sample sizes.
-
-    Undefined cells hold NaN in ``coefficients`` and None in
-    ``labels``; the diagonal is 1 wherever the variable is nonconstant.
+    """Symmetric grid of report cells: ``grid[i][j]`` and ``grid[j][i]``
+    are the one cell of ``variables[i]`` against ``variables[j]``
+    (i <= j). The diagonal is 1 wherever the variable is nonconstant.
     """
 
     method: str
     variables: tuple[str, ...]
-    coefficients: np.ndarray
-    sample_sizes: np.ndarray
-    labels: tuple[tuple[str | None, ...], ...]
-
-    def cell(self, var_a: str, var_b: str) -> PairCorrelation:
-        i = self.variables.index(var_a)
-        j = self.variables.index(var_b)
-        value = float(self.coefficients[i, j])
-        return PairCorrelation(
-            var_a=var_a,
-            var_b=var_b,
-            method=self.method,
-            coefficient=None if math.isnan(value) else value,
-            n=int(self.sample_sizes[i, j]),
-            label=self.labels[i][j],
-        )
+    grid: tuple[tuple[PairCorrelation, ...], ...]
 
     def pairs(self) -> list[PairCorrelation]:
         """Upper-triangle cells (diagonal excluded), row-major."""
-        out = []
-        for i, a in enumerate(self.variables):
-            for b in self.variables[i + 1 :]:
-                out.append(self.cell(a, b))
-        return out
+        return [cell for i, row in enumerate(self.grid) for cell in row[i + 1 :]]
 
     def as_dict(self) -> dict:
-        coefs = [
-            [None if math.isnan(v) else v for v in row]
-            for row in self.coefficients.tolist()
-        ]
         return {
             "method": self.method,
             "variables": list(self.variables),
-            "coefficients": coefs,
-            "sample_sizes": self.sample_sizes.tolist(),
-            "labels": [list(row) for row in self.labels],
+            "coefficients": [[cell.coefficient for cell in row] for row in self.grid],
+            "sample_sizes": [[cell.n for cell in row] for row in self.grid],
+            "labels": [[cell.label for cell in row] for row in self.grid],
         }
 
 
@@ -291,28 +268,11 @@ def correlation_matrix(
     names = tuple(columns)
     if len(names) < 2:
         raise ChainlensError("correlation_matrix needs at least 2 columns")
-    k = len(names)
-    coefficients = np.full((k, k), np.nan, dtype=np.float64)
-    sizes = np.zeros((k, k), dtype=np.int64)
-    labels: list[list[str | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            cell = _pair(
-                names[i], names[j], method, table.column(names[i]), table.column(names[j])
-            )
-            value = np.nan if cell.coefficient is None else cell.coefficient
-            coefficients[i, j] = coefficients[j, i] = value
-            sizes[i, j] = sizes[j, i] = cell.n
-            labels[i][j] = labels[j][i] = cell.label
-    coefficients.flags.writeable = False
-    sizes.flags.writeable = False
-    return CorrelationReport(
-        method=method,
-        variables=names,
-        coefficients=coefficients,
-        sample_sizes=sizes,
-        labels=tuple(tuple(row) for row in labels),
-    )
+    grid = [[None] * len(names) for _ in names]
+    for i, a in enumerate(names):
+        for j, b in enumerate(names[i:], i):
+            grid[i][j] = grid[j][i] = _pair(a, b, method, table.columns[a], table.columns[b])
+    return CorrelationReport(method, names, tuple(map(tuple, grid)))
 
 
 @dataclass(frozen=True)
@@ -344,7 +304,7 @@ def price_factor_report(
 ) -> PriceFactorReport:
     table = row_feature_table(dataset, NUMERIC_COLUMNS + ("ptsc",), date_range)
     pooled = tuple(
-        _pair("price", factor, method, table.column("price"), table.column(factor))
+        _pair("price", factor, method, table.columns["price"], table.columns[factor])
         for method in METHODS
         for factor in PRICE_FACTORS
     )

@@ -322,7 +322,9 @@ class Dataset:
 
     def resolve_cutoff(self, cutoff: dt.date | None = None) -> dt.date:
         """``cutoff``, by default the panel's last day; a cutoff before
-        the panel's first day is an error."""
+        the panel's first day, or any cutoff of an empty panel, is an error."""
+        if not len(self):
+            raise ChainlensError("cannot resolve a cutoff: the dataset has no rows")
         first, last = self.date_range
         if cutoff is None:
             return last

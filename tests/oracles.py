@@ -35,6 +35,11 @@ one ``CoinSnapshot``.
 ``oracle_lifetimes``, ``oracle_survival_summary`` and ``oracle_pareto``
 are the original record-based survival path: one validated
 ``LifetimeRecord`` per coin, read back field by field.
+
+``oracle_correlation_matrix`` is the original matrix report: each
+upper-triangle cell split into a float64 coefficient matrix (NaN where
+undefined), an int64 sample-size matrix and a label grid, and every
+cell rebuilt from those three on the way out.
 """
 
 import base64
@@ -52,6 +57,7 @@ import numpy as np
 from chainlens.classifiers import _forest_max_features
 from chainlens.clustering import MAX_ITERATIONS, _assign, _check_monotone
 from chainlens.classify import MODEL_FORMAT_VERSION
+from chainlens.correlation import PairCorrelation, _pair
 from chainlens.dataset import (
     CSV_HEADER,
     EXTENDED_COLUMNS,
@@ -786,3 +792,71 @@ def oracle_pareto(records):
             )
         )
     return tuple(buckets)
+
+
+@dataclass(frozen=True, eq=False)
+class OracleCorrelationReport:
+    method: str
+    variables: tuple
+    coefficients: np.ndarray
+    sample_sizes: np.ndarray
+    labels: tuple
+
+    def cell(self, var_a, var_b):
+        i = self.variables.index(var_a)
+        j = self.variables.index(var_b)
+        value = float(self.coefficients[i, j])
+        return PairCorrelation(
+            var_a=var_a,
+            var_b=var_b,
+            method=self.method,
+            coefficient=None if math.isnan(value) else value,
+            n=int(self.sample_sizes[i, j]),
+            label=self.labels[i][j],
+        )
+
+    def pairs(self):
+        out = []
+        for i, a in enumerate(self.variables):
+            for b in self.variables[i + 1 :]:
+                out.append(self.cell(a, b))
+        return out
+
+    def as_dict(self):
+        coefs = [
+            [None if math.isnan(v) else v for v in row]
+            for row in self.coefficients.tolist()
+        ]
+        return {
+            "method": self.method,
+            "variables": list(self.variables),
+            "coefficients": coefs,
+            "sample_sizes": self.sample_sizes.tolist(),
+            "labels": [list(row) for row in self.labels],
+        }
+
+
+def oracle_correlation_matrix(method, columns, names):
+    """All pairwise coefficients among ``names``, each a column of the
+    ``columns`` dict."""
+    names = tuple(names)
+    if len(names) < 2:
+        raise ChainlensError("correlation_matrix needs at least 2 columns")
+    k = len(names)
+    coefficients = np.full((k, k), np.nan, dtype=np.float64)
+    sizes = np.zeros((k, k), dtype=np.int64)
+    labels = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            cell = _pair(names[i], names[j], method, columns[names[i]], columns[names[j]])
+            value = np.nan if cell.coefficient is None else cell.coefficient
+            coefficients[i, j] = coefficients[j, i] = value
+            sizes[i, j] = sizes[j, i] = cell.n
+            labels[i][j] = labels[j][i] = cell.label
+    return OracleCorrelationReport(
+        method=method,
+        variables=names,
+        coefficients=coefficients,
+        sample_sizes=sizes,
+        labels=tuple(tuple(row) for row in labels),
+    )

@@ -351,16 +351,14 @@ def test_criterion_7_cleaning_contracts(criterion_report):
                 holes[0] = False
             column = values.copy()
             column[holes] = np.nan
-            table = FeatureTable.from_columns(
-                range(n), {"price": column}
-            )
+            table = FeatureTable(np.arange(n), {"price": column})
             once = impute_mean(table, ("price",))
             twice = impute_mean(once, ("price",))
-            if not np.array_equal(once.column("price"), twice.column("price")):
+            if not np.array_equal(once.columns["price"], twice.columns["price"]):
                 failures.append("impute_mean not idempotent")
                 break
             drift = abs(
-                float(once.column("price").mean()) - float(values[~holes].mean())
+                float(once.columns["price"].mean()) - float(values[~holes].mean())
             )
             worst_mean = max(worst_mean, drift)
             if drift > 1e-12:
@@ -373,10 +371,8 @@ def test_criterion_7_cleaning_contracts(criterion_report):
             ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0]),
         ]
         for raw, expected in listed:
-            table = FeatureTable.from_columns(
-                range(len(raw)), {"max_supply": raw}
-            )
-            got = impute_max_supply(table).column("max_supply")
+            table = FeatureTable(np.arange(len(raw)), {"max_supply": np.array(raw)})
+            got = impute_max_supply(table).columns["max_supply"]
             if not np.array_equal(got, np.array(expected)):
                 failures.append(f"x1000 rule: {raw} -> {got.tolist()}")
 

@@ -210,10 +210,11 @@ class TestLabelRisky:
 
 class TestPrepareFeatures:
     def test_missing_counts_at_each_step(self):
-        table, (before, after_rule, after) = prepare_features(
+        rows, X, (before, after_rule, after) = prepare_features(
             labeled_fixture_dataset()
         )
-        assert table.column_names == CLASSIFY_FEATURES
+        assert X.shape == (len(rows), len(CLASSIFY_FEATURES))
+        assert list(before) == list(CLASSIFY_FEATURES)
         assert before["price"] == 1 and before["max_supply"] == 3
         assert after_rule["price"] == 1 and after_rule["max_supply"] == 0
         assert set(after.values()) == {0}
@@ -232,11 +233,11 @@ class TestPrepareFeatures:
         with pytest.warns(DataQualityWarning, match="circulating_supply > total"):
             ds = Dataset.build(rows)
         with pytest.warns(DataQualityWarning, match="absent or zero") as caught:
-            table, (before, _, _) = prepare_features(ds)
+            _, X, (before, _, _) = prepare_features(ds)
         assert len(caught) == 1 and "2 value(s)" in str(caught[0].message)
         assert before["ptsc"] == 2
         # the two holes take the mean of the one defined ratio
-        assert table.column("ptsc").tolist() == [0.5, 0.5, 0.5]
+        assert X[:, CLASSIFY_FEATURES.index("ptsc")].tolist() == [0.5, 0.5, 0.5]
 
 
 class TestLabeledTable:

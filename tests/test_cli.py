@@ -179,7 +179,7 @@ class TestPipeline:
 
     def test_cleaning_summary_counts_match_prepare_features(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "cleaning_summary.json").read_text("utf-8"))
-        _, (before, after_rule, after) = prepare_features(
+        _, _, (before, after_rule, after) = prepare_features(
             load_csv(pipeline_dir / "dataset.csv")
         )
         assert doc["missing_before"] == before

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlens.correlation import (
@@ -29,6 +29,7 @@ from chainlens.cli import run
 from chainlens.config import RunConfig
 from chainlens.dataset import CoinSnapshot, Dataset, save_csv
 from chainlens.errors import ChainlensError, UndefinedCorrelationError
+from oracles import oracle_correlation_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -246,12 +247,15 @@ class TestMethodProperties:
     @settings(deadline=None, max_examples=100)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=-200, max_value=1000),
-        st.integers(min_value=-200, max_value=1000),
+        st.integers(min_value=-900, max_value=1000),
+        st.integers(min_value=-900, max_value=1000),
     )
+    @example(seed=0, kx=-530, ky=400)  # one subnormal sum, a normal product
+    @example(seed=0, kx=-118, ky=-400)  # normal sums, a subnormal product
     def test_pearson_invariant_under_power_of_two_scaling(self, seed, kx, ky):
-        # 2**1000 makes the squares overflow; down to 2**-200 the product
-        # of the squared sums stays a normal float
+        # 2**1000 makes the squares overflow; below about 2**-250 the
+        # product of the squared sums, and below 2**-510 a sum itself,
+        # leaves the normal range
         rng = np.random.default_rng(seed)
         x = rng.normal(size=int(rng.integers(3, 40)))
         y = x + rng.normal(size=x.size)
@@ -308,23 +312,21 @@ def toy_table():
     a = rng.normal(size=50)
     b = 2.0 * a + rng.normal(scale=0.1, size=50)
     c = rng.normal(size=50)
-    return FeatureTable.from_columns(
-        range(50), {"a": a, "b": b, "c": c}
-    )
+    return FeatureTable(np.arange(50), {"a": a, "b": b, "c": c})
 
 
 class TestCorrelationMatrix:
     def test_diagonal_is_one(self):
         report = correlation_matrix("pearson", toy_table(), ["a", "b", "c"])
-        assert np.all(np.diag(report.coefficients) == 1.0)
+        assert [report.grid[i][i].coefficient for i in range(3)] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_duplicated_column_gives_unit_off_diagonal(self, method):
-        t = FeatureTable.from_columns(
-            range(3), {"u": [1.0, 2.0, 3.0], "v": [1.0, 2.0, 3.0]}
+        t = FeatureTable(
+            np.arange(3), {"u": np.array([1.0, 2.0, 3.0]), "v": np.array([1.0, 2.0, 3.0])}
         )
         report = correlation_matrix(method, t, ["u", "v"])
-        assert report.coefficients[0, 1] == 1.0
+        assert report.grid[0][1].coefficient == 1.0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_cells_match_scalar_calls(self, method):
@@ -332,25 +334,26 @@ class TestCorrelationMatrix:
         report = correlation_matrix(method, t, ["a", "b", "c"])
         for i, a in enumerate(("a", "b", "c")):
             for j, b in enumerate(("a", "b", "c")):
-                expected = correlate(method, t.column(a), t.column(b))
-                assert report.coefficients[i, j] == pytest.approx(expected, abs=1e-15)
+                expected = correlate(method, t.columns[a], t.columns[b])
+                assert report.grid[i][j].coefficient == pytest.approx(expected, abs=1e-15)
 
     def test_symmetry_and_sample_sizes(self):
         t = toy_table()
         report = correlation_matrix("spearman", t, ["a", "b", "c"])
-        assert np.array_equal(report.coefficients, report.coefficients.T)
-        assert np.all(report.sample_sizes == 50)
+        for i in range(3):
+            for j in range(3):
+                assert report.grid[i][j] is report.grid[j][i]
+                assert report.grid[i][j].n == 50
 
     def test_constant_column_marked_absent_not_zero(self):
-        t = FeatureTable.from_columns(
-            range(3),
-            {"u": [1.0, 2.0, 3.0], "k": [7.0, 7.0, 7.0]},
+        t = FeatureTable(
+            np.arange(3), {"u": np.array([1.0, 2.0, 3.0]), "k": np.array([7.0, 7.0, 7.0])}
         )
         report = correlation_matrix("pearson", t, ["u", "k"])
-        assert np.isnan(report.coefficients[0, 1])
-        assert np.isnan(report.coefficients[1, 1])  # constant diagonal too
-        assert report.labels[0][1] is None
-        assert report.cell("u", "k").coefficient is None
+        assert report.grid[0][1].coefficient is None
+        assert report.grid[1][1].coefficient is None  # constant diagonal too
+        assert report.grid[0][1].label is None
+        assert report.as_dict()["coefficients"][0][1] is None
 
     def test_needs_two_columns(self):
         with pytest.raises(ChainlensError):
@@ -360,6 +363,39 @@ class TestCorrelationMatrix:
         report = correlation_matrix("pearson", toy_table(), ["a", "b", "c"])
         got = [(p.var_a, p.var_b) for p in report.pairs()]
         assert got == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+@st.composite
+def holey_tables(draw):
+    """2-6 columns of up to 25 rows: small integers (heavy ties), a few
+    wide floats, NaN holes, and one constant column (holes too)."""
+    n = draw(st.integers(min_value=0, max_value=25))
+    k = draw(st.integers(min_value=2, max_value=6))
+    cell = st.one_of(
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.just(math.nan),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    columns = {
+        f"v{i}": np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+        for i in range(k)
+    }
+    constant = f"v{draw(st.integers(min_value=0, max_value=k - 1))}"
+    columns[constant] = np.where(np.isnan(columns[constant]), np.nan, 7.0)
+    return FeatureTable(np.arange(n), columns)
+
+
+class TestCorrelationMatrixAgainstOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(holey_tables(), st.sampled_from(METHODS))
+    def test_report_matches_the_split_matrix_report(self, table, method):
+        names = list(table.columns)
+        report = correlation_matrix(method, table, names)
+        oracle = oracle_correlation_matrix(method, table.columns, names)
+        assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
+            oracle.as_dict(), sort_keys=True
+        )
+        assert report.pairs() == oracle.pairs()
 
 
 def day(i):

@@ -169,6 +169,18 @@ class TestDatasetBuild:
         col = ds.column("price")
         assert col[0] == 3.5 and np.isnan(col[1])
 
+    def test_resolve_cutoff(self):
+        ds = Dataset.build([snap(), snap(day="2021-01-03")])
+        assert ds.resolve_cutoff() == dt.date(2021, 1, 3)
+        assert ds.resolve_cutoff(dt.date(2021, 1, 2)) == dt.date(2021, 1, 2)
+        with pytest.raises(ChainlensError, match="precedes the dataset's first day"):
+            ds.resolve_cutoff(dt.date(2020, 12, 31))
+
+    @pytest.mark.parametrize("cutoff", [None, dt.date(2021, 1, 1)])
+    def test_resolve_cutoff_of_an_empty_panel_errors(self, cutoff):
+        with pytest.raises(ChainlensError, match="no rows"):
+            Dataset.build([]).resolve_cutoff(cutoff)
+
 
 CSV_TEXT = """\
 name,symbol,date,price,max_supply,total_supply,circulating_supply,volume_24h,market_cap,num_market_pairs

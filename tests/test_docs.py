@@ -1,12 +1,15 @@
 """The documented examples run as written: the package docstring's
 doctest and the README's Library code block; the README's artifact
 table is the CLI's stage table, its ``api`` example names exactly the
-keys the block takes, and every ``ds.NAME`` it mentions is a Dataset
-attribute."""
+keys the block takes, every ``ds.NAME`` it mentions is a Dataset
+attribute, and every capitalised name it puts in backticks exists."""
 
 import ast
+import builtins
 import doctest
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
@@ -68,3 +71,25 @@ def test_readme_api_example_names_every_api_key():
         RunConfig(api={"not_a_key": 1})
     allowed = ast.literal_eval(str(error.value).split("allowed: ", 1)[1])
     assert sorted(example["api"]) == allowed
+
+
+def test_readme_type_names_resolve():
+    # CamelCase names only: ALL_CAPS ones are environment variables
+    names = set(re.findall(r"`([A-Z][a-z]\w*(?:\.\w+)*)`", README.read_text(encoding="utf-8")))
+    modules = [builtins] + [
+        importlib.import_module(f"chainlens.{info.name}")
+        for info in pkgutil.iter_modules(chainlens.__path__)
+    ]
+
+    def resolves(name):
+        head, *attributes = name.split(".")
+        for module in modules:
+            found = getattr(module, head, None)
+            for attribute in attributes:
+                found = getattr(found, attribute, None)
+            if found is not None:
+                return True
+        return False
+
+    assert names
+    assert sorted(name for name in names if not resolves(name)) == []

@@ -33,7 +33,7 @@ _EXPORTS = {
     "clustering": ("ClusterModel", "cluster_report", "elbow", "kmeans_fit"),
     "config": ("RunConfig", "build_config"),
     "correlation": ("correlate", "correlation_matrix", "interpret", "price_factor_report"),
-    "dataset": ("CoinSnapshot", "Dataset", "coin_key", "load_csv", "save_csv"),
+    "dataset": ("Dataset", "coin_key", "load_csv", "save_csv"),
     "errors": (
         "ApiError", "AuthenticationError", "ChainlensError", "DataQualityWarning",
         "InfeasibleSpecError", "RateLimitError", "SchemaDriftError", "UndefinedCorrelationError",

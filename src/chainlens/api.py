@@ -252,12 +252,9 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                     session = stack.enter_context(requests.Session())
                 body = _request_page(session, url, params, headers, config, throttle)
                 payload = _parse_page(body)
-                try:
-                    total_pages = int(payload["total_pages"])
-                except (TypeError, ValueError, OverflowError):
-                    raise ApiError(
-                        f"page {page} total_pages is not an integer"
-                    ) from None
+                total_pages = payload["total_pages"]
+                if type(total_pages) is not int:  # not a bool, float or text
+                    raise ApiError(f"page {page} total_pages is not an integer")
                 chunk = _parse_rows(parser, payload["data"], page)
                 write_page(page_file, total_pages, chunk)
             parser.append(chunk)

@@ -45,8 +45,8 @@ def derive_ptsc(circulating_supply, total_supply) -> np.ndarray:
 
     Absent (NaN) wherever total supply is absent or not positive, or
     the ratio overflows (a tiny positive total). Ratios above 1 (dirty
-    data, which ``Dataset.build`` already flags) are kept; dropping
-    them would bias any downstream survival statistic.
+    data, which the ``Dataset`` constructor already flags) are kept;
+    dropping them would bias any downstream survival statistic.
     """
     circ = np.asarray(circulating_supply, dtype=np.float64)
     tot = np.asarray(total_supply, dtype=np.float64)
@@ -84,7 +84,8 @@ def impute_mean(table: FeatureTable, columns: Sequence[str]) -> FeatureTable:
         if mask.all():
             continue
         filled = col.copy()
-        filled[~mask] = col[mask].mean()
+        with np.errstate(over="ignore"):
+            filled[~mask] = _finite_stat(col[mask], np.mean)
         replacements[name] = filled
     if not replacements:
         return table

@@ -140,10 +140,9 @@ def kmeans_fit(points, k: int, seed: int = 0) -> ClusterModel:
         centroids, assignments, cost, iterations = _lloyd(pts, centroids)
         if best is None or cost < best[0]:
             best = (cost, centroids, assignments, iterations)
+    # _lloyd's loop runs at least once, so both arrays are its own fresh ones
     cost, centroids, assignments, iterations = best
-    centroids = centroids.copy()
     centroids.flags.writeable = False
-    assignments = assignments.copy()
     assignments.flags.writeable = False
     return ClusterModel(
         k=k,

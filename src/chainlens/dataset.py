@@ -33,12 +33,12 @@ shortest-digits kernel, and formats a row by itself only when a cell is
 one the kernel leaves to ``repr`` (subnormals, exact ties, integral
 values from 2**63 on) or its coin prefix is long.
 
-:class:`CoinSnapshot` is the row type at the edges: ``Dataset.build``
-takes snapshots, and ``snapshots`` materializes every row as one from
-the checked columns, without validating them again, for callers that
-want one object per row. No loader builds snapshots, not even on bad
-input, and no pipeline stage does: the stages pass row positions
-(``in_range`` gives the mask of a date range) and read columns.
+The library has no row type. ``Dataset.build`` takes any rows that
+carry ``key``, ``date`` and the value columns as attributes, and
+``snapshots`` gives every row as a plain named tuple of the same fields,
+for callers that want one object per row. No loader and no pipeline
+stage builds rows: the stages pass row positions (``in_range`` gives
+the mask of a date range) and read columns.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ import gc
 import itertools
 import math
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -86,7 +87,8 @@ EXTENDED_COLUMNS = (
 CSV_HEADER = ("name", "symbol", "date") + NUMERIC_COLUMNS
 
 VALUE_COLUMNS = NUMERIC_COLUMNS + EXTENDED_COLUMNS
-_SNAPSHOT_FIELDS = ("key", "date") + VALUE_COLUMNS
+# one panel row as ``Dataset.snapshots`` gives it
+_Snapshot = namedtuple("Snapshot", ("key", "date") + VALUE_COLUMNS)
 # a parsed cell that failed validation; absent cells are NaN
 _INVALID = -math.inf
 # rows parsed per pass of load_csv, which bounds the memory held by cell text
@@ -122,37 +124,6 @@ def split_coin_key(key: str) -> tuple[str, str]:
     return name, symbol
 
 
-@dataclass(frozen=True)
-class CoinSnapshot:
-    """One coin's on-chain parameters on one calendar day (UTC)."""
-
-    key: str
-    date: dt.date
-    price: float | None = None
-    max_supply: float | None = None
-    total_supply: float | None = None
-    circulating_supply: float | None = None
-    volume_24h: float | None = None
-    market_cap: float | None = None
-    num_market_pairs: float | None = None
-    total_value_locked: float | None = None
-    staking_reward: float | None = None
-    total_staking_percentage: float | None = None
-    whales_percentage: float | None = None
-
-    def __post_init__(self):
-        for field in fields(self):
-            if field.name in ("key", "date"):
-                continue
-            value = getattr(self, field.name)
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(
-                    f"{field.name} must be finite and >= 0, got {value!r}"
-                )
-
-
 def isoformat_days(days: np.ndarray) -> list[str]:
     """``YYYY-MM-DD`` text of each day ordinal, formatting each distinct day once."""
     distinct, inverse = np.unique(days, return_inverse=True)
@@ -173,7 +144,7 @@ def _positive_zeros(column: np.ndarray) -> np.ndarray:
 class Dataset:
     """Immutable coin-day panel stored as columns sorted by (key, day).
 
-    Build through :meth:`build` (from snapshots) or the loaders. The
+    Build through :meth:`build` (from row objects) or the loaders. The
     constructor is the one place that sorts rows, rejects duplicate
     coin-days and values the loaders would reject, and flags supply
     inconsistencies, so every Dataset round-trips through ``save_csv``
@@ -252,7 +223,10 @@ class Dataset:
             )
 
     @classmethod
-    def build(cls, snapshots: Iterable[CoinSnapshot]) -> "Dataset":
+    def build(cls, snapshots: Iterable) -> "Dataset":
+        """A panel of the given rows: any objects with a ``key``, a
+        ``date`` and the value columns as attributes, None or NaN where
+        a value is absent. The constructor checks the values."""
         rows = list(snapshots)
         table: dict[str, int] = {}
         codes = [table.setdefault(s.key, len(table)) for s in rows]
@@ -292,9 +266,9 @@ class Dataset:
         return np.array(self.keys, dtype=object)[self.codes[rows]].tolist()
 
     @cached_property
-    def snapshots(self) -> tuple[CoinSnapshot, ...]:
-        """Every row as a CoinSnapshot, in (key, day) order, built from
-        the already-checked columns without validating them again."""
+    def snapshots(self) -> tuple[tuple, ...]:
+        """Every row as a named tuple of ``key``, ``date`` (a ``date``) and
+        the value columns (floats, None where absent), in (key, day) order."""
         day_list = self.days.tolist()
         dates = {d: dt.date.fromordinal(d) for d in set(day_list)}
         cells = []
@@ -303,13 +277,8 @@ class Dataset:
             boxed = column.astype(object)
             boxed[np.isnan(column)] = None
             cells.append(boxed.tolist())
-        new = object.__new__
-        out = []
-        for record in zip(self.row_keys(slice(None)), map(dates.__getitem__, day_list), *cells):
-            snap = new(CoinSnapshot)
-            snap.__dict__.update(zip(_SNAPSHOT_FIELDS, record))
-            out.append(snap)
-        return tuple(out)
+        rows = zip(self.row_keys(slice(None)), map(dates.__getitem__, day_list), *cells)
+        return tuple(map(_Snapshot._make, rows))
 
     @property
     def date_range(self) -> tuple[dt.date, dt.date] | None:

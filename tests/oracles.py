@@ -19,8 +19,8 @@ document built by ``to_doc``, then one ``json.dumps``.
 
 ``oracle_load_csv``, ``oracle_fetch_pages``, ``oracle_build`` and
 ``oracle_save_csv`` are the original row-by-row dataset paths: one
-validated ``CoinSnapshot`` per row (``snapshot_from_mapping``, the
-original row parser), sorted with ``sorted``, duplicates
+``CoinSnapshot`` per row, its cells checked by ``snapshot_from_mapping``
+(the original row parser), sorted with ``sorted``, duplicates
 and circulating > total rows found by walking the sorted rows, and one
 ``csv.writer`` row per snapshot, each cell by ``_format_cell``.
 ``repr_digits`` reads ``repr``'s digits back as an integer and an
@@ -51,6 +51,7 @@ import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from chainlens.dataset import (
     EXTENDED_COLUMNS,
     NUMERIC_COLUMNS,
     VALUE_COLUMNS,
-    CoinSnapshot,
     _cell,
     coin_key,
     split_coin_key,
@@ -437,6 +437,25 @@ def oracle_lloyd(points, centroids):
         if converged:
             break
     return centroids, assignments, cost, iterations
+
+
+class CoinSnapshot(NamedTuple):
+    """One coin's on-chain parameters on one calendar day (UTC), as
+    tests write panel rows for ``Dataset.build``; None is absent."""
+
+    key: str
+    date: dt.date
+    price: float | None = None
+    max_supply: float | None = None
+    total_supply: float | None = None
+    circulating_supply: float | None = None
+    volume_24h: float | None = None
+    market_cap: float | None = None
+    num_market_pairs: float | None = None
+    total_value_locked: float | None = None
+    staking_reward: float | None = None
+    total_staking_percentage: float | None = None
+    whales_percentage: float | None = None
 
 
 def oracle_build(snapshots):

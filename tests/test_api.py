@@ -17,7 +17,7 @@ import chainlens
 from chainlens.api import PAGE_SUFFIX, ApiClientConfig, fetch_history
 from chainlens.cache import read_page, write_page
 from chainlens.cli import main
-from chainlens.dataset import CoinSnapshot, load_csv
+from chainlens.dataset import load_csv
 from chainlens.errors import (
     ApiError,
     AuthenticationError,
@@ -201,6 +201,9 @@ class TestWrongJsonTypes:
             (page_body(5), "page 1 data is not a JSON list: 5"),
             (page_body({"price": 1.0}), "page 1 data is not a JSON list"),
             (page_body(ROWS, total_pages=None), "page 1 total_pages is not an integer"),
+            (page_body(ROWS, total_pages=2.5), "page 1 total_pages is not an integer"),
+            (page_body(ROWS, total_pages=True), "page 1 total_pages is not an integer"),
+            (page_body(ROWS, total_pages="2"), "page 1 total_pages is not an integer"),
             (page_body([5]), "page 1 row is not a JSON object: 5"),
             (page_body([None]), "page 1 row is not a JSON object: None"),
             (page_body(ROWS[:1] + [3.5]), "page 1 row is not a JSON object: 3.5"),
@@ -216,6 +219,9 @@ class TestWrongJsonTypes:
             "data-number",
             "data-object",
             "total-pages-null",
+            "total-pages-fraction",
+            "total-pages-bool",
+            "total-pages-text",
             "row-number",
             "row-null",
             "second-row-number",
@@ -266,15 +272,8 @@ BAD_ROWS = [
 
 
 class TestLoadersBuildNoSnapshot:
-    """The loaders name a bad row with its exact error without building a
-    CoinSnapshot: here building one fails."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_snapshots(self, monkeypatch):
-        def refuse(snapshot):
-            raise AssertionError("a loader built a CoinSnapshot")
-
-        monkeypatch.setattr(CoinSnapshot, "__post_init__", refuse)
+    """The loaders name a bad row with its exact error from the raw cells
+    (``check_record``); the library has no row type to build."""
 
     def test_good_input(self, tmp_path):
         with MockHistoryServer(ROWS) as server:

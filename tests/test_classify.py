@@ -37,10 +37,10 @@ from chainlens.classifiers import (
 )
 from chainlens.cli import run
 from chainlens.config import RunConfig
-from chainlens.dataset import CoinSnapshot, Dataset, save_csv
+from chainlens.dataset import Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
 from chainlens.synthetic import SyntheticSpec, generate_synthetic
-from oracles import oracle_blob, oracle_save_model, to_doc
+from oracles import CoinSnapshot, oracle_blob, oracle_save_model, to_doc
 
 # model files of format 2, written by the one-shot writer
 MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models_v2"
@@ -183,7 +183,7 @@ class TestLabelRisky:
     def test_keys_hold_any_text_the_coin_names_hold(self):
         renamed = {"AAA_alpha": 'A@2021-01-01,"_alpha', "BBB_beta": 'B"B@x,_be@ta'}
         ds = Dataset.build(
-            dataclasses.replace(s, key=renamed[s.key])
+            s._replace(key=renamed[s.key])
             for s in labeled_fixture_dataset().snapshots
         )
         table = label_risky(
@@ -238,6 +238,18 @@ class TestPrepareFeatures:
         assert before["ptsc"] == 2
         # the two holes take the mean of the one defined ratio
         assert X[:, CLASSIFY_FEATURES.index("ptsc")].tolist() == [0.5, 0.5, 0.5]
+
+    def test_mean_fill_is_finite_where_the_sum_overflows(self):
+        full = dict(max_supply=9.0, total_supply=8.0, circulating_supply=4.0,
+                    volume_24h=1.0, market_cap=5.0)
+        ds = Dataset.build(
+            CoinSnapshot("AAA_alpha", d(f"2021-01-0{i + 1}"), price=price, **full)
+            for i, price in enumerate([1e308, 1.5e308, None])
+        )
+        _, X, _ = prepare_features(ds)
+        fill = 1.5e308 * np.mean(np.array([1e308, 1.5e308]) / 1.5e308)
+        assert X[:, CLASSIFY_FEATURES.index("price")].tolist() == [1e308, 1.5e308, fill]
+        assert np.isfinite(X).all()
 
 
 class TestLabeledTable:
@@ -563,7 +575,7 @@ class TestManipulabilityFlags:
 
     def test_every_flag_has_a_mask_over_the_rows(self):
         ds = Dataset.build(
-            [self.snapshot(), dataclasses.replace(self.snapshot(), key="Y_y", max_supply=None)]
+            [self.snapshot(), self.snapshot()._replace(key="Y_y", max_supply=None)]
         )
         volume = (np.array([10.0, 10.0]), np.array([2.0, 50.0]))
         masks = manipulability_flags(ds, np.array([1, 0]), volume)

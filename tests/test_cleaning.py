@@ -23,8 +23,9 @@ from chainlens.cleaning import (
     mean_normalize,
     row_feature_table,
 )
-from chainlens.dataset import CoinSnapshot, Dataset
+from chainlens.dataset import Dataset
 from chainlens.errors import ChainlensError, DataQualityWarning
+from oracles import CoinSnapshot
 
 
 def table(**columns):

@@ -16,9 +16,9 @@ from chainlens.clustering import (
     kmeans_fit,
 )
 from chainlens.config import RunConfig
-from chainlens.dataset import CoinSnapshot, Dataset, save_csv
+from chainlens.dataset import Dataset, save_csv
 from chainlens.errors import ChainlensError
-from oracles import oracle_lloyd
+from oracles import CoinSnapshot, oracle_lloyd
 
 
 def blob_points(rng, centers, per_blob=40, std=0.05):

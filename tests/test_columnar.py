@@ -27,9 +27,10 @@ from chainlens.api import _parse_rows
 from chainlens.classify import manipulability_flags
 from chainlens.cleaning import aggregate_stats
 from chainlens.correlation import AGGREGATE_FACTORS
-from chainlens.dataset import CoinSnapshot, ColumnParser, Dataset, load_csv, save_csv
+from chainlens.dataset import ColumnParser, Dataset, load_csv, save_csv
 from chainlens.errors import DataQualityWarning
 from oracles import (
+    CoinSnapshot,
     _format_cell,
     is_tie,
     oracle_aggregate_stats,

@@ -27,9 +27,9 @@ from chainlens.correlation import (
 from chainlens.cleaning import FeatureTable
 from chainlens.cli import run
 from chainlens.config import RunConfig
-from chainlens.dataset import CoinSnapshot, Dataset, save_csv
+from chainlens.dataset import Dataset, save_csv
 from chainlens.errors import ChainlensError, UndefinedCorrelationError
-from oracles import oracle_correlation_matrix
+from oracles import CoinSnapshot, oracle_correlation_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

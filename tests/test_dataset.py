@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from chainlens.dataset import (
     VALUE_COLUMNS,
-    CoinSnapshot,
     ColumnParser,
     Dataset,
     coin_key,
@@ -26,6 +25,7 @@ from chainlens.errors import (
     DuplicateCoinDayError,
     MalformedRowError,
 )
+from oracles import CoinSnapshot
 
 
 def snap(key="Bitcoin_BTC", day="2021-01-01", **kw):
@@ -82,13 +82,26 @@ class TestParseDay:
 
 
 class TestSnapshotValidation:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            snap(price=-1.0)
+    """A row's values are checked once, by the Dataset constructor."""
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            snap(volume_24h=float("nan"))
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError) as caught:
+            Dataset.build([snap(price=-1.0)])
+        assert str(caught.value) == (
+            "Bitcoin_BTC 2021-01-01: price must be finite and >= 0, got -1.0"
+        )
+
+    def test_rejects_infinite(self):
+        with pytest.raises(ValueError) as caught:
+            Dataset.build([snap(), snap(day="2021-01-02", market_cap=float("inf"))])
+        assert str(caught.value) == (
+            "Bitcoin_BTC 2021-01-02: market_cap must be finite and >= 0, got inf"
+        )
+
+    def test_nan_reads_as_absent(self):
+        ds = Dataset.build([snap(volume_24h=float("nan"), price=2.0)])
+        assert ds == Dataset.build([snap(price=2.0)])
+        assert ds.snapshots[0].volume_24h is None
 
     def test_absent_fields_default_to_none(self):
         s = snap(price=1.0)

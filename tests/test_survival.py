@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chainlens.cli import run
 from chainlens.config import RunConfig
-from chainlens.dataset import CoinSnapshot, Dataset, save_csv
+from chainlens.dataset import Dataset, save_csv
 from chainlens.errors import ChainlensError
 from chainlens.survival import (
     PARETO_BUCKET_DAYS,
@@ -19,7 +19,7 @@ from chainlens.survival import (
     pareto,
     survival_summary,
 )
-from oracles import oracle_lifetimes, oracle_pareto, oracle_survival_summary
+from oracles import CoinSnapshot, oracle_lifetimes, oracle_pareto, oracle_survival_summary
 
 
 def d(text):

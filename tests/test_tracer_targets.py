@@ -5,7 +5,9 @@ The tracer replaces functions by ``(module, attribute)``, rewraps
 what ``load_csv`` and ``fetch_history`` return, and names the classify
 spans from ``ClassifierSpec.kind`` and ``TrainedModel.spec.kind``; the
 benchmark's environment probe reads ``chainlens.kernels.JIT_ENABLED``.
-A refactor that breaks one of these breaks every traced run.
+A refactor that breaks one of these breaks every traced run. The API
+workload's history server (perfbench/history_server.py) encodes its
+pages from ``Dataset.snapshots``.
 """
 
 import importlib
@@ -30,13 +32,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+HISTORY_SERVER = ROOT / "perfbench" / "history_server.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_module("perfbench_tracer", TRACER)
 
 
 def test_every_tracer_target_resolves():
@@ -69,6 +76,26 @@ def test_loader_results_support_len(tmp_path):
         )
         fetched = fetch_history(config)
     assert len(fetched) == len(load_csv(FIXTURES / "api_equivalent.csv")) == len(rows)
+
+
+def test_ingest_of_encoded_pages_gives_the_panel_back(tmp_path):
+    # the API workload serves ``encode_pages`` of a generated panel and
+    # checks that the ingested dataset.csv equals the generated one
+    encode_pages = load_module("perfbench_history_server", HISTORY_SERVER).encode_pages
+    ds = generate_synthetic(SyntheticSpec(n_coins=20, seed=3, missing_max_supply_rate=0.3))
+    rows = [row for page in encode_pages(ds, page_size=50) for row in json.loads(page)["data"]]
+    with MockHistoryServer(rows, page_size=50) as server:
+        config = ApiClientConfig(
+            base_url=server.base_url,
+            api_key="test-key",
+            rate_limit=1000.0,
+            cache_dir=tmp_path / "cache",
+        )
+        fetched = fetch_history(config)
+    save_csv(ds, tmp_path / "generated.csv")
+    save_csv(fetched, tmp_path / "ingested.csv")
+    assert (tmp_path / "ingested.csv").read_bytes() == (tmp_path / "generated.csv").read_bytes()
+    assert Dataset.build(ds.snapshots) == ds
 
 
 def test_classify_span_names_and_model_bytes(tmp_path):

@@ -255,6 +255,8 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                 total_pages = payload["total_pages"]
                 if type(total_pages) is not int:  # not a bool, float or text
                     raise ApiError(f"page {page} total_pages is not an integer")
+                if total_pages < 1:
+                    raise ApiError(f"page {page} total_pages must be >= 1, got {total_pages}")
                 chunk = _parse_rows(parser, payload["data"], page)
                 write_page(page_file, total_pages, chunk)
             parser.append(chunk)

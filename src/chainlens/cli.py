@@ -1,8 +1,9 @@
 """Pipeline command line: make or ingest a market panel, then run each
 analysis stage as its own subcommand writing plain-file artifacts.
 
-Stages read ``dataset.csv`` from the output directory (or ``--input``)
-and write their own artifacts next to it, so a full run is::
+``run`` reads what a stage's ``COMMANDS`` row names for its handler,
+most often the panel ``dataset.csv`` in the output directory (or
+``--input``), and the stage writes next to it, so a full run is::
 
     chainlens generate --out run1 --seed 7
     chainlens clean --out run1
@@ -91,15 +92,6 @@ GENERATE_DEFAULTS: dict = {
     "snapshot_interval_days": 7,
     "missing_max_supply_rate": 0.1,
 }
-
-# What `report` composes; COMMANDS names the stage and --format writing each.
-REPORT_INPUTS = (
-    "survival_summary.json",
-    "pareto.csv",
-    "correlations.csv",
-    "cluster_summary.json",
-    "metrics.csv",
-)
 
 # Header of the stage CSV whose columns ``report`` reads by position.
 _FLAGS_HEADER = ("coin_key", "flags")
@@ -192,22 +184,6 @@ class ArtifactWriter:
             temporary.unlink(missing_ok=True)
 
 
-def _load_dataset(cfg: RunConfig):
-    """The panel a stage reads: ``--input``, else ``dataset.csv`` in ``--out``.
-
-    It is parsed with ``load_csv`` only when the panel cache holds no
-    checked entry for the file's bytes (``cache.load_panel``)."""
-    source = Path(cfg.input) if cfg.input else Path(cfg.out) / "dataset.csv"
-    if not source.exists():
-        hint = "" if cfg.input else "; pass --input or run generate/ingest first"
-        raise ChainlensError(f"no dataset at {source}{hint}")
-    try:
-        ds = load_panel(source, load_csv)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
-    return _require_rows(ds, source)
-
-
 def _require_rows(ds, source):
     if len(ds) == 0:
         raise ChainlensError(f"no snapshot rows in {source}")
@@ -224,7 +200,7 @@ def _dataset_summary(ds) -> dict:
     }
 
 
-def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
+def cmd_generate(cfg: RunConfig, writer: ArtifactWriter, _) -> str:
     settings = dict(GENERATE_DEFAULTS)
     settings.update(cfg.generate)
     if "start_day" in settings:
@@ -240,9 +216,8 @@ def cmd_generate(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    if cfg.input:
-        ds = _load_dataset(cfg)
+def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
+    if cfg.input:  # ds is the --input panel
         origin = cfg.input
     elif cfg.api.get("base_url"):
         client = ApiClientConfig(date_range=cfg.date_range, **cfg.api)
@@ -257,8 +232,7 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter) -> str:
     return f"ingest: {len(ds.keys)} coins, {len(ds)} rows from {origin}"
 
 
-def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_clean(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     rows, X, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
     ids = map("{}@{}".format, ds.row_keys(rows), isoformat_days(ds.days[rows]))
     writer.write_csv(
@@ -288,8 +262,7 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
     coins = lifetimes(ds, cutoff)
     summary = survival_summary(coins)
@@ -323,8 +296,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     report = price_factor_report(ds, cfg.date_range)
     chosen = [
         p for p in report.pooled + report.aggregate if p.method in cfg.methods
@@ -344,8 +316,7 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     report = cluster_report(ds, ds.resolve_cutoff(cfg.cutoff_date), k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
@@ -380,8 +351,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_classify(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
     table = label_risky(ds, cutoff, cfg.date_range)
     train, test = train_test_split(table, cfg.split, seed=cfg.seed)
@@ -421,8 +391,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter) -> str:
     )
 
 
-def cmd_flags(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    ds = _load_dataset(cfg)
+def cmd_flags(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     volume = aggregate_stats(ds, ("volume_24h",), cfg.date_range)["volume_24h"]
     # each coin's last row on or before the cutoff; -1 for none
     last = ds.last_rows(ds.resolve_cutoff(cfg.cutoff_date))
@@ -497,35 +466,23 @@ def _read_json_object(path: Path) -> dict:
     return document
 
 
-def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
-    out = Path(cfg.out)
-    made_by = {name: f"{stage} --format {fmt}" for stage, row in COMMANDS.items()
-               for fmt, names in zip(FORMATS, row.writes or ()) for name in names}
-    missing = [f"{name} ({made_by[name]})" for name in REPORT_INPUTS if not (out / name).exists()]
-    if missing:
-        raise ChainlensError(
-            "report composes existing artifacts but these are missing: "
-            + ", ".join(missing)
-            + "; run those stages first"
-        )
-
+def cmd_report(cfg: RunConfig, writer: ArtifactWriter, paths: dict) -> str:
     def inline_svg(name: str) -> str:
-        path = out / name
-        if not path.exists():
+        if name not in paths:
             return ""
         try:
-            return f"<figure>{path.read_text(encoding='utf-8')}</figure>"
+            return f"<figure>{paths[name].read_text(encoding='utf-8')}</figure>"
         except UnicodeDecodeError as exc:
-            raise ChainlensError(f"artifact {path} is not UTF-8 text: {exc}") from None
+            raise ChainlensError(f"artifact {paths[name]} is not UTF-8 text: {exc}") from None
 
-    survival = _read_json_object(out / "survival_summary.json")
-    cluster = _read_json_object(out / "cluster_summary.json")
-    pareto_head, pareto_rows = _read_csv(out / "pareto.csv")
-    corr_head, corr_rows = _read_csv(out / "correlations.csv")
-    metrics_head, metrics_rows = _read_csv(out / "metrics.csv")
+    survival = _read_json_object(paths["survival_summary.json"])
+    cluster = _read_json_object(paths["cluster_summary.json"])
+    pareto_head, pareto_rows = _read_csv(paths["pareto.csv"])
+    corr_head, corr_rows = _read_csv(paths["correlations.csv"])
+    metrics_head, metrics_rows = _read_csv(paths["metrics.csv"])
     sizes = cluster.get("sizes")
     if not isinstance(sizes, dict):
-        raise ChainlensError(f"artifact {out / 'cluster_summary.json'}: sizes must be an object")
+        raise ChainlensError(f"artifact {paths['cluster_summary.json']}: sizes must be an object")
 
     sections = [
         "<h2>Survival</h2>",
@@ -542,9 +499,8 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
         _html_table(metrics_head, metrics_rows),
         inline_svg("metrics.svg"),
     ]
-    flags_path = out / "flags.csv"
-    if flags_path.exists():
-        _, flag_rows = _read_csv(flags_path, _FLAGS_HEADER)
+    if "flags.csv" in paths:
+        _, flag_rows = _read_csv(paths["flags.csv"], _FLAGS_HEADER)
         flagged = [(key, joined) for key, joined in flag_rows if joined]
         sections.append("<h2>Manipulability flags</h2>")
         sections.append(
@@ -571,10 +527,10 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter) -> str:
         + "</body></html>\n"
     )
     writer.write_text("report.html", page)
-    return f"report: composed {len(REPORT_INPUTS)} artifacts -> report.html"
+    return f"report: composed {len(COMMANDS['report'].reads[0])} artifacts -> report.html"
 
 
-def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
+def cmd_plot(cfg: RunConfig, writer: ArtifactWriter, _) -> str:
     if not cfg.input:
         raise ConfigError(
             "plot needs --input pointing at pareto.csv, elbow.csv, or metrics.csv"
@@ -596,39 +552,75 @@ def cmd_plot(cfg: RunConfig, writer: ArtifactWriter) -> str:
 
 
 # A stage's handler, help, the modules of the PROVIDERS names it calls,
-# and the files it writes at --format csv, json and svg, each format
-# adding to the one before (None when the names come from the input).
-Stage = namedtuple("Stage", "handler help modules writes")
-_PANEL = ("cache", "dataset")  # what _load_dataset calls
+# the (required, optional) files it reads, "dataset.csv" being the panel
+# or --input, and the files it writes at --format csv, json and svg, each
+# adding to the one before. None: no files, or names taken from --input.
+Stage = namedtuple("Stage", "handler help modules reads writes")
+_PANEL = (("dataset.csv",), ())  # reads the panel alone
 _MODELS = tuple(f"models/{kind}.json" for kind in CLASSIFIER_KINDS)
 
 COMMANDS = {
     "generate": Stage(cmd_generate, "synthesize a dataset with planted structure",
-                      ("dataset", "synthetic"), (("dataset.csv",), ("dataset_summary.json",), ())),
+                      ("dataset", "synthetic"), None,
+                      (("dataset.csv",), ("dataset_summary.json",), ())),
     "ingest": Stage(cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
-                    _PANEL + ("api",), (("dataset.csv",), ("dataset_summary.json",), ())),
+                    ("api", "dataset"), ((), ("dataset.csv",)),
+                    (("dataset.csv",), ("dataset_summary.json",), ())),
     "clean": Stage(cmd_clean, "derive and impute the per-row feature table",
-                   _PANEL + ("classify",), (("features.csv",), ("cleaning_summary.json",), ())),
+                   ("classify", "dataset"), _PANEL,
+                   (("features.csv",), ("cleaning_summary.json",), ())),
     "lifetimes": Stage(cmd_lifetimes, "coin lifetimes, survival summary, pareto data",
-                       _PANEL + ("survival", "svgcharts"),
+                       ("dataset", "survival", "svgcharts"), _PANEL,
                        (("lifetimes.csv", "pareto.csv"), ("survival_summary.json",),
                         ("pareto.svg",))),
     "correlate": Stage(cmd_correlate, "price-vs-factor correlation artifacts",
-                       _PANEL + ("correlation",),
+                       ("correlation",), _PANEL,
                        (("correlations.csv",), ("correlation_report.json",), ())),
     "cluster": Stage(cmd_cluster, "k-means daily clustering with elbow selection",
-                     _PANEL + ("clustering", "svgcharts"),
+                     ("clustering", "svgcharts"), _PANEL,
                      (("assignments.csv", "elbow.csv"), ("cluster_summary.json",), ("elbow.svg",))),
     "classify": Stage(cmd_classify, "train and score disappearance classifiers",
-                      _PANEL + ("classify", "svgcharts"),
+                      ("classify", "svgcharts"), _PANEL,
                       (("metrics.csv",) + _MODELS, ("classify_summary.json",), ("metrics.svg",))),
-    "flags": Stage(cmd_flags, "manipulability flags per coin", _PANEL + ("cleaning", "classify"),
+    "flags": Stage(cmd_flags, "manipulability flags per coin", ("cleaning", "classify"), _PANEL,
                    (("flags.csv",), ("flags_summary.json",), ())),
     "report": Stage(cmd_report, "compose prior artifacts into report.html", (),
+                    (("survival_summary.json", "pareto.csv", "correlations.csv",
+                      "cluster_summary.json", "metrics.csv"),
+                     ("pareto.svg", "elbow.svg", "metrics.svg", "flags.csv")),
                     (("report.html",), (), ())),
     "plot": Stage(cmd_plot, "re-render one artifact CSV as SVG + plotted numbers",
-                  ("svgcharts",), None),
+                  ("svgcharts",), None, None),
 }
+
+
+def _read(command: str, cfg: RunConfig):
+    """What the stage's ``reads`` names, for its handler: the panel
+    (``--input``, else ``dataset.csv`` in ``--out``; an optional one is
+    ``--input`` or None), parsed by ``load_csv`` only on a panel cache
+    miss (``cache.load_panel``), or else a name -> path map of its files
+    present in ``--out``."""
+    required, optional = COMMANDS[command].reads or ((), ())
+    out = Path(cfg.out)
+    if "dataset.csv" in required + optional:
+        if not (cfg.input or required):
+            return None
+        source = Path(cfg.input) if cfg.input else out / "dataset.csv"
+        if not source.exists():
+            hint = "" if cfg.input else "; pass --input or run generate/ingest first"
+            raise ChainlensError(f"no dataset at {source}{hint}")
+        try:
+            ds = load_panel(source, load_csv)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
+        return _require_rows(ds, source)
+    made_by = {name: f"{stage} --format {fmt}" for stage, row in COMMANDS.items()
+               for fmt, names in zip(FORMATS, row.writes or ()) for name in names}
+    missing = [f"{name} ({made_by[name]})" for name in required if not (out / name).exists()]
+    if missing:
+        raise ChainlensError(f"{command} composes existing artifacts but these are missing: "
+                             f"{', '.join(missing)}; run those stages first")
+    return {name: out / name for name in required + optional if (out / name).exists()}
 
 
 def run(command: str, config: RunConfig) -> str:
@@ -643,12 +635,14 @@ def run(command: str, config: RunConfig) -> str:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     stage = COMMANDS[command]
-    for module in stage.modules:
+    # the panel's modules (what _read calls for it) come with its read
+    panel = ("cache", "dataset") if "dataset.csv" in sum(stage.reads or (), ()) else ()
+    for module in stage.modules + panel:
         for name in PROVIDERS[module]:
             _bind(name)
     writer = ArtifactWriter(config.out, stage.writes, config.format)
     try:
-        summary = stage.handler(config, writer)
+        summary = stage.handler(config, writer, _read(command, config))
         writer.commit()
     except BaseException as exc:
         writer.discard_written()

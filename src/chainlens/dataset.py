@@ -145,10 +145,10 @@ class Dataset:
     """Immutable coin-day panel stored as columns sorted by (key, day).
 
     Build through :meth:`build` (from row objects) or the loaders. The
-    constructor is the one place that sorts rows, rejects duplicate
-    coin-days and values the loaders would reject, and flags supply
-    inconsistencies, so every Dataset round-trips through ``save_csv``
-    and ``load_csv``.
+    constructor is the one place that sorts rows, rejects keys that are
+    not coin keys, duplicate coin-days and values the loaders would
+    reject, and flags supply inconsistencies, so every Dataset
+    round-trips through ``save_csv`` and ``load_csv``.
     """
 
     def __init__(
@@ -163,9 +163,12 @@ class Dataset:
         ``keys`` are distinct coin keys and ``codes`` index into them;
         ``columns`` maps value-column names to float64 arrays (NaN for
         absent); a column left out is all absent. Raises ValueError
-        naming the coin, day and column of the first value (after the
-        duplicate check) that is neither absent nor finite and ``>= 0``.
+        naming a key ``split_coin_key`` refuses, or the coin, day and
+        column of the first value (after the duplicate check) that is
+        neither absent nor finite and ``>= 0``.
         """
+        for key in keys:
+            split_coin_key(key)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         rank = np.empty(len(keys), dtype=np.int64)
         rank[order] = np.arange(len(keys))

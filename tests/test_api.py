@@ -204,6 +204,8 @@ class TestWrongJsonTypes:
             (page_body(ROWS, total_pages=2.5), "page 1 total_pages is not an integer"),
             (page_body(ROWS, total_pages=True), "page 1 total_pages is not an integer"),
             (page_body(ROWS, total_pages="2"), "page 1 total_pages is not an integer"),
+            (page_body(ROWS, total_pages=0), "page 1 total_pages must be >= 1, got 0"),
+            (page_body(ROWS, total_pages=-3), "page 1 total_pages must be >= 1, got -3"),
             (page_body([5]), "page 1 row is not a JSON object: 5"),
             (page_body([None]), "page 1 row is not a JSON object: None"),
             (page_body(ROWS[:1] + [3.5]), "page 1 row is not a JSON object: 3.5"),
@@ -222,6 +224,8 @@ class TestWrongJsonTypes:
             "total-pages-fraction",
             "total-pages-bool",
             "total-pages-text",
+            "total-pages-zero",
+            "total-pages-negative",
             "row-number",
             "row-null",
             "second-row-number",

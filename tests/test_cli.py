@@ -21,7 +21,7 @@ from chainlens.classify import label_risky, prepare_features
 import chainlens
 import chainlens.cli as cli
 from chainlens.cli import (
-    COMMANDS, GENERATE_DEFAULTS, PROVIDERS, REPORT_INPUTS, ArtifactWriter, main, run
+    COMMANDS, GENERATE_DEFAULTS, PROVIDERS, ArtifactWriter, main, run
 )
 from chainlens.config import FORMATS, ConfigError, RunConfig
 from chainlens.dataset import CSV_HEADER, load_csv
@@ -367,9 +367,11 @@ class TestStageTable:
         }
         assert written == expected - unwritten
 
-    def test_the_table_writes_every_report_input(self):
+    def test_the_table_writes_every_required_read(self):
         written = {name for row in COMMANDS.values() for names in row.writes or () for name in names}
-        assert set(REPORT_INPUTS) <= written
+        required = {name for row in COMMANDS.values() for name in (row.reads or ((),))[0]}
+        assert required
+        assert required <= written
 
     def test_benchmark_lists_the_stages_of_the_table(self, monkeypatch):
         listed = {stage for stage, row in COMMANDS.items() if row.writes is not None}
@@ -393,6 +395,73 @@ class TestStageTable:
         message = json.loads(capsys.readouterr().err)["message"]
         assert "survival_summary.json (lifetimes --format json)" in message
         assert [p.name for p in tmp_path.glob(".*")] == []
+
+
+class TestReads:
+    """What each stage reads, and how it fails when a read is missing,
+    written out here rather than taken from the stage table."""
+
+    @pytest.mark.parametrize(
+        "name, made_by",
+        [
+            ("survival_summary.json", "lifetimes --format json"),
+            ("pareto.csv", "lifetimes --format csv"),
+            ("correlations.csv", "correlate --format csv"),
+            ("cluster_summary.json", "cluster --format json"),
+            ("metrics.csv", "classify --format csv"),
+        ],
+    )
+    def test_report_without_one_required_input_exits_1_naming_it(
+        self, pipeline_dir, tmp_path, capsys, name, made_by
+    ):
+        out = shutil.copytree(pipeline_dir, tmp_path / "run")
+        (out / "report.html").unlink()
+        (out / name).unlink()
+        before = snapshot_tree(out)
+        assert run_stage("report", "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": "report composes existing artifacts but these are missing:"
+            f" {name} ({made_by}); run those stages first",
+        }
+        assert snapshot_tree(out) == before  # no report.html
+
+    @pytest.mark.parametrize("name", ["pareto.svg", "elbow.svg", "metrics.svg", "flags.csv"])
+    def test_report_without_one_optional_input_leaves_out_its_part(
+        self, pipeline_dir, tmp_path, name
+    ):
+        out = shutil.copytree(pipeline_dir, tmp_path / "run")
+        (out / "report.html").unlink()
+        (out / name).unlink()
+        assert run_stage("report", "--out", str(out)) == 0
+        page = (out / "report.html").read_text("utf-8")
+        for figure in ("pareto.svg", "elbow.svg", "metrics.svg"):
+            svg = (pipeline_dir / figure).read_text("utf-8")
+            assert (f"<figure>{svg}</figure>" in page) == (figure != name)
+        assert ("<h2>Manipulability flags</h2>" in page) == (name != "flags.csv")
+
+    @pytest.mark.parametrize(
+        "stage", ["clean", "lifetimes", "correlate", "cluster", "classify", "flags"]
+    )
+    def test_panel_stage_in_an_empty_out_exits_1(self, pipeline_dir, tmp_path, capsys, stage):
+        config = str(pipeline_dir / "config.json")
+        assert run_stage(stage, "--config", config, "--out", str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": f"no dataset at {tmp_path / 'dataset.csv'};"
+            " pass --input or run generate/ingest first",
+        }
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ingest_never_reads_the_panel_in_out(self, pipeline_dir, tmp_path, capsys):
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        before = snapshot_tree(tmp_path)
+        assert run_stage("ingest", "--out", str(tmp_path)) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "ingest needs --input FILE or an 'api' config block with base_url",
+        }
+        assert snapshot_tree(tmp_path) == before
 
 
 class TestUsageErrors:
@@ -1172,10 +1241,11 @@ class TestImportFootprint:
 
     def test_each_stage_lists_the_modules_of_the_names_it_calls(self):
         module_of = {name: module for module, names in PROVIDERS.items() for name in names}
-        for stage, row in COMMANDS.items():
+
+        def modules_called(function) -> set[str]:
             used: set[str] = set()
-            todo = [row.handler]
-            while todo:  # the handler and the cli functions it calls
+            todo = [function]
+            while todo:  # the function and the cli functions it calls
                 names = _code_names(todo.pop().__code__) - used
                 used |= names
                 todo += [
@@ -1183,8 +1253,12 @@ class TestImportFootprint:
                     for value in map(vars(cli).get, names)
                     if inspect.isfunction(value) and value.__module__ == cli.__name__
                 ]
-            needed = {module_of[name] for name in used if name in module_of}
-            assert set(row.modules) == needed, stage
+            return {module_of[name] for name in used if name in module_of}
+
+        # the modules run() binds for a row that reads the panel
+        assert modules_called(cli._read) == {"cache", "dataset"}
+        for stage, row in COMMANDS.items():
+            assert set(row.modules) == modules_called(row.handler), stage
 
     def test_every_provider_name_exists_in_its_module(self):
         for module, names in PROVIDERS.items():

@@ -126,6 +126,12 @@ class TestDatasetBuild:
         assert "Bitcoin_BTC" in str(err.value)
         assert "2021-01-01" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["nokey", "a_b_c"])
+    def test_key_that_is_not_a_coin_key_rejected(self, key):
+        # save_csv could not write it back as a name and a symbol
+        with pytest.raises(ValueError, match=f"not a coin key: '{key}'"):
+            Dataset.build([snap(key)])
+
     def test_supply_violation_warns_and_keeps_row(self):
         with pytest.warns(DataQualityWarning):
             ds = Dataset.build(

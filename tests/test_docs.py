@@ -1,8 +1,9 @@
 """The documented examples run as written: the package docstring's
 doctest and the README's Library code block; the README's artifact
-table is the CLI's stage table, its ``api`` example names exactly the
-keys the block takes, every ``ds.NAME`` it mentions is a Dataset
-attribute, and every capitalised name it puts in backticks exists."""
+table and its paragraph on reads are the CLI's stage table, its ``api``
+example names exactly the keys the block takes, every ``ds.NAME`` it
+mentions is a Dataset attribute, and every capitalised name it puts in
+backticks exists."""
 
 import ast
 import builtins
@@ -53,6 +54,29 @@ def test_readme_artifact_table_is_the_stage_table():
         stage: [set(names) for names in row.writes]
         for stage, row in COMMANDS.items()
         if row.writes is not None
+    }
+
+
+def test_readme_reads_paragraph_is_the_stage_table():
+    # each sentence: stages, then the files they need, then " may " and
+    # the files they read when present; `--input` stands for the panel
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    [paragraph] = [p for p in section.split("\n\n") if p.startswith("What each stage reads.")]
+    documented = {}
+    for sentence in re.split(r"\.\s", " ".join(paragraph.split())):
+        needed, *present = [
+            {"dataset.csv" if name == "--input" else name for name in re.findall(r"`([^`]+)`", part)
+             if name == "--input" or "." in name}
+            for part in sentence.split(" may ", 1)
+        ]
+        optional = present[0] if present else set()
+        for stage in re.findall(r"`([^`]+)`", sentence):
+            if stage in COMMANDS and (needed or optional):
+                documented[stage] = [needed, optional]
+    assert documented == {
+        stage: [set(names) for names in row.reads]
+        for stage, row in COMMANDS.items()
+        if row.reads is not None
     }
 
 

@@ -80,19 +80,6 @@ class ApiClientConfig:
         if self.date_range is not None:
             check_date_range(*self.date_range, ApiError)
 
-    def resolved_key(self) -> str:
-        key = self.api_key or os.environ.get(API_KEY_ENV, "")
-        if not key:
-            raise AuthenticationError(
-                f"no API key: set {API_KEY_ENV} or pass api_key explicitly"
-            )
-        return key
-
-    def resolved_cache_dir(self) -> Path:
-        if self.cache_dir is not None:
-            return Path(self.cache_dir)
-        return cache_dir()
-
 
 def _page_path(cache_dir: Path, endpoint: str, params: dict) -> Path:
     digest = hashlib.sha256(
@@ -214,15 +201,19 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
     """Pull the full paginated history into one Dataset.
 
     Each page is fetched at most once per (endpoint, params) thanks to
-    the disk cache; retries with exponential backoff cover throttling
-    and transient server failures. The HTTP session is opened on the
-    first cache miss, so a warm run never imports ``requests``. The
-    merged result obeys the same invariants as a CSV load (sorted,
-    duplicate coin-days rejected).
+    the disk cache, except that a fetched page whose count differs from
+    a cached page 1 fetches page 1 again, once, and starts over; retries
+    with exponential backoff cover throttling and transient server
+    failures. The HTTP session is opened on the first cache miss, so a
+    warm run never imports ``requests``. The merged result obeys the
+    same invariants as a CSV load (sorted, duplicate coin-days
+    rejected).
     """
-    key = config.resolved_key()
-    cache_dir = config.resolved_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    key = config.api_key or os.environ.get(API_KEY_ENV, "")
+    if not key:
+        raise AuthenticationError(f"no API key: set {API_KEY_ENV} or pass api_key explicitly")
+    pages_dir = cache_dir() if config.cache_dir is None else Path(config.cache_dir)
+    pages_dir.mkdir(parents=True, exist_ok=True)
     url = config.base_url.rstrip("/") + HISTORY_PATH
     base_params: dict = {}
     if config.date_range is not None:
@@ -237,14 +228,17 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
     parser = ColumnParser()
     session = None
     page = 1
-    total_pages = 1
+    total_pages = 1  # page 1's count, which every later page must repeat
+    cached_first = None  # page 1's file when read from the cache: its count may be stale
     with contextlib.ExitStack() as stack:
         while page <= total_pages:
             params = dict(base_params, page=page)
-            page_file = _page_path(cache_dir, url, params)
+            page_file = _page_path(pages_dir, url, params)
             cached = read_page(page_file)
-            if cached is not None:
-                total_pages, chunk = cached
+            if cached is not None and (page == 1 or cached[0] == total_pages):
+                count, chunk = cached
+                if page == 1:
+                    cached_first = page_file
             else:
                 if session is None:
                     import requests  # imported on the first miss only
@@ -252,13 +246,22 @@ def fetch_history(config: ApiClientConfig) -> Dataset:
                     session = stack.enter_context(requests.Session())
                 body = _request_page(session, url, params, headers, config, throttle)
                 payload = _parse_page(body)
-                total_pages = payload["total_pages"]
-                if type(total_pages) is not int:  # not a bool, float or text
+                count = payload["total_pages"]
+                if type(count) is not int:  # not a bool, float or text
                     raise ApiError(f"page {page} total_pages is not an integer")
-                if total_pages < 1:
-                    raise ApiError(f"page {page} total_pages must be >= 1, got {total_pages}")
+                if count < 1:
+                    raise ApiError(f"page {page} total_pages must be >= 1, got {count}")
+                if page > 1 and count != total_pages:
+                    if cached_first is not None:  # the history may have grown: start over
+                        cached_first.unlink(missing_ok=True)  # so page 1 is fetched again
+                        parser, page, total_pages, cached_first = ColumnParser(), 1, 1, None
+                        continue
+                    raise ApiError(
+                        f"page {page} total_pages is {count}, but page 1 gave {total_pages}"
+                    )
                 chunk = _parse_rows(parser, payload["data"], page)
-                write_page(page_file, total_pages, chunk)
+                write_page(page_file, count, chunk)
+            total_pages = count
             parser.append(chunk)
             page += 1
     return parser.dataset()

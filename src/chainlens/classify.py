@@ -5,7 +5,7 @@ historical row of a coin carries that coin's label, so the classifier
 sees individual coin-days. The split is row-random by default, which
 mirrors the source methodology but lets rows of one coin straddle the
 split; pass ``group_by_coin=True`` for the honest variant that keeps
-each coin entirely on one side.
+each coin entirely on one side, each label's coins split by the ratio.
 
 Feature preparation: ``prepare_features`` is the one path from a
 dataset to the seven columns {price, max_supply, total_supply,
@@ -171,10 +171,14 @@ def train_test_split(
     seed: int = 0,
     group_by_coin: bool = False,
 ) -> tuple[LabeledTable, LabeledTable]:
-    """Disjoint, exhaustive random partition with |train| = round(ratio n).
+    """Disjoint, exhaustive random partition; of n rows, round(ratio n)
+    go to train.
 
     ``group_by_coin`` partitions coins instead of rows, so no coin's
-    history straddles the split.
+    history straddles the split, stratified by label: of each label's
+    n coins (a coin's label is its first row's), round(ratio n) go to
+    train. The train side is the sum of these rounds, and a split whose
+    rounds take every coin or none is refused.
     """
     if not 0.0 < ratio < 1.0:
         raise ChainlensError(f"split ratio must be in (0, 1), got {ratio}")
@@ -182,17 +186,21 @@ def train_test_split(
         raise ChainlensError("need at least 2 rows to split")
     rng = np.random.default_rng(seed)
     if group_by_coin:
-        # the distinct coins in first-appearance order
-        coins = np.array(list(dict.fromkeys(table.coins.tolist())))
+        # each coin's first row, in first-appearance order, gives its label
+        first = np.sort(np.unique(table.coins, return_index=True)[1])
+        coins, labels = table.coins[first], table.y[first]
         if len(coins) < 2:
             raise ChainlensError("group split needs at least 2 coins")
-        n_train = round(ratio * len(coins))
+        drawn = []  # each label's train coins, labels in order
+        for label in np.unique(labels):
+            members = coins[labels == label]
+            drawn.append(members[rng.permutation(len(members))[: round(ratio * len(members))]])
+        n_train = sum(map(len, drawn))
         if n_train == 0 or n_train == len(coins):
             raise ChainlensError(
                 f"ratio {ratio} leaves one side of the coin split empty"
             )
-        order = rng.permutation(len(coins))
-        in_train = np.isin(table.coins, coins[order[:n_train]])
+        in_train = np.isin(table.coins, np.concatenate(drawn))
         train_idx = np.flatnonzero(in_train)
         test_idx = np.flatnonzero(~in_train)
     else:
@@ -295,31 +303,19 @@ class EvalMetrics:
 def metrics_from_counts(counts: ConfusionCounts) -> EvalMetrics:
     """Precision, recall, accuracy, F1 with the zero-denominator -> 0
     policy; the flag records that the policy fired."""
-    zero_hit = False
-
-    def safe(numerator: int, denominator: int) -> float:
-        nonlocal zero_hit
-        if denominator == 0:
-            zero_hit = True
-            return 0.0
-        return numerator / denominator
-
-    precision = safe(counts.tp, counts.tp + counts.fp)
-    recall = safe(counts.tp, counts.tp + counts.fn)
     if counts.total == 0:
         raise ChainlensError("cannot evaluate an empty confusion table")
-    accuracy = (counts.tp + counts.tn) / counts.total
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        zero_hit = True
-        f1 = 0.0
+    tp = counts.tp
+    # without a true positive each ratio is 0, by the policy (F1 always,
+    # precision or recall when its denominator is 0) or as 0 / n
+    precision = tp / (tp + counts.fp) if tp else 0.0
+    recall = tp / (tp + counts.fn) if tp else 0.0
     return EvalMetrics(
         precision=precision,
         recall=recall,
-        accuracy=accuracy,
-        f1=f1,
-        zero_division_hit=zero_hit,
+        accuracy=(tp + counts.tn) / counts.total,
+        f1=2.0 * precision * recall / (precision + recall) if tp else 0.0,
+        zero_division_hit=not tp,
         counts=counts,
     )
 

@@ -19,8 +19,10 @@ stage CSV through its ``write_csv``; the stage's ``COMMANDS`` row lists
 them, and a rerun removes the row's files it did not write. Artifacts
 carry no timestamps; the same config and seed produce byte-identical
 files. ``report`` only composes artifacts that earlier stages already
-wrote, never recomputing them, so a stale report is impossible to
-mistake for a fresh analysis.
+wrote, never recomputing them: ``report.html`` holds the numbers of
+the files next to it when ``report`` last succeeded, and a ``report``
+that exits 1 leaves the previous one in place, as any failed stage
+leaves its files.
 
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
 earlier artifacts left untouched), 2 usage or configuration error.
@@ -89,7 +91,6 @@ GENERATE_DEFAULTS: dict = {
     "disappeared_fraction": 0.39,
     "price_supply_coupling": 0.6,
     "planted_clusters": 5,
-    "snapshot_interval_days": 7,
     "missing_max_supply_rate": 0.1,
 }
 
@@ -201,6 +202,10 @@ def _dataset_summary(ds) -> dict:
 
 
 def cmd_generate(cfg: RunConfig, writer: ArtifactWriter, _) -> str:
+    if cfg.input:
+        raise ConfigError(
+            f"generate synthesizes a panel and reads no input; run ingest --input {cfg.input}"
+        )
     settings = dict(GENERATE_DEFAULTS)
     settings.update(cfg.generate)
     if "start_day" in settings:
@@ -653,17 +658,8 @@ def run(command: str, config: RunConfig) -> str:
 
 
 def _k_flag(text: str):
-    if text == "auto":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"k must be >= 1, got {value}")
-    return value
+    # RunConfig checks k, from a flag or a file, against its one rule
+    return int(text) if text.isdecimal() else text
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,7 +39,6 @@ class ClusterModel:
     assignments: np.ndarray  # (n,) cluster ids
     wcss: float
     iterations_run: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ def kmeans_fit(points, k: int, seed: int = 0) -> ClusterModel:
         assignments=assignments,
         wcss=cost,
         iterations_run=iterations,
-        seed=seed,
     )
 
 

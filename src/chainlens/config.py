@@ -67,6 +67,19 @@ def _check_block(block: str, values: dict, cls, reserved: set) -> None:
     _check_types(values, cls, f"{block!r} setting ")
 
 
+# What each checked field must be, for the message, and its value's test
+_RULES = {
+    "method": (f"one of {METHODS + ('all',)}", lambda v: v in METHODS + ("all",)),
+    "classifier": (
+        f"one of {CLASSIFIER_KINDS + ('all',)}", lambda v: v in CLASSIFIER_KINDS + ("all",)
+    ),
+    "format": (f"one of {FORMATS}", lambda v: v in FORMATS),
+    "seed": ("a nonnegative integer", lambda v: v >= 0),
+    "split": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "k": ("'auto' or a positive integer", lambda v: v == "auto" or type(v) is int and v >= 1),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input: str | None = None
@@ -85,23 +98,10 @@ class RunConfig:
 
     def __post_init__(self):
         _check_types(vars(self), RunConfig)
-        if self.method not in METHODS + ("all",):
-            raise ConfigError(
-                f"method must be one of {METHODS + ('all',)}, got {self.method!r}"
-            )
-        if self.classifier not in CLASSIFIER_KINDS + ("all",):
-            raise ConfigError(
-                f"classifier must be one of {CLASSIFIER_KINDS + ('all',)}, "
-                f"got {self.classifier!r}"
-            )
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not 0.0 < self.split < 1.0:
-            raise ConfigError(f"split must be in (0, 1), got {self.split}")
-        if self.k != "auto" and (isinstance(self.k, str) or self.k < 1):
-            raise ConfigError(f"k must be 'auto' or a positive integer, got {self.k!r}")
+        for name, (wants, ok) in _RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {wants}, got {value!r}")
         if "api_key" in self.api:
             raise ConfigError(
                 "api_key does not belong in a config file; set CHAINLENS_API_KEY"

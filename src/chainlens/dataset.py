@@ -475,13 +475,6 @@ class ColumnParser:
         )
         self._chunks.append((remap[chunk.codes], chunk.days, chunk.columns))
 
-    def add(self, names, symbols, dates, cells: Mapping[str, Sequence]) -> int | None:
-        """Parse one chunk and append it; return the position of its first
-        bad row, if any."""
-        chunk, bad = self.parse(names, symbols, dates, cells)
-        self.append(chunk)
-        return bad
-
     def dataset(self) -> Dataset:
         if not self._chunks:
             return Dataset([], np.zeros(0, np.int64), np.zeros(0, np.int64), {})
@@ -580,12 +573,13 @@ def load_csv(path: str | Path) -> Dataset:
             kept, positions, ragged = _records(rows, width, name_at)
             if kept:
                 cells = list(zip(*kept))
-                bad = parser.add(
+                chunk, bad = parser.parse(
                     cells[name_at],
                     cells[position["symbol"]],
                     cells[position["date"]],
                     {n: cells[position[n]] for n in VALUE_COLUMNS if n in position},
                 )
+                parser.append(chunk)
                 if bad is not None:
                     try:
                         check_record(dict(zip(columns, kept[bad])))

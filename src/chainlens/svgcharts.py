@@ -73,6 +73,30 @@ def _plot_geometry(n_slots: int):
     return slot, x_of, y_of
 
 
+def _bar(x: float, width: float, y: float, color: str) -> str:
+    """A bar from the x axis up to ``y``."""
+    return (
+        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(width)}" '
+        f'height="{_fmt(_HEIGHT - _MARGIN_BOTTOM - y)}" fill="{color}"/>'
+    )
+
+
+def _x_label(x: float, text) -> str:
+    """A label centred under the x axis at ``x``."""
+    return (
+        f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
+        f'text-anchor="middle" font-size="10">{escape(str(text), quote=False)}</text>'
+    )
+
+
+def _line(coords, color: str) -> list[str]:
+    """A polyline through ``coords``, then a marker on each point."""
+    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
+    parts = [f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>']
+    parts += [f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>' for x, y in coords]
+    return parts
+
+
 def pareto_label(start, end) -> str:
     """Axis label of the lifetime bucket [start, end) days."""
     return f"{start}-{end}d"
@@ -92,31 +116,15 @@ def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
     bar_w = slot * 0.7
     for i, (label, count, _) in enumerate(buckets):
         x = x_of(i) + (slot - bar_w) / 2
-        y = y_of(count / top)
-        h = (_HEIGHT - _MARGIN_BOTTOM) - y
+        parts.append(_bar(x, bar_w, y_of(count / top), _SERIES_COLORS[0]))
+        # the lifetime buckets' labels are long, so smaller and slanted
+        mid, y = _fmt(x_of(i) + slot / 2), _HEIGHT - _MARGIN_BOTTOM + 16
         parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
-            f'height="{_fmt(h)}" fill="{_SERIES_COLORS[0]}"/>'
+            f'<text x="{mid}" y="{y}" text-anchor="middle" font-size="9" '
+            f'transform="rotate(30 {mid} {y})">{escape(label, quote=False)}</text>'
         )
-        parts.append(
-            f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
-            f'text-anchor="middle" font-size="9" transform="rotate(30 '
-            f'{_fmt(x_of(i) + slot / 2)} {_HEIGHT - _MARGIN_BOTTOM + 16})">'
-            f"{escape(label, quote=False)}</text>"
-        )
-    points = " ".join(
-        f"{_fmt(x_of(i) + slot / 2)},{_fmt(y_of(pct / 100.0))}"
-        for i, (_, _, pct) in enumerate(buckets)
-    )
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="{_SERIES_COLORS[3]}" '
-        f'stroke-width="2"/>'
-    )
-    for i, (_, _, pct) in enumerate(buckets):
-        parts.append(
-            f'<circle cx="{_fmt(x_of(i) + slot / 2)}" cy="{_fmt(y_of(pct / 100.0))}" '
-            f'r="3" fill="{_SERIES_COLORS[3]}"/>'
-        )
+    coords = [(x_of(i) + slot / 2, y_of(pct / 100.0)) for i, (_, _, pct) in enumerate(buckets)]
+    parts += _line(coords, _SERIES_COLORS[3])
     parts.append(_scale_label(_fmt(top)))
     parts.append(
         f'<text x="{_WIDTH - _MARGIN_RIGHT + 8}" y="{_MARGIN_TOP + 4}" '
@@ -134,20 +142,11 @@ def elbow_chart(points: Sequence[tuple[int, float]]) -> str:
     slot, x_of, y_of = _plot_geometry(max(1, len(points) - 1))
     top = max(w for _, w in points)
     top = top if top > 0 else 1.0
-    coords = [
-        (x_of(i), y_of(w / top)) for i, (_, w) in enumerate(points)
-    ]
-    line = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
-    parts.append(
-        f'<polyline points="{line}" fill="none" stroke="{_SERIES_COLORS[0]}" '
-        f'stroke-width="2"/>'
-    )
-    for (x, y), (k, _) in zip(coords, points):
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{_SERIES_COLORS[0]}"/>')
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
-            f'text-anchor="middle" font-size="10">{k}</text>'
-        )
+    coords = [(x_of(i), y_of(w / top)) for i, (_, w) in enumerate(points)]
+    polyline, *markers = _line(coords, _SERIES_COLORS[0])
+    parts.append(polyline)
+    for marker, (x, _), (k, _) in zip(markers, coords, points):
+        parts += [marker, _x_label(x, k)]  # each k under its marker
     parts.append(_scale_label(_fmt(top)))
     parts.append("</svg>")
     return "\n".join(parts)
@@ -166,16 +165,8 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
     for i, (name, *values) in enumerate(rows):
         for j, value in enumerate(values):
             x = x_of(i) + slot * 0.1 + j * bar_w
-            y = y_of(value)
-            h = (_HEIGHT - _MARGIN_BOTTOM) - y
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w * 0.9)}" '
-                f'height="{_fmt(h)}" fill="{_SERIES_COLORS[j]}"/>'
-            )
-        parts.append(
-            f'<text x="{_fmt(x_of(i) + slot / 2)}" y="{_HEIGHT - _MARGIN_BOTTOM + 16}" '
-            f'text-anchor="middle" font-size="10">{escape(name, quote=False)}</text>'
-        )
+            parts.append(_bar(x, bar_w * 0.9, y_of(value), _SERIES_COLORS[j]))
+        parts.append(_x_label(x_of(i) + slot / 2, name))
     for j, series in enumerate(METRIC_SERIES):
         lx = _MARGIN_LEFT + 10 + j * 110
         parts.append(

@@ -69,18 +69,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_coins < 1:
-            raise InfeasibleSpecError("n_coins must be at least 1")
-        if self.planted_clusters < 1:
-            raise InfeasibleSpecError("planted_clusters must be at least 1")
+        for name in ("n_coins", "planted_clusters", "snapshot_interval_days", "horizon_days"):
+            if getattr(self, name) < 1:
+                raise InfeasibleSpecError(f"{name} must be at least 1")
         if self.planted_clusters > self.n_coins:
             raise InfeasibleSpecError(
                 f"cannot plant {self.planted_clusters} clusters in {self.n_coins} coins"
             )
-        if self.snapshot_interval_days < 1:
-            raise InfeasibleSpecError("snapshot_interval_days must be at least 1")
-        if self.horizon_days < 1:
-            raise InfeasibleSpecError("horizon_days must be at least 1")
         for name in (
             "disappeared_fraction",
             "disappeared_lt_80_fraction",

@@ -2,8 +2,8 @@
 
 Serves the documented paginated JSON shape with knobs for the failure
 modes the client must survive: throttling (429), transient server
-errors (500), bad credentials (401), payload schema drift, and a page
-body of the wrong JSON shape.
+errors (500), bad credentials (401), payload schema drift, a page
+body of the wrong JSON shape, and pages that disagree on the page count.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ class MockHistoryServer:
         drop_field=None,
         drop_envelope_field=None,
         body=None,
+        claimed_pages=None,
     ):
         self.rows = list(rows)
         self.api_key = api_key
@@ -35,6 +36,8 @@ class MockHistoryServer:
         self.drop_field = drop_field
         self.drop_envelope_field = drop_envelope_field
         self.body = body  # when set, the JSON text served for every page
+        # page number -> the total_pages that page claims instead of the true count
+        self.claimed_pages = dict(claimed_pages or {})
         self.request_count = 0
         self._lock = threading.Lock()
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
@@ -98,7 +101,9 @@ class MockHistoryServer:
                 query = parse_qs(parsed.query)
                 page = int(query.get("page", ["1"])[0])
                 size = server_self.page_size
-                total_pages = max(1, math.ceil(len(server_self.rows) / size))
+                total_pages = server_self.claimed_pages.get(
+                    page, max(1, math.ceil(len(server_self.rows) / size))
+                )
                 chunk = server_self.rows[(page - 1) * size : page * size]
                 if server_self.drop_field is not None:
                     chunk = [

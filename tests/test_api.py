@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chainlens
-from chainlens.api import PAGE_SUFFIX, ApiClientConfig, fetch_history
+from chainlens.api import HISTORY_PATH, PAGE_SUFFIX, ApiClientConfig, _page_path, fetch_history
 from chainlens.cache import read_page, write_page
 from chainlens.cli import main
 from chainlens.dataset import load_csv
@@ -501,6 +501,62 @@ class TestPageCache:
             served = server.request_count
             assert fetch_history(config) == cold
             assert server.request_count == served + 3
+
+
+class TestPageCount:
+    """Page 1's total_pages is the history's page count."""
+
+    def test_a_later_page_with_another_count_is_an_error(self, tmp_path):
+        # a page 2 that says 2 of 3 pages once ended the fetch there, silently
+        with MockHistoryServer(ROWS, page_size=2, claimed_pages={2: 2}) as server:
+            with pytest.raises(ApiError) as caught:
+                fetch_history(config_for(server, tmp_path))
+            assert server.request_count == 2
+        assert str(caught.value) == "page 2 total_pages is 2, but page 1 gave 3"
+        assert len(page_files(tmp_path)) == 1  # page 1 alone is cached
+
+    def test_a_cached_page_with_another_count_is_a_miss(self, tmp_path):
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            cold = fetch_history(config)
+            page_2 = _page_path(tmp_path, server.base_url + HISTORY_PATH, {"page": 2})
+            total_pages, chunk = read_page(page_2)
+            write_page(page_2, 2, chunk)
+            served = server.request_count
+            assert fetch_history(config) == cold
+            assert server.request_count == served + 1  # page 2, fetched again
+        assert total_pages == 3
+        assert read_page(page_2)[0] == 3
+
+    def test_a_cached_page_1_of_a_grown_history_is_fetched_again(self, tmp_path):
+        # page 1 was cached when the history had 2 pages and page 2 was not
+        with MockHistoryServer(ROWS[:4], page_size=2) as server:
+            config = config_for(server, tmp_path)
+            fetch_history(config)
+            _page_path(tmp_path, server.base_url + HISTORY_PATH, {"page": 2}).unlink()
+            server.rows = list(ROWS)  # now 3 pages
+            served = server.request_count
+            dataset = fetch_history(config)
+            # page 2 says 3, so page 1 is fetched again, then pages 2 and 3
+            assert server.request_count == served + 4
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            assert dataset == fetch_history(config_for(server, tmp_path / "fresh"))
+        assert len(page_files(tmp_path)) == 3
+
+    def test_a_refetched_page_1_that_still_differs_is_an_error(self, tmp_path):
+        with MockHistoryServer(ROWS, page_size=2) as server:
+            config = config_for(server, tmp_path)
+            page_1 = _page_path(tmp_path, server.base_url + HISTORY_PATH, {"page": 1})
+            fetch_history(config)
+            for path in page_files(tmp_path):
+                if path != page_1:
+                    path.unlink()
+            server.claimed_pages = {2: 2}
+            served = server.request_count
+            with pytest.raises(ApiError) as caught:
+                fetch_history(config)
+            assert server.request_count == served + 3  # page 2, page 1, page 2
+        assert str(caught.value) == "page 2 total_pages is 2, but page 1 gave 3"
 
 
 class TestConfigValidation:

@@ -35,7 +35,7 @@ from chainlens.classifiers import (
     from_doc,
     jsonable,
 )
-from chainlens.cli import run
+from chainlens.cli import GENERATE_DEFAULTS, run
 from chainlens.config import RunConfig
 from chainlens.dataset import Dataset, save_csv
 from chainlens.errors import ChainlensError, DataQualityWarning
@@ -346,6 +346,84 @@ class TestTrainTestSplit:
         table = make_table(n=10, n_coins=1)
         with pytest.raises(ChainlensError):
             train_test_split(table, 0.5, group_by_coin=True)
+
+    @staticmethod
+    def coin_table(labels, rows_per_coin=3):
+        """Each coin i carries ``labels[i]`` on every row; the rows of the
+        coins interleave, so first appearance is coin order."""
+        n = len(labels) * rows_per_coin
+        coins = np.arange(n) % len(labels)
+        return LabeledTable(
+            feature_names=("f0",), rows=np.arange(n), coins=coins,
+            X=np.zeros((n, 1)), y=np.array(labels, dtype=np.int64)[coins],
+        )
+
+    @staticmethod
+    def drawn_by_loop(table, ratio, seed):
+        """The stratified coin draw as a plain loop: one permutation per
+        label in label order, of that label's coins in first-appearance
+        order, each coin labelled by its first row."""
+        rng = np.random.default_rng(seed)
+        label_of = {}
+        for coin, label in zip(table.coins.tolist(), table.y.tolist()):
+            label_of.setdefault(coin, label)
+        train = set()
+        for label in sorted(set(label_of.values())):
+            members = [coin for coin in label_of if label_of[coin] == label]
+            order = rng.permutation(len(members))
+            train |= {members[i] for i in order[: round(ratio * len(members))]}
+        return train
+
+    @pytest.mark.parametrize("ratio, n_risky, n_safe, risky_train, safe_train", [
+        (0.8, 3, 7, 2, 6),  # round(2.4), round(5.6)
+        (0.5, 5, 4, 2, 2),  # round-half-even: round(2.5) == 2, round(2.0)
+        (0.7, 1, 9, 1, 6),  # round(0.7), round(6.3)
+    ])
+    def test_group_split_draws_each_label_by_the_ratio(
+        self, ratio, n_risky, n_safe, risky_train, safe_train
+    ):
+        table = self.coin_table([1] * n_risky + [0] * n_safe)
+        for seed in range(4):
+            train, test = train_test_split(table, ratio, seed=seed, group_by_coin=True)
+            train_coins, test_coins = set(train.coins.tolist()), set(test.coins.tolist())
+            assert train_coins.isdisjoint(test_coins)
+            assert train_coins | test_coins == set(range(n_risky + n_safe))
+            risky = set(range(n_risky))
+            assert (len(train_coins & risky), len(train_coins - risky)) == (risky_train, safe_train)
+            assert train_coins == self.drawn_by_loop(table, ratio, seed)
+
+    @pytest.mark.parametrize("labels, ratio", [
+        ([1, 0, 0], 0.8),  # round(0.8) + round(1.6) == 3 of 3 coins
+        ([1, 0, 0], 0.2),  # round(0.2) + round(0.4) == 0 of 3 coins
+    ])
+    def test_group_split_refuses_label_rounds_that_empty_a_side(self, labels, ratio):
+        with pytest.raises(ChainlensError, match="leaves one side of the coin split empty"):
+            train_test_split(self.coin_table(labels), ratio, group_by_coin=True)
+
+    def test_group_split_labels_a_coin_by_its_first_row(self):
+        table = self.coin_table([1, 1, 0, 0, 0, 0])
+        # coin 0's first row says safe, so it draws with the five safe coins
+        y = table.y.copy()
+        y[0] = 0
+        table = dataclasses.replace(table, y=y)
+        for seed in range(8):
+            train, _ = train_test_split(table, 0.5, seed=seed, group_by_coin=True)
+            train_coins = set(train.coins.tolist())
+            # round(0.5 * 5) == 2 safe coins, round(0.5 * 1) == 0 risky ones
+            assert len(train_coins) == 2 and 1 not in train_coins
+            assert train_coins == self.drawn_by_loop(table, 0.5, seed)
+
+    def test_group_split_of_the_readme_demo_holds_risky_test_coins(self):
+        # seed 7, ratio 0.8: an unstratified draw left no risky coin in test
+        spec = SyntheticSpec(seed=7, **GENERATE_DEFAULTS)
+        table = label_risky(generate_synthetic(spec))
+        train, test = train_test_split(table, 0.8, seed=7, group_by_coin=True)
+        label_of = dict(zip(table.coins.tolist(), table.y.tolist()))
+        risky_test = {coin for coin in test.coins.tolist() if label_of[coin]}
+        assert set(train.coins.tolist()).isdisjoint(test.coins.tolist())
+        assert len(set(test.coins.tolist())) == 20  # 12 of 61 safe, 8 of 39 risky
+        assert len(risky_test) == 39 - round(0.8 * 39) == 8
+        assert set(train.coins.tolist()) == self.drawn_by_loop(table, 0.8, 7)
 
 
 class TestNormalizer:

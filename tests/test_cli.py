@@ -463,6 +463,34 @@ class TestReads:
         }
         assert snapshot_tree(tmp_path) == before
 
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_generate_refuses_an_input(self, pipeline_dir, tmp_path, capsys, given_by):
+        panel = str(pipeline_dir / "dataset.csv")
+        out = tmp_path / "run"
+        if given_by == "flag":
+            argv = ("generate", "--out", str(out), "--seed", "7", "--input", panel)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"input": panel, "seed": 7}), encoding="utf-8")
+            argv = ("generate", "--config", str(config), "--out", str(out))
+        assert run_stage(*argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "generate synthesizes a panel and reads no input;"
+            f" run ingest --input {panel}",
+        }
+        assert not out.exists()
+
+    def test_report_ignores_the_shared_input(self, pipeline_dir, tmp_path):
+        # one config may name the panel for every stage of a run
+        out = shutil.copytree(pipeline_dir, tmp_path / "run")
+        report = (out / "report.html").read_bytes()
+        (out / "report.html").unlink()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(out / "dataset.csv")}), encoding="utf-8")
+        assert run_stage("report", "--config", str(config), "--out", str(out)) == 0
+        assert (out / "report.html").read_bytes() == report
+
 
 class TestUsageErrors:
     def test_unknown_method_exits_2(self, tmp_path, capsys):

@@ -305,13 +305,13 @@ class TestCsv:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_parse_pauses_gc_and_restores_it(self, tmp_path, monkeypatch, enabled):
         seen = []
-        add = ColumnParser.add
+        parse = ColumnParser.parse
 
         def spy(self, *args):
             seen.append(gc.isenabled())
-            return add(self, *args)
+            return parse(self, *args)
 
-        monkeypatch.setattr(ColumnParser, "add", spy)
+        monkeypatch.setattr(ColumnParser, "parse", spy)
         good = tmp_path / "good.csv"
         good.write_text(CSV_TEXT, encoding="utf-8")
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 """Planted-structure guarantees of the synthetic generator."""
 
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -211,10 +212,15 @@ class TestDisappearancePlanting:
 
 class TestGoldenPanels:
     def test_defaults_case_is_the_demo_spec(self):
-        assert GOLDEN_PANELS["generate_defaults_seed_7"]["spec"] == {
-            **GENERATE_DEFAULTS,
-            "seed": 7,
-        }
+        pinned = GOLDEN_PANELS["generate_defaults_seed_7"]["spec"]
+        assert SyntheticSpec(**pinned) == SyntheticSpec(seed=7, **GENERATE_DEFAULTS)
+
+    def test_generate_defaults_name_only_knobs_off_the_spec_default(self):
+        # a knob equal to its SyntheticSpec default would say it twice
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(SyntheticSpec)}
+        assert set(GENERATE_DEFAULTS) <= set(spec_defaults)
+        assert [name for name, value in GENERATE_DEFAULTS.items()
+                if value == spec_defaults[name]] == []
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PANELS))
     def test_panel_bytes_match_golden_digest(self, name, tmp_path):

@@ -11,8 +11,11 @@ and the result. Each file holds, for every end-to-end metric, the value
 of each run, their median and quartiles (``statistics.quantiles``,
 exclusive method), and the last run's ``meta``: the environment
 (machine, Python, numpy, ``jit_enabled``, commit, ``src_sha256``) and
-the artifact digest, which every run must repeat. A failed run or a
-differing digest writes no file for its workload and exits 1.
+the artifact digest, which every run must repeat. Beside ``meta``,
+``src_clean`` says whether ``src`` was the named commit's: true only
+when ``git status --porcelain -- src`` succeeds and prints nothing, so
+numbers taken before a change is committed read false. A failed run or
+a differing digest writes no file for its workload and exits 1.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ def run_once(workload: str) -> tuple[dict, dict]:
     return json.loads(meta)["meta"], json.loads(result)
 
 
+def src_clean() -> bool:
+    """Whether ``src`` holds the checked-out commit's files, untouched."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.returncode == 0 and proc.stdout == ""
+
+
 def record(workload: str) -> dict:
     metas, metrics = [], {}
     for _ in range(RUNS):
@@ -64,7 +74,8 @@ def record(workload: str) -> dict:
     for entry in metrics.values():
         q1, median, q3 = statistics.quantiles(entry["runs"], n=4)
         entry.update(median=median, q1=q1, q3=q3, iqr=q3 - q1)
-    return {"workload": workload, "runs": RUNS, "meta": metas[-1], "metrics": metrics}
+    return {"workload": workload, "runs": RUNS, "meta": metas[-1], "src_clean": src_clean(),
+            "metrics": metrics}
 
 
 def main() -> int:

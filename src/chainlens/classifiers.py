@@ -13,26 +13,26 @@ tree takes its bootstrap sample and, once per level, one feature subset
 for every node of that level from its own generator, seeded by
 ``[seed, tree]``.
 
-The tree builder is presorted in the SLIQ/SPRINT style. A fit sorts
-each feature once (``_presort``, a stable row order); a forest shares
-that sort, and each tree keeps the rows of nonzero bootstrap weight
-from it. Each feature's row list stays grouped by frontier node and
-sorted within it, so a level finds every node's cuts where the feature
-value changes along its lists, and cuts each feature's list in place
-into the children with two ``np.compress`` calls into one list of
-scratch. Besides that one buffer of row lists, a level holds only
-arrays with one entry per node or per (feature, node) pair, one block
-of ``_SCAN_CELLS`` rows, as it scores the cuts a block at a time, and
-arrays as long as one list while it marks each row's side and cuts the
-lists. A forest grows its trees in batches, one level of a whole batch
-per pass and one batch after another; a batch draws only from its own
-trees' generators, so the trees do not depend on the batch size. The
-per-node arithmetic (Gini, midpoint thresholds, tie-breaks) is that of
-a plain CART, so the trees are those that re-sort at every node would
-grow. A tree is held as format 2 stores it, dtypes included: ``feature``
-for every node in level order (-1 for a leaf), ``threshold`` for the
-split nodes only and ``label`` for the leaves only; the k-th split node
-has children 2k + 1 and 2k + 2.
+The tree builder is presorted in the SLIQ/SPRINT style. A fit sorts each
+feature once (``_presort``, a stable row order); a forest shares that
+sort, and each tree keeps the rows of nonzero bootstrap weight from it.
+Each feature's row list stays grouped by frontier node and sorted within
+it, so a level finds every node's cuts where the feature value changes
+along its lists, and cuts each feature's list in place into the children
+with two ``np.compress`` calls into one list of scratch. Besides that
+one buffer of row lists, a level holds only arrays with one entry per
+node or per (feature, node) pair, one block of ``_SCAN_CELLS`` rows, as
+it scores the cuts a block at a time, and arrays as long as one list
+while it marks each row's side and cuts the lists. A forest grows its
+trees in batches, one level of a whole batch per pass, each CPU's share
+but the first in a forked child; a batch draws only from its own trees'
+generators, so the trees depend on neither the batch size nor the CPU
+count. The per-node arithmetic (Gini, midpoint thresholds, tie-breaks)
+is that of a plain CART, so the trees are those that re-sort at every
+node would grow. A tree is held as format 2 stores it, dtypes included:
+``feature`` for every node in level order (-1 for a leaf), ``threshold``
+for the split nodes only and ``label`` for the leaves only; the k-th
+split node has children 2k + 1 and 2k + 2.
 
 A model is saved as a document of its fields, which ``json.dump``
 writes with ``jsonable`` as its ``default``, and rebuilt from one
@@ -51,6 +51,9 @@ from __future__ import annotations
 
 import base64
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_type_hints
@@ -195,14 +198,11 @@ def _presort(X: np.ndarray) -> _Presorted:
 _LOW = 0xFFFFFFFF
 
 # Trees grown together by one call of ``_build_trees``: as many as fit
-# in this many cells (trees x rows x features), at least one. A fit
+# in this many cells (trees x rows x features), at least one. A worker
 # holds one batch's row lists at a time, and a level costs a fixed run
-# of numpy calls however many trees it holds. On the README demo's
-# 13,515 x 7 training matrix this is 11 trees a call (one on the
-# 1000-coin panel's 135,307 x 7), which fit the demo forest in a median
-# 3.50 s against 3.88 s at five a call (faster in 10 of 10 pairs,
-# 2-core Xeon), for a classify-stage peak RSS of 60.8-62.4 MB against
-# 60.5-63.5 (six checkout paths each; the path moves it as much).
+# of numpy calls however many trees it holds: 11 trees a call on the
+# README demo's 13,515 x 7 training matrix (one at 1000 coins) beat five
+# a call in 10 of 10 pairs. A forest forks min(CPUs, batches) - 1 children.
 _BATCH_CELLS = 1 << 20
 
 # Rows a level of the tree builder scores at a time: its scan arrays
@@ -587,31 +587,75 @@ def _forest_max_features(setting, d: int) -> int | None:
 def _fit_random_forest(X, y, hp, seed) -> RandomForestModel:
     n_trees, bootstrap = hp["n_trees"], hp["bootstrap"]
     max_features = _forest_max_features(hp["max_features"], X.shape[1])
-    data = _presort(X)
-    n = X.shape[0]
+    data, n = _presort(X), X.shape[0]
     batch = max(1, _BATCH_CELLS // X.size)
 
-    def grow(first):
-        batch_trees = range(first, min(first + batch, n_trees))
-        rngs = [np.random.default_rng([seed, t]) for t in batch_trees]
-        # the weights' only reference goes to _build_trees, which drops it once packed
-        return _build_trees(
-            data,
-            y,
-            np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
-            if bootstrap
-            else np.ones((len(rngs), n), dtype=np.int64),
-            min_samples_split=hp["min_samples_split"],
-            max_depth=hp["max_depth"],
-            max_features=max_features,
-            rngs=rngs,
-        )
+    def grow(share):  # the share's trees, a list a batch
+        for first in range(0, len(share), batch):
+            rngs = [np.random.default_rng([seed, t]) for t in share[first : first + batch]]
+            # the weights' only reference goes to _build_trees, which drops it once packed
+            yield _build_trees(
+                data,
+                y,
+                np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+                if bootstrap
+                else np.ones((len(rngs), n), dtype=np.int64),
+                min_samples_split=hp["min_samples_split"],
+                max_depth=hp["max_depth"],
+                max_features=max_features,
+                rngs=rngs,
+            )
 
-    return RandomForestModel(
-        trees=tuple(tree for first in range(0, n_trees, batch) for tree in grow(first)),
-        n_features=X.shape[1],
-        hyperparameters=hp,
-    )
+    workers = min(_cpus(), -(-n_trees // batch)) if hasattr(os, "fork") else 1
+    shares = [range(n_trees * w // workers, n_trees * (w + 1) // workers) for w in range(workers)]
+    return RandomForestModel(tuple(_grow_shares(grow, shares)), X.shape[1], hp)
+
+
+def _cpus() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _grow_shares(grow, shares) -> list:
+    """Every share's trees, in order; each but the first grows in a forked child, which runs no
+    BLAS, the one library here whose threads the fork leaves behind."""
+    parent, children = os.getpid(), {}  # pid -> the read end of its pipe
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child leaves only through os._exit
+                try:
+                    os.close(read)
+                    try:
+                        result = []
+                        for trees in grow(share):
+                            if os.getppid() != parent:  # orphaned: nobody reads the trees
+                                os._exit(1)
+                            result += trees
+                    except BaseException as exc:
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        trees = [tree for built in grow(shares[0]) for tree in built]
+        for pid, pipe in list(children.items()):
+            data, status = pipe.read(), os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if code := os.waitstatus_to_exitcode(status):
+                cause = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit {code}"
+                raise ChainlensError(f"a random_forest worker ended by {cause} without its trees")
+            if isinstance(result := pickle.loads(data), BaseException):
+                raise result
+            trees += result
+        return trees
+    finally:  # an error or interrupt here: no child outlives the call
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,6 +737,7 @@ class KNNModel:
         # chunked to bound the n_test x n_train distance block to 2 MB
         chunk = max(1, (1 << 18) // max(1, self.train_X.shape[0]))
         positive = self.train_y == 1
+        # in-process: forked, OpenBLAS's spinning threads took the cores (0.37 -> 0.82 s)
         train_sq = (self.train_X * self.train_X).sum(axis=1)
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk]

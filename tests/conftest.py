@@ -1,5 +1,9 @@
-"""Shared pytest plumbing: a cache directory per test and the
-acceptance-criteria summary block."""
+"""Shared pytest plumbing: a cache directory per test, a check that no
+test leaves a child process behind, and the acceptance-criteria summary
+block."""
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,19 @@ def _fresh_cache_dir(tmp_path_factory):
 _module_cache_dir = pytest.fixture(scope="module", autouse=True)(_fresh_cache_dir)
 # and one for each test
 _cache_dir = pytest.fixture(autouse=True)(_fresh_cache_dir)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test after which this process still has a child process,
+    running or unreaped. Skipped where the kernel does not list a
+    thread's children."""
+    children = Path(f"/proc/self/task/{os.getpid()}/children")
+    yield
+    if children.exists():
+        left = children.read_text().split()
+        assert not left, f"the test left child processes {left}"
+
 
 ACCEPTANCE_LINES: list[str] = []
 

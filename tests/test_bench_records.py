@@ -36,6 +36,9 @@ def test_record_names_a_workload_and_its_environment(harness, path):
     assert record["meta"]["workload"] == record["workload"]
     env = record["meta"]["env"]
     assert {"python", "numpy", "jit_enabled", "commit", "src_sha256"} <= set(env)
+    # whether src was the named commit's, or numbers of uncommitted code
+    assert type(record["src_clean"]) is bool
+    assert env["commit"] or not record["src_clean"]
     assert len(record["meta"]["artifact_sha256"]) == 64
     for name, unit in harness.END_TO_END.items():
         metric = record["metrics"][name]

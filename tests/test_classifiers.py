@@ -1,12 +1,16 @@
 """Algorithm-level checks for the six classifiers."""
 
 import json
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainlens import classifiers
+from chainlens.classify import ClassifierSpec, Normalizer, TrainedModel, save_model
 from chainlens.classifiers import (
     KINDS,
     _build_trees,
@@ -374,12 +378,15 @@ def forest_text(forest):
 
 
 class TestForestBatches:
-    """A forest grows its batches one after another, in tree order."""
+    """A forest grows one contiguous share of its trees per worker, the
+    first in this process and each other in a forked child, and each
+    share's batches one after another, in tree order."""
 
     @pytest.mark.parametrize("failing", [1, 2, 6])
     def test_batch_error_surfaces(self, monkeypatch, failing):
         X, y = two_blobs(np.random.default_rng(34), n_per=30, d=3)
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", X.size)  # 1 tree a batch
+        monkeypatch.setattr(classifiers, "_cpus", lambda: 1)  # every batch in this process
         build, calls = classifiers._build_trees, []
         error = ChainlensError(f"batch {failing} failed")
 
@@ -395,6 +402,84 @@ class TestForestBatches:
             fit_classifier("random_forest", X, y, hp, seed=0)
         assert raised.value is error
         assert len(calls) == failing  # no later batch starts
+
+    @staticmethod
+    def fit_forked(monkeypatch, child_build, parent_build=None, cpus=2):
+        """Fit a 6-tree forest of one tree a batch over ``cpus`` workers,
+        each child's batches built by ``child_build`` and this process's
+        by ``parent_build`` (the real builder when None)."""
+        X, y = two_blobs(np.random.default_rng(34), n_per=30, d=3)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", X.size)
+        monkeypatch.setattr(classifiers, "_cpus", lambda: cpus)
+        build, parent = classifiers._build_trees, os.getpid()
+
+        def split_build(*args, **kwargs):
+            if os.getpid() != parent:
+                return child_build(build, *args, **kwargs)
+            return (parent_build or build)(*args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "_build_trees", split_build)
+        hp = dict(KINDS["random_forest"].defaults, n_trees=6)
+        return fit_classifier("random_forest", X, y, hp, seed=0)
+
+    @pytest.mark.parametrize("error", [ChainlensError("batch failed"), ZeroDivisionError("x / 0")])
+    def test_child_batch_error_surfaces(self, monkeypatch, error):
+        def failing_build(build, *args, **kwargs):
+            raise error
+
+        with pytest.raises(type(error)) as raised:
+            self.fit_forked(monkeypatch, failing_build, cpus=3)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+
+    def test_child_killed_by_a_signal_raises_chainlens_error(self, monkeypatch):
+        def killed_build(build, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ChainlensError, match="worker ended by signal 9"):
+            self.fit_forked(monkeypatch, killed_build)
+
+    @pytest.mark.parametrize("error", [ChainlensError("own share failed"), KeyboardInterrupt()])
+    def test_error_in_own_share_kills_the_children(self, monkeypatch, error):
+        # each child would sleep a minute; the parent's error ends it at once
+        # (conftest fails the test if a child is left)
+        def sleeping_build(build, *args, **kwargs):
+            time.sleep(60)
+            return build(*args, **kwargs)
+
+        def failing_build(*args, **kwargs):
+            raise error
+
+        started = time.monotonic()
+        with pytest.raises(type(error)) as raised:
+            self.fit_forked(monkeypatch, sleeping_build, failing_build, cpus=3)
+        assert raised.value is error
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.parametrize("n_trees, batch", [(5, 2), (3, 2), (7, 3)])
+    def test_trees_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, n_trees, batch):
+        # at 1, 2 and 3 CPUs: shares of one tree, shorter than a batch,
+        # shares that end in a short batch and, 3 trees in 2 batches,
+        # fewer batches than CPUs (so 2 workers at 3 CPUs)
+        X, y = two_blobs(np.random.default_rng(35), n_per=25, separation=1.0, d=3)
+        monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
+        spec = ClassifierSpec.make("random_forest", {"n_trees": n_trees})
+        expected = [oracle_compact(t) for t in oracle_forest_trees(X, y, spec.hyperparameters, 5)]
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        files = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classifiers, "_cpus", lambda: cpus)
+            forks.clear()
+            forest = fit_classifier("random_forest", X, y, spec.hyperparameters, seed=5)
+            assert len(forks) == min(cpus, -(-n_trees // batch)) - 1
+            assert len(forest.trees) == n_trees
+            for tree, want in zip(forest.trees, expected):
+                assert_same_tree(tree, want)
+            path = tmp_path / f"{cpus}.json"
+            save_model(TrainedModel(spec, ("a", "b", "c"), Normalizer.fit(X), forest, 5), path)
+            files.add(path.read_bytes())
+        assert len(files) == 1
 
 
 class TestScanBlocks:
@@ -520,6 +605,7 @@ class TestBuilderMemory:
         n_trees, seed = 3 * batch, 3
         monkeypatch.setattr(classifiers, "_BATCH_CELLS", batch * X.size)
         monkeypatch.setattr(classifiers, "_SCAN_CELLS", cells)
+        monkeypatch.setattr(classifiers, "_cpus", lambda: 1)  # tracemalloc sees no child
         present = [
             np.unique(np.random.default_rng([seed, t]).integers(0, n, size=n)).shape[0]
             for t in range(n_trees)

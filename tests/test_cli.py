@@ -672,6 +672,42 @@ class TestRuntimeErrors:
         )
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_failed_forest_worker_exits_1_once_and_keeps_earlier_artifacts(
+        self, pipeline_dir, tmp_path
+    ):
+        # a forked forest worker fails; its error reaches the stage once, and
+        # the child never returns into main to print it or clean up again
+        shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
+        args = ["classify", "--out", str(tmp_path), "--seed", "7", "--classifier", "random_forest"]
+        assert run_stage(*args) == 0
+        before = snapshot_tree(tmp_path)
+        script = (
+            "import os, sys\n"
+            "from chainlens import classifiers, cli\n"
+            "from chainlens.errors import ChainlensError\n"
+            "build, parent = classifiers._build_trees, os.getpid()\n"
+            "def failing_build(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise ChainlensError('worker failed')\n"
+            "    return build(*args, **kwargs)\n"
+            "classifiers._build_trees = failing_build\n"
+            "classifiers._BATCH_CELLS = 1\n"
+            "classifiers._cpus = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == json.dumps({"error": "ChainlensError", "message": "worker failed"}) + "\n"
+        assert snapshot_tree(tmp_path) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_failed_rerun_keeps_earlier_artifacts(
         self, pipeline_dir, tmp_path, monkeypatch
     ):

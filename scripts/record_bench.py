@@ -14,8 +14,11 @@ exclusive method), and the last run's ``meta``: the environment
 the artifact digest, which every run must repeat. Beside ``meta``,
 ``src_clean`` says whether ``src`` was the named commit's: true only
 when ``git status --porcelain -- src`` succeeds and prints nothing, so
-numbers taken before a change is committed read false. A failed run or
-a differing digest writes no file for its workload and exits 1.
+numbers taken before a change is committed read false, and ``numpy_cpu``
+names the CPU dispatch numpy ran under: its compiled-in SIMD
+``baseline`` and the ``dispatch`` targets it enabled on this CPU (the
+harness runs on this interpreter, so on this numpy). A failed run or a
+differing digest writes no file for its workload and exits 1.
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ def src_clean() -> bool:
     return proc.returncode == 0 and proc.stdout == ""
 
 
+def numpy_cpu() -> dict:
+    """The running numpy's SIMD baseline and the dispatch targets it
+    enabled on this CPU."""
+    import numpy
+
+    simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
+    return {"baseline": simd["baseline"], "dispatch": simd["found"]}
+
+
 def record(workload: str) -> dict:
     metas, metrics = [], {}
     for _ in range(RUNS):
@@ -75,7 +87,7 @@ def record(workload: str) -> dict:
         q1, median, q3 = statistics.quantiles(entry["runs"], n=4)
         entry.update(median=median, q1=q1, q3=q3, iqr=q3 - q1)
     return {"workload": workload, "runs": RUNS, "meta": metas[-1], "src_clean": src_clean(),
-            "metrics": metrics}
+            "numpy_cpu": numpy_cpu(), "metrics": metrics}
 
 
 def main() -> int:

@@ -22,7 +22,8 @@ files. ``report`` only composes artifacts that earlier stages already
 wrote, never recomputing them: ``report.html`` holds the numbers of
 the files next to it when ``report`` last succeeded, and a ``report``
 that exits 1 leaves the previous one in place, as any failed stage
-leaves its files.
+leaves its files. A figure is drawn only by the stage that computes its
+numbers, at ``--format svg``; rerunning that stage redraws it.
 
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
 earlier artifacts left untouched), 2 usage or configuration error.
@@ -63,10 +64,7 @@ PROVIDERS = {
     "correlation": ("price_factor_report",),
     "dataset": ("isoformat_days", "load_csv", "save_csv"),
     "survival": ("lifetimes", "pareto", "survival_summary"),
-    "svgcharts": (
-        "METRIC_SERIES", "elbow_chart", "emit_plot_data", "metrics_chart", "pareto_chart",
-        "pareto_label",
-    ),
+    "svgcharts": ("METRIC_SERIES", "elbow_chart", "metrics_chart", "pareto_chart"),
     "synthetic": ("SyntheticSpec", "generate_synthetic"),
 }
 _MODULE_OF = {name: module for module, names in PROVIDERS.items() for name in names}
@@ -107,17 +105,17 @@ class ArtifactWriter:
     file above the run's ``format``, refuses one the row lacks, and
     ``commit`` removes the row's files that this run did not write."""
 
-    def __init__(self, out_dir: str | Path, writes=None, format: str = "svg"):
+    def __init__(self, out_dir: str | Path, writes, format: str = "svg"):
         self.out_dir = Path(out_dir)
         self.written: list[tuple[Path, Path]] = []  # (temporary, target)
         # the files of the stage's row, and those the run's format leaves out
-        self.row = None if writes is None else sum(writes, ())
-        self.skipped = sum((writes or ())[FORMATS.index(format) + 1:], ())
+        self.row = sum(writes, ())
+        self.skipped = sum(writes[FORMATS.index(format) + 1:], ())
 
     def path(self, relative: str) -> Path | None:
         """Where to write the artifact ``relative`` until the commit, or
         None when the run's format leaves it out."""
-        if self.row is not None and relative not in self.row:
+        if relative not in self.row:
             raise ValueError(f"{relative} is not in the stage's COMMANDS row")
         if relative in self.skipped:
             return None
@@ -154,7 +152,7 @@ class ArtifactWriter:
         (one that was new is removed) before the error propagates, so a
         failed commit leaves no mix of new and old artifacts."""
         # target -> its staged file, None for a row file this run did not write
-        moves = dict.fromkeys(self.out_dir / name for name in self.row or ())
+        moves = dict.fromkeys(self.out_dir / name for name in self.row)
         moves.update((target, temporary) for temporary, target in self.written)
         done: list[tuple[Path, Path | None]] = []  # (target, its previous file)
         try:
@@ -290,10 +288,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     )
     writer.write_json("survival_summary.json", dict(asdict(summary), cutoff=cutoff.isoformat()))
     if buckets:
-        rows = [
-            (pareto_label(b.start, b.end), b.count, b.cumulative_pct)
-            for b in buckets
-        ]
+        rows = [(f"{b.start}-{b.end}d", b.count, b.cumulative_pct) for b in buckets]
         writer.write_text("pareto.svg", pareto_chart(rows))
     return (
         f"lifetimes: {summary.total} coins, {summary.disappeared_count} disappeared"
@@ -486,8 +481,9 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter, paths: dict) -> str:
     corr_head, corr_rows = _read_csv(paths["correlations.csv"])
     metrics_head, metrics_rows = _read_csv(paths["metrics.csv"])
     sizes = cluster.get("sizes")
-    if not isinstance(sizes, dict):
-        raise ChainlensError(f"artifact {paths['cluster_summary.json']}: sizes must be an object")
+    if not isinstance(sizes, dict) or not all(map(str.isdecimal, sizes)):
+        raise ChainlensError(f"artifact {paths['cluster_summary.json']}:"
+                             " sizes must be an object keyed by cluster number")
 
     sections = [
         "<h2>Survival</h2>",
@@ -498,7 +494,7 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter, paths: dict) -> str:
         _html_table(corr_head, corr_rows),
         "<h2>Clustering</h2>",
         _kv_table(cluster),
-        _html_table(("cluster", "coins"), sorted(sizes.items())),
+        _html_table(("cluster", "coins"), sorted(sizes.items(), key=lambda kv: int(kv[0]))),
         inline_svg("elbow.svg"),
         "<h2>Classification</h2>",
         _html_table(metrics_head, metrics_rows),
@@ -532,41 +528,20 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter, paths: dict) -> str:
         + "</body></html>\n"
     )
     writer.write_text("report.html", page)
-    return f"report: composed {len(COMMANDS['report'].reads[0])} artifacts -> report.html"
-
-
-def cmd_plot(cfg: RunConfig, writer: ArtifactWriter, _) -> str:
-    if not cfg.input:
-        raise ConfigError(
-            "plot needs --input pointing at pareto.csv, elbow.csv, or metrics.csv"
-        )
-    source = Path(cfg.input)
-    if not source.exists():
-        raise ChainlensError(f"no artifact at {source}")
-    columns, cells = _read_csv(source)
-    kind = source.stem
-    try:
-        svg_text, header, plotted = emit_plot_data(
-            kind, [dict(zip(columns, row)) for row in cells]
-        )
-    except ChainlensError as exc:
-        raise ChainlensError(f"{source}: {exc}") from None
-    writer.write_text(f"{kind}.svg", svg_text)
-    writer.write_csv(f"{kind}_plot.csv", header, plotted)
-    return f"plot: {kind} -> {kind}.svg, {kind}_plot.csv"
+    return f"report: composed {len(paths)} artifacts -> report.html"
 
 
 # A stage's handler, help, the modules of the PROVIDERS names it calls,
 # the (required, optional) files it reads, "dataset.csv" being the panel
 # or --input, and the files it writes at --format csv, json and svg, each
-# adding to the one before. None: no files, or names taken from --input.
+# adding to the one before.
 Stage = namedtuple("Stage", "handler help modules reads writes")
 _PANEL = (("dataset.csv",), ())  # reads the panel alone
 _MODELS = tuple(f"models/{kind}.json" for kind in CLASSIFIER_KINDS)
 
 COMMANDS = {
     "generate": Stage(cmd_generate, "synthesize a dataset with planted structure",
-                      ("dataset", "synthetic"), None,
+                      ("dataset", "synthetic"), ((), ()),
                       (("dataset.csv",), ("dataset_summary.json",), ())),
     "ingest": Stage(cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
                     ("api", "dataset"), ((), ("dataset.csv",)),
@@ -594,8 +569,6 @@ COMMANDS = {
                       "cluster_summary.json", "metrics.csv"),
                      ("pareto.svg", "elbow.svg", "metrics.svg", "flags.csv")),
                     (("report.html",), (), ())),
-    "plot": Stage(cmd_plot, "re-render one artifact CSV as SVG + plotted numbers",
-                  ("svgcharts",), None, None),
 }
 
 
@@ -605,7 +578,7 @@ def _read(command: str, cfg: RunConfig):
     ``--input`` or None), parsed by ``load_csv`` only on a panel cache
     miss (``cache.load_panel``), or else a name -> path map of its files
     present in ``--out``."""
-    required, optional = COMMANDS[command].reads or ((), ())
+    required, optional = COMMANDS[command].reads
     out = Path(cfg.out)
     if "dataset.csv" in required + optional:
         if not (cfg.input or required):
@@ -620,7 +593,7 @@ def _read(command: str, cfg: RunConfig):
             raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
         return _require_rows(ds, source)
     made_by = {name: f"{stage} --format {fmt}" for stage, row in COMMANDS.items()
-               for fmt, names in zip(FORMATS, row.writes or ()) for name in names}
+               for fmt, names in zip(FORMATS, row.writes) for name in names}
     missing = [f"{name} ({made_by[name]})" for name in required if not (out / name).exists()]
     if missing:
         raise ChainlensError(f"{command} composes existing artifacts but these are missing: "
@@ -641,7 +614,7 @@ def run(command: str, config: RunConfig) -> str:
         raise ConfigError(f"unknown command {command!r}")
     stage = COMMANDS[command]
     # the panel's modules (what _read calls for it) come with its read
-    panel = ("cache", "dataset") if "dataset.csv" in sum(stage.reads or (), ()) else ()
+    panel = ("cache", "dataset") if "dataset.csv" in sum(stage.reads, ()) else ()
     for module in stage.modules + panel:
         for name in PROVIDERS[module]:
             _bind(name)
@@ -670,7 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="declarative JSON config")
-    common.add_argument("--input", metavar="PATH", help="input file for this stage")
+    common.add_argument(
+        "--input", metavar="PATH", help="panel CSV to read instead of OUT/dataset.csv"
+    )
     common.add_argument("--out", metavar="DIR", help="artifact directory")
     common.add_argument("--seed", type=int, metavar="N", help="RNG seed")
     common.add_argument("--cutoff", metavar="YYYY-MM-DD", help="disappearance cutoff")

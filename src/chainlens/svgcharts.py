@@ -6,14 +6,13 @@ grouped metric bars (four bars per classifier). Charts are emitted as
 plain SVG text with inline styling only, so the files stand alone, diff
 cleanly, and can be checked by an XML parser in tests.
 
-``emit_plot_data`` is the artifact-facing entry point: it takes rows as
-parsed from a prior subcommand's CSV artifact and returns the SVG plus
-exactly the numbers that were plotted, as a header and rows.
+Each chart has one caller, the stage that computes its numbers:
+``lifetimes`` draws the Pareto chart, ``cluster`` the elbow curve and
+``classify`` the metric bars, each at ``--format svg``.
 """
 
 from __future__ import annotations
 
-import math
 from html import escape
 from typing import Sequence
 
@@ -97,11 +96,6 @@ def _line(coords, color: str) -> list[str]:
     return parts
 
 
-def pareto_label(start, end) -> str:
-    """Axis label of the lifetime bucket [start, end) days."""
-    return f"{start}-{end}d"
-
-
 def pareto_chart(buckets: Sequence[tuple[str, float, float]]) -> str:
     """Bars of bucket counts with the cumulative-percent line overlaid.
 
@@ -179,45 +173,3 @@ def metrics_chart(rows: Sequence[tuple]) -> str:
     parts.append(_scale_label("1.0"))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-# Each plot kind: the values plotted from one artifact row, the chart
-# drawing them and their header.
-_PLOTS = {
-    "pareto": (
-        lambda row: (pareto_label(row["bucket_start"], row["bucket_end"]),
-                     float(row["count"]), float(row["cumulative_pct"])),
-        pareto_chart, ("bucket", "count", "cumulative_pct"),
-    ),
-    "elbow": (lambda row: (int(row["k"]), float(row["wcss"])), elbow_chart, ("k", "wcss")),
-    "metrics": (
-        lambda row: (row["classifier"], *(float(row[name]) for name in METRIC_SERIES)),
-        metrics_chart, ("classifier",) + METRIC_SERIES,
-    ),
-}
-
-
-def emit_plot_data(kind: str, rows: Sequence[dict]) -> tuple[str, tuple, list]:
-    """Chart plus the plotted numbers for one artifact's parsed rows.
-
-    ``rows`` map the artifact's header to each row's cells. Returns
-    (svg_text, header, plotted_rows). Raises ChainlensError on an
-    unknown artifact kind, a missing column or a cell that is not a
-    finite number (an integer for elbow's ``k``).
-    """
-    if kind not in _PLOTS:
-        raise ChainlensError(
-            f"unknown plot artifact kind {kind!r}; expected one of {tuple(_PLOTS)}"
-        )
-    read, chart, header = _PLOTS[kind]
-    try:
-        plotted = [read(row) for row in rows]
-    except KeyError as exc:
-        raise ChainlensError(f"{kind} artifact lacks the column {exc}") from None
-    except (TypeError, ValueError) as exc:  # a cell missing or not a number
-        raise ChainlensError(f"{kind} artifact has a bad cell: {exc}") from None
-    for row in plotted:
-        for value in row:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ChainlensError(f"{kind} artifact has a non-finite cell: {value}")
-    return chart(plotted), header, plotted

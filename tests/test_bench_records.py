@@ -39,6 +39,11 @@ def test_record_names_a_workload_and_its_environment(harness, path):
     # whether src was the named commit's, or numbers of uncommitted code
     assert type(record["src_clean"]) is bool
     assert env["commit"] or not record["src_clean"]
+    # the SIMD code paths numpy ran: its compiled-in baseline and the
+    # dispatch targets it enabled on the machine
+    cpu = record["numpy_cpu"]
+    assert cpu["baseline"] and all(type(name) is str for name in cpu["baseline"])
+    assert type(cpu["dispatch"]) is list and all(type(name) is str for name in cpu["dispatch"])
     assert len(record["meta"]["artifact_sha256"]) == 64
     for name, unit in harness.END_TO_END.items():
         metric = record["metrics"][name]

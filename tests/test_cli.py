@@ -11,7 +11,6 @@ import os
 import shutil
 import subprocess
 import sys
-import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +237,69 @@ class TestPipeline:
         page = (tmp_path / "report.html").read_text("utf-8")
         assert f"<th>cluster</th><th>coins</th></tr></thead><tbody>{rows}</tbody>" in page
 
+    def test_report_lists_clusters_by_number(self, pipeline_dir, tmp_path):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "cluster_summary.json"
+        summary = json.loads(path.read_text("utf-8"))
+        path.write_text(json.dumps(dict(summary, sizes={"10": 1, "2": 3, "0": 5})), "utf-8")
+        assert run_stage("report", "--out", str(tmp_path)) == 0
+        page = (tmp_path / "report.html").read_text("utf-8")
+        rows = "".join(f"<tr><td>{c}</td><td>{n}</td></tr>" for c, n in ((0, 5), (2, 3), (10, 1)))
+        assert f"<th>cluster</th><th>coins</th></tr></thead><tbody>{rows}</tbody>" in page
+
+    @pytest.mark.parametrize(
+        "absent, count",
+        [((), 9), (("pareto.svg", "elbow.svg", "metrics.svg", "flags.csv"), 5)]
+        + [((name,), 8) for name in ("pareto.svg", "elbow.svg", "metrics.svg", "flags.csv")],
+    )
+    def test_report_summary_counts_the_files_it_read(self, pipeline_dir, tmp_path, absent, count):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        for name in absent:
+            (tmp_path / name).unlink()
+        line = run("report", RunConfig(out=str(tmp_path)))
+        assert line == f"report: composed {count} artifacts -> report.html"
+
+    def test_report_after_twelve_clusters_lists_them_in_order(self, pipeline_dir, tmp_path):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        assert run_stage("cluster", "--out", str(tmp_path), "--seed", "7", "--k", "12") == 0
+        assert run_stage("report", "--out", str(tmp_path)) == 0
+        sizes = json.loads((tmp_path / "cluster_summary.json").read_text("utf-8"))["sizes"]
+        assert sorted(sizes, key=int) == [str(c) for c in range(12)]
+        page = (tmp_path / "report.html").read_text("utf-8")
+        rows = "".join(f"<tr><td>{c}</td><td>{sizes[str(c)]}</td></tr>" for c in range(12))
+        assert f"<th>cluster</th><th>coins</th></tr></thead><tbody>{rows}</tbody>" in page
+
+    @pytest.mark.parametrize(
+        "stage, figure",
+        [("lifetimes", "pareto.svg"), ("cluster", "elbow.svg"), ("classify", "metrics.svg")],
+    )
+    def test_rerun_at_svg_redraws_the_same_figure(self, pipeline_dir, tmp_path, stage, figure):
+        # the stage that computes a figure's numbers is the one path that draws it
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        (tmp_path / figure).unlink()
+        config = str(pipeline_dir / "config.json")
+        argv = ("--config", config, "--out", str(tmp_path), "--seed", "7", "--format", "svg")
+        assert run_stage(stage, *argv) == 0
+        assert (tmp_path / figure).read_bytes() == (pipeline_dir / figure).read_bytes()
+
+    @pytest.mark.parametrize(
+        "figure, point",
+        [
+            ("pareto", lambda r: (f"{r[0]}-{r[1]}d", int(r[2]), float(r[3]))),
+            ("elbow", lambda r: (int(r[0]), float(r[1]))),
+            ("metrics", lambda r: (r[0], *map(float, r[1:]))),
+        ],
+    )
+    def test_figure_draws_the_numbers_of_its_csv(self, pipeline_dir, figure, point):
+        from chainlens.svgcharts import elbow_chart, metrics_chart, pareto_chart
+
+        chart = {"pareto": pareto_chart, "elbow": elbow_chart, "metrics": metrics_chart}[figure]
+        with open(pipeline_dir / f"{figure}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        drawn = chart([point(row) for row in rows])
+        assert drawn == (pipeline_dir / f"{figure}.svg").read_text("utf-8")
+
     def test_report_does_not_read_the_assignments(self, pipeline_dir, tmp_path):
         shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
         (tmp_path / "assignments.csv").unlink()
@@ -341,9 +403,7 @@ class TestStageTable:
     @pytest.mark.parametrize(
         "stage, flags, unwritten",
         [
-            pytest.param(stage, (), set(), id=stage)
-            for stage, row in COMMANDS.items()
-            if row.writes is not None
+            pytest.param(stage, (), set(), id=stage) for stage in COMMANDS
         ]
         + [
             pytest.param("cluster", ("--k", "3"), {"elbow.csv", "elbow.svg"}, id="cluster-k"),
@@ -367,15 +427,22 @@ class TestStageTable:
         }
         assert written == expected - unwritten
 
+    @pytest.mark.parametrize("stage", COMMANDS)
+    def test_every_field_of_the_row_is_set(self, stage):
+        row = COMMANDS[stage]
+        assert callable(row.handler) and row.help and type(row.modules) is tuple
+        assert len(row.reads) == 2 and all(type(names) is tuple for names in row.reads)
+        assert len(row.writes) == len(FORMATS)
+        assert all(type(names) is tuple for names in row.writes) and row.writes[0]
+
     def test_the_table_writes_every_required_read(self):
-        written = {name for row in COMMANDS.values() for names in row.writes or () for name in names}
-        required = {name for row in COMMANDS.values() for name in (row.reads or ((),))[0]}
+        written = {name for row in COMMANDS.values() for names in row.writes for name in names}
+        required = {name for row in COMMANDS.values() for name in row.reads[0]}
         assert required
         assert required <= written
 
     def test_benchmark_lists_the_stages_of_the_table(self, monkeypatch):
-        listed = {stage for stage, row in COMMANDS.items() if row.writes is not None}
-        assert set(benchmark_stage_artifacts(monkeypatch)) == listed
+        assert set(benchmark_stage_artifacts(monkeypatch)) == set(COMMANDS)
 
     def test_lower_format_rerun_removes_the_stage_files_it_did_not_write(
         self, pipeline_dir, tmp_path, capsys
@@ -439,6 +506,28 @@ class TestReads:
             svg = (pipeline_dir / figure).read_text("utf-8")
             assert (f"<figure>{svg}</figure>" in page) == (figure != name)
         assert ("<h2>Manipulability flags</h2>" in page) == (name != "flags.csv")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "survival_summary.json", "pareto.csv", "correlations.csv", "cluster_summary.json",
+            "metrics.csv", "pareto.svg", "elbow.svg", "metrics.svg", "flags.csv",
+        ],
+    )
+    def test_report_input_that_is_a_directory_exits_1_naming_it(
+        self, pipeline_dir, tmp_path, capsys, name
+    ):
+        out = shutil.copytree(pipeline_dir, tmp_path / "run")
+        (out / name).unlink()
+        (out / name).mkdir()
+        before = snapshot_tree(out)
+        assert run_stage("report", "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ChainlensError"
+        assert name in doc["message"]
+        assert snapshot_tree(out) == before
 
     @pytest.mark.parametrize(
         "stage", ["clean", "lifetimes", "correlate", "cluster", "classify", "flags"]
@@ -548,8 +637,12 @@ class TestUsageErrors:
         assert rc == 2
         assert "base_url" in json.loads(capsys.readouterr().err)["message"]
 
-    def test_plot_without_input_exits_2(self, tmp_path):
-        assert run_stage("plot", "--out", str(tmp_path)) == 2
+    def test_plot_is_an_unknown_command(self, pipeline_dir, tmp_path, capsys):
+        # figures are drawn by the stages that compute them, not redrawn from CSV
+        argv = ("plot", "--input", str(pipeline_dir / "pareto.csv"), "--out", str(tmp_path))
+        assert run_stage(*argv) == 2
+        assert "invalid choice: 'plot'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--cutoff", "--start", "--end"])
     @pytest.mark.parametrize(
@@ -795,9 +888,16 @@ class TestRuntimeErrors:
             ("survival_summary.json", b"{not json"),
             ("cluster_summary.json", b"[1, 2]"),
             ("cluster_summary.json", b'{"sizes": [1]}'),
+            ("cluster_summary.json", b'{"sizes": {"0": 4, "one": 1}}'),
             ("metrics.csv", b"\xff\xfe"),
+            ("metrics.csv", b"classifier,precision,recall,f1,accuracy\r\nknn,0.5\r\n"),
+            ("pareto.csv", b"\xff\xfe"),
+            ("pareto.csv", b"bucket_start,bucket_end,count,cumulative_pct\r\n0,80\r\n"),
+            ("correlations.csv", b"factor,method\r\nprice\r\n"),
             ("flags.csv", b"coin_key,flags\r\nAAA_alpha\r\n"),
             ("pareto.svg", b"\xff\xfe"),
+            ("elbow.svg", b"\xff\xfe"),
+            ("metrics.svg", b"\xff\xfe"),
         ],
     )
     def test_report_on_malformed_artifact_exits_1(
@@ -810,6 +910,22 @@ class TestRuntimeErrors:
         before = snapshot_tree(tmp_path)
         assert run_stage("report", "--out", str(tmp_path)) == 1
         assert name in json.loads(capsys.readouterr().err)["message"]
+        assert snapshot_tree(tmp_path) == before
+
+    @pytest.mark.parametrize("key", ["one", "-1", "1.5", "", " 2", "1e1"])
+    def test_report_on_a_size_key_that_is_not_a_cluster_number_exits_1(
+        self, pipeline_dir, tmp_path, capsys, key
+    ):
+        shutil.copytree(pipeline_dir, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "cluster_summary.json"
+        summary = json.loads(path.read_text("utf-8"))
+        path.write_text(json.dumps(dict(summary, sizes={"0": 4, key: 1})), "utf-8")
+        before = snapshot_tree(tmp_path)
+        assert run_stage("report", "--out", str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ChainlensError",
+            "message": f"artifact {path}: sizes must be an object keyed by cluster number",
+        }
         assert snapshot_tree(tmp_path) == before
 
 
@@ -856,9 +972,13 @@ def _config_is_a_directory(tmp):
     return ["generate", "--config", str(tmp / "config.json"), "--out", str(tmp)]
 
 
-def _plot_a_directory(tmp):
+def _report_pareto_csv_is_a_directory(tmp):
+    for name in ("survival_summary.json", "cluster_summary.json"):
+        (tmp / name).write_text("{}", encoding="utf-8")
+    for name in ("correlations.csv", "metrics.csv"):
+        (tmp / name).touch()
     (tmp / "pareto.csv").mkdir()
-    return ["plot", "--input", str(tmp / "pareto.csv"), "--out", str(tmp / "out")]
+    return ["report", "--out", str(tmp)]
 
 
 def _generate_under_a_file(tmp):
@@ -881,7 +1001,7 @@ class TestUnreadableFiles:
             (_stage_panel_is_a_directory, 1, "ChainlensError", "dataset.csv"),
             (_config_not_utf8, 2, "ConfigError", "config.json"),
             (_config_is_a_directory, 2, "ConfigError", "config.json"),
-            (_plot_a_directory, 1, "ChainlensError", "pareto.csv"),
+            (_report_pareto_csv_is_a_directory, 1, "ChainlensError", "pareto.csv"),
             (_generate_under_a_file, 1, "ChainlensError", "afile"),
         ],
         ids=lambda value: value.__name__.strip("_") if callable(value) else None,
@@ -1049,90 +1169,6 @@ class TestOverflowingSupplyRatio:
         assert int(got[("price", "ptsc")]["n"]) == int(before["n"]) - 1
 
 
-class TestPlot:
-    @pytest.mark.parametrize("artifact", ["pareto", "elbow", "metrics"])
-    def test_replots_pipeline_artifacts(self, pipeline_dir, tmp_path, artifact):
-        rc = run_stage(
-            "plot",
-            "--input",
-            str(pipeline_dir / f"{artifact}.csv"),
-            "--out",
-            str(tmp_path),
-        )
-        assert rc == 0
-        svg = (tmp_path / f"{artifact}.svg").read_text("utf-8")
-        assert svg.lstrip().startswith("<svg")
-        assert (tmp_path / f"{artifact}_plot.csv").exists()
-
-    @pytest.mark.parametrize("artifact", ["pareto", "elbow", "metrics"])
-    def test_replot_equals_stage_figure(self, pipeline_dir, tmp_path, artifact):
-        source = pipeline_dir / f"{artifact}.csv"
-        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 0
-        replot = (tmp_path / f"{artifact}.svg").read_bytes()
-        assert replot == (pipeline_dir / f"{artifact}.svg").read_bytes()
-
-    def test_unknown_artifact_kind_exits_1(self, pipeline_dir, tmp_path, capsys):
-        source = pipeline_dir / "correlations.csv"
-        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "ChainlensError",
-            "message": f"{source}: unknown plot artifact kind 'correlations';"
-            " expected one of ('pareto', 'elbow', 'metrics')",
-        }
-        assert not (tmp_path / "correlations.svg").exists()
-
-    @pytest.mark.parametrize(
-        "name, content, message",
-        [
-            ("pareto.csv", b"bucket_end,count,cumulative_pct\r\n80,3,30.0\r\n", "bucket_start"),
-            ("elbow.csv", b"k,wcss\r\nx,1.5\r\n", "'x'"),
-            ("elbow.csv", b"k,wcss\r\n2\r\n", "row 1 has 1 cells"),
-            ("metrics.csv", b"\xff\xfe", "not UTF-8"),
-        ],
-    )
-    def test_malformed_artifact_exits_1(self, tmp_path, capsys, name, content, message):
-        source = tmp_path / name
-        source.write_bytes(content)
-        out = tmp_path / "out"
-        assert run_stage("plot", "--input", str(source), "--out", str(out)) == 1
-        error = json.loads(capsys.readouterr().err)["message"]
-        assert str(source) in error
-        assert message in error
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
-    @pytest.mark.parametrize(
-        "name, template",
-        [
-            ("pareto.csv", "bucket_start,bucket_end,count,cumulative_pct\r\n0,80,{},100.0\r\n"),
-            ("pareto.csv", "bucket_start,bucket_end,count,cumulative_pct\r\n0,80,3,{}\r\n"),
-            ("elbow.csv", "k,wcss\r\n1,{}\r\n2,1.5\r\n"),
-            ("metrics.csv", "classifier,precision,recall,f1,accuracy\r\nknn,0.5,{},0.5,0.5\r\n"),
-        ],
-    )
-    def test_non_finite_cell_exits_1(self, tmp_path, capsys, name, template, value):
-        source = tmp_path / name
-        source.write_text(template.format(value))
-        out = tmp_path / "out"
-        assert run_stage("plot", "--input", str(source), "--out", str(out)) == 1
-        error = json.loads(capsys.readouterr().err)["message"]
-        assert str(source) in error
-        assert "non-finite" in error
-        assert not out.exists()
-
-    def test_markup_in_a_label_is_escaped(self, tmp_path):
-        source = tmp_path / "metrics.csv"
-        source.write_text(
-            "classifier,precision,recall,f1,accuracy\r\na<b&c,0.5,0.5,0.5,0.5\r\n"
-        )
-        assert run_stage("plot", "--input", str(source), "--out", str(tmp_path)) == 0
-        svg = xml.dom.minidom.parse(str(tmp_path / "metrics.svg"))
-        labels = [
-            node.firstChild.data for node in svg.getElementsByTagName("text")
-        ]
-        assert "a<b&c" in labels
-
-
 class TestProgrammaticRun:
     def test_run_returns_summary_line(self, pipeline_dir, tmp_path):
         shutil.copy(pipeline_dir / "dataset.csv", tmp_path / "dataset.csv")
@@ -1144,7 +1180,7 @@ class TestProgrammaticRun:
             run("mystery", RunConfig(out=str(tmp_path)))
 
     def test_artifact_writer_discard_is_idempotent(self, tmp_path):
-        writer = ArtifactWriter(tmp_path)
+        writer = ArtifactWriter(tmp_path, (("a.txt",), (), ()))
         writer.write_text("a.txt", "x")
         writer.discard_written()
         writer.discard_written()
@@ -1152,7 +1188,7 @@ class TestProgrammaticRun:
         assert not list(tmp_path.iterdir())
 
     def test_artifact_writer_csv_format_and_discard(self, tmp_path):
-        writer = ArtifactWriter(tmp_path)
+        writer = ArtifactWriter(tmp_path, (("a.csv",), (), ()))
         writer.write_csv("a.csv", ("name", "value", "absent"), [("x", 0.1 + 0.2, None)])
         writer.commit()
         text = (tmp_path / "a.csv").read_bytes()
@@ -1163,7 +1199,7 @@ class TestProgrammaticRun:
             yield ("y", 1 / 3, None)
             raise ChainlensError("disk full")
 
-        writer = ArtifactWriter(tmp_path)
+        writer = ArtifactWriter(tmp_path, (("a.csv",), (), ()))
         with pytest.raises(ChainlensError):
             writer.write_csv("a.csv", ("name", "value", "absent"), rows())
         writer.discard_written()
@@ -1171,7 +1207,7 @@ class TestProgrammaticRun:
         assert (tmp_path / "a.csv").read_bytes() == text
 
     def test_artifact_writer_commit_moves_files_into_place(self, tmp_path):
-        writer = ArtifactWriter(tmp_path)
+        writer = ArtifactWriter(tmp_path, (("models/a.txt",), (), ()))
         writer.write_text("models/a.txt", "x")
         assert not (tmp_path / "models" / "a.txt").exists()
         writer.commit()
@@ -1179,7 +1215,7 @@ class TestProgrammaticRun:
         assert [p.name for p in (tmp_path / "models").iterdir()] == ["a.txt"]
 
     def test_failed_commit_removes_new_targets(self, tmp_path):
-        writer = ArtifactWriter(tmp_path)
+        writer = ArtifactWriter(tmp_path, (("a.txt", "b.txt"), (), ()))
         writer.write_text("a.txt", "x")
         writer.write_text("b.txt", "y")
         (tmp_path / "b.txt").mkdir()
@@ -1196,6 +1232,10 @@ class TestProgrammaticRun:
         assert writer.path("a.svg") is None
         writer.commit()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+
+    def test_writer_needs_the_stage_row(self, tmp_path):
+        with pytest.raises(TypeError, match="writes"):
+            ArtifactWriter(tmp_path)
 
     def test_writer_refuses_a_file_outside_its_row(self, tmp_path):
         writer = ArtifactWriter(tmp_path, (("a.csv",), (), ()), "svg")

@@ -51,9 +51,7 @@ def test_readme_artifact_table_is_the_stage_table():
                 for names in tiers
             ]
     assert documented == {
-        stage: [set(names) for names in row.writes]
-        for stage, row in COMMANDS.items()
-        if row.writes is not None
+        stage: [set(names) for names in row.writes] for stage, row in COMMANDS.items()
     }
 
 
@@ -76,7 +74,7 @@ def test_readme_reads_paragraph_is_the_stage_table():
     assert documented == {
         stage: [set(names) for names in row.reads]
         for stage, row in COMMANDS.items()
-        if row.reads is not None
+        if any(row.reads)  # generate reads nothing
     }
 
 

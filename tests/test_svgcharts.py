@@ -5,12 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from chainlens.errors import ChainlensError
-from chainlens.svgcharts import (
-    elbow_chart,
-    emit_plot_data,
-    metrics_chart,
-    pareto_chart,
-)
+from chainlens.svgcharts import elbow_chart, metrics_chart, pareto_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -80,76 +75,13 @@ class TestMetricsChart:
             metrics_chart([])
 
 
-class TestEmitPlotData:
-    def test_pareto_round_trip(self):
-        rows = [
-            {"bucket_start": "0", "bucket_end": "79", "count": "39", "cumulative_pct": "52.0"},
-            {"bucket_start": "80", "bucket_end": "159", "count": "36", "cumulative_pct": "100.0"},
-        ]
-        svg, header, plotted = emit_plot_data("pareto", rows)
-        parse(svg)
-        assert header == ("bucket", "count", "cumulative_pct")
-        # the lifetimes stage's label rule, so a re-render matches pareto.svg
-        assert [r[0] for r in plotted] == ["0-79d", "80-159d"]
-        assert [r[1] for r in plotted] == [39.0, 36.0]
-
-    def test_elbow_round_trip(self):
-        rows = [{"k": "1", "wcss": "50.0"}, {"k": "2", "wcss": "10.0"}]
-        svg, header, plotted = emit_plot_data("elbow", rows)
-        parse(svg)
-        assert header == ("k", "wcss")
-        assert plotted[0] == (1, 50.0)
-
-    def test_metrics_round_trip(self):
-        rows = [
-            {
-                "classifier": "knn",
-                "precision": "1.0",
-                "recall": "0.5",
-                "f1": "0.6666666666666666",
-                "accuracy": "0.75",
-            }
-        ]
-        svg, header, plotted = emit_plot_data("metrics", rows)
-        parse(svg)
-        assert header == ("classifier", "precision", "recall", "f1", "accuracy")
-        assert plotted == [("knn", 1.0, 0.5, 0.6666666666666666, 0.75)]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ChainlensError):
-            emit_plot_data("histogram", [])
-
-    def test_deterministic_output(self):
-        rows = [{"k": "1", "wcss": "50.0"}, {"k": "2", "wcss": "10.0"}]
-        assert emit_plot_data("elbow", rows) == emit_plot_data("elbow", rows)
-
-    @pytest.mark.parametrize(
-        "kind, row, label",
-        [
-            (
-                "pareto",
-                {"bucket_start": "<0", "bucket_end": "&1", "count": "3", "cumulative_pct": "100"},
-                "<0-&1d",
-            ),
-            (
-                "metrics",
-                {"classifier": "a<b&c", "precision": "1", "recall": "1", "f1": "1", "accuracy": "1"},
-                "a<b&c",
-            ),
-        ],
-    )
-    def test_markup_in_labels_is_escaped(self, kind, row, label):
-        svg, _, _ = emit_plot_data(kind, [row])
-        assert label in [node.text for node in tags(parse(svg), "text")]
-
-    @pytest.mark.parametrize(
-        "kind, row",
-        [
-            ("pareto", {"bucket_start": "0", "bucket_end": "1", "count": "nan", "cumulative_pct": "100"}),
-            ("elbow", {"k": "1", "wcss": "inf"}),
-            ("metrics", {"classifier": "knn", "precision": "1", "recall": "1", "f1": "-inf", "accuracy": "1"}),
-        ],
-    )
-    def test_non_finite_cell_rejected(self, kind, row):
-        with pytest.raises(ChainlensError, match="non-finite"):
-            emit_plot_data(kind, [row])
+@pytest.mark.parametrize(
+    "svg, label",
+    [
+        (pareto_chart([("<0-&1d", 3.0, 100.0)]), "<0-&1d"),
+        (metrics_chart([("a<b&c", 1.0, 1.0, 1.0, 1.0)]), "a<b&c"),
+    ],
+    ids=["pareto", "metrics"],
+)
+def test_markup_in_labels_is_escaped(svg, label):
+    assert label in [node.text for node in tags(parse(svg), "text")]

@@ -19,12 +19,20 @@ names the CPU dispatch numpy ran under: its compiled-in SIMD
 ``baseline`` and the ``dispatch`` targets it enabled on this CPU (the
 harness runs on this interpreter, so on this numpy). A failed run or a
 differing digest writes no file for its workload and exits 1.
+
+Each harness run is started in its own process group, and the stages and
+history server it starts share that group. If the recorder stops early
+(SIGTERM, Ctrl-C, an error), it kills the group and reaps the harness, so
+no harness process outlives it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HARNESS = ROOT / "perfbench" / "run.py"
 RUNS = 5  # harness runs per workload
 SEED = 7
+STOP_GRACE_S = 2.0  # between SIGTERM and SIGKILL to a stopped harness's group
 
 
 def workloads() -> list[str]:
@@ -49,11 +58,33 @@ def run_once(workload: str) -> tuple[dict, dict]:
     """The harness's ``meta`` and result of one untraced run."""
     command = [sys.executable, str(HARNESS), "--workload", workload,
                "--seed", str(SEED), "--trace", "0"]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    with subprocess.Popen(command, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            stop(proc)
+            raise
     if proc.returncode != 0:
-        sys.exit(f"{workload}: perfbench exited {proc.returncode}: {proc.stderr.strip()}")
-    *_, meta, result = proc.stdout.splitlines()
+        sys.exit(f"{workload}: perfbench exited {proc.returncode}: {stderr.strip()}")
+    *_, meta, result = stdout.splitlines()
     return json.loads(meta)["meta"], json.loads(result)
+
+
+def stop(proc: subprocess.Popen) -> None:
+    """Kill the process group that ``proc`` leads (SIGTERM, then SIGKILL
+    to whatever is left after ``STOP_GRACE_S``) and reap ``proc``."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGTERM)
+    with contextlib.suppress(subprocess.TimeoutExpired):
+        proc.wait(timeout=STOP_GRACE_S)
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
+def terminated(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def src_clean() -> bool:
@@ -91,6 +122,7 @@ def record(workload: str) -> dict:
 
 
 def main() -> int:
+    signal.signal(signal.SIGTERM, terminated)  # unwinds run_once, which stops the harness
     for workload in workloads():
         document = record(workload)
         path = ROOT / f"BENCH_{workload}.json"

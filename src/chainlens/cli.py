@@ -25,6 +25,9 @@ that exits 1 leaves the previous one in place, as any failed stage
 leaves its files. A figure is drawn only by the stage that computes its
 numbers, at ``--format svg``; rerunning that stage redraws it.
 
+A handler calls each library name as ``lib.NAME``, resolved on first
+access, so a stage imports only the modules of the names it calls.
+
 Exit codes: 0 success, 1 stage failure (one-line JSON error on stderr,
 earlier artifacts left untouched), 2 usage or configuration error.
 """
@@ -45,12 +48,10 @@ from .config import FORMATS, ConfigError, RunConfig, build_config
 from .errors import ChainlensError
 from .rules import CLASSIFIER_KINDS, METHODS, parse_day
 
-# The names the stage handlers call, by the chainlens module that
-# defines them. This module imports none of them: ``run`` imports the
-# modules a stage's COMMANDS entry lists and binds their names here,
-# and ``__getattr__`` resolves a name on first use. Both bind with
-# setdefault, so a replacement set here first (a test's, the benchmark
-# tracer's) is kept.
+# The library names the handlers call, by the chainlens module that
+# defines them. The first lookup of one runs ``__getattr__``, which
+# imports its module and binds the name here with setdefault, so a
+# replacement set here first (a test's, the benchmark tracer's) is kept.
 PROVIDERS = {
     "api": ("ApiClientConfig", "fetch_history"),
     "cache": ("load_panel",),
@@ -68,17 +69,14 @@ PROVIDERS = {
     "synthetic": ("SyntheticSpec", "generate_synthetic"),
 }
 _MODULE_OF = {name: module for module, names in PROVIDERS.items() for name in names}
-
-
-def _bind(name: str):
-    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
-    return globals().setdefault(name, getattr(module, name))
+lib = sys.modules[__name__]  # not ``from . import cli``, which loads a second copy under -m
 
 
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _bind(name)
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
 
 
 # Demo-scale defaults for `generate` (only knobs that differ from the
@@ -208,9 +206,9 @@ def cmd_generate(cfg: RunConfig, writer: ArtifactWriter, _) -> str:
     settings.update(cfg.generate)
     if "start_day" in settings:
         settings["start_day"] = parse_day(settings["start_day"])
-    spec = SyntheticSpec(seed=cfg.seed, **settings)
-    ds = generate_synthetic(spec)
-    save_csv(ds, writer.path("dataset.csv"))
+    spec = lib.SyntheticSpec(seed=cfg.seed, **settings)
+    ds = lib.generate_synthetic(spec)
+    lib.save_csv(ds, writer.path("dataset.csv"))
     doc = dict(_dataset_summary(ds), planted_disappeared=spec.disappeared_count, seed=spec.seed)
     writer.write_json("dataset_summary.json", doc)
     return (
@@ -223,36 +221,36 @@ def cmd_ingest(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     if cfg.input:  # ds is the --input panel
         origin = cfg.input
     elif cfg.api.get("base_url"):
-        client = ApiClientConfig(date_range=cfg.date_range, **cfg.api)
+        client = lib.ApiClientConfig(date_range=cfg.date_range, **cfg.api)
         origin = client.base_url
-        ds = _require_rows(fetch_history(client), origin)
+        ds = _require_rows(lib.fetch_history(client), origin)
     else:
         raise ConfigError(
             "ingest needs --input FILE or an 'api' config block with base_url"
         )
-    save_csv(ds, writer.path("dataset.csv"))
+    lib.save_csv(ds, writer.path("dataset.csv"))
     writer.write_json("dataset_summary.json", _dataset_summary(ds))
     return f"ingest: {len(ds.keys)} coins, {len(ds)} rows from {origin}"
 
 
 def cmd_clean(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
-    rows, X, (before, after_rule, after_mean) = prepare_features(ds, cfg.date_range)
-    ids = map("{}@{}".format, ds.row_keys(rows), isoformat_days(ds.days[rows]))
+    rows, X, (before, after_rule, after_mean) = lib.prepare_features(ds, cfg.date_range)
+    ids = map("{}@{}".format, ds.row_keys(rows), lib.isoformat_days(ds.days[rows]))
     writer.write_csv(
         "features.csv",
-        ("row_id",) + CLASSIFY_FEATURES,
+        ("row_id",) + lib.CLASSIFY_FEATURES,
         ([row_id] + row.tolist() for row_id, row in zip(ids, X)),
     )
     writer.write_json(
         "cleaning_summary.json",
         {
             "rows": len(rows),
-            "features": list(CLASSIFY_FEATURES),
+            "features": list(lib.CLASSIFY_FEATURES),
             "missing_before": before,
             "filled_by_supply_rule": before["max_supply"] - after_rule["max_supply"],
             "filled_by_column_mean": {
                 name: after_rule[name] - after_mean[name]
-                for name in CLASSIFY_FEATURES
+                for name in lib.CLASSIFY_FEATURES
                 if after_rule[name] != after_mean[name]
             },
             "missing_after": after_mean,
@@ -260,23 +258,23 @@ def cmd_clean(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     )
     filled = sum(before.values()) - sum(after_mean.values())
     return (
-        f"clean: {len(rows)} rows x {len(CLASSIFY_FEATURES)} features,"
+        f"clean: {len(rows)} rows x {len(lib.CLASSIFY_FEATURES)} features,"
         f" {filled} cells imputed -> features.csv"
     )
 
 
 def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
-    coins = lifetimes(ds, cutoff)
-    summary = survival_summary(coins)
-    buckets = pareto(coins)
+    coins = lib.lifetimes(ds, cutoff)
+    summary = lib.survival_summary(coins)
+    buckets = lib.pareto(coins)
     writer.write_csv(
         "lifetimes.csv",
         ("key", "first_day", "last_day", "lifetime_days", "disappeared"),
         zip(
             ds.keys,
-            isoformat_days(coins.first_days),
-            isoformat_days(coins.last_days),
+            lib.isoformat_days(coins.first_days),
+            lib.isoformat_days(coins.last_days),
             coins.lifetime_days.tolist(),
             ("true" if gone else "false" for gone in coins.disappeared.tolist()),
         ),
@@ -289,7 +287,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     writer.write_json("survival_summary.json", dict(asdict(summary), cutoff=cutoff.isoformat()))
     if buckets:
         rows = [(f"{b.start}-{b.end}d", b.count, b.cumulative_pct) for b in buckets]
-        writer.write_text("pareto.svg", pareto_chart(rows))
+        writer.write_text("pareto.svg", lib.pareto_chart(rows))
     return (
         f"lifetimes: {summary.total} coins, {summary.disappeared_count} disappeared"
         f" ({summary.disappeared_fraction:.1%}) -> lifetimes.csv, pareto.csv"
@@ -297,7 +295,7 @@ def cmd_lifetimes(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
 
 
 def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
-    report = price_factor_report(ds, cfg.date_range)
+    report = lib.price_factor_report(ds, cfg.date_range)
     chosen = [
         p for p in report.pooled + report.aggregate if p.method in cfg.methods
     ]
@@ -317,7 +315,8 @@ def cmd_correlate(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
 
 
 def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
-    report = cluster_report(ds, ds.resolve_cutoff(cfg.cutoff_date), k=cfg.k_value, seed=cfg.seed)
+    cutoff = ds.resolve_cutoff(cfg.cutoff_date)
+    report = lib.cluster_report(ds, cutoff, k=cfg.k_value, seed=cfg.seed)
     writer.write_csv(
         "assignments.csv",
         ("coin_key", "cluster_id"),
@@ -326,7 +325,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     if report.elbow_curve is not None:
         points = list(zip(report.elbow_curve.ks, report.elbow_curve.wcss))
         writer.write_csv("elbow.csv", ("k", "wcss"), points)
-        writer.write_text("elbow.svg", elbow_chart(points))
+        writer.write_text("elbow.svg", lib.elbow_chart(points))
     sizes = Counter(int(c) for c in report.model.assignments)
     writer.write_json(
         "cluster_summary.json",
@@ -342,7 +341,7 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
             "sizes": {str(c): sizes[c] for c in sorted(sizes)},
         },
     )
-    left_out = report.feature_columns != CLUSTER_FEATURES
+    left_out = report.feature_columns != lib.CLUSTER_FEATURES
     return (
         f"cluster: k={report.model.k}, {len(report.keys)} coins on"
         f" {report.date.isoformat()}"
@@ -353,21 +352,21 @@ def cmd_cluster(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
 
 def cmd_classify(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
     cutoff = ds.resolve_cutoff(cfg.cutoff_date)
-    table = label_risky(ds, cutoff, cfg.date_range)
-    train, test = train_test_split(table, cfg.split, seed=cfg.seed)
+    table = lib.label_risky(ds, cutoff, cfg.date_range)
+    train, test = lib.train_test_split(table, cfg.split, seed=cfg.seed)
     named = []
     detail = {}
     for kind in cfg.classifiers:
-        trained = fit(ClassifierSpec.make(kind), train, seed=cfg.seed)
-        result = evaluate(predict(trained, test), test.y)
+        trained = lib.fit(lib.ClassifierSpec.make(kind), train, seed=cfg.seed)
+        result = lib.evaluate(lib.predict(trained, test), test.y)
         named.append((kind, result))
-        save_model(trained, writer.path(f"models/{kind}.json"))
+        lib.save_model(trained, writer.path(f"models/{kind}.json"))
         detail[kind] = asdict(result)
     scores = [
-        (kind,) + tuple(getattr(m, series) for series in METRIC_SERIES)
+        (kind,) + tuple(getattr(m, series) for series in lib.METRIC_SERIES)
         for kind, m in named
     ]
-    writer.write_csv("metrics.csv", ("classifier",) + METRIC_SERIES, scores)
+    writer.write_csv("metrics.csv", ("classifier",) + lib.METRIC_SERIES, scores)
     writer.write_json(
         "classify_summary.json",
         {
@@ -380,7 +379,7 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
             "classifiers": detail,
         },
     )
-    writer.write_text("metrics.svg", metrics_chart(scores))
+    writer.write_text("metrics.svg", lib.metrics_chart(scores))
     best_kind, best = max(named, key=lambda kv: kv[1].f1)
     degenerate = [kind for kind, m in named if m.zero_division_hit]
     return (
@@ -392,11 +391,11 @@ def cmd_classify(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
 
 
 def cmd_flags(cfg: RunConfig, writer: ArtifactWriter, ds) -> str:
-    volume = aggregate_stats(ds, ("volume_24h",), cfg.date_range)["volume_24h"]
+    volume = lib.aggregate_stats(ds, ("volume_24h",), cfg.date_range)["volume_24h"]
     # each coin's last row on or before the cutoff; -1 for none
     last = ds.last_rows(ds.resolve_cutoff(cfg.cutoff_date))
     rows = last[last >= 0]
-    masks = manipulability_flags(ds, rows, volume)
+    masks = lib.manipulability_flags(ds, rows, volume)
     names = sorted(masks)
     joined = [" ".join(name for name in names if masks[name][i]) for i in range(len(rows))]
     writer.write_csv("flags.csv", _FLAGS_HEADER, zip(ds.row_keys(rows), joined))
@@ -531,40 +530,33 @@ def cmd_report(cfg: RunConfig, writer: ArtifactWriter, paths: dict) -> str:
     return f"report: composed {len(paths)} artifacts -> report.html"
 
 
-# A stage's handler, help, the modules of the PROVIDERS names it calls,
-# the (required, optional) files it reads, "dataset.csv" being the panel
-# or --input, and the files it writes at --format csv, json and svg, each
-# adding to the one before.
-Stage = namedtuple("Stage", "handler help modules reads writes")
+# A stage's handler, help, the (required, optional) files it reads,
+# "dataset.csv" being the panel or --input, and the files it writes at
+# --format csv, json and svg, each adding to the one before.
+Stage = namedtuple("Stage", "handler help reads writes")
 _PANEL = (("dataset.csv",), ())  # reads the panel alone
 _MODELS = tuple(f"models/{kind}.json" for kind in CLASSIFIER_KINDS)
 
 COMMANDS = {
-    "generate": Stage(cmd_generate, "synthesize a dataset with planted structure",
-                      ("dataset", "synthetic"), ((), ()),
+    "generate": Stage(cmd_generate, "synthesize a dataset with planted structure", ((), ()),
                       (("dataset.csv",), ("dataset_summary.json",), ())),
     "ingest": Stage(cmd_ingest, "load a CSV (or fetch via the API) into dataset.csv",
-                    ("api", "dataset"), ((), ("dataset.csv",)),
+                    ((), ("dataset.csv",)),
                     (("dataset.csv",), ("dataset_summary.json",), ())),
-    "clean": Stage(cmd_clean, "derive and impute the per-row feature table",
-                   ("classify", "dataset"), _PANEL,
+    "clean": Stage(cmd_clean, "derive and impute the per-row feature table", _PANEL,
                    (("features.csv",), ("cleaning_summary.json",), ())),
-    "lifetimes": Stage(cmd_lifetimes, "coin lifetimes, survival summary, pareto data",
-                       ("dataset", "survival", "svgcharts"), _PANEL,
+    "lifetimes": Stage(cmd_lifetimes, "coin lifetimes, survival summary, pareto data", _PANEL,
                        (("lifetimes.csv", "pareto.csv"), ("survival_summary.json",),
                         ("pareto.svg",))),
-    "correlate": Stage(cmd_correlate, "price-vs-factor correlation artifacts",
-                       ("correlation",), _PANEL,
+    "correlate": Stage(cmd_correlate, "price-vs-factor correlation artifacts", _PANEL,
                        (("correlations.csv",), ("correlation_report.json",), ())),
-    "cluster": Stage(cmd_cluster, "k-means daily clustering with elbow selection",
-                     ("clustering", "svgcharts"), _PANEL,
+    "cluster": Stage(cmd_cluster, "k-means daily clustering with elbow selection", _PANEL,
                      (("assignments.csv", "elbow.csv"), ("cluster_summary.json",), ("elbow.svg",))),
-    "classify": Stage(cmd_classify, "train and score disappearance classifiers",
-                      ("classify", "svgcharts"), _PANEL,
+    "classify": Stage(cmd_classify, "train and score disappearance classifiers", _PANEL,
                       (("metrics.csv",) + _MODELS, ("classify_summary.json",), ("metrics.svg",))),
-    "flags": Stage(cmd_flags, "manipulability flags per coin", ("cleaning", "classify"), _PANEL,
+    "flags": Stage(cmd_flags, "manipulability flags per coin", _PANEL,
                    (("flags.csv",), ("flags_summary.json",), ())),
-    "report": Stage(cmd_report, "compose prior artifacts into report.html", (),
+    "report": Stage(cmd_report, "compose prior artifacts into report.html",
                     (("survival_summary.json", "pareto.csv", "correlations.csv",
                       "cluster_summary.json", "metrics.csv"),
                      ("pareto.svg", "elbow.svg", "metrics.svg", "flags.csv")),
@@ -588,7 +580,7 @@ def _read(command: str, cfg: RunConfig):
             hint = "" if cfg.input else "; pass --input or run generate/ingest first"
             raise ChainlensError(f"no dataset at {source}{hint}")
         try:
-            ds = load_panel(source, load_csv)
+            ds = lib.load_panel(source, lib.load_csv)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ChainlensError(f"dataset {source} is not UTF-8 CSV: {exc}") from None
         return _require_rows(ds, source)
@@ -613,11 +605,6 @@ def run(command: str, config: RunConfig) -> str:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     stage = COMMANDS[command]
-    # the panel's modules (what _read calls for it) come with its read
-    panel = ("cache", "dataset") if "dataset.csv" in sum(stage.reads, ()) else ()
-    for module in stage.modules + panel:
-        for name in PROVIDERS[module]:
-            _bind(name)
     writer = ArtifactWriter(config.out, stage.writes, config.format)
     try:
         summary = stage.handler(config, writer, _read(command, config))

@@ -211,7 +211,7 @@ def _daily_feature_matrix(dataset: Dataset, date: dt.date):
     if not rows.size:
         raise ChainlensError(f"no coins alive on {date.isoformat()}")
     matrix = np.column_stack([feature_values(dataset, name, rows) for name in CLUSTER_FEATURES])
-    present = ~np.isnan(matrix).all(axis=0)
+    present = (np.nan_to_num(matrix) > 0).any(axis=0)  # absent or 0 for all: left out
     if not present.any():
         raise ChainlensError(f"no cluster feature has a value on {date.isoformat()}")
     names = tuple(name for name, kept in zip(CLUSTER_FEATURES, present) if kept)
@@ -229,8 +229,8 @@ def cluster_report(
     """Cluster the coins alive on one day (first day <= date <= last
     day), each at its last row on or before it.
 
-    The features are the CLUSTER_FEATURES that hold a value on at least
-    one of those rows, and coins with any of them absent are excluded.
+    The features are the CLUSTER_FEATURES positive on at least one of
+    those rows, and coins with any of them absent are excluded.
     Every feature column is scaled by its maximum, then k-means runs
     with the given k, or with the elbow's choice over k = 1..30 when k
     is None.

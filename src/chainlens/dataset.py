@@ -3,7 +3,8 @@
 The CSV layout is fixed: header
 ``name,symbol,date,price,max_supply,total_supply,circulating_supply,volume_24h,market_cap,num_market_pairs``
 with dates as ``YYYY-MM-DD``, an empty cell meaning "absent", UTF-8
-text and ``.`` as the decimal separator. Four optional extended
+text (a leading byte-order mark, as spreadsheets' "CSV UTF-8" export
+writes, is skipped) and ``.`` as the decimal separator. Four optional extended
 columns (``total_value_locked,staking_reward,total_staking_percentage,whales_percentage``)
 may follow for clustering features.
 
@@ -541,7 +542,7 @@ def load_csv(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle, _gc_paused():
+    with path.open(newline="", encoding="utf-8-sig") as handle, _gc_paused():
         reader = csv.reader(handle)
         try:
             header = next(reader)

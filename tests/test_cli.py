@@ -1,11 +1,11 @@
 """Subcommand behavior: artifacts, exit codes, determinism, cleanup."""
 
+import ast
 import csv
 import datetime as dt
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import shutil
@@ -430,7 +430,8 @@ class TestStageTable:
     @pytest.mark.parametrize("stage", COMMANDS)
     def test_every_field_of_the_row_is_set(self, stage):
         row = COMMANDS[stage]
-        assert callable(row.handler) and row.help and type(row.modules) is tuple
+        assert row._fields == ("handler", "help", "reads", "writes")
+        assert callable(row.handler) and row.help
         assert len(row.reads) == 2 and all(type(names) is tuple for names in row.reads)
         assert len(row.writes) == len(FORMATS)
         assert all(type(names) is tuple for names in row.writes) and row.writes[0]
@@ -1310,15 +1311,6 @@ def stage_modules(*argv) -> set[str]:
     return {m for m in loaded if m == "numpy" or m.startswith("chainlens")}
 
 
-def _code_names(code) -> set[str]:
-    """The global and attribute names ``code`` and its nested code use."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if inspect.iscode(const):
-            names |= _code_names(const)
-    return names
-
-
 class TestImportFootprint:
     """A stage process imports only the chainlens modules it runs."""
 
@@ -1343,26 +1335,31 @@ class TestImportFootprint:
         stage = {"chainlens.cache", "chainlens.dataset", "chainlens.survival", "chainlens.svgcharts"}
         assert loaded == self.BASE | stage | {"numpy"}
 
-    def test_each_stage_lists_the_modules_of_the_names_it_calls(self):
-        module_of = {name: module for module, names in PROVIDERS.items() for name in names}
+    def test_ingest_of_a_file_loads_no_api_module(self, pipeline_dir, tmp_path):
+        loaded = stage_modules(
+            "ingest", "--input", str(pipeline_dir / "dataset.csv"), "--out", str(tmp_path)
+        )
+        assert "chainlens.api" not in loaded
+        assert {"chainlens.cache", "chainlens.dataset"} <= loaded
 
-        def modules_called(function) -> set[str]:
-            used: set[str] = set()
-            todo = [function]
-            while todo:  # the function and the cli functions it calls
-                names = _code_names(todo.pop().__code__) - used
-                used |= names
-                todo += [
-                    value
-                    for value in map(vars(cli).get, names)
-                    if inspect.isfunction(value) and value.__module__ == cli.__name__
-                ]
-            return {module_of[name] for name in used if name in module_of}
-
-        # the modules run() binds for a row that reads the panel
-        assert modules_called(cli._read) == {"cache", "dataset"}
-        for stage, row in COMMANDS.items():
-            assert set(row.modules) == modules_called(row.handler), stage
+    def test_library_names_are_read_only_through_lib(self):
+        """A handler finds each PROVIDERS name on ``lib`` when it calls it,
+        never as a bare global that something would have to bind first."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        provided = set(cli._MODULE_OF)
+        bare = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in provided
+        }
+        through_lib = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "lib"
+        }
+        assert bare == set()
+        assert through_lib and through_lib <= provided
+        assert cli.lib is sys.modules[cli.__name__]
 
     def test_every_provider_name_exists_in_its_module(self):
         for module, names in PROVIDERS.items():

@@ -1,5 +1,6 @@
 """K-means, WCSS, elbow selection, and the daily cluster report."""
 
+import csv
 import datetime as dt
 import json
 
@@ -424,3 +425,26 @@ class TestClusterStage:
             "message": "no cluster feature has a value on 2022-01-01",
         }
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
+
+    def test_a_feature_zero_for_every_coin_is_left_out_like_an_absent_one(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generate": {"n_coins": 20, "disappeared_fraction": 0.4}}),
+                          encoding="utf-8")
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "dataset.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        tvl = header.index("total_value_locked")
+        assert any(row[tvl] not in ("", "0") for row in rows)
+        outputs = []
+        for cell in ("0", ""):
+            out = tmp_path / f"tvl-{cell or 'blank'}"
+            out.mkdir()
+            with (out / "dataset.csv").open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + [row[:tvl] + [cell] + row[tvl + 1:]
+                                                     for row in rows])
+            assert main(["cluster", "--out", str(out), "--seed", "7"]) == 0
+            doc = json.loads((out / "cluster_summary.json").read_text(encoding="utf-8"))
+            assert "total_value_locked" not in doc["features"]
+            outputs.append((doc["features"], doc["excluded"],
+                            (out / "assignments.csv").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -3,12 +3,14 @@
 import datetime as dt
 import gc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlens.cli import main
 from chainlens.dataset import (
     VALUE_COLUMNS,
     ColumnParser,
@@ -227,6 +229,18 @@ class TestCsv:
         out = tmp_path / "out.csv"
         save_csv(ds, out)
         assert load_csv(out) == ds
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = Path(__file__).parent / "fixtures" / "api_equivalent.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_csv(bom) == load_csv(plain)
+        written = []
+        for source in (plain, bom):
+            out = tmp_path / source.stem
+            assert main(["ingest", "--input", str(source), "--out", str(out)]) == 0
+            written.append((out / "dataset.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_integral_floats_written_as_int_text(self, tmp_path):
         ds = Dataset.build([snap(price=5.0, max_supply=21000000.0)])
